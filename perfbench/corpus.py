@@ -55,6 +55,24 @@ def write_wav(path: Path, samples: np.ndarray, rate: int, bits: int) -> None:
         handle.write(data)
 
 
+def read_wav(path: Path) -> np.ndarray:
+    """Read a WAV file with the 44-byte header of :func:`write_wav` as (N, C) float64."""
+    raw = Path(path).read_bytes()
+    riff, _, wave, fmt, fmt_len, code, channels, _, _, _, bits, data, size = (
+        struct.unpack_from("<4sI4s4sIHHIIHH4sI", raw)
+    )
+    if ((riff, wave, fmt, fmt_len, data) != (b"RIFF", b"WAVE", b"fmt ", 16, b"data")
+            or size != len(raw) - 44):
+        raise ValueError(f"{path}: not a 44-byte-header WAV file of {len(raw)} bytes")
+    if (code, bits) == (1, 16):
+        samples = np.frombuffer(raw, "<i2", offset=44) / 32768.0
+    elif (code, bits) == (3, 32):
+        samples = np.frombuffer(raw, "<f4", offset=44).astype(np.float64)
+    else:
+        raise ValueError(f"{path}: codec {code} with {bits} bits")
+    return samples.reshape(-1, channels)
+
+
 def _coloured(rng, num_samples: int, tilt: float, corr: float) -> np.ndarray:
     """Stereo noise with power spectrum ~ f^-tilt and channel correlation."""
     common = rng.standard_normal(num_samples)

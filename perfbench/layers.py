@@ -20,9 +20,22 @@ spans inside it (FFT correlations, Gram assembly, frame energies);
 ``masks.oracle_self_s`` is oracle_separate minus its STFT, ISTFT, model
 and mask spans (the MWF filtering).  ``bsseval.cholesky_gflop`` is
 computed as n^3/3 over the factorized sizes, not measured.
+
+The program is not edited: :meth:`Tracer.wrap` swaps a wrapper in for
+every binding of a callable inside the ``sepeval`` package (``from x
+import y`` makes one binding per importing module), and
+:meth:`Tracer.close` puts the originals back.  Each call adds its busy
+and self seconds, one call and its counters to the totals of its name.
+Busy time is summed over threads, so with parallel workers it can
+exceed wall time.
 """
 
+import functools
 import os
+import sys
+import threading
+import time
+from collections import defaultdict
 
 import scipy.linalg
 
@@ -35,8 +48,6 @@ import sepeval.masks
 import sepeval.reports
 import sepeval.spectral
 import sepeval.stats
-
-from spans import Tracer
 
 # (metric, unit, span name, span total): busy_s, self_s, calls or a counter.
 _FROM_SPANS = (
@@ -99,17 +110,75 @@ def _worker_s(args, kwargs, result, seconds):
     return {"worker_s": workers * seconds}
 
 
-class LayerTracer(Tracer):
-    """A tracer that reduces its spans to this benchmark's layer metrics."""
+class Tracer:
+    """Totals of the wrapped calls, per span name, since the last reset."""
 
-    def metrics(self, wall_s: float) -> dict:
-        """Per-layer metrics of the spans recorded since the last reset."""
-        return _metrics(self.layer_totals(), wall_s)
+    def __init__(self):
+        self.totals = {}
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self._restore = []
+
+    def wrap(self, module, attr: str, name: str, count=None) -> None:
+        """Trace every call of ``module.attr`` made through any sepeval binding.
+
+        ``count(args, kwargs, result, seconds)`` may return a dict of
+        counters for the call; it runs after the call's clock has stopped.
+        """
+        original = getattr(module, attr)
+
+        @functools.wraps(original)
+        def traced(*args, **kwargs):
+            # Per-thread stack of the child seconds of each open call.
+            stack = getattr(self._local, "stack", None)
+            if stack is None:
+                stack = self._local.stack = []
+            stack.append(0.0)
+            start = time.perf_counter()
+            try:
+                result = original(*args, **kwargs)
+            finally:
+                seconds = time.perf_counter() - start
+                child_s = stack.pop()
+                if stack:
+                    stack[-1] += seconds
+            counters = count(args, kwargs, result, seconds) if count else {}
+            with self._lock:
+                entry = self.totals.setdefault(name, defaultdict(float))
+                entry["busy_s"] += seconds
+                entry["self_s"] += seconds - child_s
+                entry["calls"] += 1
+                for key, value in counters.items():
+                    entry[key] += value
+            return result
+
+        for mod in _sepeval_modules():
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    setattr(mod, key, traced)
+                    self._restore.append((mod, key, original))
+
+    def close(self) -> None:
+        """Restore every binding replaced by :meth:`wrap`."""
+        for mod, key, original in reversed(self._restore):
+            setattr(mod, key, original)
+        self._restore.clear()
+
+    def reset(self) -> None:
+        with self._lock:
+            self.totals = {}
 
 
-def install() -> LayerTracer:
+def _sepeval_modules():
+    return [
+        module for key, module in list(sys.modules.items())
+        if module is not None and (key == "sepeval" or key.startswith("sepeval."))
+    ]
+
+
+def install() -> Tracer:
     """Wrap every traced callable; the caller closes the tracer."""
-    tracer = LayerTracer()
+    tracer = Tracer()
     for module, attr, name, count in (
         (sepeval.audio, "load_wav", "audio.load_wav", _file_bytes(0)),
         (sepeval.audio, "save_wav", "audio.save_wav", _file_bytes(0)),
@@ -138,7 +207,9 @@ def install() -> LayerTracer:
     return tracer
 
 
-def _metrics(totals: dict, wall_s: float) -> dict:
+def metrics(tracer: Tracer, wall_s: float) -> dict:
+    """Per-layer metrics of the calls traced since the last reset."""
+    totals = tracer.totals
     out = {
         metric: totals.get(span, {}).get(key, 0.0)
         for metric, _, span, key in _FROM_SPANS

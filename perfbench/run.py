@@ -10,9 +10,14 @@ thread before NumPy loads; ``eval-v4`` adds its two campaign workers.
 Set-up generates the workload's inputs from ``--seed`` under
 ``.bench_work/`` (three times, keeping the median), then warms up on a
 tiny input of the same shape so lazy imports and first-call costs stay
-out of the passes.  Passes then repeat while the next one, at the median
-pass-and-check time so far, would end within ``--seconds`` (at least one
-runs); each pass's outputs are checked outside its timing.
+out of the passes.  A run then makes a fixed, odd number of passes, set
+by ``--seconds`` and the workload's nominal pass time (see
+:func:`passes`), so every run's median is a true median over the same
+count; each pass's outputs are checked outside its timing.
+
+The host speed probe (``probe.py``) runs before and after set-up and
+after every pass; every time reported is the measured time scaled to the
+probe's reference speed with the probes on either side of it.
 
 With ``--trace 0`` the result holds the end-to-end metrics: median
 ``wall_s`` and ``cpu_s`` per pass, the process's ``peak_rss_mb`` and
@@ -76,6 +81,12 @@ def _import_program():
     return layers, workloads
 
 
+def passes(workload, seconds: float) -> int:
+    """The largest odd number of nominal passes within ``seconds``, at least 3."""
+    count = int(seconds / workload.pass_s)
+    return max(3, count if count % 2 else count - 1)
+
+
 def _cpu_s() -> float:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return usage.ru_utime + usage.ru_stime
@@ -87,8 +98,13 @@ def _fresh(path: Path) -> Path:
     return path
 
 
-def _setup(workload, work: Path, seed: int, imports_s: float) -> float:
-    """Import time + median of the input generations + one warm-up pass."""
+def _setup(workload, work: Path, seed: int, imports_s: float, probe):
+    """Import time + median of the input generations + one warm-up pass.
+
+    Returns that time at the probe's reference speed, using the probes
+    before and after it, and the probe after it.
+    """
+    before = probe.seconds()
     times = []
     for _ in range(SETUP_REPEATS):
         inputs = _fresh(work / "in")
@@ -103,12 +119,15 @@ def _setup(workload, work: Path, seed: int, imports_s: float) -> float:
     if problems:
         raise RuntimeError(f"warm-up output check failed: {problems[:3]}")
     warm_s = time.perf_counter() - start
+    after = probe.seconds()
     print(f"setup: imports {imports_s:.3f} s, generate "
-          f"{' '.join(f'{t:.3f}' for t in times)} s, warm-up {warm_s:.3f} s")
-    return imports_s + statistics.median(times) + warm_s
+          f"{' '.join(f'{t:.3f}' for t in times)} s, warm-up {warm_s:.3f} s; "
+          f"probe {before:.3f} {after:.3f} s")
+    setup_s = imports_s + statistics.median(times) + warm_s
+    return setup_s * probe.REFERENCE_S * 2.0 / (before + after), after
 
 
-def _run_pass(workload, out: Path, tracer):
+def _run_pass(workload, out: Path, layers, tracer):
     """One timed pass, then its check.
 
     Returns (wall_s, cpu_s, failed operations, per-layer metrics or None);
@@ -127,7 +146,7 @@ def _run_pass(workload, out: Path, tracer):
         traceback.print_exc()
     wall = time.perf_counter() - start
     cpu = _cpu_s() - cpu
-    per_layer = None if tracer is None else tracer.metrics(wall)
+    per_layer = None if tracer is None else layers.metrics(tracer, wall)
     if error is None:
         try:
             problems = workload.check(out)
@@ -147,55 +166,60 @@ def main(argv=None) -> int:
     args = _parse(argv)
     layers, workloads = _import_program()
     imports_s = time.perf_counter() - T0
+    import probe  # after the thread pins, and outside the program's import time
     workload = workloads.WORKLOADS[args.workload]
     work = ROOT / ".bench_work" / f"{args.workload}-{os.getpid()}"
     tracer = None
     try:
-        setup_s = _setup(workload, work, args.seed, imports_s)
+        setup_s, probe_s = _setup(workload, work, args.seed, imports_s, probe)
         tracer = layers.install() if args.trace else None
-        walls, cpus, per_layer = [], [], []
+        walls, cpus, per_layer, probes = [], [], [], [probe_s]
         attempted = failed = 0
-        loop_start = time.perf_counter()
-        iterations = []
-        while True:
-            began = time.perf_counter()
+        for _ in range(passes(workload, args.seconds)):
             wall, cpu, pass_failed, pass_layers = _run_pass(
-                workload, _fresh(work / "out"), tracer
+                workload, _fresh(work / "out"), layers, tracer
             )
             walls.append(wall)
             cpus.append(cpu)
             per_layer.append(pass_layers)
+            probes.append(probe.seconds())
             attempted += workload.operations
             failed += pass_failed
-            now = time.perf_counter()
-            iterations.append(now - began)
-            if now - loop_start + statistics.median(iterations) > args.seconds:
-                break
     finally:
         if tracer is not None:
             tracer.close()
         shutil.rmtree(work, ignore_errors=True)
 
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    # Each pass's times at the probe's reference speed (see probe.py).
+    scales = [
+        probe.REFERENCE_S * 2.0 / (before + after)
+        for before, after in zip(probes, probes[1:])
+    ]
     if tracer is None:
         metrics = {
-            "wall_s": statistics.median(walls),
-            "cpu_s": statistics.median(cpus),
+            "wall_s": statistics.median(w * k for w, k in zip(walls, scales)),
+            "cpu_s": statistics.median(c * k for c, k in zip(cpus, scales)),
             "peak_rss_mb": peak_rss_mb,
             "setup_s": setup_s,
         }
         units = END_TO_END_UNITS
     else:
-        metrics = {
-            name: statistics.median(sample[name] for sample in per_layer)
-            for name in layers.UNITS
-        }
         units = layers.UNITS
+        metrics = {
+            name: statistics.median(
+                sample[name] * (k if units[name] == "s" else 1.0)
+                for sample, k in zip(per_layer, scales)
+            )
+            for name in units
+        }
 
     print(f"workload {args.workload}, seed {args.seed}: {len(walls)} passes, "
           f"trace {'on' if tracer else 'off'}")
-    print(f"  pass wall_s {' '.join(f'{w:.3f}' for w in walls)}; "
+    print(f"  measured pass wall_s {' '.join(f'{w:.3f}' for w in walls)}; "
           f"cpu_s {' '.join(f'{c:.3f}' for c in cpus)}")
+    print(f"  probe_s {' '.join(f'{p:.3f}' for p in probes)} "
+          f"(reference {probe.REFERENCE_S} s)")
     for name, value in metrics.items():
         print(f"  {name:28s} {value:14.6g} {units[name]}")
     print(f"  {'fail_ratio':28s} {failed / attempted:14.6g} ({failed}/{attempted})")
