@@ -12,10 +12,13 @@ refits the filters inside every window, which is much slower and tends to
 over-estimate performance.  With a single window spanning the whole track
 the modes coincide.
 
-The normal equations are assembled from FFT cross-correlations; the Gram
-matrix of delayed references is block-Toeplitz and is solved by Cholesky
-factorization after tiny diagonal loading, falling back to a minimum-norm
-least-squares solution when the references are degenerate.
+One engine fits and projects.  Each reference channel is transformed once,
+by an rFFT long enough that circular correlations and convolutions with
+``filter_len`` taps are exact.  The block-Toeplitz Gram matrix and the
+cross-correlations come from these spectra, and so do projections: tap
+spectra are multiplied in and summed, then inverse-transformed once per
+estimate channel.  The Gram is solved by Cholesky factorization after tiny
+diagonal loading, or by minimum-norm least squares if it is singular.
 """
 
 import math
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, toeplitz
-from scipy.signal import fftconvolve, oaconvolve
 
 from .audio import AudioSignal
 
@@ -41,7 +43,6 @@ __all__ = [
 
 DEFAULT_FILTER_LEN = 512
 DEFAULT_WINDOW = 44100
-_OACONV_THRESHOLD = 1 << 15  # above this many samples, overlap-add wins
 
 
 @dataclass
@@ -117,8 +118,38 @@ class FrameScores:
     window_len: int
 
 
+def _reference_spectra(refs: np.ndarray, filter_len: int):
+    """FFT length and rFFT of every reference channel, reference-major.
+
+    The transform length leaves at least L-1 zeros of tail, so circular
+    lags within +/-(L-1) and convolutions with L taps match their linear
+    counterparts exactly.
+    """
+    num_refs, num_samples, channels = refs.shape
+    n_fft = scipy.fft.next_fast_len(num_samples + 2 * filter_len)
+    flat = refs.transpose(0, 2, 1).reshape(num_refs * channels, num_samples)
+    return n_fft, scipy.fft.rfft(flat, n=n_fft, axis=-1)
+
+
+def _filter_and_sum(spectra: np.ndarray, n_fft: int, taps: np.ndarray,
+                    length: int) -> np.ndarray:
+    """Reference channels filtered through (J, I_ref, I_est, L) taps, summed.
+
+    ``spectra`` come from :func:`_reference_spectra`.  Tap spectra are
+    formed one reference channel at a time into one (I_est, F) sum; the
+    result is its first ``length`` samples, shaped (length, I_est).
+    """
+    est_channels = taps.shape[2]
+    total = np.zeros((est_channels, spectra.shape[1]), dtype=spectra.dtype)
+    for ref_spectrum, channel_taps in zip(spectra, taps.reshape(-1, *taps.shape[2:])):
+        tap_spectra = scipy.fft.rfft(channel_taps, n=n_fft, axis=-1)
+        tap_spectra *= ref_spectrum
+        total += tap_spectra
+    return np.ascontiguousarray(scipy.fft.irfft(total, n_fft, axis=-1)[:, :length].T)
+
+
 class _Projector:
-    """Reference correlations and factorized Gram matrix for one span.
+    """Reference spectra and factorized Gram matrices for one span.
 
     Reusing one instance across estimates guarantees that evaluating the
     same estimate twice, in any order, produces bitwise-equal filters.
@@ -134,14 +165,9 @@ class _Projector:
             )
         self.filter_len = filter_len
         self.num_refs = num_refs
+        self.num_samples = num_samples
         self.channels = channels
-
-        # One FFT per reference channel; the transform length leaves at
-        # least L-1 zeros of tail so circular lags within +/-(L-1) match
-        # linear correlations exactly.
-        self._n_fft = scipy.fft.next_fast_len(num_samples + 2 * filter_len)
-        flat = references.transpose(0, 2, 1).reshape(num_refs * channels, num_samples)
-        self._spectra = scipy.fft.rfft(flat, n=self._n_fft, axis=-1)
+        self.n_fft, self.spectra = _reference_spectra(references, filter_len)
 
         total = num_refs * channels * filter_len
         gram = np.empty((total, total))
@@ -149,7 +175,7 @@ class _Projector:
         for b1 in range(num_refs * channels):
             for b2 in range(b1, num_refs * channels):
                 cc = scipy.fft.irfft(
-                    self._spectra[b1] * self._spectra[b2].conj(), self._n_fft
+                    self.spectra[b1] * self.spectra[b2].conj(), self.n_fft
                 )
                 block = toeplitz(np.concatenate(([cc[0]], cc[-1:-L:-1])), cc[:L])
                 gram[b1 * L:(b1 + 1) * L, b2 * L:(b2 + 1) * L] = block
@@ -160,65 +186,74 @@ class _Projector:
         diag = np.arange(total)
         gram[diag, diag] += loading
 
-        try:
-            self._factor = cho_factor(gram)
-        except LinAlgError:
-            self._factor = None
-
-        self._solo_factors = []
+        # The joint system over all references, then each reference's own
+        # diagonal block.
         block_size = channels * filter_len
-        for j in range(num_refs):
-            sub = gram[
-                j * block_size:(j + 1) * block_size,
-                j * block_size:(j + 1) * block_size,
-            ]
+        self._spans = [slice(0, total)] + [
+            slice(j * block_size, (j + 1) * block_size) for j in range(num_refs)
+        ]
+        self._factors = []
+        for span in self._spans:
             try:
-                self._solo_factors.append(cho_factor(sub))
+                self._factors.append(cho_factor(gram[span, span]))
             except LinAlgError:
-                self._solo_factors.append(None)
+                self._factors.append(None)
 
-        self.degenerate = self._factor is None or None in self._solo_factors
+        self.degenerate = None in self._factors
         self._gram = gram if self.degenerate else None
 
     def cross_correlations(self, estimate: np.ndarray) -> np.ndarray:
         """Right-hand side D[(b, m), c] = <reference b delayed by m, estimate c>."""
         num_samples, est_channels = estimate.shape
         L = self.filter_len
-        est_spectra = scipy.fft.rfft(estimate.T, n=self._n_fft, axis=-1)
-        D = np.empty((self._spectra.shape[0] * L, est_channels))
-        for b in range(self._spectra.shape[0]):
+        est_spectra = scipy.fft.rfft(estimate.T, n=self.n_fft, axis=-1)
+        D = np.empty((self.spectra.shape[0] * L, est_channels))
+        for b in range(self.spectra.shape[0]):
             cc = scipy.fft.irfft(
-                self._spectra[b] * est_spectra.conj(), self._n_fft, axis=-1
+                self.spectra[b] * est_spectra.conj(), self.n_fft, axis=-1
             )
             D[b * L:(b + 1) * L] = np.concatenate(
                 (cc[:, :1], cc[:, -1:-L:-1]), axis=1
             ).T
         return D
 
-    def _shape_taps(self, flat: np.ndarray, est_channels: int) -> np.ndarray:
-        taps = flat.reshape(self.num_refs, self.channels, self.filter_len, est_channels)
-        return np.ascontiguousarray(np.moveaxis(taps, 2, 3))
-
-    def solve(self, D: np.ndarray) -> np.ndarray:
-        """Joint filters over all references, shaped (J, I_ref, I_est, L)."""
-        if self._factor is not None:
-            flat = cho_solve(self._factor, D)
-        else:
-            flat = np.linalg.lstsq(self._gram, D, rcond=None)[0]
-        return self._shape_taps(flat, D.shape[1])
-
-    def solve_solo(self, j: int, D: np.ndarray) -> np.ndarray:
-        """Filters over reference j alone, shaped (1, I_ref, I_est, L)."""
-        block = self.channels * self.filter_len
-        rows = D[j * block:(j + 1) * block]
-        factor = self._solo_factors[j]
+    def _solve(self, factor, span: slice, rhs: np.ndarray) -> np.ndarray:
         if factor is not None:
-            flat = cho_solve(factor, rows)
-        else:
-            sub = self._gram[j * block:(j + 1) * block, j * block:(j + 1) * block]
-            flat = np.linalg.lstsq(sub, rows, rcond=None)[0]
-        taps = flat.reshape(1, self.channels, self.filter_len, D.shape[1])
-        return np.ascontiguousarray(np.moveaxis(taps, 2, 3))
+            return cho_solve(factor, rhs)
+        return np.linalg.lstsq(self._gram[span, span], rhs, rcond=None)[0]
+
+    def fit(self, estimate: np.ndarray, mode: str = "global",
+            start: int = 0) -> ProjectionFilters:
+        """Joint and all J solo filters from the references to an estimate."""
+        D = self.cross_correlations(estimate)
+        flats = [
+            self._solve(factor, span, D[span])
+            for factor, span in zip(self._factors, self._spans)
+        ]
+        shape = (self.num_refs, self.channels, self.filter_len, D.shape[1])
+        taps, solo = (
+            np.ascontiguousarray(np.moveaxis(flat.reshape(shape), 2, 3))
+            for flat in (flats[0], np.concatenate(flats[1:]))
+        )
+        return ProjectionFilters(
+            taps, solo, self.filter_len, mode=mode, window_start=start,
+            window_len=self.num_samples, degenerate=self.degenerate,
+        )
+
+
+def _split(refs: np.ndarray, est: np.ndarray, j: int, filters: ProjectionFilters,
+           spectra: np.ndarray, n_fft: int) -> Decomposition:
+    """Four parts of ``est`` from its projections on reference j and on all."""
+    num_samples, channels = refs.shape[1:]
+    proj_solo = _filter_and_sum(
+        spectra[j * channels:(j + 1) * channels], n_fft,
+        filters.solo_taps[j:j + 1], num_samples,
+    )
+    proj_all = _filter_and_sum(spectra, n_fft, filters.taps, num_samples)
+    s_target = refs[j].copy()
+    return Decomposition(
+        s_target, proj_solo - s_target, proj_all - proj_solo, est - proj_all
+    )
 
 
 def _signal_stack(references) -> np.ndarray:
@@ -261,45 +296,17 @@ def compute_projection(
             f"{refs.shape[1:]}"
         )
     if mode == "global":
-        return _projection_for_span(refs, est, filter_len, "global", 0)
+        return _Projector(refs, filter_len).fit(est)
     if mode != "windowed":
         raise ValueError(f"mode must be 'global' or 'windowed', got {mode!r}")
     if window is None:
         raise ValueError("windowed mode requires a window length")
-    hop = hop or window
-    out = []
-    for start, stop in _windows(refs.shape[1], window, hop):
-        span_len = min(filter_len, stop - start)
-        out.append(
-            _projection_for_span(
-                refs[:, start:stop], est[start:stop], span_len, "windowed", start
-            )
+    return [
+        _Projector(refs[:, start:stop], min(filter_len, stop - start)).fit(
+            est[start:stop], "windowed", start
         )
-    return out
-
-
-def _projection_for_span(refs, est, filter_len, mode, start) -> ProjectionFilters:
-    projector = _Projector(refs, filter_len)
-    D = projector.cross_correlations(est)
-    taps = projector.solve(D)
-    solo = np.empty_like(taps)
-    for j in range(refs.shape[0]):
-        solo[j] = projector.solve_solo(j, D)[0]
-    return ProjectionFilters(
-        taps,
-        solo,
-        filter_len,
-        mode=mode,
-        window_start=start,
-        window_len=refs.shape[1],
-        degenerate=projector.degenerate,
-    )
-
-
-def _convolve(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    if signal.shape[0] >= _OACONV_THRESHOLD:
-        return oaconvolve(signal, taps)
-    return fftconvolve(signal, taps)
+        for start, stop in _windows(refs.shape[1], window, hop or window)
+    ]
 
 
 def project(references, taps: np.ndarray) -> np.ndarray:
@@ -315,13 +322,9 @@ def project(references, taps: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"taps shape {taps.shape} does not match references {refs.shape}"
         )
-    est_channels, filter_len = taps.shape[2], taps.shape[3]
-    out = np.zeros((num_samples + filter_len - 1, est_channels))
-    for j in range(num_refs):
-        for c_ref in range(channels):
-            for c_est in range(est_channels):
-                out[:, c_est] += _convolve(refs[j, :, c_ref], taps[j, c_ref, c_est])
-    return out
+    filter_len = taps.shape[3]
+    n_fft, spectra = _reference_spectra(refs, filter_len)
+    return _filter_and_sum(spectra, n_fft, taps, num_samples + filter_len - 1)
 
 
 def decompose(
@@ -349,16 +352,8 @@ def decompose(
         raise ValueError(
             f"filters cover {filters.taps.shape[0]} references, got {num_refs}"
         )
-
-    proj_solo = project(refs[target_index:target_index + 1],
-                        filters.solo_taps[target_index:target_index + 1])
-    proj_all = project(refs, filters.taps)
-
-    s_target = refs[target_index]
-    e_spatial = proj_solo[:num_samples] - s_target
-    e_interf = proj_all[:num_samples] - proj_solo[:num_samples]
-    e_artif = est - proj_all[:num_samples]
-    return Decomposition(s_target.copy(), e_spatial, e_interf, e_artif)
+    n_fft, spectra = _reference_spectra(refs, filters.filter_len)
+    return _split(refs, est, target_index, filters, spectra, n_fft)
 
 
 def _ratio_db(num: float, den: float) -> float:
@@ -412,7 +407,7 @@ def bss_eval(
     Returns one list of :class:`FrameScores` per estimate.
     """
     refs = _signal_stack(references)
-    num_refs, num_samples, channels = refs.shape
+    num_refs, num_samples, _ = refs.shape
     if not estimates:
         raise ValueError("at least one estimate is required")
     est_arrays = []
@@ -435,56 +430,38 @@ def bss_eval(
     for j in targets:
         if not 0 <= j < num_refs:
             raise IndexError(f"target index {j} out of range")
-    hop = hop or window
-    spans = _windows(num_samples, window, hop)
+    spans = _windows(num_samples, window, hop or window)
 
+    # Each fit: the span the filters are fitted on, their length, and the
+    # windows scored from that fit.
     if mode == "v4_global":
-        projector = _Projector(refs, filter_len)
-        results = []
-        for est, j in zip(est_arrays, targets):
-            d = _decompose_with(projector, refs, est, j)
-            frames = []
-            for start, stop in spans:
-                frames.append(_frame_scores(d, start, stop))
-            results.append(frames)
-        return results
-
-    if mode != "v3_windowed":
+        fits = [(0, num_samples, filter_len, spans)]
+    elif mode == "v3_windowed":
+        fits = [
+            (start, stop, min(filter_len, stop - start), [(start, stop)])
+            for start, stop in spans
+        ]
+    else:
         raise ValueError(
             f"mode must be 'v4_global' or 'v3_windowed', got {mode!r}"
         )
     results = [[] for _ in est_arrays]
-    for start, stop in spans:
+    for start, stop, span_filter_len, frames in fits:
         span_refs = refs[:, start:stop]
-        span_len = min(filter_len, stop - start)
-        projector = _Projector(span_refs, span_len)
-        for k, (est, j) in enumerate(zip(est_arrays, targets)):
-            d = _decompose_with(projector, span_refs, est[start:stop], j)
-            score = _frame_scores(d, 0, stop - start)
-            results[k].append(
-                FrameScores(score.sdr, score.isr, score.sir, score.sar,
-                            window_start=start, window_len=stop - start)
+        projector = _Projector(span_refs, span_filter_len)
+        for scores, est, j in zip(results, est_arrays, targets):
+            span_est = est[start:stop]
+            d = _split(span_refs, span_est, j, projector.fit(span_est),
+                       projector.spectra, projector.n_fft)
+            scores.extend(
+                _frame_scores(d, a - start, b - start, start) for a, b in frames
             )
     return results
 
 
-def _decompose_with(projector: _Projector, refs, est, target_index) -> Decomposition:
-    D = projector.cross_correlations(est)
-    taps = projector.solve(D)
-    solo = projector.solve_solo(target_index, D)
-    num_samples = refs.shape[1]
-    proj_solo = project(refs[target_index:target_index + 1], solo)
-    proj_all = project(refs, taps)
-    s_target = refs[target_index]
-    return Decomposition(
-        s_target.copy(),
-        proj_solo[:num_samples] - s_target,
-        proj_all[:num_samples] - proj_solo[:num_samples],
-        est - proj_all[:num_samples],
-    )
-
-
-def _frame_scores(d: Decomposition, start: int, stop: int) -> FrameScores:
+def _frame_scores(d: Decomposition, start: int, stop: int,
+                  offset: int = 0) -> FrameScores:
+    """Scores of samples [start, stop) of ``d``, which begins at ``offset``."""
     sl = slice(start, stop)
     s = d.s_target[sl]
     e_spat = d.e_spatial[sl]
@@ -498,6 +475,6 @@ def _frame_scores(d: Decomposition, start: int, stop: int) -> FrameScores:
                       float(np.sum(e_interf * e_interf))),
         sar=_ratio_db(float(np.sum((s + e_spat + e_interf) ** 2)),
                       float(np.sum(e_artif * e_artif))),
-        window_start=start,
+        window_start=offset + start,
         window_len=stop - start,
     )

@@ -180,20 +180,8 @@ def run_campaign(
             track, estimates_root / track.name, method_name, config
         )
 
-    scores = []
-    failures = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for track, outcome in zip(tracks, pool.map(_guarded(one), tracks)):
-            if isinstance(outcome, TrackScore):
-                scores.append(outcome)
-            else:
-                failures.append((track.name, outcome))
-    for name, error in failures:
-        warnings.warn(f"track {name} failed: {error}", RuntimeWarning, stacklevel=2)
-    if not scores:
-        raise RuntimeError(
-            f"all {len(failures)} tracks failed; first error: {failures[0][1]}"
-        )
+        scores = _run_guarded(one, tracks, pool.map)
     scores.sort(key=lambda s: s.track)
     if output_dir is not None:
         output_dir = Path(output_dir)
@@ -211,6 +199,24 @@ def _guarded(fn):
             return exc
 
     return wrapper
+
+
+def _run_guarded(fn, tracks, map_fn=map) -> list:
+    """Scores of the tracks ``fn`` succeeds on; warn per failure, raise if all fail."""
+    scores = []
+    failures = []
+    for track, outcome in zip(tracks, map_fn(_guarded(fn), tracks)):
+        if isinstance(outcome, TrackScore):
+            scores.append(outcome)
+        else:
+            failures.append((track.name, outcome))
+    for name, error in failures:
+        warnings.warn(f"track {name} failed: {error}", RuntimeWarning, stacklevel=3)
+    if not scores:
+        raise RuntimeError(
+            f"all {len(failures)} tracks failed; first error: {failures[0][1]}"
+        )
+    return scores
 
 
 def _finite_median(values) -> float | None:

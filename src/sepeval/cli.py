@@ -17,6 +17,7 @@ from pathlib import Path
 from .audio import save_wav
 from .campaign import (
     EvalConfig,
+    _run_guarded,
     aggregate,
     evaluate_track,
     run_campaign,
@@ -109,8 +110,8 @@ def cmd_oracle(args, parser) -> int:
         label = f"IRM{args.alpha:g}"
     stft_config = StftConfig(args.stft_window, args.stft_hop)
     method_dir = output / label
-    scores = []
-    for track in tracks:
+
+    def one(track):
         _progress(f"oracle {label}: {track.split}/{track.name}")
         mixture, stems = load_track(track)
         estimates = oracle_separate(
@@ -129,7 +130,9 @@ def cmd_oracle(args, parser) -> int:
         config = _eval_config(args, track.sample_rate)
         score = evaluate_track(track, track_dir, label, config)
         write_report(score, method_dir / f"{track.name}.json")
-        scores.append(score)
+        return score
+
+    scores = _run_guarded(one, tracks)
     aggregate(scores).write_csv(method_dir / "summary.csv")
     _progress(f"wrote {len(scores)} track reports under {method_dir}")
     return 0

@@ -191,11 +191,6 @@ def irm_mask(sources: SourceImages, alpha: float = 2.0) -> ScalarMask:
     return ScalarMask(values)
 
 
-def _batched_pinv(matrices: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of a stack of Hermitian matrices."""
-    return np.linalg.pinv(matrices, hermitian=True)
-
-
 def estimate_mwf_model(sources: SourceImages, iterations: int = 2) -> SpatialModel:
     """Fit the local Gaussian model (v_j, R_j) by alternating estimation.
 
@@ -236,7 +231,7 @@ def estimate_mwf_model(sources: SourceImages, iterations: int = 2) -> SpatialMod
             scalable = trace > 0
             r[scalable] *= (channels / trace[scalable])[:, None, None]
             r[~scalable] = eye
-            r_inv = _batched_pinv(r)
+            r_inv = np.linalg.pinv(r, hermitian=True)
             v = np.einsum("fik,ftk,fti->ft", r_inv, bins, bins.conj()).real
             v = np.maximum(v / channels, 0.0)
         psd[j] = v

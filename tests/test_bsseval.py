@@ -6,6 +6,7 @@ so any disagreement isolates a bug in the FFT/Toeplitz assembly or the
 Cholesky path rather than in the problem statement.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -404,6 +405,64 @@ class TestBssEval:
             bss_eval(refs, [short], window=50)
         with pytest.raises(ValueError):
             compute_projection(refs, ests[0], filter_len=601)
+
+
+class TestOneEngine:
+    """bss_eval is compute_projection, decompose and the frame metrics."""
+
+    def _fixture(self, num_samples):
+        rng = np.random.default_rng(51)
+        refs = rng.standard_normal((3, num_samples, 2))
+        ests = [
+            AudioSignal(refs[0] + 0.2 * rng.standard_normal(refs[0].shape), 8000),
+            AudioSignal(refs[2] + 0.5 * refs[1], 8000),
+        ]
+        return refs, ests, [0, 2]
+
+    def test_v4_frames_equal_public_pipeline_bitwise(self):
+        refs, ests, targets = self._fixture(600)
+        results = bss_eval(_signals(refs), ests, filter_len=16, window=250,
+                           targets=targets)
+        for est, j, frames in zip(ests, targets, results):
+            filters = compute_projection(_signals(refs), est, 16)
+            d = decompose(est, _signals(refs), j, filters)
+            assert frames == metrics_from_decomposition(d, 250)
+
+    def test_v3_frames_equal_windowed_public_pipeline_bitwise(self):
+        """Per-window fits, including a final window shorter than the filter."""
+        refs, ests, targets = self._fixture(260)
+        results = bss_eval(_signals(refs), ests, filter_len=64, window=100,
+                           mode="v3_windowed", targets=targets)
+        for est, j, frames in zip(ests, targets, results):
+            windowed = compute_projection(_signals(refs), est, 64,
+                                          mode="windowed", window=100)
+            assert [f.filter_len for f in windowed] == [64, 64, 60]
+            expected = []
+            for filters in windowed:
+                sl = slice(filters.window_start,
+                           filters.window_start + filters.window_len)
+                d = decompose(AudioSignal(est.samples[sl], 8000),
+                              _signals(refs[:, sl]), j, filters)
+                (frame,) = metrics_from_decomposition(d, filters.window_len)
+                expected.append(
+                    dataclasses.replace(frame, window_start=filters.window_start)
+                )
+            assert frames == expected
+
+    def test_project_long_signal_matches_direct_convolution(self):
+        rng = np.random.default_rng(52)
+        num_samples, filter_len = 1 << 15, 64
+        refs = rng.standard_normal((2, num_samples, 2))
+        taps = rng.standard_normal((2, 2, 3, filter_len))
+        expected = np.zeros((num_samples + filter_len - 1, 3))
+        for j in range(2):
+            for c_ref in range(2):
+                for c_est in range(3):
+                    expected[:, c_est] += np.convolve(refs[j, :, c_ref],
+                                                      taps[j, c_ref, c_est])
+        got = project(refs, taps)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestProjectionFiltersType:

@@ -80,6 +80,48 @@ class TestOracleCommand:
         assert "No Such Song" in capsys.readouterr().err
 
 
+class TestOracleFailures:
+    """One bad track is reported and skipped; only all bad fails the run."""
+
+    NAMES = ("Alpha - One", "Beta - Two", "Gamma - Three")
+
+    def _corpus(self, tmp_path, bad):
+        rng = np.random.default_rng(2025)
+        root = tmp_path / "corpus"
+        for name in self.NAMES:
+            write_track(root / "train" / name, rng, num_samples=FIXTURE_RATE)
+        for name in bad:
+            stem = root / "train" / name / "bass.wav"
+            stem.write_bytes(stem.read_bytes()[:-400])
+        return root
+
+    def test_one_bad_track_scores_the_rest(self, tmp_path):
+        corpus = self._corpus(tmp_path, bad=["Beta - Two"])
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="Beta - Two"):
+            rc = _run(["oracle", "--corpus", corpus, "--method", "IRM2",
+                       "--output", out] + FAST)
+        assert rc == 0
+        method_dir = out / "IRM2"
+        assert not (method_dir / "Beta - Two.json").exists()
+        for track in ("Alpha - One", "Gamma - Three"):
+            (score,) = read_report(method_dir / f"{track}.json")
+            assert score.track == track
+        with open(method_dir / "summary.csv", newline="") as handle:
+            tracks = {row["track"] for row in csv.DictReader(handle)}
+        assert tracks == {"Alpha - One", "Gamma - Three"}
+
+    def test_all_bad_tracks_fail(self, tmp_path, capsys):
+        corpus = self._corpus(tmp_path, bad=self.NAMES)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            rc = _run(["oracle", "--corpus", corpus, "--method", "IRM2",
+                       "--output", out] + FAST)
+        assert rc == 1
+        assert "all 3 tracks failed" in capsys.readouterr().err
+        assert not (out / "IRM2" / "summary.csv").exists()
+
+
 class TestEvalCommand:
     def _estimates_tree(self, tmp_path, corpus_root):
         root = tmp_path / "copies"
