@@ -12,13 +12,20 @@ refits the filters inside every window, which is much slower and tends to
 over-estimate performance.  With a single window spanning the whole track
 the modes coincide.
 
-One engine fits and projects.  Each reference channel is transformed once,
-by an rFFT long enough that circular correlations and convolutions with
-``filter_len`` taps are exact.  The block-Toeplitz Gram matrix and the
-cross-correlations come from these spectra, and so do projections: tap
-spectra are multiplied in and summed, then inverse-transformed once per
-estimate channel.  The Gram is solved by Cholesky factorization after tiny
-diagonal loading, or by minimum-norm least squares if it is singular.
+One engine fits and projects, over overlap-save blocks of B samples
+(8192, or the whole span when it is shorter).
+Each reference channel is held as the rFFTs of its segments, block k plus
+the L samples before it, at a size M >= B + L; no transform spans the
+whole signal.  Lags 0..L-1 of the segments against another signal's
+zero-padded block spectra are summed over blocks bin by bin and
+inverse-transformed once per channel pair: against the references
+themselves they give the block-Toeplitz Gram matrix, against an estimate
+its cross-correlations.  Projections multiply tap spectra into the segment
+spectra, sum over reference channels and keep the B valid samples of each
+block's inverse transform.  Each Gram is factorized by Cholesky after tiny
+diagonal loading, or solved by minimum-norm least squares if it is
+singular; ``bss_eval`` factorizes only the single-reference systems of the
+references it scores against.
 """
 
 import math
@@ -26,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .audio import AudioSignal
 
@@ -43,6 +51,8 @@ __all__ = [
 
 DEFAULT_FILTER_LEN = 512
 DEFAULT_WINDOW = 44100
+# Overlap-save block length, unless the span is shorter.
+_BLOCK_LEN = 8192
 
 
 @dataclass
@@ -108,6 +118,7 @@ class FrameScores:
 
     Values may be ``inf`` (zero error energy), ``-inf`` (zero signal
     energy) or NaN (zero over zero: nothing to measure in the window).
+    ISR and SIR are NaN wherever the target is silent in the window.
     """
 
     sdr: float
@@ -118,38 +129,95 @@ class FrameScores:
     window_len: int
 
 
-def _reference_spectra(refs: np.ndarray, filter_len: int):
-    """FFT length and rFFT of every reference channel, reference-major.
+class _Blocks:
+    """Overlap-save geometry of one span: block length B, L taps, FFT size M.
 
-    The transform length leaves at least L-1 zeros of tail, so circular
-    lags within +/-(L-1) and convolutions with L taps match their linear
-    counterparts exactly.
+    Block k covers samples [kB, (k+1)B); its segment [kB - L, (k+1)B) adds
+    the L samples before it.  Because M >= B + L, circular products of a
+    segment with a zero-padded block, or with L zero-padded taps, equal the
+    linear correlation or convolution over that block.  B follows from the
+    span length alone, so every caller on a span gets the same blocks and
+    hence bitwise-equal results.
     """
-    num_refs, num_samples, channels = refs.shape
-    n_fft = scipy.fft.next_fast_len(num_samples + 2 * filter_len)
-    flat = refs.transpose(0, 2, 1).reshape(num_refs * channels, num_samples)
-    return n_fft, scipy.fft.rfft(flat, n=n_fft, axis=-1)
+
+    def __init__(self, num_samples: int, filter_len: int):
+        self.length = min(num_samples, _BLOCK_LEN)
+        self.filter_len = filter_len
+        self.fft_size = scipy.fft.next_fast_len(self.length + filter_len, real=True)
+
+    def segment_spectra(self, signals: np.ndarray, length: int) -> np.ndarray:
+        """(F, C, K) segment rFFTs of the C channels of (N, I) or (J, N, I)
+        ``signals``, zero-extended to ``length`` samples and K blocks."""
+        B, L = self.length, self.filter_len
+        channels = _channels(signals)
+        num_blocks = -(-length // B)
+        spectra = np.empty((self.fft_size // 2 + 1, len(channels), num_blocks),
+                           dtype=complex)
+        padded = np.zeros(L + num_blocks * B)
+        for c, samples in enumerate(channels):
+            padded[L:L + len(samples)] = samples
+            segments = sliding_window_view(padded, B + L)[::B]
+            spectra[:, c] = scipy.fft.rfft(segments, n=self.fft_size, axis=-1).T
+        return spectra
+
+    def lags(self, segments: np.ndarray, signals: np.ndarray) -> np.ndarray:
+        """(L, C, C') correlations r[m, a, b] = sum_n x_a[n - m] y_b[n].
+
+        ``segments`` are the segment spectra of the C channels x; y are the
+        C' channels of ``signals``, as long as x.  The zero-padded blocks of y
+        are transformed and conjugated; one product per bin sums them
+        against the segments over blocks, and one inverse transform per
+        channel pair gives the circular correlation c[d] = sum_n
+        x_seg[n + d] y_blk[n], whose lag m sits at d = L - m.
+        """
+        B = self.length
+        channels = _channels(signals)
+        full, rest = divmod(len(channels[0]), B)
+        padded = np.zeros((full + (rest > 0), self.fft_size))
+        blocks = np.empty((self.fft_size // 2 + 1, len(padded), len(channels)),
+                          dtype=complex)
+        for c, samples in enumerate(channels):
+            padded[:full, :B] = samples[:full * B].reshape(full, B)
+            padded[full:, :rest] = samples[full * B:]
+            blocks[:, :, c] = scipy.fft.rfft(padded, axis=-1).T
+        cross = np.matmul(segments, np.conjugate(blocks, out=blocks))
+        return scipy.fft.irfft(cross, self.fft_size, axis=0)[self.filter_len:0:-1]
+
+    def filter_and_sum(self, segments: np.ndarray, taps: np.ndarray,
+                       length: int) -> np.ndarray:
+        """Channels of ``segments`` filtered through (J, I_ref, I_est, L) taps, summed.
+
+        Tap spectra meet the segment spectra in one product per bin that
+        sums over reference channels; one inverse transform per block and
+        estimate channel then keeps the B valid samples.  Returns the first
+        ``length`` samples, shaped (length, I_est).
+        """
+        taps = taps.reshape(-1, *taps.shape[2:])
+        tap_spectra = scipy.fft.rfft(taps, n=self.fft_size, axis=-1).transpose(2, 1, 0)
+        summed = np.matmul(np.ascontiguousarray(tap_spectra), segments)
+        valid = scipy.fft.irfft(summed, self.fft_size, axis=0)[
+            self.filter_len:self.filter_len + self.length
+        ]
+        return valid.transpose(2, 0, 1).reshape(-1, taps.shape[1])[:length]
 
 
-def _filter_and_sum(spectra: np.ndarray, n_fft: int, taps: np.ndarray,
-                    length: int) -> np.ndarray:
-    """Reference channels filtered through (J, I_ref, I_est, L) taps, summed.
-
-    ``spectra`` come from :func:`_reference_spectra`.  Tap spectra are
-    formed one reference channel at a time into one (I_est, F) sum; the
-    result is its first ``length`` samples, shaped (length, I_est).
-    """
-    est_channels = taps.shape[2]
-    total = np.zeros((est_channels, spectra.shape[1]), dtype=spectra.dtype)
-    for ref_spectrum, channel_taps in zip(spectra, taps.reshape(-1, *taps.shape[2:])):
-        tap_spectra = scipy.fft.rfft(channel_taps, n=n_fft, axis=-1)
-        tap_spectra *= ref_spectrum
-        total += tap_spectra
-    return np.ascontiguousarray(scipy.fft.irfft(total, n_fft, axis=-1)[:, :length].T)
+def _channels(signals: np.ndarray) -> list:
+    """1-D views of the channels of (N, I) or (J, N, I) signals, reference-major."""
+    return [signal[:, c] for signal in signals.reshape(-1, *signals.shape[-2:])
+            for c in range(signals.shape[-1])]
 
 
 class _Projector:
-    """Reference spectra and factorized Gram matrices for one span.
+    """Reference segment spectra and factorized Gram matrices for one span.
+
+    Each reference channel is held as the spectra of its overlap-save
+    segments (see :class:`_Blocks`).  The lags of these segments against
+    the references' own block spectra are the Gram's Toeplitz blocks; an
+    estimate's cross-correlations are the lags against its block spectra,
+    and projections filter the segments.  System 0 is the joint one over
+    all references, system 1 + j reference j's alone (its diagonal block).
+    Each system's Gram is built from the lags and factorized in place
+    when first solved, so only the factors are kept.
 
     Reusing one instance across estimates guarantees that evaluating the
     same estimate twice, in any order, produces bitwise-equal filters.
@@ -165,91 +233,97 @@ class _Projector:
             )
         self.filter_len = filter_len
         self.num_refs = num_refs
-        self.num_samples = num_samples
         self.channels = channels
-        self.n_fft, self.spectra = _reference_spectra(references, filter_len)
+        self.blocks = _Blocks(num_samples, filter_len)
+        self.segments = self.blocks.segment_spectra(references, num_samples)
+        # The references' block spectra live only inside lags(), so they
+        # are freed before any Gram is built.
+        self._lags = np.ascontiguousarray(self.blocks.lags(self.segments, references))
+        # Diagonal loading: 1e-12 of the mean of the joint Gram's diagonal.
+        self._loading = 1e-12 * float(np.mean(np.diagonal(self._lags[0])))
+        self._factors = {}
+        self._singular_grams = {}
+        self._factor(0)
 
-        total = num_refs * channels * filter_len
-        gram = np.empty((total, total))
-        L = filter_len
-        for b1 in range(num_refs * channels):
-            for b2 in range(b1, num_refs * channels):
-                cc = scipy.fft.irfft(
-                    self.spectra[b1] * self.spectra[b2].conj(), self.n_fft
-                )
-                block = toeplitz(np.concatenate(([cc[0]], cc[-1:-L:-1])), cc[:L])
+    @property
+    def degenerate(self) -> bool:
+        """Whether any system factorized so far is singular."""
+        return bool(self._singular_grams)
+
+    def _channel_span(self, system: int) -> slice:
+        if system == 0:
+            return slice(0, self.num_refs * self.channels)
+        return slice((system - 1) * self.channels, system * self.channels)
+
+    def _gram(self, system: int) -> np.ndarray:
+        """Loaded Gram matrix of ``system``, in Fortran order for LAPACK."""
+        span = self._channel_span(system)
+        lags = self._lags[:, span, span]
+        L = self.filter_len
+        num_channels = lags.shape[1]
+        total = num_channels * L
+        gram = np.empty((total, total), order="F")
+        for b1 in range(num_channels):
+            for b2 in range(b1, num_channels):
+                # Toeplitz: entry (p, q) is lag p - q of b1 against b2 for
+                # p >= q, else lag q - p of b2 against b1.
+                diagonals = np.concatenate((lags[::-1, b1, b2], lags[1:, b2, b1]))
+                block = sliding_window_view(diagonals, L)[::-1]
                 gram[b1 * L:(b1 + 1) * L, b2 * L:(b2 + 1) * L] = block
                 if b2 != b1:
                     gram[b2 * L:(b2 + 1) * L, b1 * L:(b1 + 1) * L] = block.T
-
-        loading = 1e-12 * np.trace(gram) / total
         diag = np.arange(total)
-        gram[diag, diag] += loading
+        gram[diag, diag] += self._loading
+        return gram
 
-        # The joint system over all references, then each reference's own
-        # diagonal block.
-        block_size = channels * filter_len
-        self._spans = [slice(0, total)] + [
-            slice(j * block_size, (j + 1) * block_size) for j in range(num_refs)
-        ]
-        self._factors = []
-        for span in self._spans:
+    def _factor(self, system: int):
+        """Cholesky factor of ``system``, or None if its Gram is singular."""
+        if system not in self._factors:
+            # Finite by construction: AudioSignal rejects non-finite samples.
             try:
-                self._factors.append(cho_factor(gram[span, span]))
+                self._factors[system] = cho_factor(
+                    self._gram(system), overwrite_a=True, check_finite=False
+                )
             except LinAlgError:
-                self._factors.append(None)
+                self._factors[system] = None
+                self._singular_grams[system] = self._gram(system)
+        return self._factors[system]
 
-        self.degenerate = None in self._factors
-        self._gram = gram if self.degenerate else None
+    def _taps(self, D: np.ndarray, system: int) -> np.ndarray:
+        """(J', I_ref, I_est, L) taps solving ``system`` for right-hand sides D."""
+        span = self._channel_span(system)
+        rhs = D[span.start * self.filter_len:span.stop * self.filter_len]
+        factor = self._factor(system)
+        if factor is not None:
+            flat = cho_solve(factor, rhs, check_finite=False)
+        else:
+            flat = np.linalg.lstsq(self._singular_grams[system], rhs, rcond=None)[0]
+        shape = (-1, self.channels, self.filter_len, D.shape[1])
+        return np.ascontiguousarray(np.moveaxis(flat.reshape(shape), 2, 3))
 
     def cross_correlations(self, estimate: np.ndarray) -> np.ndarray:
         """Right-hand side D[(b, m), c] = <reference b delayed by m, estimate c>."""
-        num_samples, est_channels = estimate.shape
-        L = self.filter_len
-        est_spectra = scipy.fft.rfft(estimate.T, n=self.n_fft, axis=-1)
-        D = np.empty((self.spectra.shape[0] * L, est_channels))
-        for b in range(self.spectra.shape[0]):
-            cc = scipy.fft.irfft(
-                self.spectra[b] * est_spectra.conj(), self.n_fft, axis=-1
-            )
-            D[b * L:(b + 1) * L] = np.concatenate(
-                (cc[:, :1], cc[:, -1:-L:-1]), axis=1
-            ).T
-        return D
+        lags = self.blocks.lags(self.segments, estimate)
+        return lags.transpose(1, 0, 2).reshape(-1, estimate.shape[1])
 
-    def _solve(self, factor, span: slice, rhs: np.ndarray) -> np.ndarray:
-        if factor is not None:
-            return cho_solve(factor, rhs)
-        return np.linalg.lstsq(self._gram[span, span], rhs, rcond=None)[0]
-
-    def fit(self, estimate: np.ndarray, mode: str = "global",
-            start: int = 0) -> ProjectionFilters:
-        """Joint and all J solo filters from the references to an estimate."""
+    def fit(self, estimate: np.ndarray, solo) -> tuple:
+        """Joint taps to an estimate, and solo taps for each reference in ``solo``."""
         D = self.cross_correlations(estimate)
-        flats = [
-            self._solve(factor, span, D[span])
-            for factor, span in zip(self._factors, self._spans)
-        ]
-        shape = (self.num_refs, self.channels, self.filter_len, D.shape[1])
-        taps, solo = (
-            np.ascontiguousarray(np.moveaxis(flat.reshape(shape), 2, 3))
-            for flat in (flats[0], np.concatenate(flats[1:]))
-        )
-        return ProjectionFilters(
-            taps, solo, self.filter_len, mode=mode, window_start=start,
-            window_len=self.num_samples, degenerate=self.degenerate,
-        )
+        return self._taps(D, 0), [self._taps(D, 1 + j) for j in solo]
 
 
-def _split(refs: np.ndarray, est: np.ndarray, j: int, filters: ProjectionFilters,
-           spectra: np.ndarray, n_fft: int) -> Decomposition:
-    """Four parts of ``est`` from its projections on reference j and on all."""
+def _split(refs: np.ndarray, est: np.ndarray, j: int, taps: np.ndarray,
+           solo_taps: np.ndarray, blocks: _Blocks,
+           segments: np.ndarray) -> Decomposition:
+    """Four parts of ``est`` from its projections on reference j and on all.
+
+    ``solo_taps`` are reference j's own, shaped (1, I_ref, I_est, L).
+    """
     num_samples, channels = refs.shape[1:]
-    proj_solo = _filter_and_sum(
-        spectra[j * channels:(j + 1) * channels], n_fft,
-        filters.solo_taps[j:j + 1], num_samples,
+    proj_solo = blocks.filter_and_sum(
+        segments[:, j * channels:(j + 1) * channels], solo_taps, num_samples
     )
-    proj_all = _filter_and_sum(spectra, n_fft, filters.taps, num_samples)
+    proj_all = blocks.filter_and_sum(segments, taps, num_samples)
     s_target = refs[j].copy()
     return Decomposition(
         s_target, proj_solo - s_target, proj_all - proj_solo, est - proj_all
@@ -296,17 +370,27 @@ def compute_projection(
             f"{refs.shape[1:]}"
         )
     if mode == "global":
-        return _Projector(refs, filter_len).fit(est)
+        return _filters(refs, est, filter_len)
     if mode != "windowed":
         raise ValueError(f"mode must be 'global' or 'windowed', got {mode!r}")
     if window is None:
         raise ValueError("windowed mode requires a window length")
     return [
-        _Projector(refs[:, start:stop], min(filter_len, stop - start)).fit(
-            est[start:stop], "windowed", start
-        )
+        _filters(refs[:, start:stop], est[start:stop],
+                 min(filter_len, stop - start), "windowed", start)
         for start, stop in _windows(refs.shape[1], window, hop or window)
     ]
+
+
+def _filters(refs: np.ndarray, est: np.ndarray, filter_len: int,
+             mode: str = "global", start: int = 0) -> ProjectionFilters:
+    """Joint and all J solo filters from the references to an estimate."""
+    projector = _Projector(refs, filter_len)
+    taps, solo = projector.fit(est, range(refs.shape[0]))
+    return ProjectionFilters(
+        taps, np.concatenate(solo), filter_len, mode=mode, window_start=start,
+        window_len=refs.shape[1], degenerate=projector.degenerate,
+    )
 
 
 def project(references, taps: np.ndarray) -> np.ndarray:
@@ -322,9 +406,9 @@ def project(references, taps: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"taps shape {taps.shape} does not match references {refs.shape}"
         )
-    filter_len = taps.shape[3]
-    n_fft, spectra = _reference_spectra(refs, filter_len)
-    return _filter_and_sum(spectra, n_fft, taps, num_samples + filter_len - 1)
+    blocks = _Blocks(num_samples, taps.shape[3])
+    length = num_samples + taps.shape[3] - 1
+    return blocks.filter_and_sum(blocks.segment_spectra(refs, length), taps, length)
 
 
 def decompose(
@@ -352,8 +436,10 @@ def decompose(
         raise ValueError(
             f"filters cover {filters.taps.shape[0]} references, got {num_refs}"
         )
-    n_fft, spectra = _reference_spectra(refs, filters.filter_len)
-    return _split(refs, est, target_index, filters, spectra, n_fft)
+    blocks = _Blocks(num_samples, filters.filter_len)
+    segments = blocks.segment_spectra(refs, num_samples)
+    return _split(refs, est, target_index, filters.taps,
+                  filters.solo_taps[target_index:target_index + 1], blocks, segments)
 
 
 def _ratio_db(num: float, den: float) -> float:
@@ -451,11 +537,14 @@ def bss_eval(
         projector = _Projector(span_refs, span_filter_len)
         for scores, est, j in zip(results, est_arrays, targets):
             span_est = est[start:stop]
-            d = _split(span_refs, span_est, j, projector.fit(span_est),
-                       projector.spectra, projector.n_fft)
+            taps, (solo,) = projector.fit(span_est, [j])
+            d = _split(span_refs, span_est, j, taps, solo,
+                       projector.blocks, projector.segments)
             scores.extend(
                 _frame_scores(d, a - start, b - start, start) for a, b in frames
             )
+            del d  # before the next estimate's parts are allocated
+        del projector  # before the next span's Gram is allocated
     return results
 
 
@@ -468,11 +557,19 @@ def _frame_scores(d: Decomposition, start: int, stop: int,
     e_interf = d.e_interf[sl]
     e_artif = d.e_artif[sl]
     s_energy = float(np.sum(s * s))
+    if s_energy == 0.0:
+        # No target image: ISR and SIR would score only what the solo
+        # projection leaks into the window (rounding residue or the tail of
+        # earlier sound), which depends on the block edges.  Undefined.
+        isr = sir = math.nan
+    else:
+        isr = _ratio_db(s_energy, float(np.sum(e_spat * e_spat)))
+        sir = _ratio_db(float(np.sum((s + e_spat) ** 2)),
+                        float(np.sum(e_interf * e_interf)))
     return FrameScores(
         sdr=_ratio_db(s_energy, float(np.sum((e_spat + e_interf + e_artif) ** 2))),
-        isr=_ratio_db(s_energy, float(np.sum(e_spat * e_spat))),
-        sir=_ratio_db(float(np.sum((s + e_spat) ** 2)),
-                      float(np.sum(e_interf * e_interf))),
+        isr=isr,
+        sir=sir,
         sar=_ratio_db(float(np.sum((s + e_spat + e_interf) ** 2)),
                       float(np.sum(e_artif * e_artif))),
         window_start=offset + start,

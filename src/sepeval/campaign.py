@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioSignal, load_wav
+from .audio import AudioSignal, load_wav, wav_info
 from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_WINDOW, bss_eval
-from .dataset import STEM_NAMES, TrackRef, derive_accompaniment, load_track
+from .dataset import STEM_NAMES, TrackRef, derive_accompaniment, load_stems
 from .reports import TrackScore, write_report
 from .stats import SignificanceMatrix, pairwise_significance
 
@@ -67,15 +67,15 @@ class EvalConfig:
         return self.hop or self.window
 
 
-def _load_estimate(path: Path, mixture: AudioSignal):
+def _load_estimate(path: Path, shape: tuple):
     """Load one estimate WAV, or None when the file is absent."""
     if not path.is_file():
         return None
     signal = load_wav(path)
-    if signal.samples.shape != mixture.samples.shape:
+    if signal.samples.shape != shape:
         raise ValueError(
             f"estimate {path.name} shape {signal.samples.shape} does not "
-            f"match track {mixture.samples.shape}"
+            f"match track {shape}"
         )
     return signal
 
@@ -93,9 +93,12 @@ def evaluate_track(
     shape mismatches are fatal for the track.
     """
     estimates_dir = Path(estimates_dir)
-    mixture, stems = load_track(track)
+    # Only the mixture's header is needed: its shape and rate check the stems.
+    mixture = wav_info(track.path / "mixture.wav")
+    shape = (mixture.num_samples, mixture.channels)
+    stems = load_stems(track, shape, mixture.sample_rate)
     estimates = {
-        name: _load_estimate(estimates_dir / f"{name}.wav", mixture)
+        name: _load_estimate(estimates_dir / f"{name}.wav", shape)
         for name in TARGET_NAMES
     }
     if (

@@ -23,6 +23,7 @@ __all__ = [
     "MixtureReport",
     "scan_corpus",
     "load_track",
+    "load_stems",
     "derive_accompaniment",
     "validate_mixture",
     "write_manifest",
@@ -147,21 +148,32 @@ def load_track(ref: TrackRef):
     signal in the canonical order drums, bass, other, vocals.
     """
     mixture = load_wav(ref.path / "mixture.wav")
+    return mixture, load_stems(ref, mixture.samples.shape, mixture.sample_rate)
+
+
+def load_stems(ref: TrackRef, shape: tuple, sample_rate: int) -> dict:
+    """Load a track's four stems, checked against the mixture's shape and rate.
+
+    ``shape`` is the mixture's (num_samples, channels); callers that need
+    no mixture samples take it and ``sample_rate`` from its header
+    (:func:`~sepeval.audio.wav_info`).  Returns a map from stem name to
+    signal in the canonical order drums, bass, other, vocals.
+    """
     stems = {}
     for stem in STEM_NAMES:
         signal = load_wav(ref.path / f"{stem}.wav")
-        if signal.samples.shape != mixture.samples.shape:
+        if signal.samples.shape != shape:
             raise WavFormatError(
                 f"{stem}.wav shape {signal.samples.shape} does not match "
-                f"mixture {mixture.samples.shape} in {ref.path}"
+                f"mixture {shape} in {ref.path}"
             )
-        if signal.sample_rate != mixture.sample_rate:
+        if signal.sample_rate != sample_rate:
             raise WavFormatError(
                 f"{stem}.wav sample rate {signal.sample_rate} does not "
-                f"match mixture {mixture.sample_rate} in {ref.path}"
+                f"match mixture {sample_rate} in {ref.path}"
             )
         stems[stem] = signal
-    return mixture, stems
+    return stems
 
 
 def derive_accompaniment(stems) -> AudioSignal:

@@ -23,6 +23,7 @@ from sepeval import (
     metrics_from_decomposition,
     project,
 )
+from sepeval.bsseval import _BLOCK_LEN as BLOCK
 
 
 def _delay_matrix(refs: np.ndarray, filter_len: int) -> np.ndarray:
@@ -448,6 +449,78 @@ class TestOneEngine:
                     dataclasses.replace(frame, window_start=filters.window_start)
                 )
             assert frames == expected
+
+    def test_v4_multi_block_frames_equal_public_pipeline_bitwise(self):
+        """Three full overlap-save blocks and a ragged fourth."""
+        refs, ests, targets = self._fixture(3 * BLOCK + 1000)
+        results = bss_eval(_signals(refs), ests, filter_len=16, window=9000,
+                           targets=targets)
+        for est, j, frames in zip(ests, targets, results):
+            filters = compute_projection(_signals(refs), est, 16)
+            d = decompose(est, _signals(refs), j, filters)
+            assert len(frames) == 3
+            assert frames == metrics_from_decomposition(d, 9000)
+
+    def test_v3_multi_block_and_sub_block_windows_bitwise(self):
+        """A window of three blocks and a ragged one, then one shorter than a block."""
+        window = 3 * BLOCK + 500
+        refs, ests, targets = self._fixture(window + 4000)
+        results = bss_eval(_signals(refs), ests, filter_len=32, window=window,
+                           mode="v3_windowed", targets=targets)
+        for est, j, frames in zip(ests, targets, results):
+            windowed = compute_projection(_signals(refs), est, 32,
+                                          mode="windowed", window=window)
+            assert [f.window_len for f in windowed] == [window, 4000]
+            expected = []
+            for filters in windowed:
+                sl = slice(filters.window_start,
+                           filters.window_start + filters.window_len)
+                d = decompose(AudioSignal(est.samples[sl], 8000),
+                              _signals(refs[:, sl]), j, filters)
+                (frame,) = metrics_from_decomposition(d, filters.window_len)
+                expected.append(
+                    dataclasses.replace(frame, window_start=filters.window_start)
+                )
+            assert frames == expected
+
+    @pytest.mark.parametrize("mode", ["v4_global", "v3_windowed"])
+    def test_silent_target_scores_ignore_block_edges(self, mode):
+        """The target is silent for two blocks and part of a third, then plays.
+
+        Silent windows on either side of a block edge, and in the lead of
+        the segment that holds the onset, score alike: ISR and SIR are
+        undefined, SDR is -inf and SAR is finite.
+        """
+        onset = 2 * BLOCK + 1500
+        refs, _, _ = self._fixture(3 * BLOCK + 700)
+        refs[0, :onset] = 0.0
+        est = AudioSignal(refs[0] + 0.5 * refs[1] + 0.1 * refs[2], 8000)
+        (frames,) = bss_eval(_signals(refs), [est], filter_len=64, window=1000,
+                             mode=mode)
+        silent = [f for f in frames if f.window_start + f.window_len <= onset]
+        assert len(silent) == onset // 1000
+        for f in silent:
+            assert math.isnan(f.isr) and math.isnan(f.sir)
+            assert f.sdr == -math.inf and math.isfinite(f.sar)
+        for f in frames[len(silent):]:
+            assert all(math.isfinite(v) for v in (f.sdr, f.isr, f.sir, f.sar))
+
+    @pytest.mark.parametrize("num_samples,filter_len", [
+        (2 * BLOCK - 10, 64),  # the padded tail opens a third block
+        (600, 16),             # one block of the whole span, tail in a second
+    ])
+    def test_project_padded_domain_crosses_block_boundary(self, num_samples,
+                                                          filter_len):
+        rng = np.random.default_rng(53)
+        refs = rng.standard_normal((2, num_samples, 2))
+        taps = rng.standard_normal((2, 2, 1, filter_len))
+        expected = sum(
+            np.convolve(refs[j, :, c], taps[j, c, 0])
+            for j in range(2) for c in range(2)
+        )
+        got = project(refs, taps)
+        assert got.shape == (num_samples + filter_len - 1, 1)
+        assert np.abs(got[:, 0] - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_project_long_signal_matches_direct_convolution(self):
         rng = np.random.default_rng(52)

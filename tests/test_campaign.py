@@ -13,6 +13,7 @@ from sepeval import (
     FrameScores,
     SignificanceMatrix,
     TrackScore,
+    WavFormatError,
     aggregate,
     evaluate_track,
     read_report,
@@ -23,6 +24,8 @@ from sepeval import (
     write_significance_csv,
     write_significance_json,
 )
+
+from sepeval import campaign, dataset
 
 from conftest import FIXTURE_RATE, write_track
 
@@ -106,6 +109,31 @@ class TestEvaluateTrack:
                  AudioSignal(np.zeros((100, 2)), FIXTURE_RATE))
         with pytest.raises(ValueError, match="vocals"):
             evaluate_track(corpus.tracks[0], est_dir, "bad", CONFIG)
+
+    def test_mixture_header_only_checks_stems(self, tmp_path, monkeypatch):
+        """mixture.wav is never decoded, yet a stem that disagrees with its
+        header is fatal and named."""
+        corpus, arrays = _corpus_with_arrays(tmp_path)
+        stems, _ = arrays["One"]
+        est_dir = tmp_path / "est"
+        _write_estimates(est_dir, stems)
+        decoded = []
+        load_wav = campaign.load_wav
+
+        def recording_load_wav(path):
+            decoded.append(path.name)
+            return load_wav(path)
+
+        for module in (campaign, dataset):
+            monkeypatch.setattr(module, "load_wav", recording_load_wav)
+        evaluate_track(corpus.tracks[0], est_dir, "m", CONFIG)
+        assert "mixture.wav" not in decoded
+        assert decoded.count("vocals.wav") == 2  # the stem and its estimate
+        track = corpus.tracks[0]
+        save_wav(track.path / "bass.wav",
+                 AudioSignal(np.zeros((100, 2)), FIXTURE_RATE))
+        with pytest.raises(WavFormatError, match="bass"):
+            evaluate_track(track, est_dir, "m", CONFIG)
 
     def test_target_subset_respected(self, tmp_path):
         corpus, arrays = _corpus_with_arrays(tmp_path)
