@@ -219,8 +219,9 @@ def estimate_mwf_model(sources: SourceImages, iterations: int = 2) -> SpatialMod
             continue
         # Sum of outer products per frequency; reused every sweep because
         # the weights only rescale it.
-        outer_sum = np.einsum("fti,ftk->fik", bins, bins.conj())
-        v = np.einsum("fti,fti->ft", bins, bins.conj()).real / channels
+        outer_sum = bins.swapaxes(1, 2) @ bins.conj()
+        flat = np.ascontiguousarray(bins).view(np.float64)  # (F, T, 2I) re/im
+        v = np.einsum("ftk,ftk->ft", flat, flat) / channels
         r = np.broadcast_to(eye, outer_sum.shape).copy()
         for _ in range(iterations):
             weight = v.sum(axis=1)  # (F,)
@@ -232,7 +233,8 @@ def estimate_mwf_model(sources: SourceImages, iterations: int = 2) -> SpatialMod
             r[scalable] *= (channels / trace[scalable])[:, None, None]
             r[~scalable] = eye
             r_inv = np.linalg.pinv(r, hermitian=True)
-            v = np.einsum("fik,ftk,fti->ft", r_inv, bins, bins.conj()).real
+            v = np.einsum("ftk,ftk->ft",  # Re sum_i conj(y_i) (R^-1 y)_i
+                          (bins @ r_inv.swapaxes(-1, -2)).view(np.float64), flat)
             v = np.maximum(v / channels, 0.0)
         psd[j] = v
         cov[j] = (r + r.conj().swapaxes(-1, -2)) / 2.0
@@ -279,7 +281,7 @@ def mwf_mask(model: SpatialModel, epsilon: float | None = None) -> MatrixMask:
         inv = np.linalg.inv(mix_cov)
         for j in range(num_sources):
             source_cov = v[j][..., None, None] * r[j][:, None]
-            values[j, slab] = np.einsum("ftik,ftkl->ftil", source_cov, inv)
+            values[j, slab] = source_cov @ inv
     return MatrixMask(values)
 
 
@@ -314,7 +316,7 @@ def apply_mask(mask, mixture: Spectrogram, j: int) -> Spectrogram:
                 f"mask shape {values.shape[1:]} does not match "
                 f"mixture {mixture.bins.shape}"
             )
-        masked = np.einsum("ftik,ftk->fti", values[j], mixture.bins)
+        masked = (values[j] @ mixture.bins[..., None])[..., 0]
     return Spectrogram(masked, mixture.config, mixture.original_length, mixture.sample_rate)
 
 
@@ -332,8 +334,8 @@ def _mwf_estimates(model: SpatialModel, mixture: Spectrogram) -> list:
         mix_cov, v, r = _loaded_mixture_cov(model, slab)
         z = np.linalg.solve(mix_cov, mixture.bins[slab][..., None])[..., 0]
         for j in range(num_sources):
-            rz = np.einsum("fik,ftk->fti", r[j], z)
-            estimates[j][slab] = v[j][..., None] * rz
+            np.multiply(v[j][..., None], z @ r[j].swapaxes(-1, -2),
+                        out=estimates[j][slab])
     return estimates
 
 

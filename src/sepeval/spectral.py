@@ -4,10 +4,11 @@ The transform is one-sided (``F = window_size // 2 + 1`` bins) and framed
 without centering: the signal is padded with ``window_size - hop_size``
 leading zeros plus enough trailing zeros that every original sample is
 covered by a full set of overlapping windows.  Synthesis applies the same
-taper again (weighted overlap-add) and divides by the accumulated squared
-window, which makes ``istft(stft(x))`` reconstruct ``x`` to near machine
-precision for any window/hop combination whose squared taper never sums to
-zero.
+taper again (weighted overlap-add, accumulated one hop phase at a time) and
+divides by the periodic overlap profile, the squared taper summed over one
+hop's worth of frames; full overlap makes that division exact, so
+``istft(stft(x))`` reconstructs ``x`` to near machine precision for any
+window/hop combination whose squared taper never sums to zero.
 """
 
 from dataclasses import dataclass
@@ -135,11 +136,11 @@ def stft(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
 
 
 def _overlap_profile(config: StftConfig) -> np.ndarray:
-    """Squared-taper overlap sum per hop phase, for a full frame stack."""
+    """Squared-taper overlap sum per hop phase, in istft's frame order."""
     win_sq = config.taper() ** 2
     hop = config.hop_size
     profile = np.zeros(hop)
-    for offset in range(0, config.window_size, hop):
+    for offset in reversed(range(0, config.window_size, hop)):
         seg = win_sq[offset:offset + hop]
         profile[:len(seg)] += seg
     return profile
@@ -154,6 +155,7 @@ def istft(spec: Spectrogram, original_length: int | None = None) -> AudioSignal:
         Transform to invert.
     original_length : int, optional
         Number of samples to return; defaults to ``spec.original_length``.
+        Samples past the transform's span are zero beyond the last frame.
 
     Returns
     -------
@@ -174,25 +176,23 @@ def istft(spec: Spectrogram, original_length: int | None = None) -> AudioSignal:
     win = config.taper()
     size, hop = config.window_size, config.hop_size
     num_frames, channels = spec.num_frames, spec.num_channels
-    total = (num_frames - 1) * hop + size
+    phases = -(-size // hop)
 
-    out = np.zeros((total, channels))
+    # Block b holds samples [b*hop, (b+1)*hop); phase q of frame k (its
+    # samples [q*hop, (q+1)*hop)) lands in block k+q.  Phases run last to
+    # first, so each sample still sums its frames in frame order.
+    out = np.zeros((num_frames + phases - 1, hop, channels))
     for start in range(0, num_frames, _FRAME_CHUNK):
         chunk = spec.bins[:, start:start + _FRAME_CHUNK]  # (F, t, I)
         frames = np.fft.irfft(chunk, n=size, axis=0) * win[:, None, None]
-        for k in range(frames.shape[1]):
-            pos = (start + k) * hop
-            out[pos:pos + size] += frames[:, k]
-
-    win_sq_sum = np.zeros(total)
-    win_sq = win ** 2
-    for t in range(num_frames):
-        win_sq_sum[t * hop:t * hop + size] += win_sq
-    nonzero = win_sq_sum > 1e-10 * win_sq_sum.max()
-    out[nonzero] /= win_sq_sum[nonzero, None]
+        count = frames.shape[1]
+        for q in reversed(range(phases)):
+            phase = frames[q * hop:(q + 1) * hop].swapaxes(0, 1)  # (t, <=hop, I)
+            out[start + q:start + q + count, :phase.shape[1]] += phase
+    out /= profile[:, None]
 
     pad_front = size - hop
-    result = out[pad_front:pad_front + original_length]
+    result = out.reshape(-1, channels)[pad_front:pad_front + original_length]
     if result.shape[0] < original_length:
         result = np.vstack(
             [result, np.zeros((original_length - result.shape[0], channels))]

@@ -202,6 +202,26 @@ class TestRunCampaign:
             with pytest.raises(RuntimeError):
                 run_campaign(corpus.tracks, root, "m", CONFIG)
 
+    def test_memory_error_is_a_per_track_failure(self, tmp_path, monkeypatch):
+        """Running out of memory on one track leaves the others scored."""
+        corpus, root = self._setup(tmp_path, names=("Able", "Baker", "Charlie"))
+        real = campaign.evaluate_track
+
+        def exhausting(track, *args, **kwargs):
+            if track.name == "Baker":
+                raise MemoryError("cannot allocate the Gram")
+            return real(track, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "evaluate_track", exhausting)
+        out = tmp_path / "reports"
+        with pytest.warns(RuntimeWarning, match="Baker") as caught:
+            scores = run_campaign(corpus.tracks, root, "m", CONFIG,
+                                  workers=2, output_dir=out)
+        assert [s.track for s in scores] == ["Able", "Charlie"]
+        assert sorted(p.name for p in out.iterdir()) == ["Able.json", "Charlie.json"]
+        failures = [str(w.message) for w in caught if "failed" in str(w.message)]
+        assert len(failures) == 1 and "Baker" in failures[0]
+
 
 def _frame(sdr, start=0, length=100):
     return FrameScores(sdr=sdr, isr=sdr, sir=sdr, sar=sdr,

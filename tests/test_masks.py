@@ -15,8 +15,10 @@ from sepeval import (
     estimate_mwf_model,
     ibm_mask,
     irm_mask,
+    istft,
     mwf_mask,
     oracle_separate,
+    stft,
 )
 
 
@@ -399,3 +401,97 @@ class TestOracleSeparate:
         wrong_rate = AudioSignal(sources[0].samples, 16000)
         with pytest.raises(ValueError):
             oracle_separate(mixture, [wrong_rate], "IBM1", self.CONFIG)
+
+
+def _einsum_mwf_model(stack, iterations=2):
+    """The local Gaussian model fit, written with plain einsum contractions.
+
+    Assumes every live source has energy in every frequency bin, which
+    random test data does; silent sources are pinned as in the library.
+    """
+    channels = stack.shape[-1]
+    psd = np.zeros(stack.shape[:3])
+    cov = np.empty(stack.shape[:2] + (channels, channels), dtype=complex)
+    for j, y in enumerate(stack):
+        if not np.any(y):
+            cov[j] = np.eye(channels)
+            continue
+        outer = np.einsum("fti,ftk->fik", y, y.conj())
+        v = np.einsum("fti,fti->ft", y, y.conj()).real / channels
+        for _ in range(iterations):
+            r = outer / v.sum(axis=1)[:, None, None]
+            r *= (channels / np.einsum("fii->f", r).real)[:, None, None]
+            r_inv = np.linalg.pinv(r, hermitian=True)
+            v = np.einsum("fik,ftk,fti->ft", r_inv, y, y.conj()).real / channels
+            v = np.maximum(v, 0.0)
+        psd[j] = v
+        cov[j] = (r + r.conj().swapaxes(-1, -2)) / 2.0
+    return psd, cov
+
+
+def _einsum_loaded_mix_cov(psd, cov):
+    channels = cov.shape[-1]
+    mix_cov = np.einsum("jft,jfik->ftik", psd, cov)
+    eps = 1e-10 * np.maximum(1.0, np.einsum("ftii->ft", mix_cov).real / channels)
+    return mix_cov + eps[..., None, None] * np.eye(channels)
+
+
+def _assert_close(actual, desired):
+    """Relative agreement at 1e-12, measured against the array's scale."""
+    scale = np.abs(desired).max()
+    np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestMwfAgainstEinsum:
+    """The MWF path against einsum references, with one silent source."""
+
+    CONFIG = StftConfig(128, 32)
+
+    def _signals(self, num_sources, channels):
+        rng = np.random.default_rng(10 * num_sources + channels)
+        parts = [(1.0 + j) * rng.standard_normal((1500, channels))
+                 for j in range(num_sources)]
+        parts[-1][:] = 0.0  # the one silent source
+        mixture = AudioSignal(sum(parts), 8000)
+        return mixture, [AudioSignal(p, 8000) for p in parts]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("num_sources", [1, 3])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_model_and_estimates(self, num_sources, channels):
+        mixture, sources = self._signals(num_sources, channels)
+        stack = np.stack([stft(s, self.CONFIG).bins for s in sources])
+        model = estimate_mwf_model(
+            SourceImages([stft(s, self.CONFIG) for s in sources])
+        )
+        psd, cov = _einsum_mwf_model(stack)
+        _assert_close(model.psd, psd)
+        _assert_close(model.spatial_cov, cov)
+
+        mix = stft(mixture, self.CONFIG)
+        z = np.linalg.solve(_einsum_loaded_mix_cov(psd, cov), mix.bins[..., None])
+        expected = [
+            istft(Spectrogram(psd[j][..., None]
+                              * np.einsum("fik,ftk->fti", cov[j], z[..., 0]),
+                              self.CONFIG, mix.original_length, 8000))
+            for j in range(num_sources)
+        ]
+        estimates = oracle_separate(mixture, sources, "MWF", self.CONFIG)
+        for got, want in zip(estimates, expected):
+            _assert_close(got.samples, want.samples)
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_mask_and_matrix_application(self, channels):
+        mixture, sources = self._signals(3, channels)
+        psd, cov = _einsum_mwf_model(
+            np.stack([stft(s, self.CONFIG).bins for s in sources])
+        )
+        mask = mwf_mask(SpatialModel(psd, cov))
+        inv = np.linalg.inv(_einsum_loaded_mix_cov(psd, cov))
+        source_cov = np.einsum("jft,jfik->jftik", psd, cov)
+        _assert_close(mask.values,
+                      np.einsum("jftik,ftkl->jftil", source_cov, inv))
+        mix = stft(mixture, self.CONFIG)
+        for j in range(3):
+            _assert_close(apply_mask(mask, mix, j).bins,
+                          np.einsum("ftik,ftk->fti", mask.values[j], mix.bins))

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepeval import (
     FrameScores,
@@ -93,6 +95,46 @@ class TestRoundTrip:
         assert back.mode == "v3_windowed"
         assert back.hop == 22050
         assert back.filter_len == 256
+
+
+# Mostly non-finite values, so runs of inf/-inf/NaN in any order occur.
+_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_FRAMES = st.lists(
+    st.tuples(_VALUES, _VALUES, _VALUES, _VALUES), max_size=6
+).map(lambda rows: [
+    FrameScores(*row, window_start=100 * i, window_len=100)
+    for i, row in enumerate(rows)
+])
+_SCORES = st.dictionaries(
+    st.sampled_from(["vocals", "drums", "bass", "other", "accompaniment"]),
+    _FRAMES, min_size=1, max_size=5,
+).map(lambda targets: _score(targets=targets))
+
+
+def _values(score):
+    """Every dB value by repr, which tells NaN, -0.0 and inf apart exactly."""
+    return {
+        name: [repr((f.sdr, f.isr, f.sir, f.sar, f.window_start, f.window_len))
+               for f in frames]
+        for name, frames in score.targets.items()
+    }
+
+
+class TestRoundTripProperty:
+    # Derandomized: the same examples on every run, so the suite cannot flake.
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(score=_SCORES)
+    def test_non_finite_patterns_round_trip_byte_identically(self, score, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("prop")
+        first, second = folder / "first.json", folder / "second.json"
+        write_report(score, first)
+        (back,) = read_report(first)
+        assert _values(back) == _values(score)
+        write_report(back, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestSchemaErrors:

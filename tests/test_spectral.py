@@ -157,3 +157,75 @@ class TestSpectrogramType:
         assert spec.num_frames == 5
         assert spec.num_channels == 2
         assert spec.config.num_bins == 33
+
+
+def _per_frame_istft(spec, length):
+    """Overlap-add frame by frame, then divide by the per-sample window sum.
+
+    The direct form of weighted overlap-add synthesis: every frame is
+    tapered and added at its own offset, and every sample is divided by
+    the squared taper summed over exactly the frames that cover it.
+    """
+    config = spec.config
+    size, hop = config.window_size, config.hop_size
+    win = config.taper()
+    total = (spec.num_frames - 1) * hop + size
+    out = np.zeros((total, spec.num_channels))
+    win_sq_sum = np.zeros(total)
+    frames = np.fft.irfft(spec.bins, n=size, axis=0) * win[:, None, None]
+    for k in range(spec.num_frames):
+        out[k * hop:k * hop + size] += frames[:, k]
+        win_sq_sum[k * hop:k * hop + size] += win ** 2
+    nonzero = win_sq_sum > 1e-10 * win_sq_sum.max()
+    out[nonzero] /= win_sq_sum[nonzero, None]
+    result = out[size - hop:size - hop + length]
+    padding = np.zeros((length - result.shape[0], spec.num_channels))
+    return np.vstack([result, padding])
+
+
+OVERLAP_CONFIGS = [
+    StftConfig(100, 30, "hann"),  # hops that do not divide the window
+    StftConfig(33, 7, "hann"),
+    StftConfig(50, 49, "rect"),
+    StftConfig(64, 64, "rect"),
+    StftConfig(4096, 1024, "hann"),
+]
+
+
+class TestOverlapAddOracle:
+    @pytest.mark.parametrize("config", OVERLAP_CONFIGS, ids=str)
+    @pytest.mark.parametrize("length", [1, 5, 29, 1000, 4097])
+    def test_masked_spectrogram_matches_per_frame_synthesis(self, config, length):
+        """Random complex gains make frames disagree where they overlap."""
+        rng = np.random.default_rng(length)
+        signal = AudioSignal(rng.standard_normal((length, 2)), 8000)
+        spec = stft(signal, config)
+        gains = rng.standard_normal(spec.bins.shape) + 1j * rng.standard_normal(
+            spec.bins.shape
+        )
+        masked = Spectrogram(gains * spec.bins, config, length, 8000)
+        np.testing.assert_allclose(
+            istft(masked).samples, _per_frame_istft(masked, length), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("config", OVERLAP_CONFIGS, ids=str)
+    @pytest.mark.parametrize("length", [1, 29, 1000])
+    def test_length_past_the_span_is_zero_padded(self, config, length):
+        """Samples past the last frame are zero; inside the span, the oracle.
+
+        Between the span's end and the last frame's end the frames only
+        partly overlap; the round trip's true continuation there is zero.
+        """
+        rng = np.random.default_rng(length + 1)
+        samples = rng.standard_normal((length, 2))
+        spec = stft(AudioSignal(samples, 8000), config)
+        longer = length + 3 * config.window_size + 7
+        covered = spec.num_frames * config.hop_size  # last frame's end
+        back = istft(spec, longer).samples
+        assert back.shape == (longer, 2)
+        np.testing.assert_allclose(
+            back[:length], _per_frame_istft(spec, longer)[:length], rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(back[:length], samples, rtol=0, atol=1e-10)
+        assert np.abs(back[length:covered]).max(initial=0.0) <= 1e-12
+        assert not np.any(back[covered:])
