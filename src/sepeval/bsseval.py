@@ -145,9 +145,9 @@ class _Blocks:
         self.filter_len = filter_len
         self.fft_size = scipy.fft.next_fast_len(self.length + filter_len, real=True)
 
-    def segment_spectra(self, signals: np.ndarray, length: int) -> np.ndarray:
-        """(F, C, K) segment rFFTs of the C channels of (N, I) or (J, N, I)
-        ``signals``, zero-extended to ``length`` samples and K blocks."""
+    def segment_spectra(self, signals, length: int) -> np.ndarray:
+        """(F, C, K) segment rFFTs of the C channels of ``signals`` (see
+        :func:`_channels`), zero-extended to ``length`` samples and K blocks."""
         B, L = self.length, self.filter_len
         channels = _channels(signals)
         num_blocks = -(-length // B)
@@ -160,7 +160,7 @@ class _Blocks:
             spectra[:, c] = scipy.fft.rfft(segments, n=self.fft_size, axis=-1).T
         return spectra
 
-    def lags(self, segments: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    def lags(self, segments: np.ndarray, signals) -> np.ndarray:
         """(L, C, C') correlations r[m, a, b] = sum_n x_a[n - m] y_b[n].
 
         ``segments`` are the segment spectra of the C channels x; y are the
@@ -201,10 +201,12 @@ class _Blocks:
         return valid.transpose(2, 0, 1).reshape(-1, taps.shape[1])[:length]
 
 
-def _channels(signals: np.ndarray) -> list:
-    """1-D views of the channels of (N, I) or (J, N, I) signals, reference-major."""
-    return [signal[:, c] for signal in signals.reshape(-1, *signals.shape[-2:])
-            for c in range(signals.shape[-1])]
+def _channels(signals) -> list:
+    """1-D views of the channels of one (N, I) array, or of a sequence of
+    them (a list or a (J, N, I) array), reference-major."""
+    if isinstance(signals, np.ndarray) and signals.ndim == 2:
+        signals = [signals]
+    return [signal[:, c] for signal in signals for c in range(signal.shape[1])]
 
 
 class _Projector:
@@ -223,8 +225,9 @@ class _Projector:
     same estimate twice, in any order, produces bitwise-equal filters.
     """
 
-    def __init__(self, references: np.ndarray, filter_len: int):
-        num_refs, num_samples, channels = references.shape
+    def __init__(self, references: list, filter_len: int):
+        num_refs = len(references)
+        num_samples, channels = references[0].shape
         if filter_len < 1:
             raise ValueError(f"filter_len must be >= 1, got {filter_len}")
         if filter_len > num_samples:
@@ -312,14 +315,14 @@ class _Projector:
         return self._taps(D, 0), [self._taps(D, 1 + j) for j in solo]
 
 
-def _split(refs: np.ndarray, est: np.ndarray, j: int, taps: np.ndarray,
+def _split(refs: list, est: np.ndarray, j: int, taps: np.ndarray,
            solo_taps: np.ndarray, blocks: _Blocks,
            segments: np.ndarray) -> Decomposition:
     """Four parts of ``est`` from its projections on reference j and on all.
 
     ``solo_taps`` are reference j's own, shaped (1, I_ref, I_est, L).
     """
-    num_samples, channels = refs.shape[1:]
+    num_samples, channels = refs[j].shape
     proj_solo = blocks.filter_and_sum(
         segments[:, j * channels:(j + 1) * channels], solo_taps, num_samples
     )
@@ -330,11 +333,10 @@ def _split(refs: np.ndarray, est: np.ndarray, j: int, taps: np.ndarray,
     )
 
 
-def _signal_stack(references) -> np.ndarray:
-    """Validate and stack reference signals to (J, N, I)."""
+def _references(references) -> list:
+    """Validate reference signals; their (N, I) sample arrays, uncopied."""
     if not references:
         raise ValueError("at least one reference is required")
-    arrays = []
     shape = references[0].samples.shape
     rate = references[0].sample_rate
     for ref in references:
@@ -344,8 +346,7 @@ def _signal_stack(references) -> np.ndarray:
             )
         if ref.sample_rate != rate:
             raise ValueError("reference sample rates differ")
-        arrays.append(ref.samples)
-    return np.stack(arrays)
+    return [ref.samples for ref in references]
 
 
 def compute_projection(
@@ -362,12 +363,12 @@ def compute_projection(
     signal; in ``windowed`` mode a list is returned, one per evaluation
     window of ``window`` samples advanced by ``hop``.
     """
-    refs = _signal_stack(references)
+    refs = _references(references)
     est = estimate.samples
-    if est.shape[0] != refs.shape[1] or est.shape[1] != refs.shape[2]:
+    if est.shape != refs[0].shape:
         raise ValueError(
             f"estimate shape {est.shape} does not match references "
-            f"{refs.shape[1:]}"
+            f"{refs[0].shape}"
         )
     if mode == "global":
         return _filters(refs, est, filter_len)
@@ -376,20 +377,20 @@ def compute_projection(
     if window is None:
         raise ValueError("windowed mode requires a window length")
     return [
-        _filters(refs[:, start:stop], est[start:stop],
+        _filters([ref[start:stop] for ref in refs], est[start:stop],
                  min(filter_len, stop - start), "windowed", start)
-        for start, stop in _windows(refs.shape[1], window, hop or window)
+        for start, stop in _windows(len(est), window, hop or window)
     ]
 
 
-def _filters(refs: np.ndarray, est: np.ndarray, filter_len: int,
+def _filters(refs: list, est: np.ndarray, filter_len: int,
              mode: str = "global", start: int = 0) -> ProjectionFilters:
     """Joint and all J solo filters from the references to an estimate."""
     projector = _Projector(refs, filter_len)
-    taps, solo = projector.fit(est, range(refs.shape[0]))
+    taps, solo = projector.fit(est, range(len(refs)))
     return ProjectionFilters(
         taps, np.concatenate(solo), filter_len, mode=mode, window_start=start,
-        window_len=refs.shape[1], degenerate=projector.degenerate,
+        window_len=len(est), degenerate=projector.degenerate,
     )
 
 
@@ -400,11 +401,13 @@ def project(references, taps: np.ndarray) -> np.ndarray:
     the least-squares optimality (residual orthogonal to every delayed
     reference) holds.
     """
-    refs = references if isinstance(references, np.ndarray) else _signal_stack(references)
-    num_refs, num_samples, channels = refs.shape
+    refs = references if isinstance(references, np.ndarray) else _references(references)
+    num_refs = len(refs)
+    num_samples, channels = refs[0].shape
     if taps.shape[0] != num_refs or taps.shape[1] != channels:
         raise ValueError(
-            f"taps shape {taps.shape} does not match references {refs.shape}"
+            f"taps shape {taps.shape} does not match {num_refs} references "
+            f"of shape {refs[0].shape}"
         )
     blocks = _Blocks(num_samples, taps.shape[3])
     length = num_samples + taps.shape[3] - 1
@@ -425,9 +428,9 @@ def decompose(
     unexplained residual.  Successive residuals make the four parts sum
     to the estimate exactly.
     """
-    refs = _signal_stack(references)
+    refs = _references(references)
     est = estimate.samples
-    num_refs, num_samples, _ = refs.shape
+    num_refs, num_samples = len(refs), len(refs[0])
     if not 0 <= target_index < num_refs:
         raise IndexError(f"target index {target_index} out of range")
     if est.shape[0] != num_samples:
@@ -492,8 +495,8 @@ def bss_eval(
     k); pass ``targets`` to name the reference index for each estimate.
     Returns one list of :class:`FrameScores` per estimate.
     """
-    refs = _signal_stack(references)
-    num_refs, num_samples, _ = refs.shape
+    refs = _references(references)
+    num_refs, num_samples = len(refs), len(refs[0])
     if not estimates:
         raise ValueError("at least one estimate is required")
     est_arrays = []
@@ -533,7 +536,7 @@ def bss_eval(
         )
     results = [[] for _ in est_arrays]
     for start, stop, span_filter_len, frames in fits:
-        span_refs = refs[:, start:stop]
+        span_refs = [ref[start:stop] for ref in refs]
         projector = _Projector(span_refs, span_filter_len)
         for scores, est, j in zip(results, est_arrays, targets):
             span_est = est[start:stop]

@@ -194,32 +194,30 @@ def run_campaign(
     return scores
 
 
-def _guarded(fn):
-    def wrapper(track):
+def _run_guarded(fn, tracks, map_fn=map) -> list:
+    """Whatever ``fn`` returns for each track it does not raise an ``Exception``
+    on; warn per failing track, raise if all fail."""
+
+    def guarded(track):
         try:
             return fn(track)
         except Exception as exc:  # noqa: BLE001 - per-track isolation
             return exc
 
-    return wrapper
-
-
-def _run_guarded(fn, tracks, map_fn=map) -> list:
-    """Scores of the tracks ``fn`` succeeds on; warn per failure, raise if all fail."""
-    scores = []
+    results = []
     failures = []
-    for track, outcome in zip(tracks, map_fn(_guarded(fn), tracks)):
-        if isinstance(outcome, TrackScore):
-            scores.append(outcome)
-        else:
+    for track, outcome in zip(tracks, map_fn(guarded, tracks)):
+        if isinstance(outcome, Exception):
             failures.append((track.name, outcome))
+        else:
+            results.append(outcome)
     for name, error in failures:
         warnings.warn(f"track {name} failed: {error}", RuntimeWarning, stacklevel=3)
-    if not scores:
+    if not results:
         raise RuntimeError(
             f"all {len(failures)} tracks failed; first error: {failures[0][1]}"
         )
-    return scores
+    return results
 
 
 def _finite_median(values) -> float | None:

@@ -1,11 +1,13 @@
 """Command-line entry points.
 
-Commands: ``oracle`` (write oracle separations and score them), ``eval``
-(score an estimates tree), ``aggregate`` (medians to CSV), ``compare``
-(pairwise significance) and ``validate`` (corpus checks).  Flags beat
-``SEPEVAL_*`` environment variables, which beat built-in defaults.
-Progress and warnings go to stderr; machine-readable output goes to
-files.  Exit codes: 0 success, 1 fatal error, 2 usage error.
+Commands: ``oracle`` (write oracle separations, then score them as
+``eval`` does), ``eval`` (score an estimates tree), ``aggregate``
+(medians to CSV), ``compare`` (pairwise significance) and ``validate``
+(corpus checks).  Selected tracks must share one sample rate.  A track
+that fails in ``oracle``, ``eval`` or ``validate`` is warned about and
+skipped.  Flags beat ``SEPEVAL_*`` environment variables, which beat
+built-in defaults.  Progress and warnings go to stderr; machine-readable
+output goes to files.  Exit codes: 0 success, 1 fatal error, 2 usage error.
 """
 
 import argparse
@@ -19,21 +21,19 @@ from .campaign import (
     EvalConfig,
     _run_guarded,
     aggregate,
-    evaluate_track,
     run_campaign,
     significance_from_table,
     write_significance_csv,
     write_significance_json,
 )
 from .dataset import (
-    STEM_NAMES,
     load_track,
     scan_corpus,
     validate_mixture,
     write_manifest,
 )
-from .masks import oracle_separate
-from .reports import read_report, write_report
+from .masks import _resolve_method, oracle_separate
+from .reports import read_report
 from .spectral import StftConfig
 
 _MODES = {"v4": "v4_global", "v3": "v3_windowed"}
@@ -55,6 +55,7 @@ def _require(args, attr: str, flag: str, parser: argparse.ArgumentParser):
 
 
 def _select_tracks(corpus, split: str, names):
+    """The selected tracks, which must share one sample rate."""
     tracks = corpus.tracks if split == "both" else corpus.split(split)
     if names:
         wanted = set(names)
@@ -64,18 +65,32 @@ def _select_tracks(corpus, split: str, names):
             raise FileNotFoundError(f"tracks not found: {sorted(missing)}")
     if not tracks:
         raise FileNotFoundError(f"no tracks selected (split={split})")
+    rates = sorted({t.sample_rate for t in tracks})
+    if len(rates) > 1:
+        raise ValueError(
+            f"selected tracks mix sample rates {rates} Hz; evaluation windows "
+            "are sized in seconds, so select tracks of one rate"
+        )
     return tracks
 
 
-def _eval_config(args, sample_rate: int) -> EvalConfig:
-    window = max(1, int(round(args.window * sample_rate)))
-    hop = None if args.hop is None else max(1, int(round(args.hop * sample_rate)))
-    return EvalConfig(
-        window=window,
-        hop=hop,
+def _score(args, tracks, estimates: Path, method: str, output: Path,
+           workers) -> int:
+    """Score ``estimates/<track>/`` for each track: reports, then summary.csv."""
+    rate = tracks[0].sample_rate  # _select_tracks admits one rate
+    config = EvalConfig(
+        window=max(1, int(round(args.window * rate))),
+        hop=None if args.hop is None else max(1, int(round(args.hop * rate))),
         filter_len=args.filter_len,
         mode=_MODES[args.mode],
     )
+    _progress(f"evaluating {method} on {len(tracks)} tracks ({args.mode} mode)")
+    scores = run_campaign(
+        tracks, estimates, method, config, workers=workers, output_dir=output,
+    )
+    aggregate(scores).write_csv(output / "summary.csv")
+    _progress(f"wrote {len(scores)} reports and summary.csv under {output}")
+    return 0
 
 
 def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
@@ -100,42 +115,29 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_oracle(args, parser) -> int:
     corpus_root = _require(args, "corpus", "--corpus", parser)
     output = Path(_require(args, "output", "--output", parser))
+    kind, alpha, order = _resolve_method(args.method, args.alpha, args.order)
+    param = order if alpha is None else alpha
+    label = kind if param is None else f"{kind}{param:g}"
     corpus = scan_corpus(corpus_root)
     tracks = _select_tracks(corpus, args.split, args.tracks)
-
-    label = args.method.upper()
-    if label == "IBM":
-        label = f"IBM{args.order}"
-    elif label == "IRM":
-        label = f"IRM{args.alpha:g}"
     stft_config = StftConfig(args.stft_window, args.stft_hop)
     method_dir = output / label
 
-    def one(track):
+    def separate(track):
         _progress(f"oracle {label}: {track.split}/{track.name}")
         mixture, stems = load_track(track)
         estimates = oracle_separate(
-            mixture,
-            list(stems.values()),
-            args.method,
-            config=stft_config,
-            iterations=args.iterations,
-            alpha=None if args.alpha == 2.0 else args.alpha,
-            order=None if args.order == 1 else args.order,
+            mixture, list(stems.values()), kind, config=stft_config,
+            iterations=args.iterations, alpha=alpha, order=order,
         )
         track_dir = method_dir / track.name
         track_dir.mkdir(parents=True, exist_ok=True)
         for name, estimate in zip(stems, estimates):
             save_wav(track_dir / f"{name}.wav", estimate, bit_depth=args.bit_depth)
-        config = _eval_config(args, track.sample_rate)
-        score = evaluate_track(track, track_dir, label, config)
-        write_report(score, method_dir / f"{track.name}.json")
-        return score
+        return track
 
-    scores = _run_guarded(one, tracks)
-    aggregate(scores).write_csv(method_dir / "summary.csv")
-    _progress(f"wrote {len(scores)} track reports under {method_dir}")
-    return 0
+    separated = _run_guarded(separate, tracks)
+    return _score(args, separated, method_dir, label, method_dir, workers=1)
 
 
 def cmd_eval(args, parser) -> int:
@@ -146,16 +148,8 @@ def cmd_eval(args, parser) -> int:
         raise FileNotFoundError(f"estimates directory {estimates} does not exist")
     corpus = scan_corpus(corpus_root)
     tracks = _select_tracks(corpus, args.split, args.tracks)
-    method = args.method or estimates.name
-    config = _eval_config(args, tracks[0].sample_rate)
-    _progress(f"evaluating {method} on {len(tracks)} tracks ({args.mode} mode)")
-    scores = run_campaign(
-        tracks, estimates, method, config,
-        workers=args.workers, output_dir=output,
-    )
-    aggregate(scores).write_csv(output / "summary.csv")
-    _progress(f"wrote {len(scores)} reports and summary.csv under {output}")
-    return 0
+    return _score(args, tracks, estimates, args.method or estimates.name,
+                  output, workers=args.workers)
 
 
 def _read_report_paths(paths) -> list:
@@ -217,16 +211,20 @@ def cmd_validate(args, parser) -> int:
         _progress(f"manifest written to {args.manifest}")
     failures = 0
     if args.check_mixture:
-        for track in corpus.tracks:
+
+        def check(track):
             report = validate_mixture(track, args.tolerance)
             status = "ok" if report.passed else "FAIL"
             _progress(
                 f"{track.split}/{track.name}: max |mixture - sum(stems)| "
                 f"= {report.max_deviation:.3e} [{status}]"
             )
-            failures += not report.passed
+            return report.passed
+
+        passed = _run_guarded(check, corpus.tracks)
+        failures = len(corpus.tracks) - sum(passed)
     if failures:
-        _progress(f"{failures} tracks exceed the mixture tolerance")
+        _progress(f"{failures} tracks are unreadable or exceed the mixture tolerance")
         return 1
     return 0
 
@@ -261,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("IBM1", "IBM2", "IRM1", "IRM2", "MWF", "IBM", "IRM"),
         help="oracle mask; bare IBM/IRM use --order/--alpha",
     )
-    oracle.add_argument("--alpha", type=float, default=2.0,
+    oracle.add_argument("--alpha", type=float, default=None,
                         help="IRM magnitude exponent (default 2)")
-    oracle.add_argument("--order", type=int, choices=(1, 2), default=1,
+    oracle.add_argument("--order", type=int, choices=(1, 2), default=None,
                         help="IBM comparison order (default 1)")
     oracle.add_argument("--iterations", type=int, default=2,
                         help="MWF model estimation sweeps (default 2)")

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sepeval
 from sepeval import (
     AudioSignal,
     FrameScores,
@@ -18,8 +23,8 @@ from sepeval.cli import main
 
 from conftest import FIXTURE_RATE, write_track
 
-FAST = ["--stft-window", "256", "--stft-hop", "64",
-        "--filter-len", "32", "--window", "0.5"]
+SCORING = ["--filter-len", "32", "--window", "0.5"]
+FAST = ["--stft-window", "256", "--stft-hop", "64"] + SCORING
 
 
 def _run(argv):
@@ -60,6 +65,19 @@ class TestOracleCommand:
         assert rc == 0
         (score,) = read_report(out / "IRM1.5" / "Alpha - One.json")
         assert score.method == "IRM1.5"
+
+    @pytest.mark.parametrize("argv, conflict", [
+        (["--method", "IRM1", "--alpha", "2"], "alpha 2.0 conflicts with method IRM1"),
+        (["--method", "IBM2", "--order", "1"], "order 1 conflicts with method IBM2"),
+    ])
+    def test_explicit_parameter_conflicting_with_method_fails(
+            self, corpus_root, tmp_path, capsys, argv, conflict):
+        out = tmp_path / "out"
+        rc = _run(["oracle", "--corpus", corpus_root, "--output", out]
+                  + argv + FAST)
+        assert rc == 1
+        assert conflict in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_is_usage_error(self, corpus_root, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -120,6 +138,56 @@ class TestOracleFailures:
         assert rc == 1
         assert "all 3 tracks failed" in capsys.readouterr().err
         assert not (out / "IRM2" / "summary.csv").exists()
+
+
+class TestOracleScoresLikeEval:
+    """``oracle`` scores its estimates tree exactly as ``eval`` would."""
+
+    @pytest.mark.parametrize("mode", ["v4", "v3"])
+    @pytest.mark.parametrize("method", ["IRM2", "MWF"])
+    def test_reports_match_eval_of_oracle_estimates(self, corpus_root,
+                                                    tmp_path, method, mode):
+        out = tmp_path / "oracle"
+        assert _run(["oracle", "--corpus", corpus_root, "--method", method,
+                     "--output", out, "--mode", mode] + FAST) == 0
+        rescored = tmp_path / "eval"
+        assert _run(["eval", "--corpus", corpus_root, "--estimates",
+                     out / method, "--method", method, "--output", rescored,
+                     "--mode", mode] + SCORING) == 0
+        names = ["Alpha - One.json", "Beta - Two.json", "summary.csv"]
+        assert sorted(p.name for p in rescored.iterdir()) == names
+        for name in names:
+            assert (out / method / name).read_bytes() == (rescored / name).read_bytes()
+
+
+class TestMixedSampleRates:
+    """Windows are sized in seconds, so a selection must share one rate."""
+
+    @pytest.fixture
+    def mixed_corpus(self, tmp_path):
+        rng = np.random.default_rng(11)
+        root = tmp_path / "corpus"
+        write_track(root / "test" / "Low - Rate", rng, rate=8000)
+        write_track(root / "test" / "High - Rate", rng, rate=16000)
+        return root
+
+    def _check_rejected(self, rc, out, capsys):
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "8000" in err and "16000" in err
+        assert not out.exists()
+
+    def test_eval_rejects_mixed_rates(self, mixed_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = _run(["eval", "--corpus", mixed_corpus, "--estimates",
+                   mixed_corpus / "test", "--output", out] + SCORING)
+        self._check_rejected(rc, out, capsys)
+
+    def test_oracle_rejects_mixed_rates(self, mixed_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = _run(["oracle", "--corpus", mixed_corpus, "--method", "IRM2",
+                   "--output", out] + FAST)
+        self._check_rejected(rc, out, capsys)
 
 
 class TestEvalCommand:
@@ -264,6 +332,28 @@ class TestValidateCommand:
                    "--tolerance", "1e-4"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().err
+
+    def test_unreadable_track_is_reported_and_the_rest_checked(self, tmp_path):
+        rng = np.random.default_rng(2025)
+        root = tmp_path / "corpus"
+        for name in ("Alpha - One", "Beta - Two", "Gamma - Three"):
+            write_track(root / "train" / name, rng, num_samples=FIXTURE_RATE)
+        stem = root / "train" / "Beta - Two" / "bass.wav"
+        stem.write_bytes(stem.read_bytes()[:-400])
+        # A child process, so that warnings reach stderr as they do for users.
+        env = dict(os.environ, PYTHONPATH=str(Path(sepeval.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepeval.cli", "validate", "--corpus",
+             str(root), "--check-mixture"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        for name in ("Alpha - One", "Gamma - Three"):
+            assert any(f"train/{name}:" in line and "[ok]" in line
+                       for line in lines)
+        assert any("RuntimeWarning: track Beta - Two failed" in line
+                   for line in lines)
 
     def test_missing_corpus_fails_cleanly(self, tmp_path, capsys):
         rc = _run(["validate", "--corpus", tmp_path / "missing"])
