@@ -23,9 +23,9 @@ themselves they give the block-Toeplitz Gram matrix, against an estimate
 its cross-correlations.  Projections multiply tap spectra into the segment
 spectra, sum over reference channels and keep the B valid samples of each
 block's inverse transform.  Each Gram is factorized by Cholesky after tiny
-diagonal loading, or solved by minimum-norm least squares if it is
-singular; ``bss_eval`` factorizes only the single-reference systems of the
-references it scores against.
+diagonal loading; when every reference is silent over the span the Gram
+is zero, and so is every tap.  ``bss_eval`` factorizes only the
+single-reference systems of the references it scores against.
 """
 
 import math
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from .audio import AudioSignal
 
@@ -62,8 +62,9 @@ class ProjectionFilters:
     ``taps`` solves the joint problem over all references (used for the
     interference bound); ``solo_taps[j]`` solves the restricted problem
     over reference j alone (used for the target/spatial split).  Both are
-    shaped (J, I_ref, I_est, L).  ``degenerate`` marks a singular Gram
-    matrix resolved by a minimum-norm solution.
+    shaped (J, I_ref, I_est, L).  ``degenerate`` marks a span over which
+    every reference is silent: the Gram matrix is zero and every tap is
+    exactly zero, its minimum-norm solution.
     """
 
     taps: np.ndarray
@@ -218,8 +219,11 @@ class _Projector:
     estimate's cross-correlations are the lags against its block spectra,
     and projections filter the segments.  System 0 is the joint one over
     all references, system 1 + j reference j's alone (its diagonal block).
-    Each system's Gram is built from the lags and factorized in place
-    when first solved, so only the factors are kept.
+    Each system's Gram is built from the lags and factorized in place by
+    Cholesky when first solved, so only the factors are kept; a Gram the
+    loading leaves indefinite raises LinAlgError.  When every reference is
+    silent (``degenerate``), the joint Gram's diagonal and hence the
+    loading are zero: nothing is factorized and every tap is zero.
 
     Reusing one instance across estimates guarantees that evaluating the
     same estimate twice, in any order, produces bitwise-equal filters.
@@ -244,14 +248,10 @@ class _Projector:
         self._lags = np.ascontiguousarray(self.blocks.lags(self.segments, references))
         # Diagonal loading: 1e-12 of the mean of the joint Gram's diagonal.
         self._loading = 1e-12 * float(np.mean(np.diagonal(self._lags[0])))
+        self.degenerate = self._loading == 0.0
         self._factors = {}
-        self._singular_grams = {}
-        self._factor(0)
-
-    @property
-    def degenerate(self) -> bool:
-        """Whether any system factorized so far is singular."""
-        return bool(self._singular_grams)
+        if not self.degenerate:
+            self._factor(0)
 
     def _channel_span(self, system: int) -> slice:
         if system == 0:
@@ -280,27 +280,22 @@ class _Projector:
         return gram
 
     def _factor(self, system: int):
-        """Cholesky factor of ``system``, or None if its Gram is singular."""
+        """Cholesky factor of ``system``."""
         if system not in self._factors:
             # Finite by construction: AudioSignal rejects non-finite samples.
-            try:
-                self._factors[system] = cho_factor(
-                    self._gram(system), overwrite_a=True, check_finite=False
-                )
-            except LinAlgError:
-                self._factors[system] = None
-                self._singular_grams[system] = self._gram(system)
+            self._factors[system] = cho_factor(
+                self._gram(system), overwrite_a=True, check_finite=False
+            )
         return self._factors[system]
 
     def _taps(self, D: np.ndarray, system: int) -> np.ndarray:
         """(J', I_ref, I_est, L) taps solving ``system`` for right-hand sides D."""
         span = self._channel_span(system)
         rhs = D[span.start * self.filter_len:span.stop * self.filter_len]
-        factor = self._factor(system)
-        if factor is not None:
-            flat = cho_solve(factor, rhs, check_finite=False)
+        if self.degenerate:
+            flat = np.zeros_like(rhs)
         else:
-            flat = np.linalg.lstsq(self._singular_grams[system], rhs, rcond=None)[0]
+            flat = cho_solve(self._factor(system), rhs, check_finite=False)
         shape = (-1, self.channels, self.filter_len, D.shape[1])
         return np.ascontiguousarray(np.moveaxis(flat.reshape(shape), 2, 3))
 

@@ -43,7 +43,6 @@ class SourceImages:
     """Ordered stack of per-source spectrograms sharing one shape."""
 
     images: list
-    labels: tuple = ()
 
     def __post_init__(self):
         if not self.images:
@@ -54,13 +53,6 @@ class SourceImages:
                 raise ValueError(
                     f"source image shapes differ: {image.bins.shape} vs {shape}"
                 )
-        if not self.labels:
-            self.labels = tuple(f"source_{j + 1}" for j in range(len(self.images)))
-        elif len(self.labels) != len(self.images):
-            raise ValueError(
-                f"{len(self.labels)} labels for {len(self.images)} images"
-            )
-        self.labels = tuple(self.labels)
 
     @property
     def num_sources(self) -> int:
@@ -248,46 +240,54 @@ def estimate_mwf_model(sources: SourceImages, iterations: int = 2) -> SpatialMod
     return SpatialModel(psd, cov, tuple(degenerate))
 
 
-def _loaded_mixture_cov(model: SpatialModel, freq_slice: slice, epsilon=None):
-    """C_x + eps*I over a frequency slab.
+def _wiener(model: SpatialModel, rows: np.ndarray, out, epsilon=None) -> None:
+    """Write v_j R_j (C_x + eps*I)^{-1} B into ``out[j]`` for every source j.
 
-    By default eps tracks the local trace (1e-10 * max(1, tr/I)) so silent
-    bins stay invertible; an explicit epsilon (including 0) overrides it.
+    B holds K right-hand-side columns per bin and frame.  ``rows`` and each
+    ``out[j]`` are (F, T, K, I), column k as row k, so R_j Z is the batched
+    row product Z^T R_j^T.  By default eps tracks the local trace of C_x
+    (1e-10 * max(1, tr/I)) so silent bins stay invertible; an explicit
+    epsilon (including 0) overrides it.  Frequency slabs bound peak memory.
     """
-    v = model.psd[:, freq_slice]  # (J, Fc, T)
-    r = model.spatial_cov[:, freq_slice]  # (J, Fc, I, I)
-    channels = model.num_channels
-    mix_cov = np.einsum("jft,jfik->ftik", v, r)
-    trace = np.einsum("ftii->ft", mix_cov).real
-    if epsilon is None:
-        eps = 1e-10 * np.maximum(1.0, trace / channels)
-    else:
-        eps = np.full_like(trace, float(epsilon))
-    mix_cov[..., np.arange(channels), np.arange(channels)] += eps[..., None]
-    return mix_cov, v, r
+    num_bins, num_frames, _, channels = rows.shape
+    diagonal = (..., np.arange(channels), np.arange(channels))
+    for start, stop in _freq_slabs(num_bins, num_frames, channels):
+        v = model.psd[:, start:stop]  # (J, Fc, T)
+        r = model.spatial_cov[:, start:stop]  # (J, Fc, I, I)
+        mix_cov = np.einsum("jft,jfik->ftik", v, r)
+        if epsilon is None:
+            trace = np.einsum("ftii->ft", mix_cov).real
+            mix_cov[diagonal] += 1e-10 * np.maximum(1.0, trace / channels)[..., None]
+        else:
+            mix_cov[diagonal] += float(epsilon)
+        z = np.linalg.solve(mix_cov, rows[start:stop].swapaxes(-1, -2))
+        z = z.swapaxes(-1, -2).reshape(stop - start, -1, channels)
+        for j in range(model.num_sources):
+            target = out[j][start:stop]
+            np.multiply(v[j][..., None, None],
+                        (z @ r[j].swapaxes(-1, -2)).reshape(target.shape),
+                        out=target)
 
 
 def mwf_mask(model: SpatialModel, epsilon: float | None = None) -> MatrixMask:
-    """Multichannel Wiener filter M_j = C_j (C_x + eps*I)^{-1} per bin."""
-    num_sources = model.num_sources
+    """Multichannel Wiener filter M_j = C_j (C_x + eps*I)^{-1} per bin.
+
+    The Wiener kernel on identity columns: row k of its output is column k
+    of M_j, so it writes into the transposed mask.
+    """
     num_bins, num_frames = model.psd.shape[1:]
     channels = model.num_channels
-    values = np.empty(
-        (num_sources, num_bins, num_frames, channels, channels), dtype=np.complex128
-    )
-    for start, stop in _freq_slabs(num_bins, num_frames, channels):
-        slab = slice(start, stop)
-        mix_cov, v, r = _loaded_mixture_cov(model, slab, epsilon)
-        inv = np.linalg.inv(mix_cov)
-        for j in range(num_sources):
-            source_cov = v[j][..., None, None] * r[j][:, None]
-            values[j, slab] = source_cov @ inv
+    values = np.empty((model.num_sources, num_bins, num_frames, channels, channels),
+                      dtype=np.complex128)
+    identity = np.broadcast_to(np.eye(channels, dtype=np.complex128),
+                               (num_bins, num_frames, channels, channels))
+    _wiener(model, identity, values.swapaxes(-1, -2), epsilon)
     return MatrixMask(values)
 
 
-def _freq_slabs(num_bins: int, num_frames: int, channels: int, budget: int = 4_000_000):
-    """Frequency chunks sized so slab temporaries stay near `budget` cells."""
-    step = max(1, budget // max(1, num_frames * channels * channels))
+def _freq_slabs(num_bins: int, num_frames: int, channels: int):
+    """Frequency chunks sized so slab temporaries stay near 4M cells."""
+    step = max(1, 4_000_000 // max(1, num_frames * channels * channels))
     for start in range(0, num_bins, step):
         yield start, min(start + step, num_bins)
 
@@ -320,41 +320,31 @@ def apply_mask(mask, mixture: Spectrogram, j: int) -> Spectrogram:
     return Spectrogram(masked, mixture.config, mixture.original_length, mixture.sample_rate)
 
 
-def _mwf_estimates(model: SpatialModel, mixture: Spectrogram) -> list:
-    """Per-source masked spectrogram tensors without materializing masks.
-
-    Solves (C_x + eps*I) z = x per bin, then each estimate is
-    v_j * (R_j z); frequency slabs bound peak memory on long tracks.
-    """
-    num_sources = model.num_sources
-    estimates = [np.empty_like(mixture.bins) for _ in range(num_sources)]
-    num_bins, num_frames, channels = mixture.bins.shape
-    for start, stop in _freq_slabs(num_bins, num_frames, channels):
-        slab = slice(start, stop)
-        mix_cov, v, r = _loaded_mixture_cov(model, slab)
-        z = np.linalg.solve(mix_cov, mixture.bins[slab][..., None])[..., 0]
-        for j in range(num_sources):
-            np.multiply(v[j][..., None], z @ r[j].swapaxes(-1, -2),
-                        out=estimates[j][slab])
-    return estimates
-
-
 def _resolve_method(method: str, alpha, order):
-    """Normalize a method name plus optional explicit mask parameter."""
+    """Normalize a method name plus optional explicit mask parameter.
+
+    IBM takes only ``order`` and IRM only ``alpha``; MWF takes neither.  A
+    parameter the method does not take, or one that contradicts the
+    method's suffix, is an error.
+    """
     name = method.upper()
-    if name in ("IBM", "IRM"):
-        if name == "IBM":
-            return "IBM", None, order if order is not None else 1
-        return "IRM", alpha if alpha is not None else 2.0, None
-    if name not in ORACLE_METHODS:
+    if name not in ORACLE_METHODS + ("IBM", "IRM"):
         raise ValueError(
             f"unknown method {method!r}; expected one of "
             f"{ORACLE_METHODS + ('IBM', 'IRM')}"
         )
+    kind = name[:3]
+    if alpha is not None and kind != "IRM":
+        raise ValueError(f"alpha {alpha} does not apply to method {name}")
+    if order is not None and kind != "IBM":
+        raise ValueError(f"order {order} does not apply to method {name}")
+    if name == "IBM":
+        return "IBM", None, order if order is not None else 1
+    if name == "IRM":
+        return "IRM", alpha if alpha is not None else 2.0, None
     if name == "MWF":
         return "MWF", None, None
     suffix = int(name[3])
-    kind = name[:3]
     if kind == "IBM":
         if order is not None and order != suffix:
             raise ValueError(f"order {order} conflicts with method {name}")
@@ -398,7 +388,9 @@ def oracle_separate(
 
     if kind == "MWF":
         model = estimate_mwf_model(images, iterations)
-        masked = _mwf_estimates(model, mix_spec)
+        # The Wiener kernel on the mixture column: no mask is materialized.
+        masked = np.empty((images.num_sources,) + mix_spec.bins.shape, complex)
+        _wiener(model, mix_spec.bins[..., None, :], masked[..., None, :])
         specs = [
             Spectrogram(bins, config, mix_spec.original_length, mixture.sample_rate)
             for bins in masked

@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
+from scipy.linalg import LinAlgError, cho_factor
 
+import sepeval.bsseval as bsseval_module
 from sepeval import (
     AudioSignal,
     Decomposition,
@@ -561,3 +564,98 @@ class TestProjectionFiltersType:
         assert [f.window_len for f in filters] == [64, 36]
         assert [f.filter_len for f in filters] == [50, 36]
         assert all(f.mode == "windowed" for f in filters)
+
+
+def _audible(kind: str, rng, num_samples=1200, rate=8000) -> np.ndarray:
+    """Three stereo references that are audible but make the Gram near-singular."""
+    refs = rng.standard_normal((3, num_samples, 2))
+    if kind == "duplicate":
+        refs[1] = refs[0]
+    elif kind == "mono_as_stereo":
+        refs[..., 1] = refs[..., 0]
+    elif kind == "one_silent":
+        refs[2] = 0.0
+    elif kind == "sines":
+        n = np.arange(num_samples)[:, None]
+        freqs = rng.uniform(100.0, 3000.0, (3, 1, 2))
+        refs = np.sin(2 * np.pi * freqs * n / rate + rng.uniform(0, 6, (3, 1, 2)))
+    elif kind == "dc":
+        refs = np.broadcast_to(rng.uniform(0.1, 1.0, (3, 1, 2)), refs.shape).copy()
+    elif kind == "lowpass":
+        sos = scipy.signal.butter(8, 0.05, output="sos")
+        refs = scipy.signal.sosfilt(sos, refs, axis=1)
+    return refs
+
+
+class TestSilentSpanRule:
+    """One solve route: Cholesky, or exact zero taps when all references are silent."""
+
+    @staticmethod
+    def _silent_first_window(num_windows=3, window=600):
+        rng = np.random.default_rng(61)
+        refs = rng.standard_normal((4, num_windows * window, 2))
+        refs[:, :window] = 0.0
+        est = AudioSignal(refs[0] + 0.5 * refs[1]
+                          + 0.1 * rng.standard_normal(refs[0].shape), 8000)
+        return _signals(refs), est, window
+
+    def test_windowed_projection_zero_taps_on_silent_window(self):
+        refs, est, window = self._silent_first_window()
+        filters = compute_projection(refs, est, filter_len=16, mode="windowed",
+                                     window=window)
+        assert filters[0].degenerate
+        assert not np.any(filters[0].taps) and not np.any(filters[0].solo_taps)
+        assert not any(f.degenerate for f in filters[1:])
+
+    def test_v3_scores_of_silent_window(self):
+        refs, est, window = self._silent_first_window()
+        (frames,) = bss_eval(refs, [est], filter_len=16, window=window,
+                             mode="v3_windowed")
+        first = frames[0]
+        assert first.sdr == -math.inf and first.sar == -math.inf
+        assert math.isnan(first.isr) and math.isnan(first.sir)
+        for f in frames[1:]:
+            assert all(math.isfinite(v) for v in (f.sdr, f.isr, f.sir, f.sar))
+
+    @pytest.mark.parametrize("kind", ["duplicate", "mono_as_stereo", "one_silent",
+                                      "sines", "dc", "lowpass"])
+    def test_audible_near_singular_references_factorize(self, kind, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(bsseval_module, "cho_factor", counting)
+        rng = np.random.default_rng(62)
+        refs = _audible(kind, rng)
+        est = refs[0] + 0.5 * refs[1] + 0.1 * rng.standard_normal(refs[0].shape)
+        signals, estimate = _signals(refs), AudioSignal(est, 8000)
+        filters = compute_projection(signals, estimate, filter_len=32)
+        assert not filters.degenerate
+        assert calls == [3 * 2 * 32] + [2 * 32] * 3  # the joint and 3 solo
+        d = decompose(estimate, signals, 0, filters)
+        total = d.s_target + d.e_spatial + d.e_interf + d.e_artif
+        assert np.abs(total - est).max() <= 1e-12 * np.abs(est).max()
+
+    def test_failed_factorization_raises_without_fallback(self, monkeypatch):
+        other_solvers = []
+
+        def failing(*args, **kwargs):
+            raise LinAlgError("not positive definite")
+
+        def record(name):
+            def solver(*args, **kwargs):
+                other_solvers.append(name)
+            return solver
+
+        monkeypatch.setattr(bsseval_module, "cho_factor", failing)
+        monkeypatch.setattr(bsseval_module, "cho_solve", record("cho_solve"))
+        for name in ("lstsq", "solve", "pinv", "inv"):
+            monkeypatch.setattr(np.linalg, name, record(name))
+        rng = np.random.default_rng(63)
+        refs = rng.standard_normal((2, 600, 2))
+        est = AudioSignal(refs[0] + 0.1 * rng.standard_normal(refs[0].shape), 8000)
+        with pytest.raises(LinAlgError):
+            bss_eval(_signals(refs), [est], filter_len=16, window=600)
+        assert other_solvers == []

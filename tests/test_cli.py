@@ -69,6 +69,12 @@ class TestOracleCommand:
     @pytest.mark.parametrize("argv, conflict", [
         (["--method", "IRM1", "--alpha", "2"], "alpha 2.0 conflicts with method IRM1"),
         (["--method", "IBM2", "--order", "1"], "order 1 conflicts with method IBM2"),
+        (["--method", "MWF", "--alpha", "3"], "alpha 3.0 does not apply to method MWF"),
+        (["--method", "MWF", "--order", "2"], "order 2 does not apply to method MWF"),
+        (["--method", "IBM1", "--alpha", "2"], "alpha 2.0 does not apply to method IBM1"),
+        (["--method", "IBM", "--alpha", "2"], "alpha 2.0 does not apply to method IBM"),
+        (["--method", "IRM", "--order", "2"], "order 2 does not apply to method IRM"),
+        (["--method", "IRM2", "--order", "1"], "order 1 does not apply to method IRM2"),
     ])
     def test_explicit_parameter_conflicting_with_method_fails(
             self, corpus_root, tmp_path, capsys, argv, conflict):

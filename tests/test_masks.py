@@ -385,6 +385,14 @@ class TestOracleSeparate:
             oracle_separate(mixture, sources, "IBM1", self.CONFIG, order=2)
         with pytest.raises(ValueError):
             oracle_separate(mixture, sources, "IRM2", self.CONFIG, alpha=1.0)
+        # A parameter the method does not take at all.
+        for method, param, value in (("MWF", "alpha", 3.0), ("MWF", "order", 2),
+                                     ("IBM", "alpha", 1.0), ("IBM2", "alpha", 2.0),
+                                     ("IRM", "order", 2), ("IRM1", "order", 1)):
+            with pytest.raises(ValueError, match=f"{param} {value} does not apply "
+                                                 f"to method {method}"):
+                oracle_separate(mixture, sources, method, self.CONFIG,
+                                **{param: value})
 
     def test_unknown_method_rejected(self):
         mixture, sources = _tones()
