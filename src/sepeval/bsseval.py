@@ -12,20 +12,23 @@ refits the filters inside every window, which is much slower and tends to
 over-estimate performance.  With a single window spanning the whole track
 the modes coincide.
 
-One engine fits and projects, over overlap-save blocks of B samples
-(8192, or the whole span when it is shorter).
-Each reference channel is held as the rFFTs of its segments, block k plus
-the L samples before it, at a size M >= B + L; no transform spans the
-whole signal.  Lags 0..L-1 of the segments against another signal's
-zero-padded block spectra are summed over blocks bin by bin and
-inverse-transformed once per channel pair: against the references
-themselves they give the block-Toeplitz Gram matrix, against an estimate
-its cross-correlations.  Projections multiply tap spectra into the segment
-spectra, sum over reference channels and keep the B valid samples of each
-block's inverse transform.  Each Gram is factorized by Cholesky after tiny
-diagonal loading; when every reference is silent over the span the Gram
-is zero, and so is every tap.  ``bss_eval`` factorizes only the
-single-reference systems of the references it scores against.
+One engine fits and projects, over overlap-save blocks of B samples (8192,
+or the whole span when it is shorter).  Each reference channel is held as
+the rFFTs of its segments, block k plus the L samples before it, at a size
+M >= B + L; no transform spans the whole signal.  Lags 0..L-1 of the
+segments against another signal's zero-padded block spectra are summed
+over blocks bin by bin and inverse-transformed once per channel pair,
+lag-major as (L, C, C'): against the references themselves they give the
+Gram matrix's blocks, against an estimate its cross-correlations.  The
+normal equations keep that layout: unknown (p, a) is tap p of channel a,
+so the Gram is block-Toeplitz with block (p, q) = R[p - q], where R[m] is
+the lag-m matrix and R[-m] = R[m]^T.  Projections multiply tap spectra
+into the segment spectra, sum over reference channels and keep the B
+valid samples of each block's inverse transform.  Each Gram is factorized
+by Cholesky after tiny diagonal loading; when every reference is silent
+over the span the Gram is zero, and so is every tap.  ``bss_eval``
+factorizes only the single-reference systems of the references it scores
+against.
 """
 
 import math
@@ -214,11 +217,12 @@ class _Projector:
     """Reference segment spectra and factorized Gram matrices for one span.
 
     Each reference channel is held as the spectra of its overlap-save
-    segments (see :class:`_Blocks`).  The lags of these segments against
-    the references' own block spectra are the Gram's Toeplitz blocks; an
-    estimate's cross-correlations are the lags against its block spectra,
-    and projections filter the segments.  System 0 is the joint one over
-    all references, system 1 + j reference j's alone (its diagonal block).
+    segments (see :class:`_Blocks`).  Their lags against the references'
+    own block spectra, R[m] = ``_lags[m]``, are the Gram's blocks: with the
+    unknowns lag-major, block (p, q) is R[p - q] (R[-m] = R[m]^T).  An
+    estimate's cross-correlations are its lags, in the same layout, and
+    projections filter the segments.  System 0 is the joint one over
+    all references, system 1 + j reference j's alone (its channels).
     Each system's Gram is built from the lags and factorized in place by
     Cholesky when first solved, so only the factors are kept; a Gram the
     loading leaves indefinite raises LinAlgError.  When every reference is
@@ -246,6 +250,9 @@ class _Projector:
         # The references' block spectra live only inside lags(), so they
         # are freed before any Gram is built.
         self._lags = np.ascontiguousarray(self.blocks.lags(self.segments, references))
+        # Lag 0 holds each channel pair twice, equal only to rounding; keeping
+        # the upper triangle, which Cholesky reads, makes every Gram symmetric.
+        self._lags[0] = np.triu(self._lags[0]) + np.triu(self._lags[0], 1).T
         # Diagonal loading: 1e-12 of the mean of the joint Gram's diagonal.
         self._loading = 1e-12 * float(np.mean(np.diagonal(self._lags[0])))
         self.degenerate = self._loading == 0.0
@@ -259,23 +266,20 @@ class _Projector:
         return slice((system - 1) * self.channels, system * self.channels)
 
     def _gram(self, system: int) -> np.ndarray:
-        """Loaded Gram matrix of ``system``, in Fortran order for LAPACK."""
+        """Loaded Gram matrix of ``system``, lag-major, in Fortran order for LAPACK.
+
+        Unknown (p, a) is tap p of channel a, so block (p, q) is the C x C
+        matrix R[p - q], with R[m] = ``_lags[m]`` and R[-m] = ``_lags[m].T``.
+        """
         span = self._channel_span(system)
         lags = self._lags[:, span, span]
-        L = self.filter_len
-        num_channels = lags.shape[1]
-        total = num_channels * L
-        gram = np.empty((total, total), order="F")
-        for b1 in range(num_channels):
-            for b2 in range(b1, num_channels):
-                # Toeplitz: entry (p, q) is lag p - q of b1 against b2 for
-                # p >= q, else lag q - p of b2 against b1.
-                diagonals = np.concatenate((lags[::-1, b1, b2], lags[1:, b2, b1]))
-                block = sliding_window_view(diagonals, L)[::-1]
-                gram[b1 * L:(b1 + 1) * L, b2 * L:(b2 + 1) * L] = block
-                if b2 != b1:
-                    gram[b2 * L:(b2 + 1) * L, b1 * L:(b1 + 1) * L] = block.T
-        diag = np.arange(total)
+        L, C = lags.shape[:2]
+        gram = np.empty((L * C, L * C), order="F")
+        # R[-(L-1)], ..., R[L-1]; window p, reversed, holds R[p - q] at q.
+        extended = np.concatenate((lags[:0:-1].transpose(0, 2, 1), lags))
+        windows = sliding_window_view(extended, L, axis=0)[..., ::-1]  # (p, a, b, q)
+        gram.reshape((C, L, C, L), order="F")[...] = windows.transpose(1, 0, 2, 3)
+        diag = np.arange(L * C)
         gram[diag, diag] += self._loading
         return gram
 
@@ -289,24 +293,19 @@ class _Projector:
         return self._factors[system]
 
     def _taps(self, D: np.ndarray, system: int) -> np.ndarray:
-        """(J', I_ref, I_est, L) taps solving ``system`` for right-hand sides D."""
-        span = self._channel_span(system)
-        rhs = D[span.start * self.filter_len:span.stop * self.filter_len]
+        """(J', I_ref, I_est, L) taps solving ``system`` for (L, C, I_est) right-hand
+        sides D[m, b, c] = <reference channel b delayed by m, estimate channel c>."""
+        rhs = D[:, self._channel_span(system)].reshape(-1, D.shape[2])
         if self.degenerate:
             flat = np.zeros_like(rhs)
         else:
             flat = cho_solve(self._factor(system), rhs, check_finite=False)
-        shape = (-1, self.channels, self.filter_len, D.shape[1])
-        return np.ascontiguousarray(np.moveaxis(flat.reshape(shape), 2, 3))
-
-    def cross_correlations(self, estimate: np.ndarray) -> np.ndarray:
-        """Right-hand side D[(b, m), c] = <reference b delayed by m, estimate c>."""
-        lags = self.blocks.lags(self.segments, estimate)
-        return lags.transpose(1, 0, 2).reshape(-1, estimate.shape[1])
+        taps = flat.reshape(self.filter_len, -1, self.channels, D.shape[2])
+        return np.ascontiguousarray(taps.transpose(1, 2, 3, 0))
 
     def fit(self, estimate: np.ndarray, solo) -> tuple:
         """Joint taps to an estimate, and solo taps for each reference in ``solo``."""
-        D = self.cross_correlations(estimate)
+        D = self.blocks.lags(self.segments, estimate)
         return self._taps(D, 0), [self._taps(D, 1 + j) for j in solo]
 
 

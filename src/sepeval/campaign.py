@@ -3,8 +3,9 @@
 For each track the four stems are scored jointly (the full stem set spans
 the interference subspace) and ``accompaniment`` is scored against the
 ``[vocals, accompaniment]`` reference pair, with the accompaniment
-reference and, when no file is provided, its estimate formed by summing
-the non-vocal parts.  Scores aggregate as medians over finite frames per
+reference and, when no file is provided, its estimate formed by one rule,
+:func:`~sepeval.dataset.derive_accompaniment`, the sum of the non-vocal
+parts.  Scores aggregate as medians over finite frames per
 track, then medians over tracks; pairwise method comparisons use the
 rank-based test from :mod:`sepeval.stats`.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioSignal, load_wav, wav_info
+from .audio import load_wav, wav_info
 from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_WINDOW, bss_eval
 from .dataset import STEM_NAMES, TrackRef, derive_accompaniment, load_stems
 from .reports import TrackScore, write_report
@@ -90,13 +91,13 @@ def evaluate_track(
 
     Estimates are WAVs named after targets inside ``estimates_dir``.
     Missing files drop that target from the result (with a warning);
-    shape mismatches are fatal for the track.
+    shape mismatches, or no estimate for any target, are fatal for the
+    track, and are raised before any stem is decoded.
     """
     estimates_dir = Path(estimates_dir)
     # Only the mixture's header is needed: its shape and rate check the stems.
     mixture = wav_info(track.path / "mixture.wav")
     shape = (mixture.num_samples, mixture.channels)
-    stems = load_stems(track, shape, mixture.sample_rate)
     estimates = {
         name: _load_estimate(estimates_dir / f"{name}.wav", shape)
         for name in TARGET_NAMES
@@ -106,10 +107,13 @@ def evaluate_track(
         and estimates["accompaniment"] is None
         and all(estimates[name] is not None for name in STEM_NAMES if name != "vocals")
     ):
-        total = sum(
-            estimates[name].samples for name in STEM_NAMES if name != "vocals"
+        estimates["accompaniment"] = derive_accompaniment(estimates)
+    if all(estimates[name] is None for name in config.targets):
+        raise FileNotFoundError(
+            f"{track.name}: no estimate for any of {list(config.targets)} "
+            f"in {estimates_dir}"
         )
-        estimates["accompaniment"] = AudioSignal(total, mixture.sample_rate)
+    stems = load_stems(track, shape, mixture.sample_rate)
 
     kwargs = dict(
         filter_len=config.filter_len,

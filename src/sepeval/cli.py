@@ -5,9 +5,11 @@ Commands: ``oracle`` (write oracle separations, then score them as
 (medians to CSV), ``compare`` (pairwise significance) and ``validate``
 (corpus checks).  Selected tracks must share one sample rate.  A track
 that fails in ``oracle``, ``eval`` or ``validate`` is warned about and
-skipped.  Flags beat ``SEPEVAL_*`` environment variables, which beat
-built-in defaults.  Progress and warnings go to stderr; machine-readable
-output goes to files.  Exit codes: 0 success, 1 fatal error, 2 usage error.
+skipped.  A track with no estimate for any target has failed.  Flags
+beat ``SEPEVAL_*`` environment variables, which beat built-in defaults; a
+malformed variable is a usage error of the subcommands that read it.
+Progress and warnings go to stderr; machine-readable output goes to
+files.  Exit codes: 0 success, 1 fatal error, 2 usage error.
 """
 
 import argparse
@@ -17,7 +19,9 @@ import warnings
 from pathlib import Path
 
 from .audio import save_wav
+from .bsseval import DEFAULT_FILTER_LEN
 from .campaign import (
+    METRIC_NAMES,
     EvalConfig,
     _run_guarded,
     aggregate,
@@ -40,7 +44,17 @@ _MODES = {"v4": "v4_global", "v3": "v3_windowed"}
 
 
 def _env(name: str, fallback=None):
+    """Raw ``SEPEVAL_<name>``, else ``fallback``.  Argparse converts a string
+    default only for the subcommand parsed; a bad value is a usage error."""
     return os.environ.get(f"SEPEVAL_{name}", fallback)
+
+
+def _mode(name: str) -> str:
+    if name not in _MODES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(sorted(_MODES))})"
+        )
+    return name
 
 
 def _progress(message: str) -> None:
@@ -95,7 +109,7 @@ def _score(args, tracks, estimates: Path, method: str, output: Path,
 
 def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--window", type=float, default=float(_env("WINDOW", 1.0)),
+        "--window", type=float, default=_env("WINDOW", 1.0),
         help="evaluation window in seconds (default 1.0)",
     )
     parser.add_argument(
@@ -103,11 +117,11 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
         help="evaluation hop in seconds (default: window)",
     )
     parser.add_argument(
-        "--filter-len", type=int, default=int(_env("FILTER_LEN", 512)),
-        help="distortion filter length in taps (default 512)",
+        "--filter-len", type=int, default=_env("FILTER_LEN", DEFAULT_FILTER_LEN),
+        help=f"distortion filter length in taps (default {DEFAULT_FILTER_LEN})",
     )
     parser.add_argument(
-        "--mode", choices=sorted(_MODES), default=_env("MODE", "v4"),
+        "--mode", type=_mode, choices=sorted(_MODES), default=_env("MODE", "v4"),
         help="v4: track-global filters; v3: filters refit per window",
     )
 
@@ -265,10 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="IBM comparison order (default 1)")
     oracle.add_argument("--iterations", type=int, default=2,
                         help="MWF model estimation sweeps (default 2)")
-    oracle.add_argument("--stft-window", type=int, default=4096,
-                        help="STFT window size in samples (default 4096)")
-    oracle.add_argument("--stft-hop", type=int, default=1024,
-                        help="STFT hop size in samples (default 1024)")
+    stft = StftConfig()
+    oracle.add_argument("--stft-window", type=int, default=stft.window_size,
+                        help=f"STFT window size in samples "
+                             f"(default {stft.window_size})")
+    oracle.add_argument("--stft-hop", type=int, default=stft.hop_size,
+                        help=f"STFT hop size in samples (default {stft.hop_size})")
     oracle.add_argument("--bit-depth", type=int, choices=(16, 24, 32), default=32,
                         help="bit depth of written estimates (default 32)")
     oracle.add_argument("--output", default=_env("OUTPUT"),
@@ -287,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--method", default=None,
                           help="method label for reports (default: dir name)")
     evaluate.add_argument(
-        "--workers", type=int,
-        default=int(_env("WORKERS", 0)) or None,
+        "--workers", type=int, default=_env("WORKERS"),
         help="parallel track workers (default: cpu count)",
     )
     evaluate.add_argument("--output", default=_env("OUTPUT"),
@@ -311,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report files or directories of *.json")
     compare.add_argument("--target", default="vocals",
                          help="target to compare on (default vocals)")
-    compare.add_argument("--metric", default="SDR",
-                         choices=("SDR", "ISR", "SIR", "SAR"),
+    compare.add_argument("--metric", default="SDR", choices=METRIC_NAMES,
                          help="metric to compare on (default SDR)")
     compare.add_argument("--threshold", type=float, default=0.05,
                          help="significance level for stderr verdicts")

@@ -183,11 +183,13 @@ def istft(spec: Spectrogram, original_length: int | None = None) -> AudioSignal:
     # first, so each sample still sums its frames in frame order.
     out = np.zeros((num_frames + phases - 1, hop, channels))
     for start in range(0, num_frames, _FRAME_CHUNK):
-        chunk = spec.bins[:, start:start + _FRAME_CHUNK]  # (F, t, I)
-        frames = np.fft.irfft(chunk, n=size, axis=0) * win[:, None, None]
-        count = frames.shape[1]
+        # Along the last axis of a contiguous (t, I, F) copy, freed on return.
+        chunk = spec.bins[:, start:start + _FRAME_CHUNK].transpose(1, 2, 0)
+        frames = np.fft.irfft(chunk.copy(), n=size, axis=-1)  # (t, I, size)
+        frames *= win
+        count = frames.shape[0]
         for q in reversed(range(phases)):
-            phase = frames[q * hop:(q + 1) * hop].swapaxes(0, 1)  # (t, <=hop, I)
+            phase = frames[..., q * hop:(q + 1) * hop].swapaxes(1, 2)  # (t, <=hop, I)
             out[start + q:start + q + count, :phase.shape[1]] += phase
     out /= profile[:, None]
 

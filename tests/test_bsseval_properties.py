@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from sepeval import AudioSignal, bss_eval, compute_projection, decompose, project
 from sepeval.bsseval import _BLOCK_LEN as BLOCK
-from sepeval.bsseval import _Blocks
+from sepeval.bsseval import _Blocks, _Projector
 
 RATE = 8000
 # Derandomized: the same examples on every run, so the suite cannot flake.
@@ -77,6 +77,39 @@ def test_projection_matches_direct_convolution(span, seed):
             for j in range(2)
         )
         assert np.abs(got[:, c] - expected).max() <= 1e-12 * scale
+
+
+def _delay_matrix(channels: np.ndarray, filter_len: int) -> np.ndarray:
+    """Dense A on the padded domain, lag-major: column m C + c is channel c
+    of the (N, C) ``channels`` delayed by m samples."""
+    num_samples, num_channels = channels.shape
+    delayed = np.zeros((num_samples + filter_len - 1, filter_len, num_channels))
+    for m in range(filter_len):
+        delayed[m:m + num_samples, m] = channels
+    return delayed.reshape(len(delayed), -1)
+
+
+@PROPERTY_SETTINGS
+@given(span=spans(max_filter=24), num_refs=st.integers(1, 3),
+       channels=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+@example(span=(2 * BLOCK + 1, 24), num_refs=3, channels=2, seed=0)
+def test_gram_is_lag_major_block_toeplitz(span, num_refs, channels, seed):
+    """The unloaded joint Gram is A^T A, exactly symmetric, and each solo
+    Gram is the joint one restricted to that reference's channels."""
+    num_samples, filter_len = span
+    rng = np.random.default_rng(seed)
+    refs = list(rng.standard_normal((num_refs, num_samples, channels)))
+    projector = _Projector(refs, filter_len)
+    gram = projector._gram(0)
+    delayed = _delay_matrix(np.concatenate(refs, axis=1), filter_len)
+    expected = delayed.T @ delayed
+    unloaded = gram - projector._loading * np.eye(len(gram))
+    assert np.abs(unloaded - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(gram, gram.T)
+    lags = np.arange(filter_len)[:, None] * num_refs * channels
+    for j in range(num_refs):
+        own = (lags + np.arange(j * channels, (j + 1) * channels)).ravel()
+        assert np.array_equal(projector._gram(1 + j), gram[np.ix_(own, own)])
 
 
 def _problem(rng, num_refs, channels, num_samples):

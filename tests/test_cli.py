@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,64 @@ class TestEvalCommand:
                    "--filter-len", "32", "--window", "0.5"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_track_without_estimates_is_skipped(self, corpus_root, tmp_path):
+        estimates = self._estimates_tree(tmp_path, corpus_root)
+        shutil.rmtree(estimates / "Beta - Two")
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="track Beta - Two failed"):
+            rc = _run(["eval", "--corpus", corpus_root, "--estimates",
+                       estimates, "--output", out] + SCORING)
+        assert rc == 0
+        assert (out / "Alpha - One.json").is_file()
+        assert not (out / "Beta - Two.json").exists()
+        with open(out / "summary.csv", newline="") as handle:
+            tracks = {row["track"] for row in csv.DictReader(handle)}
+        assert tracks == {"Alpha - One"}
+
+    def test_root_without_track_folders_fails(self, corpus_root, tmp_path,
+                                              capsys):
+        estimates = tmp_path / "empty"
+        estimates.mkdir()
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            rc = _run(["eval", "--corpus", corpus_root, "--estimates",
+                       estimates, "--output", out] + SCORING)
+        assert rc == 1
+        assert "all 2 tracks failed" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
+
+class TestMalformedEnvironment:
+    """A bad ``SEPEVAL_*`` value is a usage error only where it is read."""
+
+    @pytest.mark.parametrize("command, name, value", [
+        ("aggregate", "WINDOW", "abc"),
+        ("compare", "WORKERS", "two"),
+    ])
+    def test_unread_variable_is_ignored(self, tmp_path, monkeypatch, command,
+                                        name, value):
+        _synthetic_reports(tmp_path / "a", "A")
+        _synthetic_reports(tmp_path / "b", "B", lift=10.0)
+        monkeypatch.setenv(f"SEPEVAL_{name}", value)
+        assert _run([command, "--reports", tmp_path / "a", tmp_path / "b",
+                     "--output", tmp_path / "out.csv"]) == 0
+
+    @pytest.mark.parametrize("name, value, expected", [
+        ("MODE", "v5", ["--mode", "'v5'", "v3", "v4"]),
+        ("WINDOW", "abc", ["--window", "'abc'"]),
+    ])
+    def test_read_variable_is_usage_error(self, corpus_root, tmp_path,
+                                          monkeypatch, capsys, name, value,
+                                          expected):
+        monkeypatch.setenv(f"SEPEVAL_{name}", value)
+        with pytest.raises(SystemExit) as excinfo:
+            _run(["eval", "--corpus", corpus_root, "--estimates", corpus_root,
+                  "--output", tmp_path / "out"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert all(part in err for part in expected)
+        assert not (tmp_path / "out").exists()
 
 
 def _synthetic_reports(folder, method, lift=0.0, tracks=6):
