@@ -24,20 +24,32 @@ normal equations keep that layout: unknown (p, a) is tap p of channel a,
 so the Gram is block-Toeplitz with block (p, q) = R[p - q], where R[m] is
 the lag-m matrix and R[-m] = R[m]^T.  Projections multiply tap spectra
 into the segment spectra, sum over reference channels and keep the B
-valid samples of each block's inverse transform.  Each Gram is factorized
-by Cholesky after tiny diagonal loading; when every reference is silent
-over the span the Gram is zero, and so is every tap.  ``bss_eval``
-factorizes only the single-reference systems of the references it scores
-against.
+valid samples of each block's inverse transform.
+
+Each system is solved, after tiny diagonal loading, through a block-
+Levinson factor built from its lags, T^-1 = U D^-1 U^T, in O(L^2 C^3)
+rather than the O(L^3 C^3) of a Cholesky factor of the dense Gram, which
+is never formed.  The factor is refused when one of its error blocks,
+scaled by R[0]'s diagonal, falls to ``_ERROR_FLOOR`` (checked as the
+recursion runs, so a near-singular system is refused early), or when its
+solve of a fixed known-solution probe leaves a relative residual of
+``_PROBE_TOLERANCE`` or more; that system's dense Gram is then factorized
+by Cholesky.  A reference silent over the span gets zero taps and no
+unknowns, so where only the target is audible its joint fit is its solo
+fit and the interference is exactly zero; when every reference is silent,
+so is every tap.  ``bss_eval`` factorizes only the single-reference
+systems of the references it scores against.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.blas import dtrmm
 
 from .audio import AudioSignal
 
@@ -56,6 +68,21 @@ DEFAULT_FILTER_LEN = 512
 DEFAULT_WINDOW = 44100
 # Overlap-save block length, unless the span is shorter.
 _BLOCK_LEN = 8192
+# Relative residual of the block-Levinson probe solve at or above which a
+# system falls back to Cholesky (see _levinson).  Coloured-noise stems at
+# 512 taps leave 1e-15 to 6e-13; harmonic tones over a 16-bit noise floor
+# 5e-13 to 6e-11; near-singular references (lowpass, mono-as-stereo,
+# duplicate) 1e-9 and more.
+_PROBE_TOLERANCE = 1e-11
+# Smallest eigenvalue of a Levinson error block, scaled by R[0]'s diagonal,
+# at or below which the factor is refused (see _levinson).  Coloured-noise
+# stems at 512 taps stay above 5e-6; lowpass, constant, duplicate and
+# mono-as-stereo references fall below it within 16 orders, and so do the
+# joint systems of pure sines, whose probe residuals pass.  Checked every
+# _FLOOR_STRIDE orders, so a near-singular system is refused before most
+# of its recursion is paid.
+_ERROR_FLOOR = 1e-8
+_FLOOR_STRIDE = 16
 
 
 @dataclass
@@ -65,7 +92,8 @@ class ProjectionFilters:
     ``taps`` solves the joint problem over all references (used for the
     interference bound); ``solo_taps[j]`` solves the restricted problem
     over reference j alone (used for the target/spatial split).  Both are
-    shaped (J, I_ref, I_est, L).  ``degenerate`` marks a span over which
+    shaped (J, I_ref, I_est, L).  A reference silent over the span has
+    exactly zero taps in both.  ``degenerate`` marks a span over which
     every reference is silent: the Gram matrix is zero and every tap is
     exactly zero, its minimum-norm solution.
     """
@@ -214,7 +242,7 @@ def _channels(signals) -> list:
 
 
 class _Projector:
-    """Reference segment spectra and factorized Gram matrices for one span.
+    """Reference segment spectra and factorized normal equations for one span.
 
     Each reference channel is held as the spectra of its overlap-save
     segments (see :class:`_Blocks`).  Their lags against the references'
@@ -223,11 +251,16 @@ class _Projector:
     estimate's cross-correlations are its lags, in the same layout, and
     projections filter the segments.  System 0 is the joint one over
     all references, system 1 + j reference j's alone (its channels).
-    Each system's Gram is built from the lags and factorized in place by
-    Cholesky when first solved, so only the factors are kept; a Gram the
-    loading leaves indefinite raises LinAlgError.  When every reference is
-    silent (``degenerate``), the joint Gram's diagonal and hence the
-    loading are zero: nothing is factorized and every tap is zero.
+
+    A reference that is silent over the span gets zero taps and no
+    unknowns: system 0 covers the audible references only, so when only
+    one is audible the joint system is that reference's solo system and
+    their taps are bitwise equal.  When every reference is silent
+    (``degenerate``) the loading is zero too, nothing is factorized and
+    every tap is zero.  Each system is factorized once, when first solved,
+    by :func:`_levinson` from its loaded lags, or by Cholesky of its dense
+    Gram when that factor is refused; a Gram the loading leaves indefinite
+    then raises LinAlgError.
 
     Reusing one instance across estimates guarantees that evaluating the
     same estimate twice, in any order, produces bitwise-equal filters.
@@ -248,65 +281,169 @@ class _Projector:
         self.blocks = _Blocks(num_samples, filter_len)
         self.segments = self.blocks.segment_spectra(references, num_samples)
         # The references' block spectra live only inside lags(), so they
-        # are freed before any Gram is built.
+        # are freed before any system is factorized.
         self._lags = np.ascontiguousarray(self.blocks.lags(self.segments, references))
         # Lag 0 holds each channel pair twice, equal only to rounding; keeping
-        # the upper triangle, which Cholesky reads, makes every Gram symmetric.
+        # the upper triangle makes every Gram exactly symmetric.
         self._lags[0] = np.triu(self._lags[0]) + np.triu(self._lags[0], 1).T
+        energies = np.diagonal(self._lags[0])
         # Diagonal loading: 1e-12 of the mean of the joint Gram's diagonal.
-        self._loading = 1e-12 * float(np.mean(np.diagonal(self._lags[0])))
-        self.degenerate = self._loading == 0.0
-        self._factors = {}
-        if not self.degenerate:
-            self._factor(0)
+        self._loading = 1e-12 * float(np.mean(energies))
+        self._audible = tuple(
+            j for j, energy in enumerate(energies.reshape(num_refs, channels))
+            if np.any(energy)
+        )
+        self.degenerate = not self._audible
+        self._solvers = {}
 
-    def _channel_span(self, system: int) -> slice:
+    def _system_refs(self, system: int) -> tuple:
+        """The audible references whose channels are the unknowns of ``system``."""
         if system == 0:
-            return slice(0, self.num_refs * self.channels)
-        return slice((system - 1) * self.channels, system * self.channels)
+            return self._audible
+        return (system - 1,) if system - 1 in self._audible else ()
 
-    def _gram(self, system: int) -> np.ndarray:
-        """Loaded Gram matrix of ``system``, lag-major, in Fortran order for LAPACK.
+    def _channel_index(self, refs: tuple) -> np.ndarray:
+        channels = np.arange(self.channels)
+        return (np.asarray(refs)[:, None] * self.channels + channels).ravel()
 
-        Unknown (p, a) is tap p of channel a, so block (p, q) is the C x C
-        matrix R[p - q], with R[m] = ``_lags[m]`` and R[-m] = ``_lags[m].T``.
-        """
-        span = self._channel_span(system)
-        lags = self._lags[:, span, span]
-        L, C = lags.shape[:2]
-        gram = np.empty((L * C, L * C), order="F")
-        # R[-(L-1)], ..., R[L-1]; window p, reversed, holds R[p - q] at q.
-        extended = np.concatenate((lags[:0:-1].transpose(0, 2, 1), lags))
-        windows = sliding_window_view(extended, L, axis=0)[..., ::-1]  # (p, a, b, q)
-        gram.reshape((C, L, C, L), order="F")[...] = windows.transpose(1, 0, 2, 3)
-        diag = np.arange(L * C)
-        gram[diag, diag] += self._loading
-        return gram
+    def _system_lags(self, refs: tuple) -> np.ndarray:
+        """(L, C, C) lags among the channels of ``refs``, R[0] loaded."""
+        index = self._channel_index(refs)
+        lags = self._lags[:, index[:, None], index]
+        lags[0].flat[::len(index) + 1] += self._loading
+        return lags
 
-    def _factor(self, system: int):
-        """Cholesky factor of ``system``."""
-        if system not in self._factors:
-            # Finite by construction: AudioSignal rejects non-finite samples.
-            self._factors[system] = cho_factor(
-                self._gram(system), overwrite_a=True, check_finite=False
-            )
-        return self._factors[system]
+    def _solver(self, refs: tuple):
+        """T^-1 of the system over ``refs``, as a function of right-hand sides."""
+        if refs not in self._solvers:
+            lags = self._system_lags(refs)
+            try:
+                solver = _levinson(lags)
+            except LinAlgError:
+                solver = None
+            if solver is None:
+                # After the handler, so the refused factor is freed first.
+                # Finite by construction: AudioSignal rejects non-finite samples.
+                factor = cho_factor(_block_toeplitz(lags), overwrite_a=True,
+                                    check_finite=False)
+                solver = functools.partial(cho_solve, factor, check_finite=False)
+            self._solvers[refs] = solver
+        return self._solvers[refs]
 
     def _taps(self, D: np.ndarray, system: int) -> np.ndarray:
         """(J', I_ref, I_est, L) taps solving ``system`` for (L, C, I_est) right-hand
         sides D[m, b, c] = <reference channel b delayed by m, estimate channel c>."""
-        rhs = D[:, self._channel_span(system)].reshape(-1, D.shape[2])
-        if self.degenerate:
-            flat = np.zeros_like(rhs)
-        else:
-            flat = cho_solve(self._factor(system), rhs, check_finite=False)
-        taps = flat.reshape(self.filter_len, -1, self.channels, D.shape[2])
-        return np.ascontiguousarray(taps.transpose(1, 2, 3, 0))
+        refs = self._system_refs(system)
+        taps = np.zeros((self.num_refs if system == 0 else 1, self.channels,
+                         D.shape[2], self.filter_len))
+        if refs:
+            rhs = D[:, self._channel_index(refs)].reshape(-1, D.shape[2])
+            flat = self._solver(refs)(rhs)
+            taps[list(refs) if system == 0 else 0] = flat.reshape(
+                self.filter_len, len(refs), self.channels, D.shape[2]
+            ).transpose(1, 2, 3, 0)
+        return taps
 
     def fit(self, estimate: np.ndarray, solo) -> tuple:
         """Joint taps to an estimate, and solo taps for each reference in ``solo``."""
         D = self.blocks.lags(self.segments, estimate)
         return self._taps(D, 0), [self._taps(D, 1 + j) for j in solo]
+
+
+def _two_sided(lags: np.ndarray) -> np.ndarray:
+    """R[-(L-1)], ..., R[L-1] from R[m] = ``lags[m]``, with R[-m] = R[m]^T."""
+    return np.concatenate((lags[:0:-1].transpose(0, 2, 1), lags))
+
+
+def _block_toeplitz(lags: np.ndarray) -> np.ndarray:
+    """Dense (L C, L C) matrix, in Fortran order for LAPACK, whose block (p, q)
+    is R[p - q], with R[m] = ``lags[m]`` and R[-m] = ``lags[m].T``."""
+    L, C = lags.shape[:2]
+    gram = np.empty((L * C, L * C), order="F")
+    # Window p of the two-sided lags, reversed, holds R[p - q] at q: (p, a, b, q).
+    windows = sliding_window_view(_two_sided(lags), L, axis=0)[..., ::-1]
+    gram.reshape((C, L, C, L), order="F")[...] = windows.transpose(1, 0, 2, 3)
+    return gram
+
+
+def _toeplitz_product(lags: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for the block-Toeplitz T of (L, C, C) ``lags`` and (L C, K) ``x``,
+    by one FFT convolution with R[-(L-1)], ..., R[L-1]: y[p] is sum_q
+    R[p - q] x[q], which sits at index p + L - 1 of the convolution, clear
+    of the circular wrap at any size >= 2L - 1."""
+    L, C = lags.shape[:2]
+    size = scipy.fft.next_fast_len(2 * L - 1, real=True)
+    product = np.matmul(scipy.fft.rfft(_two_sided(lags), size, axis=0),
+                        scipy.fft.rfft(x.reshape(L, C, -1), size, axis=0))
+    return scipy.fft.irfft(product, size, axis=0)[L - 1:2 * L - 1].reshape(L * C, -1)
+
+
+def _levinson(lags: np.ndarray):
+    """T^-1 of the block-Toeplitz T of loaded (L, C, C) ``lags``, by block Levinson.
+
+    The forward and backward block recursions (Wiggins & Robinson 1965)
+    run together: at order k the backward predictor b_k (blocks b_k[0..k],
+    b_k[k] = I) has T_k b_k = [0, ..., 0, E_b[k]] and the forward one a_k
+    (a_k[0] = I) has T_k a_k = [E_f[k], 0, ..., 0].  Column block k of the
+    unit upper triangular U is b_k, so U^T T U = D, block diagonal in E_b,
+    and T^-1 = U D^-1 U^T: each solve is two ``dtrmm`` and one batched
+    C x C product.  Only U's upper triangle is written.
+
+    Returns that solve, or raises LinAlgError when an error block E, scaled
+    to S E S by S = diag(R[0])^-1/2, has an eigenvalue at or below
+    ``_ERROR_FLOOR``, or when the solve of T v for a fixed v leaves a
+    relative residual (through :func:`_toeplitz_product`, not a dense T) of
+    ``_PROBE_TOLERANCE`` or more.  Levinson is only weakly stable: near-
+    singular Toeplitz systems lose the accuracy Cholesky keeps.  S E_b[k] S
+    is the Schur complement closing order k + 1 of the unit-diagonal
+    scaling of T, so the floor refuses only systems whose scaled T has a
+    condition number above 1 / ``_ERROR_FLOOR`` (a silent channel, loaded
+    and decoupled, is no such system).  The error blocks shrink as k grows,
+    so the floor is checked every ``_FLOOR_STRIDE`` orders during the
+    recursion, and on every block at its end.
+    """
+    L, C = lags.shape[:2]
+    n = L * C
+    floor = _ERROR_FLOOR * np.diag(np.diagonal(lags[0]))
+    upper = np.zeros((n, n), order="F")
+    upper[:C, :C] = np.eye(C)
+    forward = np.zeros((n, C))
+    forward[:C] = np.eye(C)
+    negated = -lags.reshape(n, C)           # row block m is -R[m]
+    errors = np.stack([lags[0], lags[0]])   # E_b, E_f
+    history = np.empty((L, 2, C, C))        # errors at each order
+    cross = np.empty((2, C, C))             # -Delta, -nabla (Delta = nabla^T)
+    for k in range(L - 1):
+        if k % _FLOOR_STRIDE == 0:
+            np.linalg.cholesky(errors - floor)  # LinAlgError: below the floor
+        rows = (k + 1) * C
+        history[k] = errors
+        back = upper[:rows, rows - C:rows]  # b_k
+        # nabla = sum_i R[i + 1]^T b_k[i]: row 0 of T_{k+1} times [0; b_k].
+        np.matmul(negated[C:rows + C].T, back, out=cross[1])
+        cross[0] = cross[1].T
+        gains = np.linalg.solve(errors, cross)  # K_f, K_b
+        # b_{k+1} = [0; b_k] + [a_k; 0] K_b, a_{k+1} = [a_k; 0] + [0; b_k] K_f.
+        column = upper[:rows + C, rows:rows + C]
+        np.matmul(forward[:rows + C], gains[1], out=column)
+        column[C:] += back
+        forward[C:rows + C] += back @ gains[0]
+        errors -= cross @ gains[::-1]
+    history[L - 1] = errors
+    np.linalg.cholesky(history - floor)
+    d_inverse = np.linalg.inv(history[:, 0])
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        half = dtrmm(1.0, upper, rhs, trans_a=1, diag=1)
+        half = np.matmul(d_inverse, half.reshape(L, C, -1)).reshape(n, -1)
+        return dtrmm(1.0, upper, half, diag=1, overwrite_b=1)
+
+    probe = np.random.default_rng(0).standard_normal((n, 1))
+    rhs = _toeplitz_product(lags, probe)
+    residual = _toeplitz_product(lags, solve(rhs)) - rhs
+    if not np.linalg.norm(residual) < _PROBE_TOLERANCE * np.linalg.norm(rhs):
+        raise LinAlgError("block Levinson solve failed its probe")
+    return solve
 
 
 def _split(refs: list, est: np.ndarray, j: int, taps: np.ndarray,
@@ -315,15 +452,20 @@ def _split(refs: list, est: np.ndarray, j: int, taps: np.ndarray,
     """Four parts of ``est`` from its projections on reference j and on all.
 
     ``solo_taps`` are reference j's own, shaped (1, I_ref, I_est, L).
+    Interference is what the joint taps add to the solo projection: the
+    projection through their difference, so it is exactly zero when the
+    joint fit is the solo fit (every other reference silent).
     """
     num_samples, channels = refs[j].shape
     proj_solo = blocks.filter_and_sum(
         segments[:, j * channels:(j + 1) * channels], solo_taps, num_samples
     )
-    proj_all = blocks.filter_and_sum(segments, taps, num_samples)
+    added = taps.copy()
+    added[j] -= solo_taps[0]
+    e_interf = blocks.filter_and_sum(segments, added, num_samples)
     s_target = refs[j].copy()
     return Decomposition(
-        s_target, proj_solo - s_target, proj_all - proj_solo, est - proj_all
+        s_target, proj_solo - s_target, e_interf, est - (proj_solo + e_interf)
     )
 
 

@@ -89,19 +89,27 @@ def evaluate_track(
 ) -> TrackScore:
     """Score the estimates for one track against its true stems.
 
-    Estimates are WAVs named after targets inside ``estimates_dir``.
-    Missing files drop that target from the result (with a warning);
-    shape mismatches, or no estimate for any target, are fatal for the
-    track, and are raised before any stem is decoded.
+    Estimates are WAVs named after targets inside ``estimates_dir``; only
+    those of ``config.targets`` are decoded, with the non-vocal ones when
+    the accompaniment is derived.  Missing files drop that target from the
+    result (with a warning); shape mismatches, or no estimate for any
+    target, are fatal for the track, and are raised before any stem is
+    decoded.
     """
     estimates_dir = Path(estimates_dir)
     # Only the mixture's header is needed: its shape and rate check the stems.
     mixture = wav_info(track.path / "mixture.wav")
     shape = (mixture.num_samples, mixture.channels)
-    estimates = {
-        name: _load_estimate(estimates_dir / f"{name}.wav", shape)
-        for name in TARGET_NAMES
-    }
+    # The configured targets, and the non-vocal parts of an accompaniment
+    # that has no file of its own.
+    needed = list(config.targets)
+    if ("accompaniment" in needed
+            and not (estimates_dir / "accompaniment.wav").is_file()):
+        needed += [name for name in STEM_NAMES
+                   if name != "vocals" and name not in needed]
+    estimates = dict.fromkeys(TARGET_NAMES)
+    for name in needed:
+        estimates[name] = _load_estimate(estimates_dir / f"{name}.wav", shape)
     if (
         "accompaniment" in config.targets
         and estimates["accompaniment"] is None

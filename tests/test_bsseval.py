@@ -3,7 +3,8 @@
 The oracle materializes the full matrix of delayed reference channels and
 solves the (identically regularized) normal equations with a dense solver,
 so any disagreement isolates a bug in the FFT/Toeplitz assembly or the
-Cholesky path rather than in the problem statement.
+solver (block Levinson, or its Cholesky fallback) rather than in the
+problem statement.
 """
 
 import dataclasses
@@ -588,7 +589,8 @@ def _audible(kind: str, rng, num_samples=1200, rate=8000) -> np.ndarray:
 
 
 class TestSilentSpanRule:
-    """One solve route: Cholesky, or exact zero taps when all references are silent."""
+    """Silent references get exact zero taps and no unknowns; every other
+    system gets the block-Levinson factor, or Cholesky when it is refused."""
 
     @staticmethod
     def _silent_first_window(num_windows=3, window=600):
@@ -617,45 +619,134 @@ class TestSilentSpanRule:
         for f in frames[1:]:
             assert all(math.isfinite(v) for v in (f.sdr, f.isr, f.sir, f.sar))
 
-    @pytest.mark.parametrize("kind", ["duplicate", "mono_as_stereo", "one_silent",
-                                      "sines", "dc", "lowpass"])
-    def test_audible_near_singular_references_factorize(self, kind, monkeypatch):
-        calls = []
+    def test_only_audible_target_has_no_interference(self, monkeypatch):
+        """Over windows where every reference but the target is silent, the
+        joint taps are the target's solo taps: interference is exactly zero,
+        SIR is +inf, and only the target's system is factorized."""
+        sizes = []
+        structured = bsseval_module._levinson
 
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
+        def counting_levinson(lags):
+            sizes.append(lags.shape[0] * lags.shape[1])
+            return structured(lags)
+
+        monkeypatch.setattr(bsseval_module, "_levinson", counting_levinson)
+        rng = np.random.default_rng(64)
+        window = 600
+        refs = rng.standard_normal((2, 3 * window, 2))
+        refs[0, :2 * window] = 0.0  # silent over the first two windows
+        est = AudioSignal(refs[1] + 0.3 * refs[0]
+                          + 0.05 * rng.standard_normal(refs[1].shape), 8000)
+        signals = _signals(refs)
+        (frames,) = bss_eval(signals, [est], filter_len=32, window=window,
+                             mode="v3_windowed", targets=[1])
+        assert [f.sir for f in frames[:2]] == [math.inf, math.inf]
+        assert all(math.isfinite(f.sdr) and math.isfinite(f.sar) for f in frames)
+        assert math.isfinite(frames[2].sir)
+        assert sizes == [2 * 32, 2 * 32, 2 * 2 * 32, 2 * 32]
+        first = compute_projection(signals, est, filter_len=32, mode="windowed",
+                                   window=window)[0]
+        assert not np.any(first.taps[0]) and not np.any(first.solo_taps[0])
+        assert np.array_equal(first.taps[1], first.solo_taps[1])
+        part = AudioSignal(est.samples[:window], 8000)
+        d = decompose(part, [AudioSignal(r[:window], 8000) for r in refs], 1, first)
+        assert not np.any(d.e_interf)
+
+    # Systems, joint (0) then solo, whose block-Levinson factor is refused,
+    # all by the error floor (see test_refused_before_probe), with the
+    # order of the check that refuses them.
+    FALLBACKS = {
+        "duplicate": [0],            # order 0: R[0] is singular
+        "mono_as_stereo": [0, 1, 2, 3],  # order 0
+        "one_silent": [],            # reference 2 has no system
+        "sines": [0],                # order 16
+        "dc": [0, 1, 2, 3],          # order 0
+        "lowpass": [0, 1, 2, 3],     # order 16
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FALLBACKS))
+    def test_audible_near_singular_references_factorize(self, kind, monkeypatch):
+        """Every audible system gets one structured factor; the near-singular
+        ones named in FALLBACKS are refused and factorized by Cholesky."""
+        levinson, cholesky = [], []
+        structured = bsseval_module._levinson
+
+        def counting_levinson(lags):
+            levinson.append(lags.shape[0] * lags.shape[1])
+            return structured(lags)
+
+        def counting_cholesky(*args, **kwargs):
+            cholesky.append(len(args[0]))
             return cho_factor(*args, **kwargs)
 
-        monkeypatch.setattr(bsseval_module, "cho_factor", counting)
+        monkeypatch.setattr(bsseval_module, "_levinson", counting_levinson)
+        monkeypatch.setattr(bsseval_module, "cho_factor", counting_cholesky)
         rng = np.random.default_rng(62)
         refs = _audible(kind, rng)
         est = refs[0] + 0.5 * refs[1] + 0.1 * rng.standard_normal(refs[0].shape)
         signals, estimate = _signals(refs), AudioSignal(est, 8000)
         filters = compute_projection(signals, estimate, filter_len=32)
         assert not filters.degenerate
-        assert calls == [3 * 2 * 32] + [2 * 32] * 3  # the joint and 3 solo
+        audible = 2 if kind == "one_silent" else 3
+        sizes = [audible * 2 * 32] + [2 * 32] * audible  # the joint and solo
+        assert levinson == sizes
+        assert cholesky == [sizes[s] for s in self.FALLBACKS[kind]]
+        if kind == "one_silent":
+            assert not np.any(filters.taps[2]) and not np.any(filters.solo_taps[2])
         d = decompose(estimate, signals, 0, filters)
         total = d.s_target + d.e_spatial + d.e_interf + d.e_artif
         assert np.abs(total - est).max() <= 1e-12 * np.abs(est).max()
 
-    def test_failed_factorization_raises_without_fallback(self, monkeypatch):
+    @pytest.mark.parametrize("kind", sorted(k for k, v in FALLBACKS.items() if v))
+    def test_refused_before_probe(self, kind, monkeypatch):
+        """A near-singular factor is refused by the error floor within
+        _FLOOR_STRIDE orders of the recursion, before its probe is solved."""
+        orders, probes = [], []
+        solve = np.linalg.solve
+
+        def counting_solve(*args):
+            orders.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(bsseval_module, "_toeplitz_product",
+                            lambda *args: probes.append(1))
+        rng = np.random.default_rng(62)
+        projector = bsseval_module._Projector(list(_audible(kind, rng)), 32)
+        for system in self.FALLBACKS[kind]:
+            lags = projector._system_lags(projector._system_refs(system))
+            orders.clear()
+            with pytest.raises(LinAlgError):
+                bsseval_module._levinson(lags)
+            assert len(orders) <= bsseval_module._FLOOR_STRIDE
+        assert probes == []
+
+    def test_refused_factor_falls_back_to_cholesky_then_raises(self, monkeypatch):
+        """A refused structured factor goes to cho_factor; a failing
+        cho_factor raises, with no third solver tried."""
+        attempts = []
         other_solvers = []
 
-        def failing(*args, **kwargs):
-            raise LinAlgError("not positive definite")
+        def failing(name):
+            def factor(*args, **kwargs):
+                attempts.append(name)
+                raise LinAlgError("not positive definite")
+            return factor
 
         def record(name):
             def solver(*args, **kwargs):
                 other_solvers.append(name)
             return solver
 
-        monkeypatch.setattr(bsseval_module, "cho_factor", failing)
+        monkeypatch.setattr(bsseval_module, "_levinson", failing("levinson"))
+        monkeypatch.setattr(bsseval_module, "cho_factor", failing("cholesky"))
         monkeypatch.setattr(bsseval_module, "cho_solve", record("cho_solve"))
-        for name in ("lstsq", "solve", "pinv", "inv"):
+        for name in ("lstsq", "solve", "pinv", "inv", "cholesky"):
             monkeypatch.setattr(np.linalg, name, record(name))
         rng = np.random.default_rng(63)
         refs = rng.standard_normal((2, 600, 2))
         est = AudioSignal(refs[0] + 0.1 * rng.standard_normal(refs[0].shape), 8000)
         with pytest.raises(LinAlgError):
             bss_eval(_signals(refs), [est], filter_len=16, window=600)
+        assert attempts == ["levinson", "cholesky"]  # the joint system's
         assert other_solvers == []

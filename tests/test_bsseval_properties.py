@@ -7,14 +7,18 @@ the span length, so segments whose L-sample lead exceeds a block occur.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+import sepeval.bsseval as bsseval_module
 from sepeval import AudioSignal, bss_eval, compute_projection, decompose, project
 from sepeval.bsseval import _BLOCK_LEN as BLOCK
-from sepeval.bsseval import _Blocks, _Projector
+from sepeval.bsseval import _Blocks, _block_toeplitz, _levinson, _Projector
 
 RATE = 8000
 # Derandomized: the same examples on every run, so the suite cannot flake.
@@ -89,6 +93,11 @@ def _delay_matrix(channels: np.ndarray, filter_len: int) -> np.ndarray:
     return delayed.reshape(len(delayed), -1)
 
 
+def _gram(projector: _Projector, system: int) -> np.ndarray:
+    """Loaded dense Gram of one system, as the Cholesky fallback builds it."""
+    return _block_toeplitz(projector._system_lags(projector._system_refs(system)))
+
+
 @PROPERTY_SETTINGS
 @given(span=spans(max_filter=24), num_refs=st.integers(1, 3),
        channels=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
@@ -100,7 +109,7 @@ def test_gram_is_lag_major_block_toeplitz(span, num_refs, channels, seed):
     rng = np.random.default_rng(seed)
     refs = list(rng.standard_normal((num_refs, num_samples, channels)))
     projector = _Projector(refs, filter_len)
-    gram = projector._gram(0)
+    gram = _gram(projector, 0)
     delayed = _delay_matrix(np.concatenate(refs, axis=1), filter_len)
     expected = delayed.T @ delayed
     unloaded = gram - projector._loading * np.eye(len(gram))
@@ -109,7 +118,7 @@ def test_gram_is_lag_major_block_toeplitz(span, num_refs, channels, seed):
     lags = np.arange(filter_len)[:, None] * num_refs * channels
     for j in range(num_refs):
         own = (lags + np.arange(j * channels, (j + 1) * channels)).ravel()
-        assert np.array_equal(projector._gram(1 + j), gram[np.ix_(own, own)])
+        assert np.array_equal(_gram(projector, 1 + j), gram[np.ix_(own, own)])
 
 
 def _problem(rng, num_refs, channels, num_samples):
@@ -198,3 +207,101 @@ def test_decomposition_is_linear_in_the_estimate(span, num_refs, channels,
              + np.abs(refs[0]).max())
     for got, p1, p2 in zip(combined, parts1, parts2):
         assert np.abs(got - (a * p1 + b * p2)).max() <= 1e-13 * scale
+
+
+def _kind_of_references(kind, rng, num_refs, channels, num_samples):
+    """Noise references; with a silent last channel, or mono as stereo."""
+    refs = rng.standard_normal((num_refs, num_samples, channels))
+    if kind == "silent_channel":
+        refs[-1, :, -1] = 0.0
+    elif kind == "mono_as_stereo":
+        refs[..., 1:] = refs[..., :1]
+    return refs
+
+
+@PROPERTY_SETTINGS
+@given(span=spans(max_filter=24), num_refs=st.integers(1, 3),
+       channels=st.integers(1, 2),
+       kind=st.sampled_from(["noise", "silent_channel", "mono_as_stereo"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(span=(2 * BLOCK + 1, 24), num_refs=3, channels=2, kind="silent_channel",
+         seed=0)
+@example(span=(BLOCK, 13), num_refs=3, channels=2, kind="mono_as_stereo", seed=0)
+def test_structured_solve_matches_cholesky(span, num_refs, channels, kind, seed):
+    """Where the block-Levinson factor is accepted, its solve of T x = T v
+    leaves a relative residual as small as cho_solve's on the same dense
+    lag-major Gram (worst measured 6.6e-16 over 300 random draws, against
+    5.1e-16; the bound is 1e-13).  Only stereo references with identical
+    channels, whose Grams are singular but for the loading, are refused."""
+    num_samples, filter_len = span
+    rng = np.random.default_rng(seed)
+    refs = _kind_of_references(kind, rng, num_refs, channels, num_samples)
+    projector = _Projector(list(refs), filter_len)
+    for system in range(num_refs + 1):
+        refs_of_system = projector._system_refs(system)
+        if not refs_of_system:
+            continue
+        lags = projector._system_lags(refs_of_system)
+        gram = _gram(projector, system)
+        rhs = gram @ rng.standard_normal((len(gram), 2))
+        expected = cho_solve(cho_factor(gram), rhs)
+        try:
+            solve = _levinson(lags)
+        except LinAlgError:
+            assert kind == "mono_as_stereo" and channels == 2
+            assert np.array_equal(projector._solver(refs_of_system)(rhs), expected)
+            continue
+        for x in (solve(rhs), expected):
+            assert np.linalg.norm(gram @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+
+@PROPERTY_SETTINGS
+@given(span=spans(max_filter=16), num_refs=st.integers(1, 3),
+       channels=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_failed_probe_falls_back_to_cholesky(span, num_refs, channels, seed):
+    """With the probe bound forced to fail, every system is factorized by
+    Cholesky, once, and its taps are those of a projector that never tries
+    the structured factor."""
+    num_samples, filter_len = span
+    rng = np.random.default_rng(seed)
+    refs, est = _problem(rng, num_refs, channels, num_samples)
+    systems = 1 if num_refs == 1 else 1 + num_refs  # one reference: joint = solo
+    with mock.patch.object(bsseval_module, "_PROBE_TOLERANCE", 0.0), \
+            mock.patch.object(bsseval_module, "cho_factor",
+                              wraps=cho_factor) as factor:
+        with pytest.raises(LinAlgError):
+            _levinson(_Projector(list(refs), filter_len)._system_lags((0,)))
+        projector = _Projector(list(refs), filter_len)
+        taps, solo = projector.fit(est, range(num_refs))
+        projector.fit(est, range(num_refs))
+    assert factor.call_count == systems
+    with mock.patch.object(bsseval_module, "_levinson",
+                           side_effect=LinAlgError("refused")):
+        expected_taps, expected_solo = _Projector(list(refs), filter_len).fit(
+            est, range(num_refs))
+    assert np.array_equal(taps, expected_taps)
+    assert all(np.array_equal(a, b) for a, b in zip(solo, expected_solo))
+
+
+@PROPERTY_SETTINGS
+@given(span=spans(max_filter=16), num_refs=st.integers(1, 3),
+       channels=st.integers(1, 2),
+       kind=st.sampled_from(["noise", "silent_channel", "mono_as_stereo"]),
+       order=st.permutations(range(3)), seed=st.integers(0, 2**32 - 1))
+def test_taps_do_not_depend_on_estimate_order(span, num_refs, channels, kind,
+                                              order, seed):
+    """Filters from one projector are bitwise equal whatever the order in
+    which estimates, and the solo systems of each, are fitted."""
+    num_samples, filter_len = span
+    rng = np.random.default_rng(seed)
+    refs = list(_kind_of_references(kind, rng, num_refs, channels, num_samples))
+    estimates = rng.standard_normal((3, num_samples, channels))
+    solo = list(range(num_refs))
+    in_order = _Projector(refs, filter_len)
+    expected = [in_order.fit(est, solo) for est in estimates]
+    shuffled = _Projector(refs, filter_len)
+    for i in order:
+        taps, solo_taps = shuffled.fit(estimates[i], solo[::-1])
+        assert np.array_equal(taps, expected[i][0])
+        for got, want in zip(solo_taps, expected[i][1][::-1]):
+            assert np.array_equal(got, want)

@@ -135,6 +135,37 @@ class TestEvaluateTrack:
         with pytest.raises(WavFormatError, match="bass"):
             evaluate_track(track, est_dir, "m", CONFIG)
 
+    def test_only_needed_estimates_are_decoded(self, tmp_path, monkeypatch):
+        """The configured targets' files, and the non-vocal ones only while
+        an accompaniment without a file of its own is derived from them."""
+        corpus, arrays = _corpus_with_arrays(tmp_path)
+        stems, _ = arrays["One"]
+        est_dir = tmp_path / "est"
+        _write_estimates(est_dir, stems)
+        decoded = []
+        load_wav = campaign.load_wav
+
+        def recording_load_wav(path):
+            decoded.append(path.name)
+            return load_wav(path)
+
+        monkeypatch.setattr(campaign, "load_wav", recording_load_wav)
+
+        def decode(*targets):
+            decoded.clear()
+            config = EvalConfig(window=4000, filter_len=32, targets=targets)
+            evaluate_track(corpus.tracks[0], est_dir, "m", config)
+            return sorted(decoded)
+
+        assert decode("vocals") == ["vocals.wav"]
+        assert decode("bass", "vocals") == ["bass.wav", "vocals.wav"]
+        assert decode("accompaniment") == ["bass.wav", "drums.wav", "other.wav"]
+        assert decode("drums", "accompaniment") == ["bass.wav", "drums.wav",
+                                                    "other.wav"]
+        accomp = stems["drums"] + stems["bass"] + stems["other"]
+        save_wav(est_dir / "accompaniment.wav", AudioSignal(accomp, FIXTURE_RATE))
+        assert decode("accompaniment") == ["accompaniment.wav"]
+
     def test_target_subset_respected(self, tmp_path):
         corpus, arrays = _corpus_with_arrays(tmp_path)
         stems, _ = arrays["One"]
