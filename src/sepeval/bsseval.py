@@ -27,18 +27,20 @@ into the segment spectra, sum over reference channels and keep the B
 valid samples of each block's inverse transform.
 
 Each system is solved, after tiny diagonal loading, through a block-
-Levinson factor built from its lags, T^-1 = U D^-1 U^T, in O(L^2 C^3)
-rather than the O(L^3 C^3) of a Cholesky factor of the dense Gram, which
-is never formed.  The factor is refused when one of its error blocks,
-scaled by R[0]'s diagonal, falls to ``_ERROR_FLOOR`` (checked as the
-recursion runs, so a near-singular system is refused early), or when its
-solve of a fixed known-solution probe leaves a relative residual of
-``_PROBE_TOLERANCE`` or more; that system's dense Gram is then factorized
-by Cholesky.  A reference silent over the span gets zero taps and no
-unknowns, so where only the target is audible its joint fit is its solo
-fit and the interference is exactly zero; when every reference is silent,
-so is every tap.  ``bss_eval`` factorizes only the single-reference
-systems of the references it scores against.
+Levinson factor built from its lags in O(L^2 C^3), rather than the
+O(L^3 C^3) of a Cholesky factor of the dense Gram, which is never formed.
+The factor keeps only the spectra of its final forward and backward
+predictors, O(L C^2), and applies T^-1 in the Gohberg-Semencul form by
+FFT, followed by fixed refinement steps.  It is refused when one of its
+error blocks, scaled by R[0]'s diagonal, falls to ``_ERROR_FLOOR``
+(checked as the recursion runs, so a near-singular system is refused
+early), or when its solve of a fixed known-solution probe leaves a
+relative residual of ``_PROBE_TOLERANCE`` or more; that system's dense
+Gram is then factorized by Cholesky.  A reference silent over the span
+gets zero taps and no unknowns, so where only the target is audible its
+joint fit is its solo fit and the interference is exactly zero; when
+every reference is silent, so is every tap.  ``bss_eval`` factorizes only
+the single-reference systems of the references it scores against.
 """
 
 import functools
@@ -49,7 +51,7 @@ import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dposv
 
 from .audio import AudioSignal
 
@@ -70,9 +72,9 @@ DEFAULT_WINDOW = 44100
 _BLOCK_LEN = 8192
 # Relative residual of the block-Levinson probe solve at or above which a
 # system falls back to Cholesky (see _levinson).  Coloured-noise stems at
-# 512 taps leave 1e-15 to 6e-13; harmonic tones over a 16-bit noise floor
-# 5e-13 to 6e-11; near-singular references (lowpass, mono-as-stereo,
-# duplicate) 1e-9 and more.
+# 512 taps leave 2e-16 to 5e-16; the accepted systems of harmonic tones
+# over a 16-bit noise floor, pure sines and lowpass noise up to 4e-12;
+# near-singular systems that pass the error floor can leave 1e-11 and more.
 _PROBE_TOLERANCE = 1e-11
 # Smallest eigenvalue of a Levinson error block, scaled by R[0]'s diagonal,
 # at or below which the factor is refused (see _levinson).  Coloured-noise
@@ -83,6 +85,13 @@ _PROBE_TOLERANCE = 1e-11
 # of its recursion is paid.
 _ERROR_FLOOR = 1e-8
 _FLOOR_STRIDE = 16
+# Refinement steps after the Gohberg-Semencul apply (see _levinson).  The
+# apply alone leaves relative residuals up to 2e-7 on coloured-noise stems
+# and 1.5e-6 on pure sines; each step multiplies the residual by about as
+# much again, so one step still leaves up to 1.4e-11 on sine systems the
+# floor accepts, and two leave rounding level (3.3e-14 at most over 300
+# random draws).
+_REFINEMENTS = 2
 
 
 @dataclass
@@ -258,9 +267,10 @@ class _Projector:
     their taps are bitwise equal.  When every reference is silent
     (``degenerate``) the loading is zero too, nothing is factorized and
     every tap is zero.  Each system is factorized once, when first solved,
-    by :func:`_levinson` from its loaded lags, or by Cholesky of its dense
-    Gram when that factor is refused; a Gram the loading leaves indefinite
-    then raises LinAlgError.
+    by :func:`_levinson` from its loaded lags (a factor that holds only the
+    spectra of its final predictors and lags, 2.5 MB for 8 channels and
+    512 taps), or by Cholesky of its dense Gram when that factor is
+    refused; a Gram the loading leaves indefinite then raises LinAlgError.
 
     Reusing one instance across estimates guarantees that evaluating the
     same estimate twice, in any order, produces bitwise-equal filters.
@@ -366,15 +376,14 @@ def _block_toeplitz(lags: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _toeplitz_product(lags: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T x for the block-Toeplitz T of (L, C, C) ``lags`` and (L C, K) ``x``,
-    by one FFT convolution with R[-(L-1)], ..., R[L-1]: y[p] is sum_q
-    R[p - q] x[q], which sits at index p + L - 1 of the convolution, clear
-    of the circular wrap at any size >= 2L - 1."""
-    L, C = lags.shape[:2]
-    size = scipy.fft.next_fast_len(2 * L - 1, real=True)
-    product = np.matmul(scipy.fft.rfft(_two_sided(lags), size, axis=0),
-                        scipy.fft.rfft(x.reshape(L, C, -1), size, axis=0))
+def _toeplitz_product(spectrum: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
+    """T x for the block-Toeplitz T whose lags R[-(L-1)], ..., R[L-1] have the
+    rFFT ``spectrum`` at ``size`` >= 2L - 1, and (L C, K) ``x``: one FFT
+    convolution, in which y[p] = sum_q R[p - q] x[q] sits at index p + L - 1,
+    clear of the circular wrap."""
+    C = spectrum.shape[1]
+    L = len(x) // C
+    product = np.matmul(spectrum, scipy.fft.rfft(x.reshape(L, C, -1), size, axis=0))
     return scipy.fft.irfft(product, size, axis=0)[L - 1:2 * L - 1].reshape(L * C, -1)
 
 
@@ -382,65 +391,105 @@ def _levinson(lags: np.ndarray):
     """T^-1 of the block-Toeplitz T of loaded (L, C, C) ``lags``, by block Levinson.
 
     The forward and backward block recursions (Wiggins & Robinson 1965)
-    run together: at order k the backward predictor b_k (blocks b_k[0..k],
-    b_k[k] = I) has T_k b_k = [0, ..., 0, E_b[k]] and the forward one a_k
-    (a_k[0] = I) has T_k a_k = [E_f[k], 0, ..., 0].  Column block k of the
-    unit upper triangular U is b_k, so U^T T U = D, block diagonal in E_b,
-    and T^-1 = U D^-1 U^T: each solve is two ``dtrmm`` and one batched
-    C x C product.  Only U's upper triangle is written.
+    run together: at order k the forward predictor a_k (blocks a_k[0..k],
+    a_k[0] = I) has T_k a_k = [E_f, 0, ..., 0] and the backward one b_k
+    (b_k[k] = I) has T_k b_k = [0, ..., 0, E_b].  With nabla = Delta^T =
+    sum_i R[i + 1]^T b_k[i] and the gains K_b = -E_f^-1 nabla and K_f =
+    -E_b^-1 Delta, one product per order,
+
+        [a_{k+1} | b_{k+1}] = [a_k; 0 | 0; b_k] [[I, K_b], [K_f, I]],
+
+    updates both predictors; only the current pair is kept.  From the
+    final pair T^-1 takes the Gohberg-Semencul form
+
+        T^-1 = L(a) L(a E_f^-1)^T - L(Zb) L(Zb E_b^-1)^T,
+
+    where L(v) is the lower block-triangular Toeplitz matrix whose first
+    block column is v and Zb = [0; b[0..L-2]].  Applying it takes four FFTs
+    of size >= 2L - 1 and two per-bin products: the right-hand sides are
+    correlated with a E_f^-1 and Zb E_b^-1, then convolved with a and -Zb.
+    The form is only forward accurate (its residual grows with T's
+    condition number), so the solve follows the apply with
+    ``_REFINEMENTS`` fixed refinement steps, x += apply(rhs - T x), T x by
+    FFT from the lag spectrum (see :func:`_toeplitz_product`).
 
     Returns that solve, or raises LinAlgError when an error block E, scaled
     to S E S by S = diag(R[0])^-1/2, has an eigenvalue at or below
     ``_ERROR_FLOOR``, or when the solve of T v for a fixed v leaves a
-    relative residual (through :func:`_toeplitz_product`, not a dense T) of
-    ``_PROBE_TOLERANCE`` or more.  Levinson is only weakly stable: near-
-    singular Toeplitz systems lose the accuracy Cholesky keeps.  S E_b[k] S
-    is the Schur complement closing order k + 1 of the unit-diagonal
-    scaling of T, so the floor refuses only systems whose scaled T has a
-    condition number above 1 / ``_ERROR_FLOOR`` (a silent channel, loaded
-    and decoupled, is no such system).  The error blocks shrink as k grows,
-    so the floor is checked every ``_FLOOR_STRIDE`` orders during the
-    recursion, and on every block at its end.
+    relative residual of ``_PROBE_TOLERANCE`` or more.  Levinson is only
+    weakly stable: near-singular Toeplitz systems lose the accuracy
+    Cholesky keeps.  S E_b[k] S is the Schur complement closing order
+    k + 1 of the unit-diagonal scaling of T, so the floor refuses only
+    systems whose scaled T has a condition number above 1 / ``_ERROR_FLOOR``
+    (a silent channel, loaded and decoupled, is no such system).  The
+    error blocks shrink as k grows, so the floor is checked every
+    ``_FLOOR_STRIDE`` orders during the recursion and on the final blocks
+    at its end; the gains' Cholesky solve refuses an error block that is
+    not positive definite at any order.
     """
     L, C = lags.shape[:2]
     n = L * C
-    floor = _ERROR_FLOOR * np.diag(np.diagonal(lags[0]))
-    upper = np.zeros((n, n), order="F")
-    upper[:C, :C] = np.eye(C)
-    forward = np.zeros((n, C))
-    forward[:C] = np.eye(C)
-    negated = -lags.reshape(n, C)           # row block m is -R[m]
-    errors = np.stack([lags[0], lags[0]])   # E_b, E_f
-    history = np.empty((L, 2, C, C))        # errors at each order
-    cross = np.empty((2, C, C))             # -Delta, -nabla (Delta = nabla^T)
+    floor = _ERROR_FLOOR * np.diag(np.tile(np.diagonal(lags[0]), 2))
+    negated = -lags.reshape(n, C).T         # column block m is -R[m]^T
+    # The pair [a_k; 0 | 0; b_k], transposed: its 2C columns are the rows
+    # of a (2C, n + C) buffer, a_k's blocks from column block 0 and b_k's
+    # from column block 1.  ``shifted`` views a buffer with its b rows one
+    # block further on, so the product of the gains with one buffer writes
+    # [a_{k+1}; 0 | 0; b_{k+1}] into the other, ready for the next order.
+    buffers = np.zeros((2, 2, C * (n + C) + C))
+    pairs = buffers.reshape(2, -1)[:, :2 * C * (n + C)].reshape(2, 2 * C, n + C)
+    shifted = buffers[..., :C * (n + C)].reshape(2, 2, C, n + C)
+    pairs[0, :C, :C] = pairs[0, C:, C:2 * C] = np.eye(C)
+    errors = np.zeros((2 * C, 2 * C))       # diag(E_f, E_b)
+    errors[:C, :C] = errors[C:, C:] = lags[0]
+    corner = np.empty((2 * C, 2 * C))       # [[E_f, -nabla], [-Delta, E_b]]
+    two = 2.0 * np.eye(2 * C)
     for k in range(L - 1):
         if k % _FLOOR_STRIDE == 0:
             np.linalg.cholesky(errors - floor)  # LinAlgError: below the floor
-        rows = (k + 1) * C
-        history[k] = errors
-        back = upper[:rows, rows - C:rows]  # b_k
+        rows = (k + 2) * C
+        pair = pairs[k % 2]
+        corner[...] = errors
         # nabla = sum_i R[i + 1]^T b_k[i]: row 0 of T_{k+1} times [0; b_k].
-        np.matmul(negated[C:rows + C].T, back, out=cross[1])
-        cross[0] = cross[1].T
-        gains = np.linalg.solve(errors, cross)  # K_f, K_b
-        # b_{k+1} = [0; b_k] + [a_k; 0] K_b, a_{k+1} = [a_k; 0] + [0; b_k] K_f.
-        column = upper[:rows + C, rows:rows + C]
-        np.matmul(forward[:rows + C], gains[1], out=column)
-        column[C:] += back
-        forward[C:rows + C] += back @ gains[0]
-        errors -= cross @ gains[::-1]
-    history[L - 1] = errors
-    np.linalg.cholesky(history - floor)
-    d_inverse = np.linalg.inv(history[:, 0])
+        np.matmul(negated[:, :rows], pair[C:, :rows].T, out=corner[:C, C:])
+        corner[C:, :C] = corner[:C, C:].T
+        _, gains, info = dposv(errors, corner)  # [[I, K_b], [K_f, I]]
+        if info:
+            raise LinAlgError("block Levinson error block is not positive definite")
+        np.matmul(gains.T.reshape(2, C, 2 * C), pair[:, :rows],
+                  out=shifted[1 - k % 2, :, :, :rows])
+        # diag(E_f + nabla K_f, E_b + Delta K_b) = corner (2I - gains).
+        np.matmul(corner, two - gains, out=errors)
+    np.linalg.cholesky(errors - floor)
+    pair = pairs[(L - 1) % 2, :, :n]        # [a | Zb], transposed
+    size = scipy.fft.next_fast_len(2 * L - 1, real=True)
+    spectrum = scipy.fft.rfft(_two_sided(lags), size, axis=0)
+    # Per bin, convolve is the (C, 2C) spectrum of [a | -Zb] and correlate
+    # the (2C, C) conjugate transpose of that of [a E_f^-1 | Zb E_b^-1],
+    # which is [a | -Zb] diag(E_f^-1, -E_b^-1).
+    pair[C:] *= -1.0
+    convolve = scipy.fft.rfft(pair.T.reshape(L, C, 2 * C), size, axis=0)
+    inverse = np.linalg.inv(errors)
+    inverse[:, C:] *= -1.0
+    correlate = (convolve.reshape(-1, 2 * C) @ inverse).reshape(convolve.shape)
+    correlate = np.ascontiguousarray(correlate.conj().transpose(0, 2, 1))
+
+    def apply(rhs: np.ndarray) -> np.ndarray:
+        half = scipy.fft.irfft(
+            correlate @ scipy.fft.rfft(rhs.reshape(L, C, -1), size, axis=0),
+            size, axis=0)[:L]
+        return scipy.fft.irfft(convolve @ scipy.fft.rfft(half, size, axis=0),
+                               size, axis=0)[:L].reshape(n, -1)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        half = dtrmm(1.0, upper, rhs, trans_a=1, diag=1)
-        half = np.matmul(d_inverse, half.reshape(L, C, -1)).reshape(n, -1)
-        return dtrmm(1.0, upper, half, diag=1, overwrite_b=1)
+        x = apply(rhs)
+        for _ in range(_REFINEMENTS):
+            x += apply(rhs - _toeplitz_product(spectrum, x, size))
+        return x
 
     probe = np.random.default_rng(0).standard_normal((n, 1))
-    rhs = _toeplitz_product(lags, probe)
-    residual = _toeplitz_product(lags, solve(rhs)) - rhs
+    rhs = _toeplitz_product(spectrum, probe, size)
+    residual = _toeplitz_product(spectrum, solve(rhs), size) - rhs
     if not np.linalg.norm(residual) < _PROBE_TOLERANCE * np.linalg.norm(rhs):
         raise LinAlgError("block Levinson solve failed its probe")
     return solve

@@ -9,6 +9,7 @@ problem statement.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -702,13 +703,13 @@ class TestSilentSpanRule:
         """A near-singular factor is refused by the error floor within
         _FLOOR_STRIDE orders of the recursion, before its probe is solved."""
         orders, probes = [], []
-        solve = np.linalg.solve
+        gains = bsseval_module.dposv
 
-        def counting_solve(*args):
+        def counting_gains(*args):
             orders.append(1)
-            return solve(*args)
+            return gains(*args)
 
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(bsseval_module, "dposv", counting_gains)
         monkeypatch.setattr(bsseval_module, "_toeplitz_product",
                             lambda *args: probes.append(1))
         rng = np.random.default_rng(62)
@@ -750,3 +751,21 @@ class TestSilentSpanRule:
             bss_eval(_signals(refs), [est], filter_len=16, window=600)
         assert attempts == ["levinson", "cholesky"]  # the joint system's
         assert other_solvers == []
+
+
+def test_factor_memory_is_linear_in_lags():
+    """The block-Levinson factor keeps its final predictors' spectra, not
+    an L C x L C triangle: on an 8-channel, 512-tap system (whose triangle
+    alone is 134 MB) the tracemalloc peak of factor and probe measured
+    5.8 MB.  The bound is 16 MB."""
+    rng = np.random.default_rng(65)
+    projector = bsseval_module._Projector(list(rng.standard_normal((4, 4096, 2))), 512)
+    lags = projector._system_lags(projector._system_refs(0))
+    assert lags.shape == (512, 8, 8)
+    tracemalloc.start()
+    try:
+        bsseval_module._levinson(lags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
