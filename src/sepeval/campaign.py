@@ -19,8 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .audio import load_wav, wav_info
 from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_WINDOW, bss_eval
 from .dataset import STEM_NAMES, TrackRef, derive_accompaniment, load_stems
@@ -233,10 +231,19 @@ def _run_guarded(fn, tracks, map_fn=map) -> list:
 
 
 def _finite_median(values) -> float | None:
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
+    """Median of the finite values, equal to ``np.median``'s; None if none.
+
+    ``np.median`` takes the mean of the two middle values of an even count,
+    which for two float64 values is ``(a + b) / 2``.
+    """
+    finite = sorted(v for v in values if math.isfinite(v))
+    count = len(finite)
+    if not count:
         return None
-    return float(np.median(finite))
+    middle = count // 2
+    if count % 2:
+        return float(finite[middle])
+    return (float(finite[middle - 1]) + float(finite[middle])) / 2
 
 
 @dataclass
@@ -295,8 +302,9 @@ def aggregate(scores) -> AggregateTable:
             for metric in METRIC_NAMES:
                 key = (score.method, target, metric)
                 per_track = table.track_medians.setdefault(key, {})
+                attribute = metric.lower()
                 per_track[score.track] = _finite_median(
-                    getattr(frame, metric.lower()) for frame in frames
+                    [getattr(frame, attribute) for frame in frames]
                 )
     for key, per_track in table.track_medians.items():
         table.campaign_medians[key] = _finite_median(

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepeval import (
     AggregateTable,
@@ -325,6 +327,10 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    def test_even_count_takes_mean_of_middle_pair(self):
+        scores = [_track_score("T", "m", [4.0, 1.0, math.nan, 2.0, 8.0])]
+        assert aggregate(scores).track_medians[("m", "vocals", "SDR")]["T"] == 3.0
+
     def test_scores_by_method_skips_undefined(self):
         table = AggregateTable(
             track_medians={
@@ -385,3 +391,47 @@ class TestSignificance:
         assert payload["methods"] == ["a", "b"]
         assert payload["p_values"] == [[1.0, None], [None, 1.0]]
         assert payload["num_tracks"] == 1
+
+
+def _np_finite_median(values):
+    finite = [v for v in values if math.isfinite(v)]
+    if not finite:
+        return None
+    with np.errstate(over="ignore"):  # two middle values near the float max
+        return float(np.median(finite))
+
+
+# Frame lists of odd and even length, empty ones and all-non-finite ones.
+_FRAME_VALUES = st.lists(
+    st.one_of(
+        st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                         1.7976931348623157e308, -1.7976931348623157e308]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(-100.0, 100.0),
+    ),
+    max_size=9,
+)
+
+
+class TestMedianProperty:
+    # Derandomized: the same examples on every run, so the suite cannot flake.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rows=st.lists(
+        st.tuples(st.sampled_from(["A", "B", "C", "D"]),
+                  st.sampled_from(["m", "n"]), _FRAME_VALUES),
+        min_size=1, max_size=8, unique_by=lambda row: row[:2],
+    ), data=st.data())
+    def test_medians_equal_numpy_and_ignore_order(self, rows, data):
+        scores = [_track_score(track, method, values)
+                  for track, method, values in rows]
+        table = aggregate(scores)
+        for track, method, values in rows:
+            got = table.track_medians[(method, "vocals", "SDR")][track]
+            want = _np_finite_median(values)
+            assert got == want and type(got) is type(want)
+        for key, per_track in table.track_medians.items():
+            want = _np_finite_median(v for v in per_track.values() if v is not None)
+            assert table.campaign_medians[key] == want
+        shuffled = aggregate(data.draw(st.permutations(scores)))
+        assert shuffled.track_medians == table.track_medians
+        assert shuffled.campaign_medians == table.campaign_medians

@@ -23,6 +23,7 @@ from sepeval import (
 from sepeval.cli import main
 
 from conftest import FIXTURE_RATE, write_track
+from test_reports import MALFORMED, malformed_payload
 
 SCORING = ["--filter-len", "32", "--window", "0.5"]
 FAST = ["--stft-window", "256", "--stft-hop", "64"] + SCORING
@@ -366,6 +367,19 @@ class TestCompareCommand:
         payload = json.loads(out_json.read_text())
         assert payload["methods"] == ["A", "B"]
         assert "differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys,value", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_malformed_report_is_an_error_naming_the_file(
+            self, tmp_path, capsys, keys, value):
+        _synthetic_reports(tmp_path / "a", "A")
+        _synthetic_reports(tmp_path / "b", "B")
+        bad = tmp_path / "b" / "broken.json"
+        bad.write_text(json.dumps(malformed_payload(keys, value)))
+        rc = _run(["compare", "--reports", tmp_path / "a", tmp_path / "b",
+                   "--output", tmp_path / "sig.csv"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"sepeval: error: {bad}")
 
     def test_single_method_is_usage_error(self, tmp_path):
         _synthetic_reports(tmp_path / "a", "A")

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,4 +218,210 @@ class TestSchemaErrors:
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(ReportSchemaError, match="object"):
+            read_report(path)
+
+
+def _dumps_value(value):
+    """The reference encoding of one dB value: null plus status when non-finite."""
+    if math.isnan(value):
+        return None, "undefined"
+    if math.isinf(value):
+        return None, "inf" if value > 0 else "neg_inf"
+    return value, "ok"
+
+
+def _dumps_report(score):
+    targets = {}
+    for name, frames in score.targets.items():
+        objs = []
+        for f in frames:
+            obj = {"time": f.window_start, "duration": f.window_len}
+            for metric, value in zip(("SDR", "ISR", "SIR", "SAR"),
+                                     (f.sdr, f.isr, f.sir, f.sar)):
+                obj[metric], obj[f"{metric}_status"] = _dumps_value(value)
+            objs.append(obj)
+        targets[name] = {"frames": objs}
+    return {"track": score.track, "method": score.method,
+            "sample_rate": score.sample_rate, "window": score.window,
+            "hop": score.hop, "mode": score.mode,
+            "filter_len": score.filter_len, "targets": targets}
+
+
+def _dumps_form(scores):
+    """The file text as ``json.dumps`` lays it out: the writer's reference."""
+    if isinstance(scores, TrackScore):
+        payload = {"schema_version": 1, **_dumps_report(scores)}
+    else:
+        payload = {"schema_version": 1,
+                   "reports": [_dumps_report(s) for s in scores]}
+    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
+    return (text + "\n").encode("utf-8")
+
+
+_EDGE_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_ANY_VALUE = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-10**6, 10**6),
+)
+_NAMES = st.one_of(
+    st.sampled_from(['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+                     "Sизвед – Îles", "東京 \u2028 \U0001f3b5", ""]),
+    st.text(max_size=12),
+)
+_ANY_FRAMES = st.lists(
+    st.tuples(_ANY_VALUE, _ANY_VALUE, _ANY_VALUE, _ANY_VALUE,
+              st.integers(0, 10**9), st.integers(0, 10**6)),
+    max_size=4,
+).map(lambda rows: [
+    FrameScores(*row[:4], window_start=row[4], window_len=row[5]) for row in rows
+])
+_ANY_SCORES = st.builds(
+    TrackScore,
+    track=_NAMES,
+    method=_NAMES,
+    targets=st.dictionaries(_NAMES, _ANY_FRAMES, max_size=3),
+    sample_rate=st.integers(1, 192000),
+    window=st.integers(1, 10**6),
+    hop=st.integers(1, 10**6),
+    mode=_NAMES,
+    filter_len=st.integers(0, 4096),
+)
+
+
+class TestWriterMatchesJsonDumps:
+    # Derandomized: the same examples on every run, so the suite cannot flake.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(scores=st.one_of(_ANY_SCORES, st.lists(_ANY_SCORES, max_size=3)))
+    def test_bytes_equal_json_dumps(self, scores, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bytes") / "r.json"
+        write_report(scores, path)
+        assert path.read_bytes() == _dumps_form(scores)
+
+    @pytest.mark.parametrize("scores", [
+        [],
+        _score(targets={}),
+        _score(targets={"vocals": []}),
+        [_score(targets={}), _score(track="B", targets={"bass": []})],
+        _score(targets={"vocals": [_frame(sdr=0, isr=1, sir=-2, sar=3)]}),
+        _score(targets={2: [_frame()], 10: [_frame(start=7)]}),
+        [_score(track=["a", {"b": [1, 2]}], mode={"z": 1, "a": []})],
+    ], ids=["no-reports", "no-targets", "no-frames", "multi-empty",
+            "int-values", "int-target-names", "container-names"])
+    def test_edge_layouts(self, scores, tmp_path):
+        path = tmp_path / "r.json"
+        write_report(scores, path)
+        assert path.read_bytes() == _dumps_form(scores)
+
+    @pytest.mark.parametrize("score", [
+        _score(targets={"vocals": [_frame(sdr=np.float32(1.5))]}),
+        _score(targets={"vocals": [_frame(start=np.int64(3))]}),
+        _score(filter_len=np.int64(512)),
+        _score(track=object()),
+    ], ids=["float32-value", "int64-time", "int64-header", "object-name"])
+    def test_rejected_types_raise_type_error_on_both_routes(self, score, tmp_path):
+        with pytest.raises(TypeError):
+            _dumps_form(score)
+        with pytest.raises(TypeError):
+            write_report(score, tmp_path / "r.json")
+
+
+def _valid_payload():
+    frame = {"time": 0, "duration": 10}
+    for name in ("SDR", "ISR", "SIR", "SAR"):
+        frame[name] = 1.0
+        frame[f"{name}_status"] = "ok"
+    return {"schema_version": 1, "track": "x", "method": "m",
+            "sample_rate": 8000, "mode": "v4_global",
+            "targets": {"vocals": {"frames": [frame]}}}
+
+
+_FRAME0 = ("targets", "vocals", "frames", 0)
+# (case, key path into the payload, value put there)
+MALFORMED = [
+    ("targets-list", ("targets",), []),
+    ("frames-int", ("targets", "vocals", "frames"), 5),
+    ("frame-not-object", _FRAME0, "frame"),
+    ("status-list", _FRAME0 + ("SDR_status",), []),
+    ("sample-rate-text", ("sample_rate",), "abc"),
+    ("sample-rate-null", ("sample_rate",), None),
+    ("sample-rate-bool", ("sample_rate",), True),
+    ("db-true", _FRAME0 + ("SDR",), True),
+    ("db-false", _FRAME0 + ("SAR",), False),
+    ("db-int-beyond-float", _FRAME0 + ("ISR",), 10**400),
+    ("time-fraction", _FRAME0 + ("time",), 1.7),
+    ("duration-fraction", _FRAME0 + ("duration",), 2.5),
+    ("time-text", _FRAME0 + ("time",), "0"),
+    ("track-int", ("track",), 5),
+    ("method-null", ("method",), None),
+    ("mode-list", ("mode",), ["v4"]),
+]
+
+
+def malformed_payload(keys, value):
+    """A valid report payload with the entry at ``keys`` set to ``value``."""
+    payload = _valid_payload()
+    node = payload
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return payload
+
+
+class TestReaderRejectsMalformed:
+    @pytest.mark.parametrize("keys,value", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_single_report_names_the_file(self, tmp_path, keys, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(malformed_payload(keys, value)))
+        with pytest.raises(ReportSchemaError, match=re.escape(str(path))):
+            read_report(path)
+
+    @pytest.mark.parametrize("keys,value", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_multi_report_names_the_file_and_entry(self, tmp_path, keys, value):
+        good = _valid_payload()
+        del good["schema_version"]
+        bad = malformed_payload(keys, value)
+        del bad["schema_version"]
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"schema_version": 1, "reports": [good, bad]}))
+        with pytest.raises(ReportSchemaError, match=re.escape(f"{path}[1]")):
+            read_report(path)
+
+    def test_valid_payload_reads(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(_valid_payload()))
+        (score,) = read_report(path)
+        assert score.targets["vocals"][0].sdr == 1.0
+
+    def test_integral_floats_still_read_as_ints(self, tmp_path):
+        payload = _valid_payload()
+        payload["sample_rate"] = 8000.0
+        payload["targets"]["vocals"]["frames"][0]["time"] = 100.0
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(payload))
+        (score,) = read_report(path)
+        assert type(score.sample_rate) is int and score.sample_rate == 8000
+        frame = score.targets["vocals"][0]
+        assert type(frame.window_start) is int and frame.window_start == 100
+
+    def test_integer_db_value_reads_as_float(self, tmp_path):
+        payload = _valid_payload()
+        payload["targets"]["vocals"]["frames"][0]["SDR"] = 3
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(payload))
+        (score,) = read_report(path)
+        assert type(score.targets["vocals"][0].sdr) is float
+
+    @pytest.mark.parametrize("raw", [
+        '{"track": "Îles"}'.encode("latin-1"),
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["not-utf8", "too-deep"])
+    def test_undecodable_file_names_the_file(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(ReportSchemaError, match=re.escape(str(path))):
             read_report(path)
