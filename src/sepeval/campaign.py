@@ -22,7 +22,7 @@ from pathlib import Path
 from .audio import load_wav, wav_info
 from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_WINDOW, bss_eval
 from .dataset import STEM_NAMES, TrackRef, derive_accompaniment, load_stems
-from .reports import TrackScore, write_report
+from .reports import METRIC_NAMES, TrackScore, write_report
 from .stats import SignificanceMatrix, pairwise_significance
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 TARGET_NAMES = STEM_NAMES + ("accompaniment",)
-METRIC_NAMES = ("SDR", "ISR", "SIR", "SAR")
 
 
 @dataclass(frozen=True)

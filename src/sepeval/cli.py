@@ -13,6 +13,7 @@ files.  Exit codes: 0 success, 1 fatal error, 2 usage error.
 """
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -47,6 +48,20 @@ def _env(name: str, fallback=None):
     """Raw ``SEPEVAL_<name>``, else ``fallback``.  Argparse converts a string
     default only for the subcommand parsed; a bad value is a usage error."""
     return os.environ.get(f"SEPEVAL_{name}", fallback)
+
+
+def _positive(kind):
+    """An argparse type: ``kind(text)``, which must be finite and above 0."""
+
+    def convert(text):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    convert.__name__ = kind.__name__
+    return convert
 
 
 def _mode(name: str) -> str:
@@ -109,15 +124,16 @@ def _score(args, tracks, estimates: Path, method: str, output: Path,
 
 def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--window", type=float, default=_env("WINDOW", 1.0),
+        "--window", type=_positive(float), default=_env("WINDOW", 1.0),
         help="evaluation window in seconds (default 1.0)",
     )
     parser.add_argument(
-        "--hop", type=float, default=None,
+        "--hop", type=_positive(float), default=None,
         help="evaluation hop in seconds (default: window)",
     )
     parser.add_argument(
-        "--filter-len", type=int, default=_env("FILTER_LEN", DEFAULT_FILTER_LEN),
+        "--filter-len", type=_positive(int),
+        default=_env("FILTER_LEN", DEFAULT_FILTER_LEN),
         help=f"distortion filter length in taps (default {DEFAULT_FILTER_LEN})",
     )
     parser.add_argument(
@@ -277,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="IRM magnitude exponent (default 2)")
     oracle.add_argument("--order", type=int, choices=(1, 2), default=None,
                         help="IBM comparison order (default 1)")
-    oracle.add_argument("--iterations", type=int, default=2,
+    oracle.add_argument("--iterations", type=_positive(int), default=2,
                         help="MWF model estimation sweeps (default 2)")
     stft = StftConfig()
     oracle.add_argument("--stft-window", type=int, default=stft.window_size,
@@ -303,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--method", default=None,
                           help="method label for reports (default: dir name)")
     evaluate.add_argument(
-        "--workers", type=int, default=_env("WORKERS"),
+        "--workers", type=_positive(int), default=_env("WORKERS"),
         help="parallel track workers (default: cpu count)",
     )
     evaluate.add_argument("--output", default=_env("OUTPUT"),

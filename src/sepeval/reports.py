@@ -16,30 +16,40 @@ and downstream tools never meet bare Infinity tokens:
 A file holds either one report object or ``{"schema_version": 1,
 "reports": [...]}``.
 
-The writer emits the bytes of ``json.dumps(payload, indent=2,
-sort_keys=True, ensure_ascii=False)`` from a fixed template: with
-``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder, which
-took most of the write time.  ``tests/test_reports.py`` checks byte
-identity against that ``json.dumps`` form.  The reader raises
+The header fields beside ``targets``, their JSON types (``str`` or
+``int``) and their defaults are :class:`TrackScore`'s fields, read into
+one table that the writer and the reader share; a field a file omits
+takes its TrackScore default.  The writer accepts only what the reader
+gives back: exact ``str`` names and modes, exact ``int`` (not ``bool``)
+header integers and frame timing, and ``int`` or ``float`` dB values,
+written as ``float(value)``.  Anything else raises ``TypeError`` naming
+the field before the file is opened, so every written report reads back
+and rewrites to the same bytes.
+
+The writer emits, from a fixed template, the bytes the ``json`` module
+writes for the payload with ``indent=2, sort_keys=True,
+ensure_ascii=False``: with ``indent`` set, that module runs CPython's
+pure-Python encoder, which took most of the write time.
+``tests/test_reports.py`` checks byte identity against it.  The reader raises
 :class:`ReportSchemaError`, naming the file, for any malformed structure
-or value, including booleans as dB values, non-integral frame timing and
-non-string names.
+or value, including booleans or out-of-range numbers as dB values,
+non-integral frame timing and non-string names.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 
 from .bsseval import FrameScores
 
-__all__ = ["SCHEMA_VERSION", "ReportSchemaError", "TrackScore",
+__all__ = ["SCHEMA_VERSION", "METRIC_NAMES", "ReportSchemaError", "TrackScore",
            "write_report", "read_report"]
 
 SCHEMA_VERSION = 1
 
-_METRICS = ("SDR", "ISR", "SIR", "SAR")
+METRIC_NAMES = ("SDR", "ISR", "SIR", "SAR")
 # A frame object's keys in the order sort_keys gives them.
 _FRAME_KEYS = ("ISR", "ISR_status", "SAR", "SAR_status", "SDR", "SDR_status",
                "SIR", "SIR_status", "duration", "time")
@@ -64,38 +74,46 @@ class TrackScore:
     filter_len: int = 512
 
 
-def _json(value, pad: str) -> str:
-    """``value`` as the report's ``json.dumps`` writes it, on a line at ``pad``.
+# The report header: every TrackScore field but the targets, name -> JSON
+# type.  Fields without a default must be present in a file.
+_HEADER = {field.name: field.type for field in fields(TrackScore)
+           if field.name != "targets"}
+_REQUIRED = tuple(field.name for field in fields(TrackScore)
+                  if field.default is MISSING)
 
-    Exact ``str``, ``int`` and finite ``float`` take the encoder's own
-    formatting directly.  Anything else goes to ``json.dumps`` itself,
-    re-indented to sit at ``pad``, so it is written, or rejected with
-    ``TypeError``, as ``json.dumps`` of the whole report would.
+
+def _checked(value, kind: type, field: str):
+    """``value`` if its type is exactly ``kind``, else TypeError naming ``field``.
+
+    Exact, so a bool is no int and a NumPy integer or ``str`` subclass
+    is refused.
     """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
-    return text.replace("\n", "\n" + pad)
+    if type(value) is not kind:
+        raise TypeError(
+            f"report field {field} must be {kind.__name__}, got {value!r}"
+        )
+    return value
 
 
-def _key(name) -> str:
-    """A dict key as ``json.dumps`` writes it: always a JSON string."""
-    if type(name) is str:
-        return encode_basestring(name)
-    return json.dumps({name: None}, ensure_ascii=False)[1:-len(": null}")]
+def _db(value, field: str) -> float:
+    """A dB value, an exact int or a float (NumPy float64 too), as float."""
+    if type(value) is int or isinstance(value, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise TypeError(
+        f"report field {field} must be a real number in float range, got {value!r}"
+    )
 
 
-def _object(fields: dict, pad: str) -> str:
+def _object(members: dict, pad: str) -> str:
     """Already encoded values under sorted keys, braces indented by ``pad``."""
-    if not fields:
+    if not members:
         return "{}"
     inner = pad + "  "
-    lines = (f"{inner}{_key(name)}: {fields[name]}" for name in sorted(fields))
+    lines = (f"{inner}{encode_basestring(name)}: {members[name]}"
+             for name in sorted(members))
     return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
 
 
@@ -107,13 +125,13 @@ def _array(items: list, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
-def _encode_value(value) -> tuple:
-    """JSON text and status of one dB value; non-finite values become null."""
+def _encode_value(value: float) -> tuple:
+    """A dB value for the frame template and its status; non-finite is null."""
     if math.isnan(value):
         return "null", "undefined"
     if math.isinf(value):
         return "null", "inf" if value > 0 else "neg_inf"
-    return _json(value, ""), "ok"
+    return value, "ok"
 
 
 def _frame_template(pad: str) -> str:
@@ -126,19 +144,17 @@ def _frame_template(pad: str) -> str:
     return "{{\n" + ",\n".join(lines) + "\n" + pad + "}}"
 
 
-def _frames_text(frames, pad: str) -> str:
+def _frames_text(target: str, frames, pad: str) -> str:
     """A target's frame list, brackets indented by ``pad``.
 
-    A frame of finite exact floats and exact int timing, the common case,
-    goes into the template as is: ``format`` writes such values as
-    ``float.__repr__`` and ``int.__repr__``.  Any other frame has each
-    value encoded first.
+    ``format`` writes an exact float as ``float.__repr__`` and an exact
+    int as ``int.__repr__``.  A frame of finite exact floats and exact
+    int timing, the common case, goes into the template as is; any other
+    frame has each value checked and converted first.
     """
-    inner = pad + "  "
-    template = _frame_template(inner)
-    values = inner + "  "
+    template = _frame_template(pad + "  ")
     items = []
-    for frame in frames:
+    for i, frame in enumerate(frames):
         isr, sar, sdr, sir = frame.isr, frame.sar, frame.sdr, frame.sir
         duration, time = frame.window_len, frame.window_start
         if (type(isr) is type(sar) is type(sdr) is type(sir) is float
@@ -148,57 +164,59 @@ def _frames_text(frames, pad: str) -> str:
                 isr, "ok", sar, "ok", sdr, "ok", sir, "ok", duration, time
             ))
         else:
+            where = f"targets[{target!r}][{i}]"
             items.append(template.format(
-                *_encode_value(isr), *_encode_value(sar),
-                *_encode_value(sdr), *_encode_value(sir),
-                _json(duration, values), _json(time, values),
+                *_encode_value(_db(isr, f"{where}.ISR")),
+                *_encode_value(_db(sar, f"{where}.SAR")),
+                *_encode_value(_db(sdr, f"{where}.SDR")),
+                *_encode_value(_db(sir, f"{where}.SIR")),
+                _checked(duration, int, f"{where}.duration"),
+                _checked(time, int, f"{where}.time"),
             ))
     return _array(items, pad)
 
 
 def _report_text(score: TrackScore, pad: str, **extra) -> str:
-    """One report object with ``extra`` keys added, braces indented by ``pad``."""
+    """One report object with encoded ``extra`` keys, braces indented by ``pad``."""
     inner = pad + "  "
     body = inner + "  "
-    targets = {
-        name: _object({"frames": _frames_text(frames, body + "  ")}, body)
-        for name, frames in score.targets.items()
-    }
-    fields = {
-        "track": score.track,
-        "method": score.method,
-        "sample_rate": score.sample_rate,
-        "window": score.window,
-        "hop": score.hop,
-        "mode": score.mode,
-        "filter_len": score.filter_len,
-        **extra,
-    }
-    encoded = {name: _json(value, inner) for name, value in fields.items()}
+    encoded = {}
+    for name, kind in _HEADER.items():
+        value = _checked(getattr(score, name), kind, name)
+        encoded[name] = encode_basestring(value) if kind is str else repr(value)
+    targets = {}
+    for name, frames in score.targets.items():
+        text = _frames_text(_checked(name, str, "targets key"), frames, body + "  ")
+        targets[name] = _object({"frames": text}, body)
     encoded["targets"] = _object(targets, inner)
-    return _object(encoded, pad)
+    return _object({**encoded, **extra}, pad)
 
 
-def _integer(value, where: str, key: str) -> int:
-    """A JSON integer, or an integral float, as int."""
-    if type(value) is int:
+def _field(value, kind: type, where: str, key: str):
+    """A header or timing value of JSON type ``kind``; integral floats read as int."""
+    if type(value) is kind:
         return value
-    if type(value) is float and value.is_integer():
+    if kind is int and type(value) is float and value.is_integer():
         return int(value)
-    raise ReportSchemaError(f"{where}: {key} must be an integer, got {value!r}")
+    raise ReportSchemaError(
+        f"{where}: {key} must be of type {kind.__name__}, got {value!r}"
+    )
 
 
 def _decode_value(number, status, where: str) -> float:
     if status == "ok":
         # Exact types: a JSON true/false is a bool, which is an int.
-        if type(number) is float:
-            return number
         if type(number) is int:
             try:
-                return float(number)
+                number = float(number)
             except OverflowError:
                 pass
-        raise ReportSchemaError(f"{where}: status 'ok' but {number!r} is not a number")
+        # A number beyond float range parses as inf, which "ok" cannot be.
+        if type(number) is float and math.isfinite(number):
+            return number
+        raise ReportSchemaError(
+            f"{where}: status 'ok' but {number!r} is not a finite number"
+        )
     if number is not None:
         raise ReportSchemaError(f"{where}: non-finite status with a numeric value")
     try:
@@ -214,10 +232,10 @@ def _frame_from_obj(obj, where: str) -> FrameScores:
     except (KeyError, TypeError) as exc:
         raise ReportSchemaError(f"{where}: bad frame timing: {exc}") from None
     if type(start) is not int or type(length) is not int:
-        start = _integer(start, where, "time")
-        length = _integer(length, where, "duration")
+        start = _field(start, int, where, "time")
+        length = _field(length, int, where, "duration")
     values = {}
-    for name in _METRICS:
+    for name in METRIC_NAMES:
         if name not in obj:
             raise ReportSchemaError(f"{where}: missing {name}")
         status = obj.get(f"{name}_status", "ok")
@@ -228,14 +246,11 @@ def _frame_from_obj(obj, where: str) -> FrameScores:
 def _score_from_obj(obj: dict, where: str) -> TrackScore:
     if not isinstance(obj, dict):
         raise ReportSchemaError(f"{where}: report entry is not an object")
-    for key in ("track", "method", "targets"):
+    for key in _REQUIRED:
         if key not in obj:
             raise ReportSchemaError(f"{where}: missing key {key!r}")
-    for key in ("track", "method", "mode"):
-        if key in obj and type(obj[key]) is not str:
-            raise ReportSchemaError(
-                f"{where}: {key} must be a string, got {obj[key]!r}"
-            )
+    header = {key: _field(obj[key], kind, where, key)
+              for key, kind in _HEADER.items() if key in obj}
     if not isinstance(obj["targets"], dict):
         raise ReportSchemaError(f"{where}: targets must be an object")
     targets = {}
@@ -248,32 +263,23 @@ def _score_from_obj(obj: dict, where: str) -> TrackScore:
             _frame_from_obj(frame, f"{where}.{name}[{i}]")
             for i, frame in enumerate(body["frames"])
         ]
-    return TrackScore(
-        track=obj["track"],
-        method=obj["method"],
-        targets=targets,
-        sample_rate=_integer(obj.get("sample_rate", 44100), where, "sample_rate"),
-        window=_integer(obj.get("window", 44100), where, "window"),
-        hop=_integer(obj.get("hop", 44100), where, "hop"),
-        mode=obj.get("mode", "v4_global"),
-        filter_len=_integer(obj.get("filter_len", 512), where, "filter_len"),
-    )
+    return TrackScore(targets=targets, **header)
 
 
 def write_report(scores, path) -> None:
     """Serialize one TrackScore or a list of them to a JSON file.
 
     Output is deterministic (sorted keys, fixed layout): identical scores
-    always produce byte-identical files.
+    always produce byte-identical files.  A value of a type the schema
+    does not hold raises ``TypeError`` and writes nothing.
     """
+    version = repr(SCHEMA_VERSION)
     if isinstance(scores, TrackScore):
-        text = _report_text(scores, "", schema_version=SCHEMA_VERSION)
+        text = _report_text(scores, "", schema_version=version)
     else:
         reports = [_report_text(score, "    ") for score in scores]
-        text = _object({
-            "reports": _array(reports, "  "),
-            "schema_version": _json(SCHEMA_VERSION, ""),
-        }, "")
+        text = _object({"reports": _array(reports, "  "),
+                        "schema_version": version}, "")
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -281,12 +287,14 @@ def read_report(path) -> list:
     """Parse a report file back into a list of TrackScore."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and over-long integers.
         raise ReportSchemaError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ReportSchemaError(f"{path}: top level must be an object")
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # Exact int: a JSON true or 1.0 compares equal to 1.
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ReportSchemaError(
             f"{path}: schema_version {version!r} not supported "
             f"(expected {SCHEMA_VERSION})"

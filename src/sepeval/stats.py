@@ -84,7 +84,7 @@ def pairwise_significance(
     data = np.array(
         [[scores_by_method[m][t] for m in methods] for t in tracks], dtype=np.float64
     )
-    ranks = np.apply_along_axis(_stats.rankdata, 1, data)  # (n, k)
+    ranks = _stats.rankdata(data, axis=1)  # (n, k)
     rank_sums = ranks.sum(axis=0)
 
     a1 = float(np.sum(ranks * ranks))

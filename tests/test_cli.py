@@ -282,6 +282,38 @@ class TestEvalCommand:
         assert not (out / "summary.csv").exists()
 
 
+class TestNumericFlags:
+    """A count or length that is not a positive finite number is a usage error."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("eval", "--window", "-1"),
+        ("eval", "--window", "0"),
+        ("eval", "--window", "nan"),
+        ("eval", "--window", "inf"),
+        ("eval", "--hop", "0"),
+        ("eval", "--hop", "-0.5"),
+        ("eval", "--workers", "0"),
+        ("eval", "--workers", "-3"),
+        ("eval", "--filter-len", "0"),
+        ("oracle", "--iterations", "0"),
+        ("oracle", "--filter-len", "-1"),
+    ])
+    def test_non_positive_value_is_usage_error(self, corpus_root, tmp_path,
+                                               capsys, command, flag, value):
+        argv = [command, "--corpus", corpus_root, "--output", tmp_path / "out",
+                f"{flag}={value}"]
+        if command == "eval":
+            argv += ["--estimates", corpus_root]
+        else:
+            argv += ["--method", "IRM2"]
+        with pytest.raises(SystemExit) as excinfo:
+            _run(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be positive, got '{value}'" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestMalformedEnvironment:
     """A bad ``SEPEVAL_*`` value is a usage error only where it is read."""
 
@@ -300,6 +332,10 @@ class TestMalformedEnvironment:
     @pytest.mark.parametrize("name, value, expected", [
         ("MODE", "v5", ["--mode", "'v5'", "v3", "v4"]),
         ("WINDOW", "abc", ["--window", "'abc'"]),
+        ("WINDOW", "-1", ["--window", "positive", "'-1'"]),
+        ("WORKERS", "0", ["--workers", "positive", "'0'"]),
+        ("WORKERS", "two", ["--workers", "'two'"]),
+        ("FILTER_LEN", "0", ["--filter-len", "positive", "'0'"]),
     ])
     def test_read_variable_is_usage_error(self, corpus_root, tmp_path,
                                           monkeypatch, capsys, name, value,

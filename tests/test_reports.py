@@ -1,5 +1,6 @@
 """Report serialization tests: round trips, statuses and schema errors."""
 
+import dataclasses
 import json
 import math
 import re
@@ -28,8 +29,8 @@ def _score(track="Song", method="IRM2", **kwargs):
         "targets",
         {"vocals": [_frame(), _frame(start=100)], "drums": [_frame(sdr=-3.0)]},
     )
-    return TrackScore(track=track, method=method, targets=targets,
-                      sample_rate=8000, window=100, hop=100, **kwargs)
+    header = {"sample_rate": 8000, "window": 100, "hop": 100, **kwargs}
+    return TrackScore(track=track, method=method, targets=targets, **header)
 
 
 class TestRoundTrip:
@@ -145,8 +146,9 @@ class TestSchemaErrors:
         path.write_text(json.dumps(payload))
         return path
 
-    def test_wrong_schema_version(self, tmp_path):
-        path = self._write(tmp_path, {"schema_version": 2, "track": "x",
+    @pytest.mark.parametrize("version", [2, True, 1.0, "1"])
+    def test_wrong_schema_version(self, tmp_path, version):
+        path = self._write(tmp_path, {"schema_version": version, "track": "x",
                                       "method": "m", "targets": {}})
         with pytest.raises(ReportSchemaError, match="schema_version"):
             read_report(path)
@@ -222,12 +224,12 @@ class TestSchemaErrors:
 
 
 def _dumps_value(value):
-    """The reference encoding of one dB value: null plus status when non-finite."""
+    """The reference encoding of one dB value: a float, or null plus status."""
     if math.isnan(value):
         return None, "undefined"
     if math.isinf(value):
         return None, "inf" if value > 0 else "neg_inf"
-    return value, "ok"
+    return float(value), "ok"
 
 
 def _dumps_report(score):
@@ -306,26 +308,130 @@ class TestWriterMatchesJsonDumps:
         _score(targets={"vocals": []}),
         [_score(targets={}), _score(track="B", targets={"bass": []})],
         _score(targets={"vocals": [_frame(sdr=0, isr=1, sir=-2, sar=3)]}),
-        _score(targets={2: [_frame()], 10: [_frame(start=7)]}),
-        [_score(track=["a", {"b": [1, 2]}], mode={"z": 1, "a": []})],
     ], ids=["no-reports", "no-targets", "no-frames", "multi-empty",
-            "int-values", "int-target-names", "container-names"])
+            "int-values"])
     def test_edge_layouts(self, scores, tmp_path):
         path = tmp_path / "r.json"
         write_report(scores, path)
         assert path.read_bytes() == _dumps_form(scores)
 
-    @pytest.mark.parametrize("score", [
-        _score(targets={"vocals": [_frame(sdr=np.float32(1.5))]}),
-        _score(targets={"vocals": [_frame(start=np.int64(3))]}),
-        _score(filter_len=np.int64(512)),
-        _score(track=object()),
-    ], ids=["float32-value", "int64-time", "int64-header", "object-name"])
-    def test_rejected_types_raise_type_error_on_both_routes(self, score, tmp_path):
-        with pytest.raises(TypeError):
-            _dumps_form(score)
-        with pytest.raises(TypeError):
-            write_report(score, tmp_path / "r.json")
+
+# Values of types the schema does not hold.
+_WILD_NAMES = st.one_of(
+    st.booleans(), st.integers(), st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_WILD_KEYS = st.one_of(st.booleans(), st.integers(), st.none(),
+                       st.tuples(st.integers()))
+_WILD_INTS = st.one_of(
+    st.booleans(), st.integers(0, 10**6).map(np.int64),
+    st.integers(0, 10**6).map(float),
+    st.floats(allow_nan=True, allow_infinity=True).filter(
+        lambda x: not x.is_integer()),
+)
+_WILD_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True, width=32).map(np.float32),
+    st.integers(-10**6, 10**6).map(np.int64),
+)
+_FRAME_FIELDS = {"sdr": "SDR", "isr": "ISR", "sir": "SIR", "sar": "SAR",
+                 "window_start": "time", "window_len": "duration"}
+
+
+@st.composite
+def _wild_scores(draw):
+    """An ``_ANY_SCORES`` draw with one header field, target name or frame
+    entry swapped for a value of a type the schema does not hold.
+
+    Returns the score and the field the writer's TypeError must name.
+    """
+    score = draw(_ANY_SCORES)
+    spot = draw(st.sampled_from(
+        ["track", "method", "mode", "sample_rate", "window", "hop",
+         "filter_len", "targets key", "frame"]
+    ))
+    if spot in ("track", "method", "mode"):
+        return dataclasses.replace(score, **{spot: draw(_WILD_NAMES)}), spot
+    if spot == "targets key":
+        targets = {**score.targets, draw(_WILD_KEYS): []}
+        return dataclasses.replace(score, targets=targets), spot
+    if spot != "frame":
+        return dataclasses.replace(score, **{spot: draw(_WILD_INTS)}), spot
+    attribute = draw(st.sampled_from(sorted(_FRAME_FIELDS)))
+    wild = _WILD_INTS if attribute.startswith("window") else _WILD_VALUES
+    frame = dataclasses.replace(_frame(), **{attribute: draw(wild)})
+    targets = {**score.targets, "wild": [frame]}
+    field = f"targets['wild'][0].{_FRAME_FIELDS[attribute]}"
+    return dataclasses.replace(score, targets=targets), field
+
+
+_MIXED_SCORES = st.one_of(_ANY_SCORES, _wild_scores().map(lambda pair: pair[0]))
+
+
+class TestWriterAcceptsOnlyWhatReadsBack:
+    # Derandomized: the same examples on every run, so the suite cannot flake.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scores=st.one_of(_MIXED_SCORES, st.lists(_MIXED_SCORES, max_size=3)))
+    def test_rejects_or_rewrites_byte_identically(self, scores, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("mixed")
+        first, second = folder / "first.json", folder / "second.json"
+        try:
+            write_report(scores, first)
+        except TypeError:
+            assert not first.exists()
+            return
+        assert first.read_bytes() == _dumps_form(scores)
+        back = read_report(first)
+        write_report(back[0] if isinstance(scores, TrackScore) else back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wild=_wild_scores())
+    def test_wild_field_is_refused_by_name(self, wild, tmp_path_factory):
+        score, field = wild
+        path = tmp_path_factory.mktemp("wild") / "r.json"
+        with pytest.raises(TypeError, match=re.escape(f"report field {field} ")):
+            write_report(score, path)
+        assert not path.exists()
+
+
+# (case, score or list of scores, field the TypeError must name)
+REJECTED = [
+    ("float32-value", _score(targets={"vocals": [_frame(sdr=np.float32(1.5))]}),
+     "targets['vocals'][0].SDR"),
+    ("int64-value", _score(targets={"vocals": [_frame(sar=np.int64(2))]}),
+     "targets['vocals'][0].SAR"),
+    ("bool-value", _score(targets={"vocals": [_frame(isr=True)]}),
+     "targets['vocals'][0].ISR"),
+    ("int-beyond-float", _score(targets={"vocals": [_frame(sir=10**400)]}),
+     "targets['vocals'][0].SIR"),
+    ("int64-time", _score(targets={"vocals": [_frame(start=np.int64(3))]}),
+     "targets['vocals'][0].time"),
+    ("float-time", _score(targets={"bass": [_frame(start=0.0)]}),
+     "targets['bass'][0].time"),
+    ("bool-duration", _score(targets={"bass": [_frame(), _frame(length=True)]}),
+     "targets['bass'][1].duration"),
+    ("int64-header", _score(filter_len=np.int64(512)), "filter_len"),
+    ("bool-header", _score(hop=True), "hop"),
+    ("float-window", _score(window=1000.0), "window"),
+    ("fractional-rate", _score(sample_rate=44100.5), "sample_rate"),
+    ("int-track", _score(track=5), "track"),
+    ("none-mode", _score(mode=None), "mode"),
+    ("object-name", _score(track=object()), "track"),
+    ("int-target-names", _score(targets={2: [_frame()], 10: [_frame(start=7)]}),
+     "targets key"),
+    ("container-names", [_score(), _score(track=["a", {"b": [1, 2]}])], "track"),
+]
+
+
+@pytest.mark.parametrize("scores,field", [case[1:] for case in REJECTED],
+                         ids=[case[0] for case in REJECTED])
+def test_rejected_types_raise_type_error_and_write_nothing(scores, field, tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError, match=re.escape(f"report field {field} ")):
+        write_report(scores, path)
+    assert not path.exists()
 
 
 def _valid_payload():
@@ -351,6 +457,9 @@ MALFORMED = [
     ("db-true", _FRAME0 + ("SDR",), True),
     ("db-false", _FRAME0 + ("SAR",), False),
     ("db-int-beyond-float", _FRAME0 + ("ISR",), 10**400),
+    # json.dumps writes inf as Infinity, which reads back as 1e400 does.
+    ("db-float-overflow", _FRAME0 + ("SDR",), math.inf),
+    ("db-nan", _FRAME0 + ("SIR",), math.nan),
     ("time-fraction", _FRAME0 + ("time",), 1.7),
     ("duration-fraction", _FRAME0 + ("duration",), 2.5),
     ("time-text", _FRAME0 + ("time",), "0"),
@@ -408,6 +517,13 @@ class TestReaderRejectsMalformed:
         frame = score.targets["vocals"][0]
         assert type(frame.window_start) is int and frame.window_start == 100
 
+    def test_float_overflow_text_is_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_valid_payload()).replace(
+            '"SDR": 1.0', '"SDR": 1e400'))
+        with pytest.raises(ReportSchemaError, match=re.escape(f"{path}.vocals[0].SDR")):
+            read_report(path)
+
     def test_integer_db_value_reads_as_float(self, tmp_path):
         payload = _valid_payload()
         payload["targets"]["vocals"]["frames"][0]["SDR"] = 3
@@ -419,7 +535,8 @@ class TestReaderRejectsMalformed:
     @pytest.mark.parametrize("raw", [
         '{"track": "Îles"}'.encode("latin-1"),
         b"[" * 100000 + b"]" * 100000,
-    ], ids=["not-utf8", "too-deep"])
+        b'{"schema_version": ' + b"1" * 5000 + b"}",
+    ], ids=["not-utf8", "too-deep", "int-too-long"])
     def test_undecodable_file_names_the_file(self, tmp_path, raw):
         path = tmp_path / "bad.json"
         path.write_bytes(raw)
