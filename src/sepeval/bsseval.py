@@ -92,6 +92,9 @@ _FLOOR_STRIDE = 16
 # floor accepts, and two leave rounding level (3.3e-14 at most over 300
 # random draws).
 _REFINEMENTS = 2
+# bss_eval's modes, each with the compute_projection mode that fits the
+# same way: one fit over the whole signal, or one per evaluation window.
+MODES = {"v4_global": "global", "v3_windowed": "windowed"}
 
 
 @dataclass
@@ -518,20 +521,71 @@ def _split(refs: list, est: np.ndarray, j: int, taps: np.ndarray,
     )
 
 
-def _references(references) -> list:
-    """Validate reference signals; their (N, I) sample arrays, uncopied."""
-    if not references:
-        raise ValueError("at least one reference is required")
-    shape = references[0].samples.shape
-    rate = references[0].sample_rate
-    for ref in references:
-        if ref.samples.shape != shape:
-            raise ValueError(
-                f"reference shapes differ: {ref.samples.shape} vs {shape}"
-            )
-        if ref.sample_rate != rate:
+def _signals(references, estimates=None, targets=None) -> tuple:
+    """Checked (N, I) sample arrays of ``references`` and ``estimates``,
+    uncopied, and the reference index each estimate is scored against.
+
+    The references are AudioSignals of one shape and rate, or one
+    (J, N, I) array; each estimate must have their shape.  ``targets``
+    default to estimate k against reference k; one outside the references
+    raises IndexError.  Without ``estimates`` the last two are None.
+    """
+    if not isinstance(references, np.ndarray):
+        if len({ref.sample_rate for ref in references}) > 1:
             raise ValueError("reference sample rates differ")
-    return [ref.samples for ref in references]
+        references = [ref.samples for ref in references]
+    if not len(references):
+        raise ValueError("at least one reference is required")
+    shape = references[0].shape
+    for ref in references:
+        if ref.shape != shape:
+            raise ValueError(f"reference shapes differ: {ref.shape} vs {shape}")
+    if estimates is None:
+        return references, None, None
+    if not estimates:
+        raise ValueError("at least one estimate is required")
+    ests = [est.samples for est in estimates]
+    for est in ests:
+        if est.shape != shape:
+            raise ValueError(
+                f"estimate shape {est.shape} does not match references {shape}"
+            )
+    if targets is None:
+        if len(ests) > len(references):
+            raise ValueError(
+                f"{len(ests)} estimates for {len(references)} references; "
+                "pass explicit targets"
+            )
+        targets = range(len(ests))
+    elif len(targets) != len(ests):
+        raise ValueError("one target index is required per estimate")
+    for j in targets:
+        if not 0 <= j < len(references):
+            raise IndexError(f"target index {j} out of range")
+    return references, ests, list(targets)
+
+
+def _refits(mode: str, names) -> bool:
+    """Whether ``mode``, which must be one of ``names``, fits once per window."""
+    if mode not in names:
+        raise ValueError(
+            f"mode must be {' or '.join(map(repr, names))}, got {mode!r}"
+        )
+    return MODES.get(mode, mode) == "windowed"
+
+
+def _plan(num_samples: int, filter_len: int, refit: bool, window: int,
+          hop: int | None) -> list:
+    """Each fit as (start, stop, span filter length, scored windows): one fit
+    over the whole signal scoring every window, or with ``refit`` one per
+    window, its filters no longer than the window."""
+    spans = _windows(num_samples, window, hop)
+    if not refit:
+        return [(0, num_samples, filter_len, spans)]
+    return [
+        (start, stop, min(filter_len, stop - start), [(start, stop)])
+        for start, stop in spans
+    ]
 
 
 def compute_projection(
@@ -548,35 +602,23 @@ def compute_projection(
     signal; in ``windowed`` mode a list is returned, one per evaluation
     window of ``window`` samples advanced by ``hop``.
     """
-    refs = _references(references)
-    est = estimate.samples
-    if est.shape != refs[0].shape:
-        raise ValueError(
-            f"estimate shape {est.shape} does not match references "
-            f"{refs[0].shape}"
-        )
-    if mode == "global":
-        return _filters(refs, est, filter_len)
-    if mode != "windowed":
-        raise ValueError(f"mode must be 'global' or 'windowed', got {mode!r}")
-    if window is None:
+    refs, (est,), _ = _signals(references, [estimate])
+    refit = _refits(mode, MODES.values())
+    if not refit:
+        window, hop = len(est), None
+    elif window is None:
         raise ValueError("windowed mode requires a window length")
-    return [
-        _filters([ref[start:stop] for ref in refs], est[start:stop],
-                 min(filter_len, stop - start), "windowed", start)
-        for start, stop in _windows(len(est), window, hop or window)
-    ]
-
-
-def _filters(refs: list, est: np.ndarray, filter_len: int,
-             mode: str = "global", start: int = 0) -> ProjectionFilters:
-    """Joint and all J solo filters from the references to an estimate."""
-    projector = _Projector(refs, filter_len)
-    taps, solo = projector.fit(est, range(len(refs)))
-    return ProjectionFilters(
-        taps, np.concatenate(solo), filter_len, mode=mode, window_start=start,
-        window_len=len(est), degenerate=projector.degenerate,
-    )
+    filters = []
+    for start, stop, span_filter_len, _ in _plan(len(est), filter_len, refit,
+                                                 window, hop):
+        projector = _Projector([ref[start:stop] for ref in refs], span_filter_len)
+        taps, solo = projector.fit(est[start:stop], range(len(refs)))
+        filters.append(ProjectionFilters(
+            taps, np.concatenate(solo), span_filter_len, mode=mode,
+            window_start=start, window_len=stop - start,
+            degenerate=projector.degenerate,
+        ))
+    return filters if refit else filters[0]
 
 
 def project(references, taps: np.ndarray) -> np.ndarray:
@@ -586,7 +628,7 @@ def project(references, taps: np.ndarray) -> np.ndarray:
     the least-squares optimality (residual orthogonal to every delayed
     reference) holds.
     """
-    refs = references if isinstance(references, np.ndarray) else _references(references)
+    refs = _signals(references)[0]
     num_refs = len(refs)
     num_samples, channels = refs[0].shape
     if taps.shape[0] != num_refs or taps.shape[1] != channels:
@@ -613,21 +655,15 @@ def decompose(
     unexplained residual.  Successive residuals make the four parts sum
     to the estimate exactly.
     """
-    refs = _references(references)
-    est = estimate.samples
-    num_refs, num_samples = len(refs), len(refs[0])
-    if not 0 <= target_index < num_refs:
-        raise IndexError(f"target index {target_index} out of range")
-    if est.shape[0] != num_samples:
-        raise ValueError("estimate and references differ in length")
-    if filters.taps.shape[0] != num_refs:
+    refs, (est,), (j,) = _signals(references, [estimate], [target_index])
+    if filters.taps.shape[0] != len(refs):
         raise ValueError(
-            f"filters cover {filters.taps.shape[0]} references, got {num_refs}"
+            f"filters cover {filters.taps.shape[0]} references, got {len(refs)}"
         )
-    blocks = _Blocks(num_samples, filters.filter_len)
-    segments = blocks.segment_spectra(refs, num_samples)
-    return _split(refs, est, target_index, filters.taps,
-                  filters.solo_taps[target_index:target_index + 1], blocks, segments)
+    blocks = _Blocks(len(est), filters.filter_len)
+    segments = blocks.segment_spectra(refs, len(est))
+    return _split(refs, est, j, filters.taps, filters.solo_taps[j:j + 1],
+                  blocks, segments)
 
 
 def _ratio_db(num: float, den: float) -> float:
@@ -636,7 +672,10 @@ def _ratio_db(num: float, den: float) -> float:
     return math.inf if num > 0.0 else math.nan
 
 
-def _windows(num_samples: int, window: int, hop: int):
+def _windows(num_samples: int, window: int, hop: int | None):
+    """[start, stop) of each window of ``window`` samples, advanced by ``hop``
+    (default: the window), until the signal ends."""
+    hop = hop or window
     if window < 1 or hop < 1:
         raise ValueError(f"window and hop must be >= 1, got {window}, {hop}")
     if window > num_samples:
@@ -658,7 +697,6 @@ def metrics_from_decomposition(
     spatial part, SIR to interference (after granting the spatial fit),
     SAR to artifacts (after granting everything else).
     """
-    hop = hop or window
     return [
         _frame_scores(d, start, stop)
         for start, stop in _windows(d.s_target.shape[0], window, hop)
@@ -680,50 +718,13 @@ def bss_eval(
     k); pass ``targets`` to name the reference index for each estimate.
     Returns one list of :class:`FrameScores` per estimate.
     """
-    refs = _references(references)
-    num_refs, num_samples = len(refs), len(refs[0])
-    if not estimates:
-        raise ValueError("at least one estimate is required")
-    est_arrays = []
-    for est in estimates:
-        if est.samples.shape[0] != num_samples:
-            raise ValueError(
-                f"estimate length {est.samples.shape[0]} does not match "
-                f"references ({num_samples})"
-            )
-        est_arrays.append(est.samples)
-    if targets is None:
-        if len(est_arrays) > num_refs:
-            raise ValueError(
-                f"{len(est_arrays)} estimates for {num_refs} references; "
-                "pass explicit targets"
-            )
-        targets = list(range(len(est_arrays)))
-    elif len(targets) != len(est_arrays):
-        raise ValueError("one target index is required per estimate")
-    for j in targets:
-        if not 0 <= j < num_refs:
-            raise IndexError(f"target index {j} out of range")
-    spans = _windows(num_samples, window, hop or window)
-
-    # Each fit: the span the filters are fitted on, their length, and the
-    # windows scored from that fit.
-    if mode == "v4_global":
-        fits = [(0, num_samples, filter_len, spans)]
-    elif mode == "v3_windowed":
-        fits = [
-            (start, stop, min(filter_len, stop - start), [(start, stop)])
-            for start, stop in spans
-        ]
-    else:
-        raise ValueError(
-            f"mode must be 'v4_global' or 'v3_windowed', got {mode!r}"
-        )
-    results = [[] for _ in est_arrays]
-    for start, stop, span_filter_len, frames in fits:
+    refs, ests, targets = _signals(references, estimates, targets)
+    plan = _plan(len(refs[0]), filter_len, _refits(mode, MODES), window, hop)
+    results = [[] for _ in ests]
+    for start, stop, span_filter_len, frames in plan:
         span_refs = [ref[start:stop] for ref in refs]
         projector = _Projector(span_refs, span_filter_len)
-        for scores, est, j in zip(results, est_arrays, targets):
+        for scores, est, j in zip(results, ests, targets):
             span_est = est[start:stop]
             taps, (solo,) = projector.fit(span_est, [j])
             d = _split(span_refs, span_est, j, taps, solo,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .audio import load_wav, wav_info
-from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_WINDOW, bss_eval
+from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_WINDOW, MODES, bss_eval
 from .dataset import STEM_NAMES, TrackRef, derive_accompaniment, load_stems
 from .reports import METRIC_NAMES, TrackScore, write_report
 from .stats import SignificanceMatrix, pairwise_significance
@@ -56,6 +56,10 @@ class EvalConfig:
             raise ValueError(f"window must be >= 1 sample, got {self.window}")
         if self.hop is not None and self.hop < 1:
             raise ValueError(f"hop must be >= 1 sample, got {self.hop}")
+        if self.filter_len < 1:
+            raise ValueError(f"filter_len must be >= 1 tap, got {self.filter_len}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {list(MODES)}, got {self.mode!r}")
         unknown = set(self.targets) - set(TARGET_NAMES)
         if unknown:
             raise ValueError(f"unknown targets: {sorted(unknown)}")
@@ -97,58 +101,44 @@ def evaluate_track(
     # Only the mixture's header is needed: its shape and rate check the stems.
     mixture = wav_info(track.path / "mixture.wav")
     shape = (mixture.num_samples, mixture.channels)
-    # The configured targets, and the non-vocal parts of an accompaniment
-    # that has no file of its own.
-    needed = list(config.targets)
-    if ("accompaniment" in needed
-            and not (estimates_dir / "accompaniment.wav").is_file()):
-        needed += [name for name in STEM_NAMES
-                   if name != "vocals" and name not in needed]
-    estimates = dict.fromkeys(TARGET_NAMES)
-    for name in needed:
-        estimates[name] = _load_estimate(estimates_dir / f"{name}.wav", shape)
-    if (
-        "accompaniment" in config.targets
-        and estimates["accompaniment"] is None
-        and all(estimates[name] is not None for name in STEM_NAMES if name != "vocals")
-    ):
-        estimates["accompaniment"] = derive_accompaniment(estimates)
-    if all(estimates[name] is None for name in config.targets):
+
+    def load(name):
+        return _load_estimate(estimates_dir / f"{name}.wav", shape)
+
+    estimates = {name: load(name) for name in config.targets}
+    if "accompaniment" in estimates and estimates["accompaniment"] is None:
+        # No file of its own: the sum of the non-vocal parts, if all exist.
+        parts = {name: estimates[name] if name in estimates else load(name)
+                 for name in STEM_NAMES if name != "vocals"}
+        if all(part is not None for part in parts.values()):
+            estimates["accompaniment"] = derive_accompaniment(parts)
+    if all(estimate is None for estimate in estimates.values()):
         raise FileNotFoundError(
             f"{track.name}: no estimate for any of {list(config.targets)} "
             f"in {estimates_dir}"
         )
     stems = load_stems(track, shape, mixture.sample_rate)
 
-    kwargs = dict(
-        filter_len=config.filter_len,
-        window=config.window,
-        hop=config.effective_hop,
-        mode=config.mode,
-    )
+    # One parameter set for both bss_eval calls and the report header.
+    params = dict(window=config.window, hop=config.effective_hop,
+                  filter_len=config.filter_len, mode=config.mode)
     target_frames = {}
-
-    stem_targets = [
-        name for name in STEM_NAMES
-        if name in config.targets and estimates[name] is not None
-    ]
+    stem_targets = [name for name in STEM_NAMES if estimates.get(name) is not None]
     if stem_targets:
         frames = bss_eval(
             [stems[name] for name in STEM_NAMES],
             [estimates[name] for name in stem_targets],
             targets=[STEM_NAMES.index(name) for name in stem_targets],
-            **kwargs,
+            **params,
         )
         target_frames.update(zip(stem_targets, frames))
-
-    if "accompaniment" in config.targets and estimates["accompaniment"] is not None:
-        frames = bss_eval(
+    if estimates.get("accompaniment") is not None:
+        (target_frames["accompaniment"],) = bss_eval(
             [stems["vocals"], derive_accompaniment(stems)],
             [estimates["accompaniment"]],
             targets=[1],
-            **kwargs,
+            **params,
         )
-        target_frames["accompaniment"] = frames[0]
 
     for name in config.targets:
         if name not in target_frames:
@@ -157,16 +147,8 @@ def evaluate_track(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return TrackScore(
-        track=track.name,
-        method=method_name,
-        targets=target_frames,
-        sample_rate=track.sample_rate,
-        window=config.window,
-        hop=config.effective_hop,
-        mode=config.mode,
-        filter_len=config.filter_len,
-    )
+    return TrackScore(track=track.name, method=method_name, targets=target_frames,
+                      sample_rate=track.sample_rate, **params)
 
 
 def run_campaign(

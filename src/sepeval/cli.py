@@ -50,13 +50,17 @@ def _env(name: str, fallback=None):
     return os.environ.get(f"SEPEVAL_{name}", fallback)
 
 
-def _positive(kind):
-    """An argparse type: ``kind(text)``, which must be finite and above 0."""
+def _positive(kind, zero: bool = False):
+    """An argparse type: ``kind(text)``, which must be finite and above 0,
+    or with ``zero`` at least 0."""
 
     def convert(text):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        bounded = value >= 0 if zero else value > 0  # False for NaN
+        if not (bounded and value < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"must be {'non-negative' if zero else 'positive'}, got {text!r}"
+            )
         return value
 
     # argparse names the type in its "invalid <type> value" message.
@@ -145,12 +149,15 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_oracle(args, parser) -> int:
     corpus_root = _require(args, "corpus", "--corpus", parser)
     output = Path(_require(args, "output", "--output", parser))
+    try:
+        stft_config = StftConfig(args.stft_window, args.stft_hop)
+    except ValueError as exc:  # the hop exceeds the window
+        parser.error(f"argument --stft-hop: {exc}")
     kind, alpha, order = _resolve_method(args.method, args.alpha, args.order)
     param = order if alpha is None else alpha
     label = kind if param is None else f"{kind}{param:g}"
     corpus = scan_corpus(corpus_root)
     tracks = _select_tracks(corpus, args.split, args.tracks)
-    stft_config = StftConfig(args.stft_window, args.stft_hop)
     method_dir = output / label
 
     def separate(track):
@@ -296,10 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--iterations", type=_positive(int), default=2,
                         help="MWF model estimation sweeps (default 2)")
     stft = StftConfig()
-    oracle.add_argument("--stft-window", type=int, default=stft.window_size,
+    oracle.add_argument("--stft-window", type=_positive(int),
+                        default=stft.window_size,
                         help=f"STFT window size in samples "
                              f"(default {stft.window_size})")
-    oracle.add_argument("--stft-hop", type=int, default=stft.hop_size,
+    oracle.add_argument("--stft-hop", type=_positive(int), default=stft.hop_size,
                         help=f"STFT hop size in samples (default {stft.hop_size})")
     oracle.add_argument("--bit-depth", type=int, choices=(16, 24, 32), default=32,
                         help="bit depth of written estimates (default 32)")
@@ -359,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write a JSON corpus manifest here")
     validate.add_argument("--check-mixture", action="store_true",
                           help="also verify mixture = sum of stems per track")
-    validate.add_argument("--tolerance", type=float, default=1e-2,
+    validate.add_argument("--tolerance", type=_positive(float, zero=True),
+                          default=1e-2,
                           help="mixture consistency tolerance (default 1e-2)")
     validate.set_defaults(func=cmd_validate)
 

@@ -7,6 +7,7 @@ the span length, so segments whose L-sample lead exceeds a block occur.
 """
 
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -16,9 +17,16 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 import sepeval.bsseval as bsseval_module
-from sepeval import AudioSignal, bss_eval, compute_projection, decompose, project
+from sepeval import (
+    AudioSignal,
+    bss_eval,
+    compute_projection,
+    decompose,
+    metrics_from_decomposition,
+    project,
+)
 from sepeval.bsseval import _BLOCK_LEN as BLOCK
-from sepeval.bsseval import _Blocks, _block_toeplitz, _levinson, _Projector
+from sepeval.bsseval import MODES, _Blocks, _block_toeplitz, _levinson, _Projector
 
 RATE = 8000
 # Derandomized: the same examples on every run, so the suite cannot flake.
@@ -313,3 +321,59 @@ def test_taps_do_not_depend_on_estimate_order(span, num_refs, channels, kind,
         assert np.array_equal(taps, expected[i][0])
         for got, want in zip(solo_taps, expected[i][1][::-1]):
             assert np.array_equal(got, want)
+
+
+@st.composite
+def framings(draw):
+    """(N, window, hop): the hop below or above the window, N from one
+    window to three windows plus a ragged rest."""
+    window = draw(st.integers(16, 160))
+    hop = draw(st.one_of(st.integers(1, window - 1),
+                         st.integers(window + 1, 2 * window)))
+    return draw(st.integers(window, 3 * window + 1)), window, hop
+
+
+def _frame_bits(frame, offset: int = 0) -> bytes:
+    """The four dB values and the window of ``frame``, moved by ``offset``."""
+    return struct.pack("<4d2q", frame.sdr, frame.isr, frame.sir, frame.sar,
+                       frame.window_start + offset, frame.window_len)
+
+
+@PROPERTY_SETTINGS
+@given(framing=framings(), num_refs=st.integers(1, 3), channels=st.integers(1, 2),
+       filter_len=st.integers(1, 24), mode=st.sampled_from(sorted(MODES)),
+       target=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+@example(framing=(BLOCK + 5, 3000, 1000), num_refs=3, channels=2, filter_len=24,
+         mode="v4_global", target=1, seed=0)
+@example(framing=(BLOCK + 5, 3000, 4500), num_refs=2, channels=2, filter_len=24,
+         mode="v3_windowed", target=0, seed=1)
+@example(framing=(100, 40, 30), num_refs=2, channels=1, filter_len=24,
+         mode="v3_windowed", target=1, seed=2)
+def test_bss_eval_is_the_projection_layer_composed(framing, num_refs, channels,
+                                                   filter_len, mode, target, seed):
+    """bss_eval's frames equal, bit for bit, those of compute_projection,
+    decompose and metrics_from_decomposition composed, in both modes and
+    with any hop.  A v3 fit covers one window and scores it alone; the
+    last, ragged window's filters are no longer than it."""
+    num_samples, window, hop = framing
+    target %= num_refs
+    rng = np.random.default_rng(seed)
+    refs, est = _problem(rng, num_refs, channels, num_samples)
+    signals = [AudioSignal(r, RATE) for r in refs]
+    (frames,) = bss_eval(signals, [AudioSignal(est, RATE)], filter_len=filter_len,
+                         window=window, hop=hop, mode=mode, targets=[target])
+    fits = compute_projection(signals, AudioSignal(est, RATE), filter_len,
+                              mode=MODES[mode], window=window, hop=hop)
+    if mode == "v4_global":
+        d = decompose(AudioSignal(est, RATE), signals, target, fits)
+        composed = [_frame_bits(f)
+                    for f in metrics_from_decomposition(d, window, hop)]
+    else:
+        composed = []
+        for fit in fits:
+            span = slice(fit.window_start, fit.window_start + fit.window_len)
+            d = decompose(AudioSignal(est[span], RATE),
+                          [AudioSignal(r[span], RATE) for r in refs], target, fit)
+            composed += [_frame_bits(f, fit.window_start)
+                         for f in metrics_from_decomposition(d, fit.window_len)]
+    assert [_frame_bits(f) for f in frames] == composed

@@ -28,6 +28,7 @@ from sepeval import (
 )
 
 from sepeval import campaign, dataset
+from sepeval.bsseval import MODES
 
 from conftest import FIXTURE_RATE, write_track
 
@@ -184,6 +185,15 @@ class TestEvaluateTrack:
             EvalConfig(hop=0)
         with pytest.raises(ValueError):
             EvalConfig(targets=("vocals", "chorus"))
+        for filter_len in (0, -3):
+            with pytest.raises(ValueError, match="filter_len"):
+                EvalConfig(filter_len=filter_len)
+        # Only bss_eval's modes; compute_projection's names are not among them.
+        for mode in ("v5", "global", "windowed", "v4"):
+            with pytest.raises(ValueError, match="mode"):
+                EvalConfig(mode=mode)
+        for mode in MODES:
+            assert EvalConfig(mode=mode).mode == mode
 
 
 class TestRunCampaign:

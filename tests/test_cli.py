@@ -20,7 +20,7 @@ from sepeval import (
     save_wav,
     write_report,
 )
-from sepeval.cli import main
+from sepeval.cli import build_parser, main
 
 from conftest import FIXTURE_RATE, write_track
 from test_reports import MALFORMED, malformed_payload
@@ -297,6 +297,10 @@ class TestNumericFlags:
         ("eval", "--filter-len", "0"),
         ("oracle", "--iterations", "0"),
         ("oracle", "--filter-len", "-1"),
+        ("oracle", "--stft-window", "0"),
+        ("oracle", "--stft-window", "-256"),
+        ("oracle", "--stft-hop", "0"),
+        ("oracle", "--stft-hop", "-64"),
     ])
     def test_non_positive_value_is_usage_error(self, corpus_root, tmp_path,
                                                capsys, command, flag, value):
@@ -312,6 +316,32 @@ class TestNumericFlags:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be positive, got '{value}'" in err
         assert not (tmp_path / "out").exists()
+
+    def test_stft_hop_above_window_is_usage_error(self, corpus_root, tmp_path,
+                                                  capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            _run(["oracle", "--corpus", corpus_root, "--output", tmp_path / "out",
+                  "--method", "IRM2", "--stft-window", "256", "--stft-hop", "512"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --stft-hop:" in err
+        assert "hop=512 window=256" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-9", "nan", "inf", "-inf"])
+    def test_negative_or_non_finite_tolerance_is_usage_error(self, corpus_root,
+                                                             capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            _run(["validate", "--corpus", corpus_root, "--check-mixture",
+                  f"--tolerance={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --tolerance: must be non-negative, got '{value}'" in err
+        assert "FAIL" not in err
+
+    def test_zero_tolerance_is_accepted(self):
+        args = build_parser().parse_args(["validate", "--tolerance", "0"])
+        assert args.tolerance == 0.0
 
 
 class TestMalformedEnvironment:
