@@ -29,6 +29,7 @@ __all__ = [
     "load_wav",
     "save_wav",
     "wav_info",
+    "check_layout",
 ]
 
 _PCM = 0x0001
@@ -93,6 +94,11 @@ class AudioSignal:
         """Length in seconds."""
         return self.num_samples / self.sample_rate
 
+    @property
+    def layout(self) -> tuple:
+        """(num_samples, channels, sample_rate), see :func:`check_layout`."""
+        return self.samples.shape + (self.sample_rate,)
+
 
 @dataclass(frozen=True)
 class WavInfo:
@@ -103,6 +109,27 @@ class WavInfo:
     sample_rate: int
     bit_depth: int
     codec: str  # "pcm" or "float"
+
+    @property
+    def layout(self) -> tuple:
+        """(num_samples, channels, sample_rate), see :func:`check_layout`."""
+        return (self.num_samples, self.channels, self.sample_rate)
+
+
+def check_layout(what: str, layout: tuple, expected: tuple,
+                 error: type = ValueError) -> None:
+    """Raise ``error`` naming ``what`` unless ``layout`` is ``expected``.
+
+    A layout is (num_samples, channels, sample_rate), from a WAV header or
+    a decoded signal (``WavInfo.layout``, ``AudioSignal.layout``).  An
+    expected rate of None, for samples held in a bare array, matches any.
+    """
+    if any(want not in (None, got) for got, want in zip(layout, expected)):
+        num_samples, channels, rate = expected
+        raise error(
+            f"{what} has {layout[0]} samples x {layout[1]} ch @ {layout[2]} Hz, "
+            f"expected {num_samples} x {channels} @ {rate or 'any'} Hz"
+        )
 
 
 def _read_exact(fh, n, what):

@@ -53,7 +53,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dposv
 
-from .audio import AudioSignal
+from .audio import AudioSignal, check_layout
 
 __all__ = [
     "ProjectionFilters",
@@ -68,6 +68,7 @@ __all__ = [
 
 DEFAULT_FILTER_LEN = 512
 DEFAULT_WINDOW = 44100
+DEFAULT_MODE = "v4_global"
 # Overlap-save block length, unless the span is shorter.
 _BLOCK_LEN = 8192
 # Relative residual of the block-Levinson probe solve at or above which a
@@ -525,31 +526,33 @@ def _signals(references, estimates=None, targets=None) -> tuple:
     """Checked (N, I) sample arrays of ``references`` and ``estimates``,
     uncopied, and the reference index each estimate is scored against.
 
-    The references are AudioSignals of one shape and rate, or one
-    (J, N, I) array; each estimate must have their shape.  ``targets``
-    default to estimate k against reference k; one outside the references
-    raises IndexError.  Without ``estimates`` the last two are None.
+    The references are AudioSignals of one layout (length, channels and
+    rate), or one (J, N, I) array; each estimate must have their layout,
+    any rate against an array (see :func:`~sepeval.audio.check_layout`).
+    ``targets`` default to estimate k against reference k; one outside the
+    references raises IndexError.  Without ``estimates`` the last two are
+    None.
     """
-    if not isinstance(references, np.ndarray):
-        if len({ref.sample_rate for ref in references}) > 1:
-            raise ValueError("reference sample rates differ")
-        references = [ref.samples for ref in references]
     if not len(references):
         raise ValueError("at least one reference is required")
-    shape = references[0].shape
-    for ref in references:
-        if ref.shape != shape:
-            raise ValueError(f"reference shapes differ: {ref.shape} vs {shape}")
+    if isinstance(references, np.ndarray):
+        if references.ndim != 3:
+            raise ValueError(
+                f"reference array must be (J, N, I), got {references.shape}"
+            )
+        layout = references.shape[1:] + (None,)
+    else:
+        layout = references[0].layout
+        for j, ref in enumerate(references):
+            check_layout(f"reference {j}", ref.layout, layout)
+        references = [ref.samples for ref in references]
     if estimates is None:
         return references, None, None
     if not estimates:
         raise ValueError("at least one estimate is required")
+    for k, est in enumerate(estimates):
+        check_layout(f"estimate {k}", est.layout, layout)
     ests = [est.samples for est in estimates]
-    for est in ests:
-        if est.shape != shape:
-            raise ValueError(
-                f"estimate shape {est.shape} does not match references {shape}"
-            )
     if targets is None:
         if len(ests) > len(references):
             raise ValueError(
@@ -674,8 +677,8 @@ def _ratio_db(num: float, den: float) -> float:
 
 def _windows(num_samples: int, window: int, hop: int | None):
     """[start, stop) of each window of ``window`` samples, advanced by ``hop``
-    (default: the window), until the signal ends."""
-    hop = hop or window
+    (None: the window), until the signal ends."""
+    hop = window if hop is None else hop
     if window < 1 or hop < 1:
         raise ValueError(f"window and hop must be >= 1, got {window}, {hop}")
     if window > num_samples:
@@ -709,7 +712,7 @@ def bss_eval(
     filter_len: int = DEFAULT_FILTER_LEN,
     window: int = DEFAULT_WINDOW,
     hop: int | None = None,
-    mode: str = "v4_global",
+    mode: str = DEFAULT_MODE,
     targets=None,
 ) -> list:
     """Score each estimate against its target reference, framewise.

@@ -19,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .audio import load_wav, wav_info
-from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_WINDOW, MODES, bss_eval
+from .audio import load_wav
+from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_MODE, DEFAULT_WINDOW, MODES, bss_eval
 from .dataset import STEM_NAMES, TrackRef, derive_accompaniment, load_stems
 from .reports import METRIC_NAMES, TrackScore, write_report
 from .stats import SignificanceMatrix, pairwise_significance
@@ -48,7 +48,7 @@ class EvalConfig:
     window: int = DEFAULT_WINDOW
     hop: int | None = None
     filter_len: int = DEFAULT_FILTER_LEN
-    mode: str = "v4_global"
+    mode: str = DEFAULT_MODE
     targets: tuple = TARGET_NAMES
 
     def __post_init__(self):
@@ -66,20 +66,7 @@ class EvalConfig:
 
     @property
     def effective_hop(self) -> int:
-        return self.hop or self.window
-
-
-def _load_estimate(path: Path, shape: tuple):
-    """Load one estimate WAV, or None when the file is absent."""
-    if not path.is_file():
-        return None
-    signal = load_wav(path)
-    if signal.samples.shape != shape:
-        raise ValueError(
-            f"estimate {path.name} shape {signal.samples.shape} does not "
-            f"match track {shape}"
-        )
-    return signal
+        return self.window if self.hop is None else self.hop
 
 
 def evaluate_track(
@@ -93,17 +80,19 @@ def evaluate_track(
     Estimates are WAVs named after targets inside ``estimates_dir``; only
     those of ``config.targets`` are decoded, with the non-vocal ones when
     the accompaniment is derived.  Missing files drop that target from the
-    result (with a warning); shape mismatches, or no estimate for any
-    target, are fatal for the track, and are raised before any stem is
-    decoded.
+    result (with a warning); an estimate whose length, channels or rate
+    differ from the track's, or no estimate for any target, are fatal for
+    the track, and are raised before any stem is decoded.
     """
     estimates_dir = Path(estimates_dir)
-    # Only the mixture's header is needed: its shape and rate check the stems.
-    mixture = wav_info(track.path / "mixture.wav")
-    shape = (mixture.num_samples, mixture.channels)
 
     def load(name):
-        return _load_estimate(estimates_dir / f"{name}.wav", shape)
+        path = estimates_dir / f"{name}.wav"
+        if not path.is_file():
+            return None
+        estimate = load_wav(path)
+        track.check(f"estimate {path}", estimate.layout)
+        return estimate
 
     estimates = {name: load(name) for name in config.targets}
     if "accompaniment" in estimates and estimates["accompaniment"] is None:
@@ -117,7 +106,7 @@ def evaluate_track(
             f"{track.name}: no estimate for any of {list(config.targets)} "
             f"in {estimates_dir}"
         )
-    stems = load_stems(track, shape, mixture.sample_rate)
+    stems = load_stems(track)
 
     # One parameter set for both bss_eval calls and the report header.
     params = dict(window=config.window, hop=config.effective_hop,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioSignal, WavFormatError, load_wav, wav_info
+from .audio import AudioSignal, WavFormatError, check_layout, load_wav, wav_info
 
 __all__ = [
     "STEM_NAMES",
@@ -35,14 +35,29 @@ SPLITS = ("train", "test")
 
 @dataclass(frozen=True)
 class TrackRef:
-    """Header-level description of one scanned track folder."""
+    """Header-level description of one scanned track folder.
+
+    Every WAV of the track, and every estimate scored against it, must
+    have its layout: ``num_samples``, ``channels`` and ``sample_rate``.
+    """
 
     name: str
     split: str
     path: Path
-    duration: float
+    num_samples: int
     sample_rate: int
     channels: int
+
+    @property
+    def duration(self) -> float:
+        """Length in seconds."""
+        return self.num_samples / self.sample_rate
+
+    def check(self, what: str, layout: tuple) -> None:
+        """Raise WavFormatError naming ``what`` unless ``layout`` is the
+        track's (see :func:`~sepeval.audio.check_layout`)."""
+        check_layout(what, layout, (self.num_samples, self.channels,
+                                    self.sample_rate), WavFormatError)
 
 
 @dataclass
@@ -88,27 +103,12 @@ def _probe_track(folder: Path, split: str) -> TrackRef:
         if not path.is_file():
             raise WavFormatError(f"missing {stem}.wav")
         infos[stem] = wav_info(path)
-    reference = infos["mixture"]
+    mixture = infos["mixture"]
+    track = TrackRef(folder.name, split, folder, mixture.num_samples,
+                     mixture.sample_rate, mixture.channels)
     for stem, info in infos.items():
-        if (info.num_samples, info.sample_rate, info.channels) != (
-            reference.num_samples,
-            reference.sample_rate,
-            reference.channels,
-        ):
-            raise WavFormatError(
-                f"{stem}.wav disagrees with mixture.wav "
-                f"({info.num_samples} samples @ {info.sample_rate} Hz, "
-                f"{info.channels} ch vs {reference.num_samples} @ "
-                f"{reference.sample_rate}, {reference.channels})"
-            )
-    return TrackRef(
-        name=folder.name,
-        split=split,
-        path=folder,
-        duration=reference.num_samples / reference.sample_rate,
-        sample_rate=reference.sample_rate,
-        channels=reference.channels,
-    )
+        track.check(f"{stem}.wav", info.layout)
+    return track
 
 
 def scan_corpus(root) -> Corpus:
@@ -116,8 +116,8 @@ def scan_corpus(root) -> Corpus:
 
     Tracks are ordered lexicographically by name within each split, so
     repeated scans of the same tree are identical.  Folders that are
-    missing stems or whose stems disagree in shape are skipped with a
-    warning naming the problem.
+    missing stems or whose stems disagree with the mixture in length,
+    channels or sample rate are skipped with a warning naming the problem.
     """
     root = Path(root)
     if not root.is_dir():
@@ -147,33 +147,23 @@ def load_track(ref: TrackRef):
     Returns ``(mixture, stems)`` where ``stems`` maps stem name to
     signal in the canonical order drums, bass, other, vocals.
     """
-    mixture = load_wav(ref.path / "mixture.wav")
-    return mixture, load_stems(ref, mixture.samples.shape, mixture.sample_rate)
+    return _load(ref, "mixture"), load_stems(ref)
 
 
-def load_stems(ref: TrackRef, shape: tuple, sample_rate: int) -> dict:
-    """Load a track's four stems, checked against the mixture's shape and rate.
+def load_stems(ref: TrackRef) -> dict:
+    """Load a track's four stems, each checked against its scanned layout.
 
-    ``shape`` is the mixture's (num_samples, channels); callers that need
-    no mixture samples take it and ``sample_rate`` from its header
-    (:func:`~sepeval.audio.wav_info`).  Returns a map from stem name to
-    signal in the canonical order drums, bass, other, vocals.
+    Returns a map from stem name to signal in the canonical order drums,
+    bass, other, vocals.
     """
-    stems = {}
-    for stem in STEM_NAMES:
-        signal = load_wav(ref.path / f"{stem}.wav")
-        if signal.samples.shape != shape:
-            raise WavFormatError(
-                f"{stem}.wav shape {signal.samples.shape} does not match "
-                f"mixture {shape} in {ref.path}"
-            )
-        if signal.sample_rate != sample_rate:
-            raise WavFormatError(
-                f"{stem}.wav sample rate {signal.sample_rate} does not "
-                f"match mixture {sample_rate} in {ref.path}"
-            )
-        stems[stem] = signal
-    return stems
+    return {stem: _load(ref, stem) for stem in STEM_NAMES}
+
+
+def _load(ref: TrackRef, stem: str) -> AudioSignal:
+    path = ref.path / f"{stem}.wav"
+    signal = load_wav(path)
+    ref.check(str(path), signal.layout)
+    return signal
 
 
 def derive_accompaniment(stems) -> AudioSignal:

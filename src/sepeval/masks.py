@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioSignal
+from .audio import AudioSignal, check_layout
 from .spectral import Spectrogram, StftConfig, istft, stft
 
 __all__ = [
@@ -445,14 +445,8 @@ def oracle_separate(
     kind, alpha, order = _resolve_method(method, alpha, order)
     if not true_sources:
         raise ValueError("at least one true source is required")
-    for source in true_sources:
-        if source.samples.shape != mixture.samples.shape:
-            raise ValueError(
-                f"source shape {source.samples.shape} does not match "
-                f"mixture {mixture.samples.shape}"
-            )
-        if source.sample_rate != mixture.sample_rate:
-            raise ValueError("source and mixture sample rates differ")
+    for j, source in enumerate(true_sources):
+        check_layout(f"source {j}", source.layout, mixture.layout)
 
     mix_spec = stft(mixture, config)
     images = SourceImages([stft(source, config) for source in true_sources])

@@ -42,7 +42,7 @@ from dataclasses import MISSING, dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .bsseval import FrameScores
+from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_MODE, DEFAULT_WINDOW, FrameScores
 
 __all__ = ["SCHEMA_VERSION", "METRIC_NAMES", "ReportSchemaError", "TrackScore",
            "write_report", "read_report"]
@@ -68,10 +68,10 @@ class TrackScore:
     method: str
     targets: dict
     sample_rate: int = 44100
-    window: int = 44100
-    hop: int = 44100
-    mode: str = "v4_global"
-    filter_len: int = 512
+    window: int = DEFAULT_WINDOW
+    hop: int = DEFAULT_WINDOW
+    mode: str = DEFAULT_MODE
+    filter_len: int = DEFAULT_FILTER_LEN
 
 
 # The report header: every TrackScore field but the targets, name -> JSON

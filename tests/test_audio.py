@@ -10,6 +10,7 @@ from sepeval import (
     TruncatedWavError,
     UnsupportedWavError,
     WavFormatError,
+    WavInfo,
     load_wav,
     save_wav,
     wav_info,
@@ -115,6 +116,64 @@ class TestErrors:
         path.write_bytes(raw)
         with pytest.raises(WavFormatError):
             load_wav(path)
+
+
+def _chunk(chunk_id, body):
+    """One RIFF chunk, with the pad byte that follows an odd-sized body."""
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+
+
+def _riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+_FMT = struct.pack("<HHIIHH", 1, 2, 8000, 32000, 4, 16)
+_PAYLOAD = struct.pack("<4h", 100, -100, 200, -200)
+
+
+class TestHeaderWalk:
+    @pytest.mark.parametrize("position", [0, 1, 2],
+                             ids=["before-fmt", "before-data", "after-data"])
+    def test_odd_foreign_chunk_is_skipped(self, tmp_path, position):
+        """An odd-sized LIST chunk and its pad byte change nothing read."""
+        chunks = [_chunk(b"fmt ", _FMT), _chunk(b"data", _PAYLOAD)]
+        plain = tmp_path / "plain.wav"
+        plain.write_bytes(_riff(*chunks))
+        chunks.insert(position, _chunk(b"LIST", b"INFOISFT\x03\x00\x00\x00ab\x00"))
+        tagged = tmp_path / "tagged.wav"
+        tagged.write_bytes(_riff(*chunks))
+        assert wav_info(tagged) == wav_info(plain) == WavInfo(2, 2, 8000, 16, "pcm")
+        np.testing.assert_array_equal(load_wav(tagged).samples,
+                                      load_wav(plain).samples)
+
+    @pytest.mark.parametrize("raw, error, message", [
+        (b"RIFF\x04\x00\x00\x00WAV", WavFormatError, "too short"),
+        (_riff(b"fmt \x10\x00"), TruncatedWavError, "chunk header"),
+        (_riff(_chunk(b"fmt ", _FMT[:14]), _chunk(b"data", _PAYLOAD)),
+         WavFormatError, "^fmt chunk too small"),
+        (_riff(_chunk(b"fmt ", struct.pack("<HHIIHHH", 0xFFFE, 2, 8000, 32000,
+                                           4, 16, 0)),
+               _chunk(b"data", _PAYLOAD)),
+         WavFormatError, "extensible fmt chunk too small"),
+        (_riff(_chunk(b"data", _PAYLOAD), _chunk(b"fmt ", _FMT)),
+         WavFormatError, "precedes fmt"),
+        (_riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 0, 8000, 0, 0, 16)),
+               _chunk(b"data", _PAYLOAD)),
+         WavFormatError, "no channels"),
+        (_riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 2, 0, 0, 4, 16)),
+               _chunk(b"data", _PAYLOAD)),
+         WavFormatError, "zero rate"),
+    ], ids=["under-12-bytes", "truncated-chunk-header", "short-fmt",
+            "short-extensible-fmt", "data-before-fmt", "zero-channels",
+            "zero-rate"])
+    def test_malformed_header_raises(self, tmp_path, raw, error, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw)
+        for read in (load_wav, wav_info):
+            with pytest.raises(error, match=message) as caught:
+                read(path)
+            assert type(caught.value) is error
 
 
 class TestRoundTrip:

@@ -308,6 +308,14 @@ class TestFraming:
         frames = metrics_from_decomposition(d, window=100)
         assert [f.window_start for f in frames] == [0, 100, 200]
 
+    def test_zero_hop_rejected(self):
+        """Only None means the window: hop 0 is refused like hop -1."""
+        rng = np.random.default_rng(23)
+        d = _make_decomposition(*(rng.standard_normal(300) for _ in range(4)))
+        for hop in (0, -1):
+            with pytest.raises(ValueError, match="hop"):
+                metrics_from_decomposition(d, window=100, hop=hop)
+
     def test_window_longer_than_signal_rejected(self):
         rng = np.random.default_rng(24)
         d = _make_decomposition(*(rng.standard_normal(50) for _ in range(4)))
@@ -376,6 +384,35 @@ class TestBssEval:
         for frames in results:
             for f in frames:
                 assert math.isfinite(f.sdr)
+
+    def test_zero_hop_rejected(self):
+        refs, ests = self._fixture()
+        for hop in (0, -1):
+            with pytest.raises(ValueError, match="hop"):
+                bss_eval(refs, ests, filter_len=16, window=200, hop=hop)
+            with pytest.raises(ValueError, match="hop"):
+                compute_projection(refs, ests[0], 16, mode="windowed",
+                                   window=200, hop=hop)
+
+    def test_estimate_at_another_rate_rejected(self):
+        refs, ests = self._fixture()
+        filters = compute_projection(refs, ests[0], 16)
+        other = AudioSignal(ests[0].samples, 16000)
+        calls = (
+            lambda: bss_eval(refs, [ests[1], other], filter_len=16, window=300),
+            lambda: compute_projection(refs, other, 16),
+            lambda: decompose(other, refs, 0, filters),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="estimate .* 16000 Hz"):
+                call()
+
+    def test_reference_array_must_be_three_dimensional(self):
+        refs, ests = self._fixture()
+        stacked = np.stack([ref.samples for ref in refs])
+        for bad in (stacked[0], stacked[..., None]):
+            with pytest.raises(ValueError, match=r"\(J, N, I\)"):
+                bss_eval(bad, ests, filter_len=16, window=300)
 
     def test_all_zero_references_degenerate_path(self):
         silent = [AudioSignal(np.zeros((120, 1)), 8000)]

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,17 @@ class TestEvaluateTrack:
         save_wav(est_dir / "vocals.wav",
                  AudioSignal(np.zeros((100, 2)), FIXTURE_RATE))
         with pytest.raises(ValueError, match="vocals"):
+            evaluate_track(corpus.tracks[0], est_dir, "bad", CONFIG)
+
+    def test_estimate_at_another_rate_is_fatal(self, tmp_path):
+        corpus, arrays = _corpus_with_arrays(tmp_path)
+        stems, _ = arrays["One"]
+        est_dir = tmp_path / "est"
+        _write_estimates(est_dir, stems)
+        save_wav(est_dir / "vocals.wav",
+                 AudioSignal(stems["vocals"], 2 * FIXTURE_RATE))
+        with pytest.raises(WavFormatError,
+                           match=re.escape(str(est_dir / "vocals.wav"))):
             evaluate_track(corpus.tracks[0], est_dir, "bad", CONFIG)
 
     def test_mixture_header_only_checks_stems(self, tmp_path, monkeypatch):

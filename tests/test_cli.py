@@ -16,6 +16,7 @@ from sepeval import (
     AudioSignal,
     FrameScores,
     TrackScore,
+    load_wav,
     read_report,
     save_wav,
     write_report,
@@ -268,6 +269,20 @@ class TestEvalCommand:
         with open(out / "summary.csv", newline="") as handle:
             tracks = {row["track"] for row in csv.DictReader(handle)}
         assert tracks == {"Alpha - One"}
+
+    def test_track_with_estimate_at_another_rate_is_skipped(self, corpus_root,
+                                                            tmp_path):
+        estimates = self._estimates_tree(tmp_path, corpus_root)
+        vocals = estimates / "Beta - Two" / "vocals.wav"
+        save_wav(vocals, AudioSignal(load_wav(vocals).samples, 2 * FIXTURE_RATE))
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning,
+                          match="track Beta - Two failed: estimate .*vocals.wav"):
+            rc = _run(["eval", "--corpus", corpus_root, "--estimates",
+                       estimates, "--output", out] + SCORING)
+        assert rc == 0
+        assert (out / "Alpha - One.json").is_file()
+        assert not (out / "Beta - Two.json").exists()
 
     def test_root_without_track_folders_fails(self, corpus_root, tmp_path,
                                               capsys):

@@ -137,3 +137,23 @@ class TestManifest:
         assert entry["sample_rate"] == FIXTURE_RATE
         assert entry["channels"] == 2
         assert entry["duration"] == pytest.approx(2.0)
+
+    def test_duration_follows_scanned_length(self, corpus_root, tmp_path):
+        """Tracks keep their length in samples, the duration follows from
+        it, and the manifest's text is fixed byte for byte."""
+        corpus = scan_corpus(corpus_root)
+        for track in corpus.tracks:
+            assert track.num_samples == 2 * FIXTURE_RATE
+            assert track.duration == track.num_samples / track.sample_rate
+        path = tmp_path / "manifest.json"
+        write_manifest(corpus, path)
+        entries = ",\n".join(
+            f'    {{\n      "name": "{name}",\n      "split": "{split}",\n'
+            f'      "duration": 2.0,\n      "sample_rate": 8000,\n'
+            f'      "channels": 2\n    }}'
+            for split, name in (("train", "Alpha - One"), ("test", "Beta - Two"))
+        )
+        root = json.dumps(str(corpus_root))
+        assert path.read_text() == (
+            f'{{\n  "root": {root},\n  "tracks": [\n{entries}\n  ]\n}}\n'
+        )
