@@ -150,6 +150,8 @@ def run_campaign(
 ) -> list:
     """Evaluate many tracks, in parallel, deterministically ordered.
 
+    ``workers`` tracks are scored at a time, one of them on the calling
+    thread (see :func:`_map_threads`).
     ``estimates_root/<track name>/<target>.wav`` supplies the estimates.
     Per-track failures are reported and skipped; the run fails only when
     every track fails.  Results are sorted by track name; with
@@ -163,8 +165,7 @@ def run_campaign(
             track, estimates_root / track.name, method_name, config
         )
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        scores = _run_guarded(one, tracks, pool.map)
+    scores = _run_guarded(one, tracks, lambda fn, ts: _map_threads(fn, ts, workers))
     scores.sort(key=lambda s: s.track)
     if output_dir is not None:
         output_dir = Path(output_dir)
@@ -172,6 +173,28 @@ def run_campaign(
         for score in scores:
             write_report(score, output_dir / f"{score.track}.json")
     return scores
+
+
+def _map_threads(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``, ``workers`` items at a time.
+
+    The calling thread works rather than waits: alone with one worker,
+    else beside ``workers - 1`` helper threads, which take items from the
+    front while it takes from the back those no helper has started.  So
+    two workers start one thread, not two.  With glibc each thread
+    allocates from a malloc arena of its own, which keeps the signal
+    buffers freed in it resident: with a second scoring arena the peak
+    memory of ``sepeval eval --workers 2`` varied by up to 8% from one run
+    to the next.
+    """
+    if workers == 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        mine = {i: fn(items[i]) for i in reversed(range(len(items)))
+                if futures[i].cancel()}
+    return [mine[i] if i in mine else future.result()
+            for i, future in enumerate(futures)]
 
 
 def _run_guarded(fn, tracks, map_fn=map) -> list:

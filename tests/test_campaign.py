@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -276,6 +277,43 @@ class TestRunCampaign:
         assert sorted(p.name for p in out.iterdir()) == ["Able.json", "Charlie.json"]
         failures = [str(w.message) for w in caught if "failed" in str(w.message)]
         assert len(failures) == 1 and "Baker" in failures[0]
+
+
+class TestMapThreads:
+    def test_results_in_item_order(self):
+        for workers in (1, 2, 5):
+            assert campaign._map_threads(lambda x: x * x, range(7), workers) == [
+                x * x for x in range(7)
+            ]
+
+    def test_caller_takes_part(self):
+        """One worker is the caller; two workers start one thread."""
+        threads = campaign._map_threads(
+            lambda _: threading.get_ident(), range(4), workers=1
+        )
+        assert set(threads) == {threading.get_ident()}
+        barrier = threading.Barrier(2, timeout=10)
+
+        def meet(_):
+            barrier.wait()  # both items run at once, or this times out
+            return threading.get_ident()
+
+        threads = campaign._map_threads(meet, range(2), workers=2)
+        assert threading.get_ident() in threads and len(set(threads)) == 2
+
+    def test_helper_exception_reaches_caller(self):
+        caller = threading.get_ident()
+        helper_ran = threading.Event()
+
+        def fail_off_caller(_):
+            if threading.get_ident() == caller:
+                helper_ran.wait(timeout=10)  # leave the other item to the helper
+                return
+            helper_ran.set()
+            raise KeyError("helper")
+
+        with pytest.raises(KeyError, match="helper"):
+            campaign._map_threads(fail_off_caller, range(2), workers=2)
 
 
 def _frame(sdr, start=0, length=100):
