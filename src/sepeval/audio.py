@@ -1,7 +1,9 @@
 """Multichannel audio containers and RIFF/WAVE I/O.
 
-Audio is held as float64 arrays of shape ``(num_samples, channels)`` with a
-nominal amplitude range of [-1, 1].  The WAV codec supports little-endian
+Audio is held as float32 or float64 arrays of shape ``(num_samples,
+channels)`` with a nominal amplitude range of [-1, 1].  Decoded files are
+float32, which holds every codec below exactly; code that computes on
+samples widens them to float64 first.  The WAV codec supports little-endian
 RIFF/WAVE files with 16-bit PCM, 24-bit PCM and 32-bit IEEE float payloads,
 any channel count and any sample rate.
 
@@ -57,6 +59,8 @@ class AudioSignal:
     ----------
     samples : np.ndarray, shape=(num_samples, channels)
         Amplitude values; a 1-D array is treated as a single channel.
+        Float32 and float64 arrays are kept as given, uncopied; any other
+        dtype is widened to float64.
     sample_rate : int
         Sampling rate in Hz, must be positive.
     """
@@ -65,7 +69,9 @@ class AudioSignal:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        if samples.dtype not in (np.float32, np.float64):
+            samples = samples.astype(np.float64)
         if samples.ndim == 1:
             samples = samples[:, None]
         if samples.ndim != 2:
@@ -202,8 +208,9 @@ def load_wav(path) -> AudioSignal:
     Returns
     -------
     AudioSignal
-        Samples scaled to [-1, 1] (see module docstring), channel count and
-        sample rate preserved.
+        Float32 samples scaled to [-1, 1] (see module docstring), channel
+        count and sample rate preserved.  Every codec is exact in float32:
+        16-bit values are i / 2**15, 24-bit values i / 2**23.
 
     Raises
     ------
@@ -227,14 +234,15 @@ def load_wav(path) -> AudioSignal:
         )
 
     if codec == "float":
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     elif bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    else:  # 24-bit PCM
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        ints = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-        ints -= (ints & 0x800000) << 1
-        samples = ints.astype(np.float64) / 8388608.0
+        samples = np.frombuffer(payload, dtype="<i2").astype(np.float32)
+        samples *= 2.0 ** -15
+    else:  # 24-bit PCM: each code in the top three bytes of an int32
+        quads = np.zeros((num_frames * channels, 4), dtype=np.uint8)
+        quads[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+        samples = (quads.view("<i4")[:, 0] >> 8).astype(np.float32)
+        samples *= 2.0 ** -23
     return AudioSignal(samples.reshape(num_frames, channels), rate)
 
 
@@ -262,9 +270,10 @@ def save_wav(path, signal: AudioSignal, bit_depth: int = 32) -> None:
         Audio to write; samples must be finite.
     bit_depth : {16, 24, 32}
         32 writes IEEE float32 (lossless up to float32 precision);
-        16 and 24 write integer PCM with round-to-nearest quantization.
+        16 and 24 write integer PCM with round-to-nearest quantization,
+        computed in float64.
     """
-    samples = signal.samples
+    samples = signal.samples.astype(np.float64, copy=False)
     if bit_depth == 32:
         payload = samples.astype("<f4").tobytes()
         code, bits = _IEEE_FLOAT, 32

@@ -45,6 +45,7 @@ the single-reference systems of the references it scores against.
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,22 +229,27 @@ class _Blocks:
         cross = np.matmul(segments, np.conjugate(blocks, out=blocks))
         return scipy.fft.irfft(cross, self.fft_size, axis=0)[self.filter_len:0:-1]
 
-    def filter_and_sum(self, segments: np.ndarray, taps: np.ndarray,
-                       length: int) -> np.ndarray:
-        """Channels of ``segments`` filtered through (J, I_ref, I_est, L) taps, summed.
+    def product(self, segments: np.ndarray, taps: np.ndarray) -> np.ndarray:
+        """(F, I_est, K) spectra of the channels of ``segments`` filtered
+        through (J, I_ref, I_est, L) taps and summed, block by block.
 
         Tap spectra meet the segment spectra in one product per bin that
-        sums over reference channels; one inverse transform per block and
-        estimate channel then keeps the B valid samples.  Returns the first
-        ``length`` samples, shaped (length, I_est).
+        sums over reference channels; :meth:`valid` turns blocks of it into
+        samples.
         """
         taps = taps.reshape(-1, *taps.shape[2:])
         tap_spectra = scipy.fft.rfft(taps, n=self.fft_size, axis=-1).transpose(2, 1, 0)
-        summed = np.matmul(np.ascontiguousarray(tap_spectra), segments)
-        valid = scipy.fft.irfft(summed, self.fft_size, axis=0)[
+        return np.matmul(np.ascontiguousarray(tap_spectra), segments)
+
+    def valid(self, product: np.ndarray, first: int, stop: int) -> np.ndarray:
+        """Samples [first B, stop B) of a :meth:`product`, shaped (samples,
+        I_est): one inverse transform per block and estimate channel, of
+        which the B valid samples are kept.  Each column is transformed on
+        its own, so a block's samples do not depend on the range."""
+        valid = scipy.fft.irfft(product[:, :, first:stop], self.fft_size, axis=0)[
             self.filter_len:self.filter_len + self.length
         ]
-        return valid.transpose(2, 0, 1).reshape(-1, taps.shape[1])[:length]
+        return valid.transpose(2, 0, 1).reshape(-1, product.shape[1])
 
 
 def _channels(signals) -> list:
@@ -499,27 +505,43 @@ def _levinson(lags: np.ndarray):
     return solve
 
 
-def _split(refs: list, est: np.ndarray, j: int, taps: np.ndarray,
-           solo_taps: np.ndarray, blocks: _Blocks,
-           segments: np.ndarray) -> Decomposition:
-    """Four parts of ``est`` from its projections on reference j and on all.
+def _parts(ref: np.ndarray, est: np.ndarray, j: int, taps: np.ndarray,
+           solo_taps: np.ndarray, blocks: _Blocks, segments: np.ndarray,
+           spans) -> Iterator[Decomposition]:
+    """The four parts of ``est[a:b]`` for each [a, b) of ``spans``, whose
+    starts must not decrease, from its projections on reference j
+    (``ref``) and on all.
 
     ``solo_taps`` are reference j's own, shaped (1, I_ref, I_est, L).
     Interference is what the joint taps add to the solo projection: the
     projection through their difference, so it is exactly zero when the
-    joint fit is the solo fit (every other reference silent).
+    joint fit is the solo fit (every other reference silent).  Both
+    projections' block products are formed once; each block is inverse-
+    transformed once, by the first span that covers it, and held until a
+    span starts past it.  Only the parts of one span are alive at a time,
+    so consume each before asking for the next.
     """
-    num_samples, channels = refs[j].shape
-    proj_solo = blocks.filter_and_sum(
-        segments[:, j * channels:(j + 1) * channels], solo_taps, num_samples
-    )
+    channels = ref.shape[1]
     added = taps.copy()
     added[j] -= solo_taps[0]
-    e_interf = blocks.filter_and_sum(segments, added, num_samples)
-    s_target = refs[j].copy()
-    return Decomposition(
-        s_target, proj_solo - s_target, e_interf, est - (proj_solo + e_interf)
+    products = (
+        blocks.product(segments[:, j * channels:(j + 1) * channels], solo_taps),
+        blocks.product(segments, added),
     )
+    B = blocks.length
+    first, held = 0, [np.empty((0, est.shape[1]))] * 2  # samples of blocks [first, ...)
+    for a, b in spans:
+        k0, k1 = a // B, -(-b // B)
+        stop = max(k0, first + len(held[0]) // B)
+        held = [
+            np.concatenate((h[(k0 - first) * B:], blocks.valid(p, stop, k1)))
+            for h, p in zip(held, products)
+        ]
+        first = k0
+        proj_solo, e_interf = (h[a - k0 * B:b - k0 * B] for h in held)
+        s_target = ref[a:b].astype(np.float64)
+        yield Decomposition(s_target, proj_solo - s_target, e_interf,
+                            est[a:b] - (proj_solo + e_interf))
 
 
 def _signals(references, estimates=None, targets=None) -> tuple:
@@ -641,7 +663,8 @@ def project(references, taps: np.ndarray) -> np.ndarray:
         )
     blocks = _Blocks(num_samples, taps.shape[3])
     length = num_samples + taps.shape[3] - 1
-    return blocks.filter_and_sum(blocks.segment_spectra(refs, length), taps, length)
+    product = blocks.product(blocks.segment_spectra(refs, length), taps)
+    return blocks.valid(product, 0, product.shape[2])[:length]
 
 
 def decompose(
@@ -665,8 +688,9 @@ def decompose(
         )
     blocks = _Blocks(len(est), filters.filter_len)
     segments = blocks.segment_spectra(refs, len(est))
-    return _split(refs, est, j, filters.taps, filters.solo_taps[j:j + 1],
-                  blocks, segments)
+    (d,) = _parts(refs[j], est, j, filters.taps, filters.solo_taps[j:j + 1],
+                  blocks, segments, [(0, len(est))])
+    return d
 
 
 def _ratio_db(num: float, den: float) -> float:
@@ -730,12 +754,13 @@ def bss_eval(
         for scores, est, j in zip(results, ests, targets):
             span_est = est[start:stop]
             taps, (solo,) = projector.fit(span_est, [j])
-            d = _split(span_refs, span_est, j, taps, solo,
-                       projector.blocks, projector.segments)
+            windows = [(a - start, b - start) for a, b in frames]
+            parts = _parts(span_refs[j], span_est, j, taps, solo,
+                           projector.blocks, projector.segments, windows)
             scores.extend(
-                _frame_scores(d, a - start, b - start, start) for a, b in frames
+                _frame_scores(d, 0, b - a, start + a)
+                for d, (a, b) in zip(parts, windows)
             )
-            del d  # before the next estimate's parts are allocated
         del projector  # before the next span's Gram is allocated
     return results
 

@@ -167,9 +167,9 @@ def _load(ref: TrackRef, stem: str) -> AudioSignal:
 
 
 def derive_accompaniment(stems) -> AudioSignal:
-    """Sum of the non-vocal stems (the karaoke complement)."""
+    """Sum of the non-vocal stems (the karaoke complement), in float64."""
     parts = [stems[name] for name in STEM_NAMES if name != "vocals"]
-    total = parts[0].samples.copy()
+    total = parts[0].samples.astype(np.float64)
     for part in parts[1:]:
         total += part.samples
     return AudioSignal(total, parts[0].sample_rate)
@@ -179,10 +179,11 @@ def validate_mixture(ref: TrackRef, tolerance: float = 1e-2) -> MixtureReport:
     """Check that the mixture equals the stem sum within a tolerance.
 
     The oracle methods assume x = sum of source images; PCM-quantized
-    corpora hold this to within a few quantization steps.
+    corpora hold this to within a few quantization steps.  The stems are
+    summed in float64.
     """
     mixture, stems = load_track(ref)
-    total = np.zeros_like(mixture.samples)
+    total = np.zeros(mixture.samples.shape)
     for signal in stems.values():
         total += signal.samples
     deviation = float(np.max(np.abs(mixture.samples - total))) if total.size else 0.0
