@@ -24,7 +24,10 @@ normal equations keep that layout: unknown (p, a) is tap p of channel a,
 so the Gram is block-Toeplitz with block (p, q) = R[p - q], where R[m] is
 the lag-m matrix and R[-m] = R[m]^T.  Projections multiply tap spectra
 into the segment spectra, sum over reference channels and keep the B
-valid samples of each block's inverse transform.
+valid samples of each block's inverse transform; ``bss_eval`` transforms
+only the blocks under each window as it scores it, so it holds no part at
+full length.  Samples may be float32, as decoded; every transform runs on
+float64 copies.
 
 Each system is solved, after tiny diagonal loading, through a block-
 Levinson factor built from its lags in O(L^2 C^3), rather than the
@@ -210,9 +213,10 @@ class _Blocks:
         """(L, C, C') correlations r[m, a, b] = sum_n x_a[n - m] y_b[n].
 
         ``segments`` are the segment spectra of the C channels x; y are the
-        C' channels of ``signals``, as long as x.  The zero-padded blocks of y
-        are transformed and conjugated; one product per bin sums them
-        against the segments over blocks, and one inverse transform per
+        C' channels of ``signals``, as long as x.  One channel of y at a
+        time, its zero-padded blocks are transformed and conjugated, and
+        one product per bin sums them against the segments over blocks;
+        so column b depends on channel b alone.  One inverse transform per
         channel pair gives the circular correlation c[d] = sum_n
         x_seg[n + d] y_blk[n], whose lag m sits at d = L - m.
         """
@@ -220,13 +224,14 @@ class _Blocks:
         channels = _channels(signals)
         full, rest = divmod(len(channels[0]), B)
         padded = np.zeros((full + (rest > 0), self.fft_size))
-        blocks = np.empty((self.fft_size // 2 + 1, len(padded), len(channels)),
-                          dtype=complex)
+        cross = np.empty(segments.shape[:2] + (len(channels),), dtype=complex)
+        blocks = np.empty((len(segments), len(padded), 1), dtype=complex)
         for c, samples in enumerate(channels):
             padded[:full, :B] = samples[:full * B].reshape(full, B)
             padded[full:, :rest] = samples[full * B:]
-            blocks[:, :, c] = scipy.fft.rfft(padded, axis=-1).T
-        cross = np.matmul(segments, np.conjugate(blocks, out=blocks))
+            blocks[..., 0] = scipy.fft.rfft(padded, axis=-1).T
+            np.matmul(segments, np.conjugate(blocks, out=blocks),
+                      out=cross[:, :, c:c + 1])
         return scipy.fft.irfft(cross, self.fft_size, axis=0)[self.filter_len:0:-1]
 
     def product(self, segments: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -518,8 +523,9 @@ def _parts(ref: np.ndarray, est: np.ndarray, j: int, taps: np.ndarray,
     joint fit is the solo fit (every other reference silent).  Both
     projections' block products are formed once; each block is inverse-
     transformed once, by the first span that covers it, and held until a
-    span starts past it.  Only the parts of one span are alive at a time,
-    so consume each before asking for the next.
+    span starts past it.  So beyond the products only the blocks and parts
+    of about one span are alive, provided each span's parts are dropped
+    before the next are asked for.
     """
     channels = ref.shape[1]
     added = taps.copy()
@@ -529,12 +535,13 @@ def _parts(ref: np.ndarray, est: np.ndarray, j: int, taps: np.ndarray,
         blocks.product(segments, added),
     )
     B = blocks.length
-    first, held = 0, [np.empty((0, est.shape[1]))] * 2  # samples of blocks [first, ...)
+    # The valid samples of blocks first, first + 1, ... of both projections.
+    first, held = 0, [np.empty((0, est.shape[1]))] * 2
     for a, b in spans:
-        k0, k1 = a // B, -(-b // B)
-        stop = max(k0, first + len(held[0]) // B)
+        k0, k1 = a // B, -(-b // B)  # the blocks under [a, b)
+        done = max(k0, first + len(held[0]) // B)
         held = [
-            np.concatenate((h[(k0 - first) * B:], blocks.valid(p, stop, k1)))
+            np.concatenate((h[(k0 - first) * B:], blocks.valid(p, done, k1)))
             for h, p in zip(held, products)
         ]
         first = k0
@@ -751,10 +758,10 @@ def bss_eval(
     for start, stop, span_filter_len, frames in plan:
         span_refs = [ref[start:stop] for ref in refs]
         projector = _Projector(span_refs, span_filter_len)
+        windows = [(a - start, b - start) for a, b in frames]
         for scores, est, j in zip(results, ests, targets):
             span_est = est[start:stop]
             taps, (solo,) = projector.fit(span_est, [j])
-            windows = [(a - start, b - start) for a, b in frames]
             parts = _parts(span_refs[j], span_est, j, taps, solo,
                            projector.blocks, projector.segments, windows)
             scores.extend(

@@ -87,6 +87,69 @@ class TestLoadHandBuilt:
         np.testing.assert_array_equal(signal.samples[:, 0], [0.5, -0.5])
 
 
+class TestFilePrecision:
+    """Decoded samples are float32, which holds every codec exactly."""
+
+    def test_pcm16_decodes_to_float32_codes_over_2_15(self, tmp_path):
+        codes = np.arange(-32768, 32768, dtype=np.int16)
+        path = tmp_path / "pcm16.wav"
+        path.write_bytes(_wav_bytes(1, 2, 8000, 16, codes.astype("<i2").tobytes()))
+        samples = load_wav(path).samples
+        assert samples.dtype == np.float32
+        np.testing.assert_array_equal(
+            samples.astype(np.float64), codes.reshape(-1, 2) / 2.0 ** 15
+        )
+
+    def test_pcm24_decodes_to_float32_codes_over_2_23(self, tmp_path):
+        rng = np.random.default_rng(45)
+        codes = np.concatenate((
+            [0, 1, -1, 2 ** 23 - 1, -2 ** 23, 2 ** 22, -2 ** 22 - 1],
+            rng.integers(-2 ** 23, 2 ** 23, 993),
+        ))
+        payload = b"".join(int(code & 0xFFFFFF).to_bytes(3, "little")
+                           for code in codes)
+        path = tmp_path / "pcm24.wav"
+        path.write_bytes(_wav_bytes(1, 1, 44100, 24, payload))
+        samples = load_wav(path).samples
+        assert samples.dtype == np.float32
+        np.testing.assert_array_equal(
+            samples.astype(np.float64), codes[:, None] / 2.0 ** 23
+        )
+
+    def test_float32_decodes_unchanged(self, tmp_path):
+        values = np.random.default_rng(46).standard_normal(64).astype(np.float32)
+        path = tmp_path / "f32.wav"
+        path.write_bytes(_wav_bytes(3, 2, 22050, 32, values.astype("<f4").tobytes()))
+        samples = load_wav(path).samples
+        assert samples.dtype == np.float32
+        np.testing.assert_array_equal(samples, values.reshape(-1, 2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signal_keeps_float_samples_uncopied(self, dtype):
+        samples = np.zeros((16, 2), dtype=dtype)
+        assert AudioSignal(samples, 8000).samples is samples
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float16])
+    def test_signal_widens_other_dtypes(self, dtype):
+        samples = np.array([[-3, 0], [1, 2]], dtype=dtype)
+        widened = AudioSignal(samples, 8000).samples
+        assert widened.dtype == np.float64
+        np.testing.assert_array_equal(widened, samples.astype(np.float64))
+
+    @pytest.mark.parametrize("bit_depth", [16, 24, 32])
+    def test_float32_and_its_widening_write_the_same_bytes(self, tmp_path,
+                                                           bit_depth):
+        rng = np.random.default_rng(47)
+        narrow = rng.uniform(-1.2, 1.2, (500, 2)).astype(np.float32)
+        # Codes halfway between two steps, where rounding must be exact.
+        narrow[:4, 0] = np.array([0.5, 1.5, -2.5, 3.5]) / 2.0 ** (bit_depth - 1)
+        paths = tmp_path / "narrow.wav", tmp_path / "wide.wav"
+        save_wav(paths[0], AudioSignal(narrow, 8000), bit_depth=bit_depth)
+        save_wav(paths[1], AudioSignal(narrow.astype(np.float64), 8000),
+                 bit_depth=bit_depth)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 class TestErrors:
     def test_not_riff(self, tmp_path):
         path = tmp_path / "bad.wav"

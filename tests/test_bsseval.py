@@ -369,6 +369,21 @@ class TestBssEval:
         for f, s in zip(forward, swapped[::-1]):
             assert f == s
 
+    @pytest.mark.parametrize("mode", ["v4_global", "v3_windowed"])
+    def test_float32_signals_score_as_their_float64_widening(self, mode):
+        """Decoded samples are float32; scoring widens them before any
+        arithmetic, so the frames are bitwise those of float64 copies."""
+        rng = np.random.default_rng(32)
+        narrow = rng.standard_normal((3, BLOCK + 700, 2)).astype(np.float32)
+        wide = narrow.astype(np.float64)
+        frames = [
+            bss_eval([AudioSignal(r, 8000) for r in signals[:2]],
+                     [AudioSignal(signals[2], 8000), AudioSignal(signals[0], 8000)],
+                     filter_len=16, window=3000, hop=2000, mode=mode)
+            for signals in (narrow, wide)
+        ]
+        assert frames[0] == frames[1]
+
     def test_explicit_targets_select_references(self):
         refs, ests = self._fixture()
         positional = bss_eval(refs, ests, filter_len=16, window=300)
@@ -806,3 +821,34 @@ def test_factor_memory_is_linear_in_lags():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_scoring_memory_grows_only_with_block_spectra():
+    """v4 scoring holds, per estimate, the references' segment spectra and
+    two per-block product arrays (solo and interference), which grow with
+    the track, and the four parts of one window, which do not: no part is
+    held at full length.  Doubling a 20 s track at 8 kHz (four stereo
+    references, float32 as decoded, allocated before tracing) may raise
+    the tracemalloc peak by at most the growth of those spectra, computed
+    from the blocks' geometry, plus one window of parts: 16.3 MB, of which
+    scoring window by window used 13.2 MB, and holding the parts at full
+    length 22.4 MB."""
+    rate, channels, filter_len = 8000, 2, 64
+    rng = np.random.default_rng(67)
+    peaks, spectra = [], []
+    for seconds in (20, 40):
+        num_samples = seconds * rate
+        refs = [AudioSignal(rng.standard_normal((num_samples, channels))
+                            .astype(np.float32), rate) for _ in range(4)]
+        est = AudioSignal(refs[0].samples + np.float32(0.1) * refs[1].samples, rate)
+        blocks = bsseval_module._Blocks(num_samples, filter_len)
+        per_channel = 16 * (blocks.fft_size // 2 + 1) * -(-num_samples // blocks.length)
+        spectra.append(per_channel * (4 * channels + 2 * channels))
+        tracemalloc.start()
+        try:
+            bss_eval(refs, [est], filter_len=filter_len, window=rate)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    window_of_parts = 4 * rate * channels * 8
+    assert peaks[1] - peaks[0] <= spectra[1] - spectra[0] + window_of_parts

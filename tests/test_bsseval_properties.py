@@ -72,6 +72,31 @@ def test_lags_match_direct_correlation(span, channels, seed):
 
 
 @PROPERTY_SETTINGS
+@given(span=spans(max_filter=64), channels=st.integers(1, 3),
+       estimate_channels=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+@example(span=(2 * BLOCK + 1, 64), channels=2, estimate_channels=3, seed=0)
+def test_lags_of_a_channel_do_not_depend_on_the_others(span, channels,
+                                                       estimate_channels, seed):
+    """Lags are formed one channel of the second signal at a time, so each
+    column is bitwise that of the channel alone: for an estimate's
+    cross-correlations and for the columns of a projector's Gram."""
+    num_samples, filter_len = span
+    rng = np.random.default_rng(seed)
+    refs = list(rng.standard_normal((2, num_samples, channels)))
+    est = rng.standard_normal((num_samples, estimate_channels))
+    blocks = _Blocks(num_samples, filter_len)
+    segments = blocks.segment_spectra(refs, num_samples)
+    lags = blocks.lags(segments, est)
+    for c in range(estimate_channels):
+        assert np.array_equal(lags[..., c], blocks.lags(segments, est[:, c:c + 1])[..., 0])
+    gram = blocks.lags(segments, refs)
+    for r, ref in enumerate(refs):
+        for c in range(channels):
+            alone = blocks.lags(segments, ref[:, c:c + 1])[..., 0]
+            assert np.array_equal(gram[..., r * channels + c], alone)
+
+
+@PROPERTY_SETTINGS
 @given(span=spans(), seed=st.integers(0, 2**32 - 1))
 @example(span=(2 * BLOCK, 3000), seed=0)
 @example(span=(BLOCK, BLOCK), seed=1)

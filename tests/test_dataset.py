@@ -99,6 +99,40 @@ class TestLoad:
         assert accomp.sample_rate == FIXTURE_RATE
 
 
+# Stems whose float32 sum rounds away the two small parts: 1 + 2^-24 ties
+# to 1 in float32, while the float64 sum 1 + 2^-23 is exact (and is a
+# float32 value, so a float32 mixture file holds it).
+_ROUNDING_STEMS = {"drums": 1.0, "bass": 2.0 ** -24, "other": 2.0 ** -24,
+                   "vocals": 0.0}
+
+
+def _rounding_stems(num_samples=8):
+    return {name: AudioSignal(np.full((num_samples, 2), value, dtype=np.float32),
+                              FIXTURE_RATE)
+            for name, value in _ROUNDING_STEMS.items()}
+
+
+class TestFloat64Sums:
+    def test_accompaniment_sums_in_float64(self):
+        accomp = derive_accompaniment(_rounding_stems())
+        assert accomp.samples.dtype == np.float64
+        np.testing.assert_array_equal(accomp.samples, 1.0 + 2.0 ** -23)
+
+    def test_mixture_check_sums_in_float64(self, tmp_path):
+        folder = tmp_path / "test" / "Gamma - Three"
+        folder.mkdir(parents=True)
+        for name, signal in _rounding_stems().items():
+            save_wav(folder / f"{name}.wav", signal)
+        save_wav(folder / "mixture.wav",
+                 AudioSignal(np.full((8, 2), 1.0 + 2.0 ** -23), FIXTURE_RATE))
+        (track,) = scan_corpus(tmp_path).tracks
+        _, stems = load_track(track)
+        assert all(stem.samples.dtype == np.float32 for stem in stems.values())
+        report = validate_mixture(track, tolerance=0.0)
+        assert report.max_deviation == 0.0
+        assert report.passed
+
+
 class TestMixtureValidation:
     def test_exact_sum_has_zero_deviation(self, corpus_root):
         corpus = scan_corpus(corpus_root)

@@ -83,6 +83,16 @@ class TestAnalysis:
         with pytest.raises(ValueError):
             StftConfig(0, 0)
 
+    def test_float32_signal_transforms_as_its_widening(self):
+        """Decoded samples are float32; the frames are widened before the
+        taper, so the bins are bitwise those of a float64 copy."""
+        narrow = np.random.default_rng(8).standard_normal((3000, 2)).astype(np.float32)
+        config = StftConfig(256, 64)
+        np.testing.assert_array_equal(
+            stft(AudioSignal(narrow, 8000), config).bins,
+            stft(AudioSignal(narrow.astype(np.float64), 8000), config).bins,
+        )
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
