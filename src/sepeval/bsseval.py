@@ -68,6 +68,7 @@ __all__ = [
     "decompose",
     "metrics_from_decomposition",
     "bss_eval",
+    "check_scoring",
 ]
 
 DEFAULT_FILTER_LEN = 512
@@ -97,9 +98,8 @@ _FLOOR_STRIDE = 16
 # floor accepts, and two leave rounding level (3.3e-14 at most over 300
 # random draws).
 _REFINEMENTS = 2
-# bss_eval's modes, each with the compute_projection mode that fits the
-# same way: one fit over the whole signal, or one per evaluation window.
-MODES = {"v4_global": "global", "v3_windowed": "windowed"}
+# The scoring modes: one fit over the whole signal, or one per window.
+MODES = ("v4_global", "v3_windowed")
 
 
 @dataclass
@@ -118,7 +118,7 @@ class ProjectionFilters:
     taps: np.ndarray
     solo_taps: np.ndarray
     filter_len: int
-    mode: str = "global"
+    mode: str = DEFAULT_MODE
     window_start: int = 0
     window_len: int | None = None
     degenerate: bool = False
@@ -294,8 +294,6 @@ class _Projector:
     def __init__(self, references: list, filter_len: int):
         num_refs = len(references)
         num_samples, channels = references[0].shape
-        if filter_len < 1:
-            raise ValueError(f"filter_len must be >= 1, got {filter_len}")
         if filter_len > num_samples:
             raise ValueError(
                 f"filter_len {filter_len} exceeds signal length {num_samples}"
@@ -597,22 +595,32 @@ def _signals(references, estimates=None, targets=None) -> tuple:
     return references, ests, list(targets)
 
 
-def _refits(mode: str, names) -> bool:
-    """Whether ``mode``, which must be one of ``names``, fits once per window."""
-    if mode not in names:
-        raise ValueError(
-            f"mode must be {' or '.join(map(repr, names))}, got {mode!r}"
-        )
-    return MODES.get(mode, mode) == "windowed"
+def check_scoring(window: int, hop: int | None = None,
+                  filter_len: int = DEFAULT_FILTER_LEN, mode: str = DEFAULT_MODE) -> int:
+    """The hop of checked scoring parameters: ``hop``, or the window if None.
+
+    Window, hop and filter length must be ints of at least 1 (a bool, a
+    float or a NumPy integer raises TypeError, a smaller int ValueError)
+    and ``mode`` one of :data:`MODES` (else ValueError).
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+    hop = window if hop is None else hop
+    for name, value in (("window", window), ("hop", hop), ("filter_len", filter_len)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    return hop
 
 
-def _plan(num_samples: int, filter_len: int, refit: bool, window: int,
+def _plan(num_samples: int, filter_len: int, mode: str, window: int,
           hop: int | None) -> list:
     """Each fit as (start, stop, span filter length, scored windows): one fit
-    over the whole signal scoring every window, or with ``refit`` one per
-    window, its filters no longer than the window."""
-    spans = _windows(num_samples, window, hop)
-    if not refit:
+    over the whole signal scoring every window, or in ``v3_windowed`` mode
+    one per window, its filters no longer than the window."""
+    spans = _windows(num_samples, window, hop, filter_len, mode)
+    if mode == "v4_global":
         return [(0, num_samples, filter_len, spans)]
     return [
         (start, stop, min(filter_len, stop - start), [(start, stop)])
@@ -624,24 +632,24 @@ def compute_projection(
     references,
     estimate: AudioSignal,
     filter_len: int = DEFAULT_FILTER_LEN,
-    mode: str = "global",
+    mode: str = DEFAULT_MODE,
     window: int | None = None,
     hop: int | None = None,
 ):
     """Least-squares FIR distortion filters matching references to an estimate.
 
-    In ``global`` mode one :class:`ProjectionFilters` covers the whole
-    signal; in ``windowed`` mode a list is returned, one per evaluation
+    In ``v4_global`` mode one :class:`ProjectionFilters` covers the whole
+    signal; in ``v3_windowed`` mode a list is returned, one per evaluation
     window of ``window`` samples advanced by ``hop``.
     """
     refs, (est,), _ = _signals(references, [estimate])
-    refit = _refits(mode, MODES.values())
+    refit = mode == "v3_windowed"
     if not refit:
         window, hop = len(est), None
     elif window is None:
-        raise ValueError("windowed mode requires a window length")
+        raise ValueError("v3_windowed mode requires a window length")
     filters = []
-    for start, stop, span_filter_len, _ in _plan(len(est), filter_len, refit,
+    for start, stop, span_filter_len, _ in _plan(len(est), filter_len, mode,
                                                  window, hop):
         projector = _Projector([ref[start:stop] for ref in refs], span_filter_len)
         taps, solo = projector.fit(est[start:stop], range(len(refs)))
@@ -706,12 +714,12 @@ def _ratio_db(num: float, den: float) -> float:
     return math.inf if num > 0.0 else math.nan
 
 
-def _windows(num_samples: int, window: int, hop: int | None):
+def _windows(num_samples: int, window: int, hop: int | None,
+             filter_len: int = DEFAULT_FILTER_LEN, mode: str = DEFAULT_MODE):
     """[start, stop) of each window of ``window`` samples, advanced by ``hop``
-    (None: the window), until the signal ends."""
-    hop = window if hop is None else hop
-    if window < 1 or hop < 1:
-        raise ValueError(f"window and hop must be >= 1, got {window}, {hop}")
+    (None: the window), until the signal ends; the four parameters pass
+    :func:`check_scoring` first."""
+    hop = check_scoring(window, hop, filter_len, mode)
     if window > num_samples:
         raise ValueError(
             f"window of {window} samples exceeds signal length {num_samples}"
@@ -753,7 +761,7 @@ def bss_eval(
     Returns one list of :class:`FrameScores` per estimate.
     """
     refs, ests, targets = _signals(references, estimates, targets)
-    plan = _plan(len(refs[0]), filter_len, _refits(mode, MODES), window, hop)
+    plan = _plan(len(refs[0]), filter_len, mode, window, hop)
     results = [[] for _ in ests]
     for start, stop, span_filter_len, frames in plan:
         span_refs = [ref[start:stop] for ref in refs]

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .audio import load_wav
-from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_MODE, DEFAULT_WINDOW, MODES, bss_eval
+from .bsseval import (DEFAULT_FILTER_LEN, DEFAULT_MODE, DEFAULT_WINDOW, bss_eval,
+                      check_scoring)
 from .dataset import STEM_NAMES, TrackRef, derive_accompaniment, load_stems
 from .reports import METRIC_NAMES, TrackScore, write_report
 from .stats import SignificanceMatrix, pairwise_significance
@@ -43,7 +44,8 @@ TARGET_NAMES = STEM_NAMES + ("accompaniment",)
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation parameters shared by every track of a campaign run."""
+    """Evaluation parameters shared by every track of a campaign run, checked
+    on construction as ``bss_eval`` checks its own (``check_scoring``)."""
 
     window: int = DEFAULT_WINDOW
     hop: int | None = None
@@ -52,21 +54,10 @@ class EvalConfig:
     targets: tuple = TARGET_NAMES
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1 sample, got {self.window}")
-        if self.hop is not None and self.hop < 1:
-            raise ValueError(f"hop must be >= 1 sample, got {self.hop}")
-        if self.filter_len < 1:
-            raise ValueError(f"filter_len must be >= 1 tap, got {self.filter_len}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {list(MODES)}, got {self.mode!r}")
+        check_scoring(self.window, self.hop, self.filter_len, self.mode)
         unknown = set(self.targets) - set(TARGET_NAMES)
         if unknown:
             raise ValueError(f"unknown targets: {sorted(unknown)}")
-
-    @property
-    def effective_hop(self) -> int:
-        return self.window if self.hop is None else self.hop
 
 
 def evaluate_track(
@@ -109,8 +100,9 @@ def evaluate_track(
     stems = load_stems(track)
 
     # One parameter set for both bss_eval calls and the report header.
-    params = dict(window=config.window, hop=config.effective_hop,
+    params = dict(window=config.window, hop=config.hop,
                   filter_len=config.filter_len, mode=config.mode)
+    params["hop"] = check_scoring(**params)
     target_frames = {}
     stem_targets = [name for name in STEM_NAMES if estimates.get(name) is not None]
     if stem_targets:

@@ -20,7 +20,7 @@ import warnings
 from pathlib import Path
 
 from .audio import save_wav
-from .bsseval import DEFAULT_FILTER_LEN
+from .bsseval import DEFAULT_FILTER_LEN, MODES
 from .campaign import (
     METRIC_NAMES,
     EvalConfig,
@@ -37,11 +37,12 @@ from .dataset import (
     validate_mixture,
     write_manifest,
 )
-from .masks import _resolve_method, oracle_separate
+from .masks import ORACLE_METHODS, _resolve_method, oracle_separate
 from .reports import read_report
 from .spectral import StftConfig
 
-_MODES = {"v4": "v4_global", "v3": "v3_windowed"}
+# bsseval's modes by their version prefix: v4 and v3.
+_MODES = {mode.split("_")[0]: mode for mode in MODES}
 
 
 def _env(name: str, fallback=None):
@@ -69,11 +70,12 @@ def _positive(kind, zero: bool = False):
 
 
 def _mode(name: str) -> str:
+    """An argparse type: bsseval's mode named by its version."""
     if name not in _MODES:
         raise argparse.ArgumentTypeError(
             f"invalid choice: {name!r} (choose from {', '.join(sorted(_MODES))})"
         )
-    return name
+    return _MODES[name]
 
 
 def _progress(message: str) -> None:
@@ -115,7 +117,7 @@ def _score(args, tracks, estimates: Path, method: str, output: Path,
         window=max(1, int(round(args.window * rate))),
         hop=None if args.hop is None else max(1, int(round(args.hop * rate))),
         filter_len=args.filter_len,
-        mode=_MODES[args.mode],
+        mode=args.mode,
     )
     _progress(f"evaluating {method} on {len(tracks)} tracks ({args.mode} mode)")
     scores = run_campaign(
@@ -141,7 +143,7 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
         help=f"distortion filter length in taps (default {DEFAULT_FILTER_LEN})",
     )
     parser.add_argument(
-        "--mode", type=_mode, choices=sorted(_MODES), default=_env("MODE", "v4"),
+        "--mode", type=_mode, default=_env("MODE", "v4"),
         help="v4: track-global filters; v3: filters refit per window",
     )
 
@@ -153,9 +155,7 @@ def cmd_oracle(args, parser) -> int:
         stft_config = StftConfig(args.stft_window, args.stft_hop)
     except ValueError as exc:  # the hop exceeds the window
         parser.error(f"argument --stft-hop: {exc}")
-    kind, alpha, order = _resolve_method(args.method, args.alpha, args.order)
-    param = order if alpha is None else alpha
-    label = kind if param is None else f"{kind}{param:g}"
+    kind, alpha, order, label = _resolve_method(args.method, args.alpha, args.order)
     corpus = scan_corpus(corpus_root)
     tracks = _select_tracks(corpus, args.split, args.tracks)
     method_dir = output / label
@@ -292,11 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(oracle)
     oracle.add_argument(
-        "--method", required=True,
-        choices=("IBM1", "IBM2", "IRM1", "IRM2", "MWF", "IBM", "IRM"),
+        "--method", required=True, choices=ORACLE_METHODS,
         help="oracle mask; bare IBM/IRM use --order/--alpha",
     )
-    oracle.add_argument("--alpha", type=float, default=None,
+    oracle.add_argument("--alpha", type=_positive(float), default=None,
                         help="IRM magnitude exponent (default 2)")
     oracle.add_argument("--order", type=int, choices=(1, 2), default=None,
                         help="IBM comparison order (default 1)")
@@ -352,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="target to compare on (default vocals)")
     compare.add_argument("--metric", default="SDR", choices=METRIC_NAMES,
                          help="metric to compare on (default SDR)")
-    compare.add_argument("--threshold", type=float, default=0.05,
+    compare.add_argument("--threshold", type=_positive(float), default=0.05,
                          help="significance level for stderr verdicts")
     compare.add_argument("--output", required=True,
                          help="CSV output path for the p-value matrix")

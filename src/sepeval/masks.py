@@ -16,6 +16,7 @@ mixture covariance of every bin and frame at once by an elementwise LDL^H
 elimination over the channels, slab by slab along frequency.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,7 +39,8 @@ __all__ = [
     "oracle_separate",
 ]
 
-ORACLE_METHODS = ("IBM1", "IBM2", "IRM1", "IRM2", "MWF")
+# The five canonical methods, then bare IBM and IRM (explicit order or alpha).
+ORACLE_METHODS = ("IBM1", "IBM2", "IRM1", "IRM2", "MWF", "IBM", "IRM")
 
 
 @dataclass
@@ -178,8 +180,8 @@ def irm_mask(sources: SourceImages, alpha: float = 2.0) -> ScalarMask:
     Bins where all sources vanish get the uniform value 1/J, which keeps
     the masks summing to one everywhere.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     power = sources.magnitudes() ** alpha
     total = power.sum(axis=0)
     num = sources.num_sources
@@ -391,38 +393,29 @@ def apply_mask(mask, mixture: Spectrogram, j: int) -> Spectrogram:
     return Spectrogram(masked, mixture.config, mixture.original_length, mixture.sample_rate)
 
 
-def _resolve_method(method: str, alpha, order):
-    """Normalize a method name plus optional explicit mask parameter.
+def _resolve_method(method: str, alpha, order) -> tuple:
+    """Normalize a method name plus optional explicit mask parameter to
+    ``(kind, alpha, order, label)``; the label names the run (``IRM1.5``).
 
     IBM takes only ``order`` and IRM only ``alpha``; MWF takes neither.  A
     parameter the method does not take, or one that contradicts the
     method's suffix, is an error.
     """
     name = method.upper()
-    if name not in ORACLE_METHODS + ("IBM", "IRM"):
-        raise ValueError(
-            f"unknown method {method!r}; expected one of "
-            f"{ORACLE_METHODS + ('IBM', 'IRM')}"
-        )
-    kind = name[:3]
-    if alpha is not None and kind != "IRM":
-        raise ValueError(f"alpha {alpha} does not apply to method {name}")
-    if order is not None and kind != "IBM":
-        raise ValueError(f"order {order} does not apply to method {name}")
-    if name == "IBM":
-        return "IBM", None, order if order is not None else 1
-    if name == "IRM":
-        return "IRM", alpha if alpha is not None else 2.0, None
-    if name == "MWF":
-        return "MWF", None, None
-    suffix = int(name[3])
+    if name not in ORACLE_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {ORACLE_METHODS}")
+    kind, suffix = name[:3], name[3:]
+    for param, value, taker in (("alpha", alpha, "IRM"), ("order", order, "IBM")):
+        if value is not None and kind != taker:
+            raise ValueError(f"{param} {value} does not apply to method {name}")
+        if value is not None and suffix and value != int(suffix):
+            raise ValueError(f"{param} {value} conflicts with method {name}")
     if kind == "IBM":
-        if order is not None and order != suffix:
-            raise ValueError(f"order {order} conflicts with method {name}")
-        return "IBM", None, suffix
-    if alpha is not None and alpha != float(suffix):
-        raise ValueError(f"alpha {alpha} conflicts with method {name}")
-    return "IRM", float(suffix), None
+        order = int(suffix) if suffix else (1 if order is None else order)
+    elif kind == "IRM":
+        alpha = float(suffix) if suffix else (2.0 if alpha is None else alpha)
+    param = order if alpha is None else alpha
+    return kind, alpha, order, kind if param is None else f"{kind}{param:g}"
 
 
 def oracle_separate(
@@ -440,9 +433,10 @@ def oracle_separate(
     true source images is applied to the mixture and synthesized back,
     trimmed to the input length.  ``method`` is one of the five canonical
     names, or bare ``IBM``/``IRM`` combined with an explicit ``order`` or
-    ``alpha``.
+    ``alpha``.  The source images are freed once the mask or model exists,
+    and each estimate is synthesized as soon as its spectrogram is formed.
     """
-    kind, alpha, order = _resolve_method(method, alpha, order)
+    kind, alpha, order, _ = _resolve_method(method, alpha, order)
     if not true_sources:
         raise ValueError("at least one true source is required")
     for j, source in enumerate(true_sources):
@@ -453,14 +447,17 @@ def oracle_separate(
 
     if kind == "MWF":
         model = estimate_mwf_model(images, iterations)
+        del images
         # The Wiener kernel on the mixture column: no mask is materialized.
-        masked = np.empty((images.num_sources,) + mix_spec.bins.shape, complex)
+        masked = np.empty((model.num_sources,) + mix_spec.bins.shape, complex)
         _wiener(model, mix_spec.bins[..., None, :], masked[..., None, :])
-        specs = [
+        del model
+        specs = (
             Spectrogram(bins, config, mix_spec.original_length, mixture.sample_rate)
             for bins in masked
-        ]
+        )
     else:
         mask = ibm_mask(images, order) if kind == "IBM" else irm_mask(images, alpha)
-        specs = [apply_mask(mask, mix_spec, j) for j in range(images.num_sources)]
+        del images
+        specs = (apply_mask(mask, mix_spec, j) for j in range(mask.num_sources))
     return [istft(spec, mixture.num_samples) for spec in specs]

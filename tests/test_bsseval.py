@@ -406,7 +406,7 @@ class TestBssEval:
             with pytest.raises(ValueError, match="hop"):
                 bss_eval(refs, ests, filter_len=16, window=200, hop=hop)
             with pytest.raises(ValueError, match="hop"):
-                compute_projection(refs, ests[0], 16, mode="windowed",
+                compute_projection(refs, ests[0], 16, mode="v3_windowed",
                                    window=200, hop=hop)
 
     def test_estimate_at_another_rate_rejected(self):
@@ -452,8 +452,12 @@ class TestBssEval:
             bss_eval(refs, [], window=300)
         with pytest.raises(ValueError):
             bss_eval(refs, ests, window=601)
-        with pytest.raises(ValueError):
-            bss_eval(refs, ests, window=300, mode="v5")
+        # One mode vocabulary: the bare fit names are nobody's.
+        for mode in ("v5", "global", "windowed"):
+            with pytest.raises(ValueError, match="mode"):
+                bss_eval(refs, ests, window=300, mode=mode)
+            with pytest.raises(ValueError, match="mode"):
+                compute_projection(refs, ests[0], 16, mode=mode, window=300)
         with pytest.raises(ValueError):
             bss_eval(refs, ests + ests, window=300)
         with pytest.raises(IndexError):
@@ -493,7 +497,7 @@ class TestOneEngine:
                            mode="v3_windowed", targets=targets)
         for est, j, frames in zip(ests, targets, results):
             windowed = compute_projection(_signals(refs), est, 64,
-                                          mode="windowed", window=100)
+                                          mode="v3_windowed", window=100)
             assert [f.filter_len for f in windowed] == [64, 64, 60]
             expected = []
             for filters in windowed:
@@ -526,7 +530,7 @@ class TestOneEngine:
                            mode="v3_windowed", targets=targets)
         for est, j, frames in zip(ests, targets, results):
             windowed = compute_projection(_signals(refs), est, 32,
-                                          mode="windowed", window=window)
+                                          mode="v3_windowed", window=window)
             assert [f.window_len for f in windowed] == [window, 4000]
             expected = []
             for filters in windowed:
@@ -612,12 +616,12 @@ class TestProjectionFiltersType:
         refs = rng.standard_normal((1, 100, 1))
         est = AudioSignal(refs[0].copy(), 8000)
         filters = compute_projection(
-            _signals(refs), est, filter_len=50, mode="windowed", window=64
+            _signals(refs), est, filter_len=50, mode="v3_windowed", window=64
         )
         assert [f.window_start for f in filters] == [0, 64]
         assert [f.window_len for f in filters] == [64, 36]
         assert [f.filter_len for f in filters] == [50, 36]
-        assert all(f.mode == "windowed" for f in filters)
+        assert all(f.mode == "v3_windowed" for f in filters)
 
 
 def _audible(kind: str, rng, num_samples=1200, rate=8000) -> np.ndarray:
@@ -656,7 +660,7 @@ class TestSilentSpanRule:
 
     def test_windowed_projection_zero_taps_on_silent_window(self):
         refs, est, window = self._silent_first_window()
-        filters = compute_projection(refs, est, filter_len=16, mode="windowed",
+        filters = compute_projection(refs, est, filter_len=16, mode="v3_windowed",
                                      window=window)
         assert filters[0].degenerate
         assert not np.any(filters[0].taps) and not np.any(filters[0].solo_taps)
@@ -697,7 +701,7 @@ class TestSilentSpanRule:
         assert all(math.isfinite(f.sdr) and math.isfinite(f.sar) for f in frames)
         assert math.isfinite(frames[2].sir)
         assert sizes == [2 * 32, 2 * 32, 2 * 2 * 32, 2 * 32]
-        first = compute_projection(signals, est, filter_len=32, mode="windowed",
+        first = compute_projection(signals, est, filter_len=32, mode="v3_windowed",
                                    window=window)[0]
         assert not np.any(first.taps[0]) and not np.any(first.solo_taps[0])
         assert np.array_equal(first.taps[1], first.solo_taps[1])

@@ -388,7 +388,7 @@ def test_bss_eval_is_the_projection_layer_composed(framing, num_refs, channels,
     (frames,) = bss_eval(signals, [AudioSignal(est, RATE)], filter_len=filter_len,
                          window=window, hop=hop, mode=mode, targets=[target])
     fits = compute_projection(signals, AudioSignal(est, RATE), filter_len,
-                              mode=MODES[mode], window=window, hop=hop)
+                              mode=mode, window=window, hop=hop)
     if mode == "v4_global":
         d = decompose(AudioSignal(est, RATE), signals, target, fits)
         composed = [_frame_bits(f)

@@ -19,12 +19,14 @@ from sepeval import (
     TrackScore,
     WavFormatError,
     aggregate,
+    bss_eval,
     evaluate_track,
     read_report,
     run_campaign,
     save_wav,
     scan_corpus,
     significance_from_table,
+    write_report,
     write_significance_csv,
     write_significance_json,
 )
@@ -201,12 +203,64 @@ class TestEvaluateTrack:
         for filter_len in (0, -3):
             with pytest.raises(ValueError, match="filter_len"):
                 EvalConfig(filter_len=filter_len)
-        # Only bss_eval's modes; compute_projection's names are not among them.
+        # Only bsseval's mode names: not the CLI's, nor bare "global"/"windowed".
         for mode in ("v5", "global", "windowed", "v4"):
             with pytest.raises(ValueError, match="mode"):
                 EvalConfig(mode=mode)
         for mode in MODES:
             assert EvalConfig(mode=mode).mode == mode
+        # Floats, bools and NumPy integers are refused at construction, not
+        # when the first track is scored.
+        for field in ("window", "hop", "filter_len"):
+            for value in (1000.0, True, np.int64(16)):
+                with pytest.raises(TypeError, match=field):
+                    EvalConfig(**{field: value})
+
+
+_PARAMETER = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([None, 0, -1, True, False, 16.0, math.nan, np.int64(16), "16"]),
+)
+
+
+class TestConfigAgreesWithBssEval:
+    """``EvalConfig`` accepts exactly the scoring parameters that ``bss_eval``
+    accepts on a track long enough for them, and every config it accepts
+    yields a report header that ``write_report`` writes and reads back."""
+
+    @pytest.fixture(scope="class")
+    def track(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("config")
+        corpus, arrays = _corpus_with_arrays(root)
+        _write_estimates(root / "est", arrays["One"][0], names=("vocals",))
+        return corpus.tracks[0], root / "est"
+
+    # Derandomized: the same examples on every run, so the suite cannot flake.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(window=_PARAMETER, hop=_PARAMETER, filter_len=_PARAMETER,
+           mode=st.one_of(st.sampled_from(MODES),
+                          st.sampled_from(("global", "windowed", "v4", None))))
+    def test_same_refusals_and_a_writable_header(self, track, tmp_path_factory,
+                                                 window, hop, filter_len, mode):
+        params = dict(window=window, hop=hop, filter_len=filter_len, mode=mode)
+        refs = [AudioSignal(np.random.default_rng(k).standard_normal((48, 1)),
+                            FIXTURE_RATE) for k in range(2)]
+        try:
+            config = EvalConfig(targets=("vocals",), **params)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                bss_eval(refs, refs[:1], **params)
+            return
+        bss_eval(refs, refs[:1], **params)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(campaign, "bss_eval",
+                          lambda references, estimates, **_: [[] for _ in estimates])
+            score = evaluate_track(*track, "m", config)
+        path = tmp_path_factory.mktemp("header") / "report.json"
+        write_report(score, path)
+        (back,) = read_report(path)
+        assert (back.window, back.hop, back.filter_len, back.mode) == (
+            window, window if hop is None else hop, filter_len, mode)
 
 
 class TestRunCampaign:

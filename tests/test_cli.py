@@ -298,7 +298,8 @@ class TestEvalCommand:
 
 
 class TestNumericFlags:
-    """A count or length that is not a positive finite number is a usage error."""
+    """A count, length, exponent or level that is not a positive finite
+    number is a usage error."""
 
     @pytest.mark.parametrize("command, flag, value", [
         ("eval", "--window", "-1"),
@@ -316,15 +317,23 @@ class TestNumericFlags:
         ("oracle", "--stft-window", "-256"),
         ("oracle", "--stft-hop", "0"),
         ("oracle", "--stft-hop", "-64"),
+        ("oracle", "--alpha", "inf"),
+        ("oracle", "--alpha", "nan"),
+        ("oracle", "--alpha", "0"),
+        ("oracle", "--alpha", "-1"),
+        ("compare", "--threshold", "nan"),
+        ("compare", "--threshold", "0"),
+        ("compare", "--threshold", "-0.05"),
     ])
     def test_non_positive_value_is_usage_error(self, corpus_root, tmp_path,
                                                capsys, command, flag, value):
-        argv = [command, "--corpus", corpus_root, "--output", tmp_path / "out",
-                f"{flag}={value}"]
-        if command == "eval":
-            argv += ["--estimates", corpus_root]
+        argv = [command, "--output", tmp_path / "out", f"{flag}={value}"]
+        if command == "compare":
+            argv += ["--reports", corpus_root]
+        elif command == "eval":
+            argv += ["--corpus", corpus_root, "--estimates", corpus_root]
         else:
-            argv += ["--method", "IRM2"]
+            argv += ["--corpus", corpus_root, "--method", "IRM"]
         with pytest.raises(SystemExit) as excinfo:
             _run(argv)
         assert excinfo.value.code == 2
@@ -357,6 +366,25 @@ class TestNumericFlags:
     def test_zero_tolerance_is_accepted(self):
         args = build_parser().parse_args(["validate", "--tolerance", "0"])
         assert args.tolerance == 0.0
+
+
+class TestNames:
+    """The CLI restates neither bsseval's mode names nor the oracle methods."""
+
+    def test_mode_flag_maps_to_bsseval_names(self):
+        parse = build_parser().parse_args
+        assert parse(["eval"]).mode == "v4_global"
+        assert parse(["eval", "--mode", "v3"]).mode == "v3_windowed"
+        assert parse(["oracle", "--method", "MWF", "--mode", "v4"]).mode == "v4_global"
+
+    def test_method_choices_are_the_masks_names(self, capsys):
+        parse = build_parser().parse_args
+        for name in sepeval.ORACLE_METHODS:
+            assert parse(["oracle", "--method", name]).method == name
+        with pytest.raises(SystemExit):
+            parse(["oracle", "--method", "IRM3"])
+        err = capsys.readouterr().err
+        assert all(name in err for name in sepeval.ORACLE_METHODS)
 
 
 class TestMalformedEnvironment:
