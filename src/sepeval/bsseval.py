@@ -194,19 +194,27 @@ class _Blocks:
         self.filter_len = filter_len
         self.fft_size = scipy.fft.next_fast_len(self.length + filter_len, real=True)
 
+    def _spectra(self, channels: list, num_blocks: int, history: int):
+        """Per 1-D channel of ``channels``, the (F, K) rFFTs at M of its K
+        blocks, each with the ``history`` samples before it: samples
+        [kB - history, (k+1)B) of the channel, zero outside it.  One
+        zero-padded buffer serves every channel."""
+        padded = np.zeros(history + num_blocks * self.length)
+        frames = sliding_window_view(padded, self.length + history)[::self.length]
+        for samples in channels:
+            padded[history:history + len(samples)] = samples
+            yield scipy.fft.rfft(frames, n=self.fft_size, axis=-1).T
+
     def segment_spectra(self, signals, length: int) -> np.ndarray:
         """(F, C, K) segment rFFTs of the C channels of ``signals`` (see
         :func:`_channels`), zero-extended to ``length`` samples and K blocks."""
-        B, L = self.length, self.filter_len
         channels = _channels(signals)
-        num_blocks = -(-length // B)
+        num_blocks = -(-length // self.length)
         spectra = np.empty((self.fft_size // 2 + 1, len(channels), num_blocks),
                            dtype=complex)
-        padded = np.zeros(L + num_blocks * B)
-        for c, samples in enumerate(channels):
-            padded[L:L + len(samples)] = samples
-            segments = sliding_window_view(padded, B + L)[::B]
-            spectra[:, c] = scipy.fft.rfft(segments, n=self.fft_size, axis=-1).T
+        framed = self._spectra(channels, num_blocks, self.filter_len)
+        for c in range(len(channels)):
+            spectra[:, c] = next(framed)
         return spectra
 
     def lags(self, segments: np.ndarray, signals) -> np.ndarray:
@@ -220,16 +228,13 @@ class _Blocks:
         channel pair gives the circular correlation c[d] = sum_n
         x_seg[n + d] y_blk[n], whose lag m sits at d = L - m.
         """
-        B = self.length
         channels = _channels(signals)
-        full, rest = divmod(len(channels[0]), B)
-        padded = np.zeros((full + (rest > 0), self.fft_size))
+        num_blocks = -(-len(channels[0]) // self.length)
         cross = np.empty(segments.shape[:2] + (len(channels),), dtype=complex)
-        blocks = np.empty((len(segments), len(padded), 1), dtype=complex)
-        for c, samples in enumerate(channels):
-            padded[:full, :B] = samples[:full * B].reshape(full, B)
-            padded[full:, :rest] = samples[full * B:]
-            blocks[..., 0] = scipy.fft.rfft(padded, axis=-1).T
+        blocks = np.empty((len(segments), num_blocks, 1), dtype=complex)
+        framed = self._spectra(channels, num_blocks, 0)
+        for c in range(len(channels)):
+            blocks[..., 0] = next(framed)
             np.matmul(segments, np.conjugate(blocks, out=blocks),
                       out=cross[:, :, c:c + 1])
         return scipy.fft.irfft(cross, self.fft_size, axis=0)[self.filter_len:0:-1]
@@ -389,15 +394,22 @@ def _block_toeplitz(lags: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _toeplitz_product(spectrum: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
-    """T x for the block-Toeplitz T whose lags R[-(L-1)], ..., R[L-1] have the
-    rFFT ``spectrum`` at ``size`` >= 2L - 1, and (L C, K) ``x``: one FFT
-    convolution, in which y[p] = sum_q R[p - q] x[q] sits at index p + L - 1,
-    clear of the circular wrap."""
-    C = spectrum.shape[1]
-    L = len(x) // C
-    product = np.matmul(spectrum, scipy.fft.rfft(x.reshape(L, C, -1), size, axis=0))
-    return scipy.fft.irfft(product, size, axis=0)[L - 1:2 * L - 1].reshape(L * C, -1)
+def _toeplitz_product(spectrum: np.ndarray, x: np.ndarray, size: int,
+                      first: int) -> np.ndarray:
+    """Blocks first, ..., first + L - 1 of the FFT convolution of a block
+    sequence with the L blocks x[q] of (L C, K) ``x``, as (L C', K).
+
+    ``spectrum`` is the sequence's (F, C', C) rFFT at ``size`` >= 2L - 1,
+    so no block taken wraps.  For the two-sided lags R[-(L-1)], ..., R[L-1]
+    of a block-Toeplitz T and ``first`` = L - 1 this is T x, y[p] = sum_q
+    R[p - q] x[q]; for L causal blocks v and ``first`` = 0 it is L(v) x,
+    and for the conjugate transpose of their spectrum L(v)^T x.
+    """
+    K = x.shape[-1]
+    blocks = x.reshape(-1, spectrum.shape[-1], K)
+    product = np.matmul(spectrum, scipy.fft.rfft(blocks, size, axis=0))
+    y = scipy.fft.irfft(product, size, axis=0)[first:first + len(blocks)]
+    return y.reshape(-1, K)
 
 
 def _levinson(lags: np.ndarray):
@@ -488,21 +500,18 @@ def _levinson(lags: np.ndarray):
     correlate = np.ascontiguousarray(correlate.conj().transpose(0, 2, 1))
 
     def apply(rhs: np.ndarray) -> np.ndarray:
-        half = scipy.fft.irfft(
-            correlate @ scipy.fft.rfft(rhs.reshape(L, C, -1), size, axis=0),
-            size, axis=0)[:L]
-        return scipy.fft.irfft(convolve @ scipy.fft.rfft(half, size, axis=0),
-                               size, axis=0)[:L].reshape(n, -1)
+        half = _toeplitz_product(correlate, rhs, size, 0)
+        return _toeplitz_product(convolve, half, size, 0)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         x = apply(rhs)
         for _ in range(_REFINEMENTS):
-            x += apply(rhs - _toeplitz_product(spectrum, x, size))
+            x += apply(rhs - _toeplitz_product(spectrum, x, size, L - 1))
         return x
 
     probe = np.random.default_rng(0).standard_normal((n, 1))
-    rhs = _toeplitz_product(spectrum, probe, size)
-    residual = _toeplitz_product(spectrum, solve(rhs), size) - rhs
+    rhs = _toeplitz_product(spectrum, probe, size, L - 1)
+    residual = _toeplitz_product(spectrum, solve(rhs), size, L - 1) - rhs
     if not np.linalg.norm(residual) < _PROBE_TOLERANCE * np.linalg.norm(rhs):
         raise LinAlgError("block Levinson solve failed its probe")
     return solve

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import statistics
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +23,8 @@ from pathlib import Path
 from .audio import load_wav
 from .bsseval import (DEFAULT_FILTER_LEN, DEFAULT_MODE, DEFAULT_WINDOW, bss_eval,
                       check_scoring)
-from .dataset import STEM_NAMES, TrackRef, derive_accompaniment, load_stems
+from .dataset import (ACCOMPANIMENT_STEMS, STEM_NAMES, TrackRef,
+                      derive_accompaniment, load_stems)
 from .reports import METRIC_NAMES, TrackScore, write_report
 from .stats import SignificanceMatrix, pairwise_significance
 
@@ -89,7 +91,7 @@ def evaluate_track(
     if "accompaniment" in estimates and estimates["accompaniment"] is None:
         # No file of its own: the sum of the non-vocal parts, if all exist.
         parts = {name: estimates[name] if name in estimates else load(name)
-                 for name in STEM_NAMES if name != "vocals"}
+                 for name in ACCOMPANIMENT_STEMS}
         if all(part is not None for part in parts.values()):
             estimates["accompaniment"] = derive_accompaniment(parts)
     if all(estimate is None for estimate in estimates.values()):
@@ -157,7 +159,7 @@ def run_campaign(
             track, estimates_root / track.name, method_name, config
         )
 
-    scores = _run_guarded(one, tracks, lambda fn, ts: _map_threads(fn, ts, workers))
+    scores = _run_guarded(one, tracks, workers)
     scores.sort(key=lambda s: s.track)
     if output_dir is not None:
         output_dir = Path(output_dir)
@@ -189,9 +191,10 @@ def _map_threads(fn, items, workers: int) -> list:
             for i, future in enumerate(futures)]
 
 
-def _run_guarded(fn, tracks, map_fn=map) -> list:
+def _run_guarded(fn, tracks, workers: int = 1) -> list:
     """Whatever ``fn`` returns for each track it does not raise an ``Exception``
-    on; warn per failing track, raise if all fail."""
+    on, ``workers`` tracks at a time (see :func:`_map_threads`); warn per
+    failing track, raise if all fail."""
 
     def guarded(track):
         try:
@@ -201,7 +204,7 @@ def _run_guarded(fn, tracks, map_fn=map) -> list:
 
     results = []
     failures = []
-    for track, outcome in zip(tracks, map_fn(guarded, tracks)):
+    for track, outcome in zip(tracks, _map_threads(guarded, tracks, workers)):
         if isinstance(outcome, Exception):
             failures.append((track.name, outcome))
         else:
@@ -216,19 +219,11 @@ def _run_guarded(fn, tracks, map_fn=map) -> list:
 
 
 def _finite_median(values) -> float | None:
-    """Median of the finite values, equal to ``np.median``'s; None if none.
-
-    ``np.median`` takes the mean of the two middle values of an even count,
-    which for two float64 values is ``(a + b) / 2``.
-    """
-    finite = sorted(v for v in values if math.isfinite(v))
-    count = len(finite)
-    if not count:
-        return None
-    middle = count // 2
-    if count % 2:
-        return float(finite[middle])
-    return (float(finite[middle - 1]) + float(finite[middle])) / 2
+    """Median of the finite values as floats, None if none: for an even
+    count the mean of the two middle values, ``(a + b) / 2``, as in
+    ``np.median``."""
+    finite = [float(v) for v in values if math.isfinite(v)]
+    return statistics.median(finite) if finite else None
 
 
 @dataclass

@@ -39,7 +39,7 @@ from .dataset import (
 )
 from .masks import ORACLE_METHODS, _resolve_method, oracle_separate
 from .reports import read_report
-from .spectral import StftConfig
+from .spectral import StftConfig, _overlap_profile
 
 # bsseval's modes by their version prefix: v4 and v3.
 _MODES = {mode.split("_")[0]: mode for mode in MODES}
@@ -109,17 +109,33 @@ def _select_tracks(corpus, split: str, names):
     return tracks
 
 
-def _score(args, tracks, estimates: Path, method: str, output: Path,
+def _eval_config(args, parser, tracks) -> EvalConfig:
+    """The scoring parameters of ``args``, checked before any track is read.
+
+    Seconds become samples at the tracks' rate (``_select_tracks`` admits
+    one), at least one; a count that is not finite is a usage error naming
+    its flag.
+    """
+    rate = tracks[0].sample_rate
+
+    def samples(flag: str, seconds):
+        if seconds is None:
+            return None
+        count = seconds * rate
+        if not math.isfinite(count):
+            parser.error(f"argument {flag}: {seconds!r} s at {rate} Hz is not "
+                         "a finite number of samples")
+        return max(1, int(round(count)))
+
+    return EvalConfig(window=samples("--window", args.window),
+                      hop=samples("--hop", args.hop),
+                      filter_len=args.filter_len, mode=args.mode)
+
+
+def _score(config: EvalConfig, tracks, estimates: Path, method: str, output: Path,
            workers) -> int:
     """Score ``estimates/<track>/`` for each track: reports, then summary.csv."""
-    rate = tracks[0].sample_rate  # _select_tracks admits one rate
-    config = EvalConfig(
-        window=max(1, int(round(args.window * rate))),
-        hop=None if args.hop is None else max(1, int(round(args.hop * rate))),
-        filter_len=args.filter_len,
-        mode=args.mode,
-    )
-    _progress(f"evaluating {method} on {len(tracks)} tracks ({args.mode} mode)")
+    _progress(f"evaluating {method} on {len(tracks)} tracks ({config.mode} mode)")
     scores = run_campaign(
         tracks, estimates, method, config, workers=workers, output_dir=output,
     )
@@ -153,11 +169,13 @@ def cmd_oracle(args, parser) -> int:
     output = Path(_require(args, "output", "--output", parser))
     try:
         stft_config = StftConfig(args.stft_window, args.stft_hop)
-    except ValueError as exc:  # the hop exceeds the window
+        _overlap_profile(stft_config)  # istft's check, before any track is read
+    except ValueError as exc:  # the hop exceeds the window or does not overlap-add
         parser.error(f"argument --stft-hop: {exc}")
     kind, alpha, order, label = _resolve_method(args.method, args.alpha, args.order)
     corpus = scan_corpus(corpus_root)
     tracks = _select_tracks(corpus, args.split, args.tracks)
+    config = _eval_config(args, parser, tracks)
     method_dir = output / label
 
     def separate(track):
@@ -174,7 +192,7 @@ def cmd_oracle(args, parser) -> int:
         return track
 
     separated = _run_guarded(separate, tracks)
-    return _score(args, separated, method_dir, label, method_dir, workers=1)
+    return _score(config, separated, method_dir, label, method_dir, workers=1)
 
 
 def cmd_eval(args, parser) -> int:
@@ -185,8 +203,8 @@ def cmd_eval(args, parser) -> int:
         raise FileNotFoundError(f"estimates directory {estimates} does not exist")
     corpus = scan_corpus(corpus_root)
     tracks = _select_tracks(corpus, args.split, args.tracks)
-    return _score(args, tracks, estimates, args.method or estimates.name,
-                  output, workers=args.workers)
+    return _score(_eval_config(args, parser, tracks), tracks, estimates,
+                  args.method or estimates.name, output, workers=args.workers)
 
 
 def _read_report_paths(paths) -> list:

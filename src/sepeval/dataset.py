@@ -17,6 +17,7 @@ from .audio import AudioSignal, WavFormatError, check_layout, load_wav, wav_info
 
 __all__ = [
     "STEM_NAMES",
+    "ACCOMPANIMENT_STEMS",
     "SPLITS",
     "TrackRef",
     "Corpus",
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 STEM_NAMES = ("drums", "bass", "other", "vocals")
+# The stems summed into the accompaniment: all but the vocals.
+ACCOMPANIMENT_STEMS = tuple(name for name in STEM_NAMES if name != "vocals")
 SPLITS = ("train", "test")
 
 
@@ -168,7 +171,7 @@ def _load(ref: TrackRef, stem: str) -> AudioSignal:
 
 def derive_accompaniment(stems) -> AudioSignal:
     """Sum of the non-vocal stems (the karaoke complement), in float64."""
-    parts = [stems[name] for name in STEM_NAMES if name != "vocals"]
+    parts = [stems[name] for name in ACCOMPANIMENT_STEMS]
     total = parts[0].samples.astype(np.float64)
     for part in parts[1:]:
         total += part.samples
@@ -180,12 +183,10 @@ def validate_mixture(ref: TrackRef, tolerance: float = 1e-2) -> MixtureReport:
 
     The oracle methods assume x = sum of source images; PCM-quantized
     corpora hold this to within a few quantization steps.  The stems are
-    summed in float64.
+    summed in float64, the vocals last.
     """
     mixture, stems = load_track(ref)
-    total = np.zeros(mixture.samples.shape)
-    for signal in stems.values():
-        total += signal.samples
+    total = derive_accompaniment(stems).samples + stems["vocals"].samples
     deviation = float(np.max(np.abs(mixture.samples - total))) if total.size else 0.0
     return MixtureReport(ref.name, deviation, tolerance, deviation <= tolerance)
 

@@ -63,10 +63,6 @@ class SourceImages:
     def num_sources(self) -> int:
         return len(self.images)
 
-    def magnitudes(self) -> np.ndarray:
-        """|y_j| stacked to shape (J, F, T, I)."""
-        return np.abs(np.stack([image.bins for image in self.images]))
-
 
 @dataclass
 class ScalarMask:
@@ -157,6 +153,19 @@ class SpatialModel:
         return self.spatial_cov.shape[-1]
 
 
+def _powers(sources: SourceImages, exponent: float) -> np.ndarray:
+    """|y_j|^exponent of every source image, shaped (J, F, T, I).
+
+    Written source by source into one float array, so no complex stack of
+    the images is formed; each mask is then written over it in place.
+    """
+    power = np.empty((sources.num_sources,) + sources.images[0].bins.shape)
+    for image, out in zip(sources.images, power):
+        np.abs(image.bins, out=out)
+        out **= exponent
+    return power
+
+
 def ibm_mask(sources: SourceImages, order: int = 1) -> ScalarMask:
     """Ideal binary mask: 1 where a source holds at least half the energy.
 
@@ -166,11 +175,10 @@ def ibm_mask(sources: SourceImages, order: int = 1) -> ScalarMask:
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    power = sources.magnitudes()
-    if order == 2:
-        power = power * power
-    total = power.sum(axis=0)
-    values = ((power >= 0.5 * total) & (total > 0)).astype(np.float64)
+    values = _powers(sources, order)
+    total = values.sum(axis=0)
+    np.greater_equal(values, 0.5 * total, out=values)
+    values *= total > 0
     return ScalarMask(values)
 
 
@@ -182,11 +190,10 @@ def irm_mask(sources: SourceImages, alpha: float = 2.0) -> ScalarMask:
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    power = sources.magnitudes() ** alpha
-    total = power.sum(axis=0)
-    num = sources.num_sources
-    values = np.full_like(power, 1.0 / num)
-    np.divide(power, total, out=values, where=total > 0)
+    values = _powers(sources, alpha)
+    total = values.sum(axis=0)
+    np.divide(values, total, out=values, where=total > 0)
+    np.copyto(values, 1.0 / sources.num_sources, where=total == 0)
     return ScalarMask(values)
 
 
@@ -371,19 +378,15 @@ def apply_mask(mask, mixture: Spectrogram, j: int) -> Spectrogram:
     values = mask.values
     if not 0 <= j < values.shape[0]:
         raise IndexError(f"source index {j} out of range for {values.shape[0]} sources")
+    # (F, T, I) leads a scalar mask's (F, T, I) and a matrix mask's (F, T, I, I).
+    if values.shape[1:4] != mixture.bins.shape:
+        raise ValueError(
+            f"mask shape {values.shape[1:]} does not match "
+            f"mixture {mixture.bins.shape}"
+        )
     if isinstance(mask, ScalarMask):
-        if values.shape[1:] != mixture.bins.shape:
-            raise ValueError(
-                f"mask shape {values.shape[1:]} does not match "
-                f"mixture {mixture.bins.shape}"
-            )
         masked = values[j] * mixture.bins
     else:
-        if values.shape[1:3] + values.shape[4:] != mixture.bins.shape:
-            raise ValueError(
-                f"mask shape {values.shape[1:]} does not match "
-                f"mixture {mixture.bins.shape}"
-            )
         masked = np.empty(mixture.bins.shape, dtype=np.complex128)
         for start, stop in _freq_slabs(*masked.shape):
             bins = mixture.bins[start:stop]

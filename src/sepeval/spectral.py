@@ -22,8 +22,6 @@ __all__ = ["StftConfig", "Spectrogram", "stft", "istft"]
 
 _FRAME_CHUNK = 256  # frames transformed per FFT batch, caps transient memory
 
-_WINDOW_ALIASES = {"rect": "boxcar", "rectangular": "boxcar"}
-
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -52,8 +50,7 @@ class StftConfig:
 
     def taper(self) -> np.ndarray:
         """The periodic analysis window as a float64 array."""
-        name = _WINDOW_ALIASES.get(self.window, self.window)
-        return get_window(name, self.window_size, fftbins=True).astype(np.float64)
+        return get_window(self.window, self.window_size, fftbins=True).astype(np.float64)
 
 
 @dataclass
@@ -136,13 +133,22 @@ def stft(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
 
 
 def _overlap_profile(config: StftConfig) -> np.ndarray:
-    """Squared-taper overlap sum per hop phase, in istft's frame order."""
+    """Squared-taper overlap sum per hop phase, in istft's frame order.
+
+    Raises ValueError when the taper does not overlap-add at the hop: some
+    phase sums to ~0, so synthesis would divide by it.
+    """
     win_sq = config.taper() ** 2
     hop = config.hop_size
     profile = np.zeros(hop)
     for offset in reversed(range(0, config.window_size, hop)):
         seg = win_sq[offset:offset + hop]
         profile[:len(seg)] += seg
+    if profile.min() <= 1e-6 * max(profile.max(), 1.0):
+        raise ValueError(
+            f"window '{config.window}' does not overlap-add at "
+            f"hop={config.hop_size}: synthesis would divide by ~0"
+        )
     return profile
 
 
@@ -167,11 +173,6 @@ def istft(spec: Spectrogram, original_length: int | None = None) -> AudioSignal:
     if original_length is None:
         original_length = spec.original_length
     profile = _overlap_profile(config)
-    if profile.min() <= 1e-6 * max(profile.max(), 1.0):
-        raise ValueError(
-            f"window '{config.window}' does not overlap-add at "
-            f"hop={config.hop_size}: synthesis would divide by ~0"
-        )
 
     win = config.taper()
     size, hop = config.window_size, config.hop_size

@@ -341,15 +341,48 @@ class TestNumericFlags:
         assert f"argument {flag}: must be positive, got '{value}'" in err
         assert not (tmp_path / "out").exists()
 
-    def test_stft_hop_above_window_is_usage_error(self, corpus_root, tmp_path,
-                                                  capsys):
+    @staticmethod
+    def _forbid_decoding(monkeypatch):
+        def load_wav(path):
+            raise AssertionError(f"{path} decoded before the usage error")
+
+        monkeypatch.setattr("sepeval.campaign.load_wav", load_wav)
+        monkeypatch.setattr("sepeval.dataset.load_wav", load_wav)
+
+    @pytest.mark.parametrize("command", ["eval", "oracle"])
+    @pytest.mark.parametrize("flag", ["--window", "--hop"])
+    def test_seconds_beyond_a_finite_sample_count_are_usage_error(
+            self, corpus_root, tmp_path, capsys, monkeypatch, command, flag):
+        """1e308 s is a positive finite float, but no finite number of
+        samples at the corpus rate: refused before any track is read."""
+        self._forbid_decoding(monkeypatch)
+        argv = [command, "--corpus", corpus_root, "--output", tmp_path / "out",
+                flag, "1e308"]
+        argv += (["--estimates", corpus_root] if command == "eval"
+                 else ["--method", "IRM2"])
+        with pytest.raises(SystemExit) as excinfo:
+            _run(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: 1e+308 s at {FIXTURE_RATE} Hz" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("hop, message", [
+        ("512", "hop=512 window=256"),  # above the window
+        # A Hann taper at hop == window cannot be synthesized (istft's check).
+        ("256", "does not overlap-add at hop=256"),
+    ])
+    def test_stft_hop_is_usage_error(self, corpus_root, tmp_path, capsys,
+                                     monkeypatch, hop, message):
+        """Refused before any track is read or separated."""
+        self._forbid_decoding(monkeypatch)
         with pytest.raises(SystemExit) as excinfo:
             _run(["oracle", "--corpus", corpus_root, "--output", tmp_path / "out",
-                  "--method", "IRM2", "--stft-window", "256", "--stft-hop", "512"])
+                  "--method", "IRM2", "--stft-window", "256", "--stft-hop", hop])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "argument --stft-hop:" in err
-        assert "hop=512 window=256" in err
+        assert message in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["-1", "-1e-9", "nan", "inf", "-inf"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sepeval import (
+    STEM_NAMES,
     AudioSignal,
     WavFormatError,
     derive_accompaniment,
@@ -156,6 +157,35 @@ class TestMixtureValidation:
         assert not report.passed
         loose = validate_mixture(track, tolerance=10.0)
         assert loose.passed
+
+    def test_deviation_is_that_of_a_float64_stem_sum(self, tmp_path):
+        """Stems and a mixture off their sum by a non-dyadic amount, all
+        float32: the deviation is exactly that of a float64 loop over the
+        stems, which a float32 sum would miss."""
+        rng = np.random.default_rng(77)
+        folder = tmp_path / "train" / "Off - Sum"
+        folder.mkdir(parents=True)
+        stems = [rng.standard_normal((FIXTURE_RATE, 2)) * 0.05 for _ in STEM_NAMES]
+        for name, samples in zip(STEM_NAMES, stems):
+            save_wav(folder / f"{name}.wav", AudioSignal(samples, FIXTURE_RATE))
+        mixture = sum(stems) + rng.standard_normal(stems[0].shape) * 1e-3 / 3.0
+        save_wav(folder / "mixture.wav", AudioSignal(mixture, FIXTURE_RATE))
+        (track,) = scan_corpus(tmp_path).tracks
+
+        def decoded(name):
+            raw = (folder / f"{name}.wav").read_bytes()[44:]
+            return np.frombuffer(raw, dtype="<f4").reshape(-1, 2)
+
+        total = np.zeros((FIXTURE_RATE, 2))
+        for name in STEM_NAMES:
+            total += decoded(name)
+        expected = float(np.max(np.abs(decoded("mixture") - total)))
+        single = sum(decoded(name) for name in STEM_NAMES)
+        assert single.dtype == np.float32
+        assert float(np.max(np.abs(decoded("mixture") - single))) != expected
+        report = validate_mixture(track, tolerance=1e-3)
+        assert report.max_deviation == expected
+        assert report.passed == (expected <= 1e-3)
 
 
 class TestManifest:

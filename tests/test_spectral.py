@@ -25,6 +25,18 @@ class TestAnalysis:
         oracle = _direct_dft(samples[:, 0])
         np.testing.assert_allclose(spec.bins[:, 0, 0], oracle, atol=1e-10)
 
+    def test_rectangular_window_names_give_bitwise_equal_stfts(self):
+        """"rect" and "rectangular" are SciPy's names for the boxcar taper."""
+        rng = np.random.default_rng(44)
+        signal = AudioSignal(rng.standard_normal((1000, 2)), 8000)
+        rect, rectangular, boxcar = (
+            stft(signal, StftConfig(128, 32, name)).bins
+            for name in ("rect", "rectangular", "boxcar")
+        )
+        assert np.array_equal(rect, boxcar)
+        assert np.array_equal(rectangular, boxcar)
+        np.testing.assert_array_equal(StftConfig(128, 32, "rect").taper(), np.ones(128))
+
     def test_interior_frame_matches_direct_dft(self):
         """A Hann-tapered interior frame equals the DFT of taper*segment."""
         rng = np.random.default_rng(43)
