@@ -4,96 +4,25 @@ Oracle time-frequency masks (IBM, IRM, multichannel Wiener filter),
 BSS Eval image metrics with track-global or per-window distortion
 filters, a MUSDB18-layout corpus reader, and campaign tooling with JSON
 reports, median aggregation and pairwise significance tests.
+
+The package re-exports the public names of its modules, each declared
+once in its module's ``__all__``.
 """
 
-from .audio import (
-    AudioSignal,
-    TruncatedWavError,
-    UnsupportedWavError,
-    WavFormatError,
-    WavInfo,
-    load_wav,
-    save_wav,
-    wav_info,
-)
-from .bsseval import (
-    Decomposition,
-    FrameScores,
-    ProjectionFilters,
-    bss_eval,
-    compute_projection,
-    decompose,
-    metrics_from_decomposition,
-    project,
-)
-from .campaign import (
-    METRIC_NAMES,
-    TARGET_NAMES,
-    AggregateTable,
-    EvalConfig,
-    aggregate,
-    evaluate_track,
-    run_campaign,
-    significance_from_table,
-    write_significance_csv,
-    write_significance_json,
-)
-from .dataset import (
-    SPLITS,
-    STEM_NAMES,
-    Corpus,
-    MixtureReport,
-    TrackRef,
-    derive_accompaniment,
-    load_track,
-    scan_corpus,
-    validate_mixture,
-    write_manifest,
-)
-from .masks import (
-    ORACLE_METHODS,
-    MatrixMask,
-    ScalarMask,
-    SourceImages,
-    SpatialModel,
-    apply_mask,
-    estimate_mwf_model,
-    ibm_mask,
-    irm_mask,
-    mwf_mask,
-    oracle_separate,
-)
-from .reports import (
-    SCHEMA_VERSION,
-    ReportSchemaError,
-    TrackScore,
-    read_report,
-    write_report,
-)
-from .spectral import Spectrogram, StftConfig, istft, stft
-from .stats import SignificanceMatrix, pairwise_significance
+from . import audio, bsseval, campaign, dataset, masks, reports, spectral, stats
+from .audio import *  # noqa: F403
+from .bsseval import *  # noqa: F403
+from .campaign import *  # noqa: F403
+from .dataset import *  # noqa: F403
+from .masks import *  # noqa: F403
+from .reports import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .stats import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioSignal", "WavInfo", "WavFormatError", "UnsupportedWavError",
-    "TruncatedWavError", "load_wav", "save_wav", "wav_info",
-    "StftConfig", "Spectrogram", "stft", "istft",
-    "ORACLE_METHODS", "SourceImages", "ScalarMask", "MatrixMask",
-    "SpatialModel", "ibm_mask", "irm_mask", "estimate_mwf_model",
-    "mwf_mask", "apply_mask", "oracle_separate",
-    "ProjectionFilters", "Decomposition", "FrameScores",
-    "compute_projection", "project", "decompose",
-    "metrics_from_decomposition", "bss_eval",
-    "SPLITS", "STEM_NAMES", "TrackRef", "Corpus", "MixtureReport",
-    "scan_corpus", "load_track", "derive_accompaniment",
-    "validate_mixture", "write_manifest",
-    "SCHEMA_VERSION", "ReportSchemaError", "TrackScore",
-    "write_report", "read_report",
-    "TARGET_NAMES", "METRIC_NAMES", "EvalConfig", "AggregateTable",
-    "evaluate_track", "run_campaign", "aggregate",
-    "significance_from_table", "write_significance_csv",
-    "write_significance_json",
-    "SignificanceMatrix", "pairwise_significance",
-    "__version__",
-]
+    name
+    for module in (audio, spectral, masks, bsseval, dataset, reports, campaign, stats)
+    for name in module.__all__
+] + ["__version__"]

@@ -30,7 +30,6 @@ from .stats import SignificanceMatrix, pairwise_significance
 
 __all__ = [
     "TARGET_NAMES",
-    "METRIC_NAMES",
     "EvalConfig",
     "AggregateTable",
     "evaluate_track",
@@ -273,7 +272,11 @@ class AggregateTable:
 
 
 def aggregate(scores) -> AggregateTable:
-    """Median over finite frames per track, then median over tracks."""
+    """Median over finite frames per track, then median over tracks.
+
+    Raises ValueError when two scores hold one (method, target, track);
+    scores of one method and track with disjoint targets merge.
+    """
     if not scores:
         raise ValueError("nothing to aggregate")
     table = AggregateTable()
@@ -282,6 +285,11 @@ def aggregate(scores) -> AggregateTable:
             for metric in METRIC_NAMES:
                 key = (score.method, target, metric)
                 per_track = table.track_medians.setdefault(key, {})
+                if score.track in per_track:
+                    raise ValueError(
+                        f"two reports score method {score.method!r} on target "
+                        f"{target!r} of track {score.track!r}"
+                    )
                 attribute = metric.lower()
                 per_track[score.track] = _finite_median(
                     [getattr(frame, attribute) for frame in frames]

@@ -22,7 +22,6 @@ from pathlib import Path
 from .audio import save_wav
 from .bsseval import DEFAULT_FILTER_LEN, MODES
 from .campaign import (
-    METRIC_NAMES,
     EvalConfig,
     _run_guarded,
     aggregate,
@@ -38,7 +37,7 @@ from .dataset import (
     write_manifest,
 )
 from .masks import ORACLE_METHODS, _resolve_method, oracle_separate
-from .reports import read_report
+from .reports import METRIC_NAMES, read_report
 from .spectral import StftConfig, _overlap_profile
 
 # bsseval's modes by their version prefix: v4 and v3.
@@ -246,11 +245,13 @@ def cmd_compare(args, parser) -> int:
     for i, a in enumerate(matrix.methods):
         for j in range(i + 1, len(matrix.methods)):
             p = matrix.p_values[i, j]
-            verdict = "differ" if p < args.threshold else "indistinguishable"
-            _progress(
-                f"{a} vs {matrix.methods[j]} on {args.target}/{args.metric}: "
-                f"p={p:.4g} ({verdict} at {args.threshold})"
-            )
+            if math.isnan(p):
+                outcome = "not tested (fewer than two common tracks)"
+            else:
+                verdict = "differ" if p < args.threshold else "indistinguishable"
+                outcome = f"p={p:.4g} ({verdict} at {args.threshold})"
+            _progress(f"{a} vs {matrix.methods[j]} on {args.target}/{args.metric}: "
+                      f"{outcome}")
     return 0
 
 
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--output", default=_env("OUTPUT"),
                         help="directory for estimates and reports")
     _add_eval_flags(oracle)
-    oracle.set_defaults(func=cmd_oracle)
+    oracle.set_defaults(func=cmd_oracle, parser=oracle)
 
     evaluate = subparsers.add_parser(
         "eval", help="score an estimates tree against the corpus"
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--output", default=_env("OUTPUT"),
                           help="directory for reports and summary.csv")
     _add_eval_flags(evaluate)
-    evaluate.set_defaults(func=cmd_eval)
+    evaluate.set_defaults(func=cmd_eval, parser=evaluate)
 
     agg = subparsers.add_parser(
         "aggregate", help="aggregate report files into a medians CSV"
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     agg.add_argument("--reports", nargs="+", required=True,
                      help="report files or directories of *.json")
     agg.add_argument("--output", required=True, help="CSV output path")
-    agg.set_defaults(func=cmd_aggregate)
+    agg.set_defaults(func=cmd_aggregate, parser=agg)
 
     compare = subparsers.add_parser(
         "compare", help="pairwise significance between methods"
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="CSV output path for the p-value matrix")
     compare.add_argument("--json", default=None,
                          help="optional JSON output path")
-    compare.set_defaults(func=cmd_compare)
+    compare.set_defaults(func=cmd_compare, parser=compare)
 
     validate = subparsers.add_parser("validate", help="check a corpus tree")
     validate.add_argument("--corpus", default=_env("CORPUS"),
@@ -387,18 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--tolerance", type=_positive(float, zero=True),
                           default=1e-2,
                           help="mixture consistency tolerance (default 1e-2)")
-    validate.set_defaults(func=cmd_validate)
+    validate.set_defaults(func=cmd_validate, parser=validate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.simplefilter("always", RuntimeWarning)
         try:
-            return args.func(args, parser)
+            return args.func(args, args.parser)
         except BrokenPipeError:
             return 1
         except (OSError, ValueError, RuntimeError, KeyError) as exc:

@@ -206,4 +206,6 @@ def write_manifest(corpus: Corpus, path) -> None:
             for track in corpus.tracks
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    Path(path).write_text(
+        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )

@@ -14,6 +14,7 @@ window/hop combination whose squared taper never sums to zero.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, rfft
 from scipy.signal import get_window
 
 from .audio import AudioSignal
@@ -127,7 +128,7 @@ def stft(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
     frames = np.lib.stride_tricks.sliding_window_view(padded, size, axis=0)[::hop]
     for start in range(0, num_frames, _FRAME_CHUNK):
         chunk = frames[start:start + _FRAME_CHUNK]  # (t, I, size)
-        spec = np.fft.rfft(chunk * win, axis=-1)
+        spec = rfft(chunk * win, axis=-1)
         bins[:, start:start + chunk.shape[0]] = np.moveaxis(spec, -1, 0)
     return Spectrogram(bins, config, num_samples, signal.sample_rate)
 
@@ -186,7 +187,7 @@ def istft(spec: Spectrogram, original_length: int | None = None) -> AudioSignal:
     for start in range(0, num_frames, _FRAME_CHUNK):
         # Along the last axis of a contiguous (t, I, F) copy, freed on return.
         chunk = spec.bins[:, start:start + _FRAME_CHUNK].transpose(1, 2, 0)
-        frames = np.fft.irfft(chunk.copy(), n=size, axis=-1)  # (t, I, size)
+        frames = irfft(chunk.copy(), n=size, axis=-1)  # (t, I, size)
         frames *= win
         count = frames.shape[0]
         for q in reversed(range(phases)):
@@ -194,7 +195,7 @@ def istft(spec: Spectrogram, original_length: int | None = None) -> AudioSignal:
             out[start + q:start + q + count, :phase.shape[1]] += phase
     out /= profile[:, None]
 
-    pad_front = size - hop
+    pad_front, _ = _frame_layout(original_length, config)
     result = out.reshape(-1, channels)[pad_front:pad_front + original_length]
     if result.shape[0] < original_length:
         result = np.vstack(

@@ -215,6 +215,8 @@ class TestHeaderWalk:
         (_riff(b"fmt \x10\x00"), TruncatedWavError, "chunk header"),
         (_riff(_chunk(b"fmt ", _FMT[:14]), _chunk(b"data", _PAYLOAD)),
          WavFormatError, "^fmt chunk too small"),
+        (_riff(b"fmt " + struct.pack("<I", len(_FMT)) + _FMT[:10]),
+         TruncatedWavError, "inside fmt chunk"),
         (_riff(_chunk(b"fmt ", struct.pack("<HHIIHHH", 0xFFFE, 2, 8000, 32000,
                                            4, 16, 0)),
                _chunk(b"data", _PAYLOAD)),
@@ -228,7 +230,7 @@ class TestHeaderWalk:
                _chunk(b"data", _PAYLOAD)),
          WavFormatError, "zero rate"),
     ], ids=["under-12-bytes", "truncated-chunk-header", "short-fmt",
-            "short-extensible-fmt", "data-before-fmt", "zero-channels",
+            "truncated-fmt", "short-extensible-fmt", "data-before-fmt", "zero-channels",
             "zero-rate"])
     def test_malformed_header_raises(self, tmp_path, raw, error, message):
         path = tmp_path / "bad.wav"
@@ -299,6 +301,14 @@ class TestAudioSignal:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             AudioSignal(np.array([[np.nan]]), 8000)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((4, 2, 1), "1-D or 2-D"),
+        ((4, 0), "at least one channel"),
+    ])
+    def test_rejects_malformed_layout(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            AudioSignal(np.zeros(shape), 8000)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):

@@ -238,6 +238,12 @@ class TestDecomposition:
             decompose(AudioSignal(est, 8000), _signals(refs), 5, filters)
         with pytest.raises(ValueError):
             decompose(AudioSignal(est[:100], 8000), _signals(refs), 0, filters)
+        with pytest.raises(ValueError, match="filters cover 2 references, got 1"):
+            decompose(AudioSignal(est, 8000), _signals(refs[:1]), 0, filters)
+        with pytest.raises(ValueError, match="taps shape"):
+            project(_signals(refs), filters.taps[:1])
+        with pytest.raises(ValueError, match="e_interf shape differs"):
+            _make_decomposition([1.0, 2.0], [0.0, 0.0], [0.0], [0.0, 0.0])
 
 
 def _make_decomposition(s, e_spatial, e_interf, e_artif):
@@ -450,6 +456,12 @@ class TestBssEval:
         refs, ests = self._fixture()
         with pytest.raises(ValueError):
             bss_eval(refs, [], window=300)
+        with pytest.raises(ValueError, match="at least one reference"):
+            bss_eval([], ests, window=300)
+        with pytest.raises(ValueError, match="one target index is required"):
+            bss_eval(refs, ests, window=300, targets=[0])
+        with pytest.raises(ValueError, match="requires a window length"):
+            compute_projection(refs, ests[0], 16, mode="v3_windowed")
         with pytest.raises(ValueError):
             bss_eval(refs, ests, window=601)
         # One mode vocabulary: the bare fit names are nobody's.

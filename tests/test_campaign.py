@@ -441,6 +441,19 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
+    def test_duplicate_track_report_rejected(self):
+        scores = [_track_score("t1", "m", [1.0]), _track_score("t1", "m", [9.0])]
+        with pytest.raises(ValueError, match="method 'm' on target 'vocals' "
+                                             "of track 't1'"):
+            aggregate(scores)
+
+    def test_disjoint_targets_of_one_track_merge(self):
+        drums = TrackScore(track="t1", method="m", targets={"drums": [_frame(5.0)]},
+                           sample_rate=8000, window=100, hop=100)
+        table = aggregate([_track_score("t1", "m", [1.0]), drums])
+        assert table.track_medians[("m", "vocals", "SDR")] == {"t1": 1.0}
+        assert table.track_medians[("m", "drums", "SDR")] == {"t1": 5.0}
+
     def test_even_count_takes_mean_of_middle_pair(self):
         scores = [_track_score("T", "m", [4.0, 1.0, math.nan, 2.0, 8.0])]
         assert aggregate(scores).track_medians[("m", "vocals", "SDR")]["T"] == 3.0

@@ -94,10 +94,11 @@ class TestOracleCommand:
                   "--output", tmp_path / "out"] + FAST)
         assert excinfo.value.code == 2
 
-    def test_missing_output_is_usage_error(self, corpus_root):
+    def test_missing_output_is_usage_error(self, corpus_root, capsys):
         with pytest.raises(SystemExit) as excinfo:
             _run(["oracle", "--corpus", corpus_root, "--method", "IBM1"] + FAST)
         assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: sepeval oracle ")
 
     def test_unknown_track_fails(self, corpus_root, tmp_path, capsys):
         rc = _run(["oracle", "--corpus", corpus_root, "--method", "IBM1",
@@ -296,6 +297,37 @@ class TestEvalCommand:
         assert "all 2 tracks failed" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
 
+    def test_split_without_tracks_fails(self, tmp_path, capsys):
+        write_track(tmp_path / "corpus" / "train" / "Alpha - One",
+                    np.random.default_rng(3))
+        rc = _run(["eval", "--corpus", tmp_path / "corpus", "--split", "test",
+                   "--estimates", tmp_path, "--output", tmp_path / "out"])
+        assert rc == 1
+        assert "no tracks selected (split=test)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestUsageLine:
+    """A usage error raised inside a command prints that command's usage."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["oracle", "--method", "IBM1", "--output", "{out}"], "--corpus"),
+        (["eval", "--estimates", "{corpus}", "--output", "{out}"], "--corpus"),
+        (["eval", "--corpus", "{corpus}", "--output", "{out}"], "--estimates"),
+        (["validate"], "--corpus"),
+    ])
+    def test_missing_path(
+            self, corpus_root, tmp_path, capsys, monkeypatch, argv, flag):
+        for name in ("CORPUS", "ESTIMATES", "OUTPUT"):
+            monkeypatch.delenv(f"SEPEVAL_{name}", raising=False)
+        argv = [a.format(corpus=corpus_root, out=tmp_path / "out") for a in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            _run(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: sepeval {argv[0]} ")
+        assert f"{flag} is required" in err
+
 
 class TestNumericFlags:
     """A count, length, exponent or level that is not a positive finite
@@ -364,6 +396,7 @@ class TestNumericFlags:
             _run(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"usage: sepeval {command} ")
         assert f"argument {flag}: 1e+308 s at {FIXTURE_RATE} Hz" in err
         assert not (tmp_path / "out").exists()
 
@@ -381,6 +414,7 @@ class TestNumericFlags:
                   "--method", "IRM2", "--stft-window", "256", "--stft-hop", hop])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
+        assert err.startswith("usage: sepeval oracle ")
         assert "argument --stft-hop:" in err
         assert message in err
         assert not (tmp_path / "out").exists()
@@ -484,6 +518,29 @@ class TestAggregateCommand:
         assert rows[0][0] == "method"
         assert any(row[0] == "A" and row[2] == "SDR" for row in rows[1:])
 
+    def test_report_files_and_directories_mix(self, tmp_path):
+        _synthetic_reports(tmp_path / "a", "A")
+        _synthetic_reports(tmp_path / "b", "B", tracks=1)
+        out = tmp_path / "agg.csv"
+        rc = _run(["aggregate", "--reports", tmp_path / "a",
+                   tmp_path / "b" / "track00.json", "--output", out])
+        assert rc == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert {(row["method"], row["track"]) for row in rows
+                if row["metric"] == "SDR"} == (
+            {("A", f"track{i:02d}") for i in range(6)} | {("B", "track00")})
+
+    def test_duplicate_report_is_an_error(self, tmp_path, capsys):
+        _synthetic_reports(tmp_path / "a", "A")
+        out = tmp_path / "agg.csv"
+        rc = _run(["aggregate", "--reports", tmp_path / "a",
+                   tmp_path / "a" / "track01.json", "--output", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "method 'A' on target 'vocals' of track 'track01'" in err
+        assert not out.exists()
+
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -523,12 +580,42 @@ class TestCompareCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"sepeval: error: {bad}")
 
-    def test_single_method_is_usage_error(self, tmp_path):
+    def test_single_method_is_usage_error(self, tmp_path, capsys):
         _synthetic_reports(tmp_path / "a", "A")
         with pytest.raises(SystemExit) as excinfo:
             _run(["compare", "--reports", tmp_path / "a",
                   "--output", tmp_path / "sig.csv"])
         assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: sepeval compare ")
+
+    def test_pair_without_common_tracks_is_not_tested(self, tmp_path, capsys):
+        _synthetic_reports(tmp_path / "a", "A", tracks=3)
+        _synthetic_reports(tmp_path / "b", "B", tracks=6)
+        for path in sorted((tmp_path / "b").glob("*.json"))[:3]:
+            path.unlink()
+        out = tmp_path / "sig.csv"
+        rc = _run(["compare", "--reports", tmp_path / "a", tmp_path / "b",
+                   "--output", out])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert ("A vs B on vocals/SDR: not tested "
+                "(fewer than two common tracks)") in err
+        assert "indistinguishable" not in err
+        with open(out, newline="") as handle:
+            assert list(csv.reader(handle)) == [["method", "A", "B"],
+                                                ["A", "1.0", ""], ["B", "", "1.0"]]
+
+    def test_duplicate_report_is_an_error(self, tmp_path, capsys):
+        _synthetic_reports(tmp_path / "a", "A")
+        _synthetic_reports(tmp_path / "b", "B")
+        shutil.copy(tmp_path / "a" / "track03.json", tmp_path / "b")
+        rc = _run(["compare", "--reports", tmp_path / "a", tmp_path / "b",
+                   "--output", tmp_path / "sig.csv"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "sepeval: error: two reports score method 'A' on target 'vocals' "
+            "of track 'track03'\n")
+        assert not (tmp_path / "sig.csv").exists()
 
 
 class TestValidateCommand:

@@ -1,10 +1,15 @@
 """Corpus scanning, loading and mixture-consistency tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sepeval
 from sepeval import (
     STEM_NAMES,
     AudioSignal,
@@ -221,3 +226,24 @@ class TestManifest:
         assert path.read_text() == (
             f'{{\n  "root": {root},\n  "tracks": [\n{entries}\n  ]\n}}\n'
         )
+
+    def test_non_ascii_name_is_written_as_utf8_under_an_ascii_locale(
+            self, tmp_path):
+        """The manifest's encoding does not follow the locale's."""
+        path = tmp_path / "manifest.json"
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from sepeval import Corpus, TrackRef, write_manifest\n"
+            "track = TrackRef('Mot\\u00f6rhead - Ace', 'test', Path('t'), 8000, "
+            "8000, 2)\n"
+            "write_manifest(Corpus(Path('c'), [track]), sys.argv[1])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sepeval.__file__).parents[1]),
+                   PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        env.pop("PYTHONIOENCODING", None)
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["tracks"][0]["name"] == "Mot\u00f6rhead - Ace"

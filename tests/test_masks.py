@@ -307,11 +307,34 @@ class TestMaskValidation:
         with pytest.raises(ValueError):
             MatrixMask(np.zeros((1, 2, 2, 2, 3)))
 
+    @pytest.mark.parametrize("kind, values, message", [
+        (ScalarMask, np.zeros((1, 2, 2)), "4-D"),
+        (ScalarMask, np.full((1, 2, 2, 1), np.nan), "non-finite"),
+        (MatrixMask, np.zeros((1, 2, 2, 2)), "5-D"),
+        (MatrixMask, np.full((1, 2, 2, 2, 2), np.inf), "non-finite"),
+    ], ids=["scalar-3d", "scalar-nan", "matrix-4d", "matrix-inf"])
+    def test_mask_shape_and_finiteness(self, kind, values, message):
+        with pytest.raises(ValueError, match=message):
+            kind(values)
+
     def test_source_images_shape_agreement(self):
         a = _spec(np.zeros((3, 4, 2)))
         b = _spec(np.zeros((3, 5, 2)))
         with pytest.raises(ValueError):
             SourceImages([a, b])
+        with pytest.raises(ValueError, match="at least one source image"):
+            SourceImages([])
+
+    @pytest.mark.parametrize("psd, cov_shape, message", [
+        (np.ones((2, 3)), (1, 2, 2, 2), "psd must be 3-D"),
+        (np.ones((1, 2, 3)), (1, 2, 2), "spatial_cov must be 4-D"),
+        (np.ones((1, 3, 3)), (1, 2, 2, 2), "disagree on"),
+        (-np.ones((1, 2, 3)), (1, 2, 2, 2), "non-negative"),
+    ], ids=["psd-2d", "cov-3d", "bins-differ", "negative-psd"])
+    def test_spatial_model_layout_and_sign_checks(self, psd, cov_shape, message):
+        cov = np.broadcast_to(np.eye(cov_shape[-1], dtype=complex), cov_shape)
+        with pytest.raises(ValueError, match=message):
+            SpatialModel(psd, cov)
 
     def test_spatial_model_hermitian_check(self):
         cov = np.zeros((1, 2, 2, 2), dtype=complex)

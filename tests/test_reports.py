@@ -449,6 +449,7 @@ _FRAME0 = ("targets", "vocals", "frames", 0)
 MALFORMED = [
     ("targets-list", ("targets",), []),
     ("frames-int", ("targets", "vocals", "frames"), 5),
+    ("target-without-frames", ("targets", "vocals"), {}),
     ("frame-not-object", _FRAME0, "frame"),
     ("status-list", _FRAME0 + ("SDR_status",), []),
     ("sample-rate-text", ("sample_rate",), "abc"),
@@ -498,6 +499,13 @@ class TestReaderRejectsMalformed:
         path = tmp_path / "many.json"
         path.write_text(json.dumps({"schema_version": 1, "reports": [good, bad]}))
         with pytest.raises(ReportSchemaError, match=re.escape(f"{path}[1]")):
+            read_report(path)
+
+    def test_report_entry_not_an_object(self, tmp_path):
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"schema_version": 1, "reports": [5]}))
+        with pytest.raises(ReportSchemaError,
+                           match=re.escape(f"{path}[0]: report entry is not an object")):
             read_report(path)
 
     def test_valid_payload_reads(self, tmp_path):

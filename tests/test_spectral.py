@@ -166,6 +166,8 @@ class TestSpectrogramType:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Spectrogram(np.zeros((10, 4, 2)), StftConfig(64, 16), 100)
+        with pytest.raises(ValueError, match="3-D"):
+            Spectrogram(np.zeros((33, 4)), StftConfig(64, 16), 100)
 
     def test_finite_validation(self):
         bins = np.zeros((33, 2, 1), dtype=complex)
