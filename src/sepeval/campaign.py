@@ -253,7 +253,7 @@ class AggregateTable:
         return out
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
+        with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as handle:
             writer = csv.writer(handle)
             writer.writerow(
                 ["method", "target", "metric", "track",
@@ -314,7 +314,7 @@ def significance_from_table(
 
 
 def write_significance_csv(matrix: SignificanceMatrix, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as handle:
         writer = csv.writer(handle)
         writer.writerow(["method"] + list(matrix.methods))
         for i, method in enumerate(matrix.methods):
@@ -336,6 +336,5 @@ def write_significance_json(matrix: SignificanceMatrix, path) -> None:
         "num_tracks": matrix.num_tracks,
         "p_values": cells,
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
+                          encoding="utf-8", errors="surrogateescape")

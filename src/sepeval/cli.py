@@ -182,7 +182,7 @@ def cmd_oracle(args, parser) -> int:
         mixture, stems = load_track(track)
         estimates = oracle_separate(
             mixture, list(stems.values()), kind, config=stft_config,
-            iterations=args.iterations, alpha=alpha, order=order,
+            alpha=alpha, order=order,
         )
         track_dir = method_dir / track.name
         track_dir.mkdir(parents=True, exist_ok=True)
@@ -318,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="IRM magnitude exponent (default 2)")
     oracle.add_argument("--order", type=int, choices=(1, 2), default=None,
                         help="IBM comparison order (default 1)")
-    oracle.add_argument("--iterations", type=_positive(int), default=2,
-                        help="MWF model estimation sweeps (default 2)")
     stft = StftConfig()
     oracle.add_argument("--stft-window", type=_positive(int),
                         default=stft.window_size,

@@ -206,6 +206,5 @@ def write_manifest(corpus: Corpus, path) -> None:
             for track in corpus.tracks
         ],
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
+                          encoding="utf-8", errors="surrogateescape")

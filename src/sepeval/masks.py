@@ -23,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioSignal, check_layout
-from .spectral import Spectrogram, StftConfig, istft, stft
+from .spectral import (
+    _CHUNK_CELLS,
+    Spectrogram,
+    StftConfig,
+    _analyse,
+    _chunks,
+    _frame_layout,
+    _OverlapAdd,
+)
 
 __all__ = [
     "ORACLE_METHODS",
@@ -197,61 +205,85 @@ def irm_mask(sources: SourceImages, alpha: float = 2.0) -> ScalarMask:
     return ScalarMask(values)
 
 
-def estimate_mwf_model(sources: SourceImages, iterations: int = 2) -> SpatialModel:
-    """Fit the local Gaussian model (v_j, R_j) by alternating estimation.
+def _outer_sum(bins: np.ndarray) -> np.ndarray:
+    """Sum over frames of the outer products y y^H: (F, T, I) -> (F, I, I).
 
-    Starting from v_j = (1/I)*||y_j(f,t)||^2, each sweep recomputes the
-    frequency-wise covariance R_j(f) as the PSD-weighted average of outer
-    products (trace-normalized to I) and then the PSD as the matched
-    quadratic form v_j = (1/I)*y_j^H R_j^{-1} y_j.  A source with no
-    energy anywhere is flagged and pinned to R_j = identity, v_j = 0.
+    One elementwise product and sum per channel pair, exactly Hermitian;
+    for a few channels this beats a batch of (I, T) @ (T, I) products.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    num_sources = sources.num_sources
-    num_bins, num_frames, channels = sources.images[0].bins.shape
+    channels = bins.shape[-1]
+    out = np.empty((bins.shape[0], channels, channels), dtype=np.complex128)
+    for i in range(channels):
+        for k in range(i, channels):
+            out[:, i, k] = (bins[..., i] * bins[..., k].conj()).sum(axis=1)
+            out[:, k, i] = out[:, i, k].conj()
+    return out
 
-    psd = np.empty((num_sources, num_bins, num_frames))
-    cov = np.empty((num_sources, num_bins, channels, channels), dtype=np.complex128)
+
+def _spatial_covariances(outer_sums: list, live: list) -> tuple:
+    """R_j(f) = I * S_j(f) / tr S_j(f) from each source's outer-product sum S_j.
+
+    Returns the (J, F, I, I) covariances, their pseudo-inverses and the
+    indices of the sources that are not ``live`` (no energy anywhere),
+    which are pinned to the identity with one warning for all of them.  A
+    bin where a live source has no energy also gets the identity.
+    """
+    channels = outer_sums[0].shape[-1]
     eye = np.eye(channels, dtype=np.complex128)
-    degenerate = []
-
-    for j, image in enumerate(sources.images):
-        bins = image.bins  # (F, T, I)
-        if not np.any(bins):
-            degenerate.append(j)
-            psd[j] = 0.0
-            cov[j] = eye
-            continue
-        # Sum of outer products per frequency; reused every sweep because
-        # the weights only rescale it.
-        outer_sum = bins.swapaxes(1, 2) @ bins.conj()
-        flat = np.ascontiguousarray(bins).view(np.float64)  # (F, T, 2I) re/im
-        v = np.einsum("ftk,ftk->ft", flat, flat) / channels
-        r = np.broadcast_to(eye, outer_sum.shape).copy()
-        for _ in range(iterations):
-            weight = v.sum(axis=1)  # (F,)
-            live = weight > 0
-            r[live] = outer_sum[live] / weight[live, None, None]
-            r[~live] = eye
-            trace = np.einsum("fii->f", r).real
-            scalable = trace > 0
-            r[scalable] *= (channels / trace[scalable])[:, None, None]
-            r[~scalable] = eye
-            r_inv = np.linalg.pinv(r, hermitian=True)
-            v = np.einsum("ftk,ftk->ft",  # Re sum_i conj(y_i) (R^-1 y)_i
-                          (bins @ r_inv.swapaxes(-1, -2)).view(np.float64), flat)
-            v = np.maximum(v / channels, 0.0)
-        psd[j] = v
-        cov[j] = (r + r.conj().swapaxes(-1, -2)) / 2.0
-
+    cov = np.empty((len(outer_sums),) + outer_sums[0].shape, dtype=np.complex128)
+    for r, outer_sum in zip(cov, outer_sums):
+        trace = np.einsum("fii->f", outer_sum).real
+        scalable = trace > 0
+        r[scalable] = outer_sum[scalable] * (channels / trace[scalable])[:, None, None]
+        r[~scalable] = eye
+    cov = (cov + cov.conj().swapaxes(-1, -2)) / 2.0
+    degenerate = tuple(j for j, source_live in enumerate(live) if not source_live)
     if degenerate:
         warnings.warn(
-            f"sources {degenerate} are silent; covariance pinned to identity",
+            f"sources {list(degenerate)} are silent; covariance pinned to identity",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return SpatialModel(psd, cov, tuple(degenerate))
+    return cov, np.linalg.pinv(cov, hermitian=True), degenerate
+
+
+def _local_model(images: list, cov, cov_inv, degenerate) -> SpatialModel:
+    """The model over the frames of ``images``, one (F, T, I) array per source.
+
+    v_j = max((1/I) * y_j^H R_j^{-1} y_j, 0) per bin and frame; a
+    degenerate source keeps v_j = 0.
+    """
+    channels = cov.shape[-1]
+    psd = np.zeros((len(images),) + images[0].shape[:2])
+    for j, bins in enumerate(images):
+        if j in degenerate:
+            continue
+        columns = [bins[..., m] for m in range(channels)]
+        solved = np.empty(bins.shape, dtype=np.complex128)  # R^-1 y
+        _channel_sum(cov_inv[j][:, None], columns, solved)
+        for i, column in enumerate(columns):
+            psd[j] += (solved[..., i] * column.conj()).real
+        psd[j] /= channels
+        np.maximum(psd[j], 0.0, out=psd[j])
+    return SpatialModel(psd, cov, degenerate)
+
+
+def estimate_mwf_model(sources: SourceImages) -> SpatialModel:
+    """Fit the local Gaussian model (v_j, R_j) in one sweep.
+
+    The frequency-wise covariance R_j(f) is the sum of the outer products
+    y_j y_j^H over frames, trace-normalized to I, and the PSD is the
+    matched quadratic form v_j = (1/I)*y_j^H R_j^{-1} y_j.  Alternating
+    sweeps would weight the outer products by the previous PSD, but a
+    weight that is constant over frames cancels in the normalization, so
+    every sweep gives this same fit.  A source with no energy anywhere is
+    flagged and pinned to R_j = identity, v_j = 0.
+    """
+    images = [image.bins for image in sources.images]
+    cov, cov_inv, degenerate = _spatial_covariances(
+        [_outer_sum(bins) for bins in images], [bool(np.any(bins)) for bins in images]
+    )
+    return _local_model(images, cov, cov_inv, degenerate)
 
 
 def _wiener(model: SpatialModel, rows: np.ndarray, out, epsilon=None) -> None:
@@ -362,7 +394,7 @@ def _freq_slabs(num_bins: int, num_frames: int, channels: int):
     measured faster at this cap than at 250k or 4M cells, and its peak
     memory stays far below that of its output.
     """
-    step = max(1, 64_000 // max(1, num_frames * channels * channels))
+    step = max(1, _CHUNK_CELLS // max(1, num_frames * channels * channels))
     for start in range(0, num_bins, step):
         yield start, min(start + step, num_bins)
 
@@ -426,7 +458,6 @@ def oracle_separate(
     true_sources: list,
     method: str,
     config: StftConfig = StftConfig(),
-    iterations: int = 2,
     alpha: float | None = None,
     order: int | None = None,
 ) -> list:
@@ -436,8 +467,16 @@ def oracle_separate(
     true source images is applied to the mixture and synthesized back,
     trimmed to the input length.  ``method`` is one of the five canonical
     names, or bare ``IBM``/``IRM`` combined with an explicit ``order`` or
-    ``alpha``.  The source images are freed once the mask or model exists,
-    and each estimate is synthesized as soon as its spectrogram is formed.
+    ``alpha``.
+
+    The work runs over chunks of frames (:func:`spectral._chunks`): each
+    chunk's mixture and source bins are analysed, masked and added to the
+    estimates by overlap-add, so only one chunk's spectra are alive at a
+    time.  The scalar masks are local to each bin and frame, so their
+    estimates equal the whole-spectrogram route bitwise.  MWF makes two
+    passes: the first sums each source's outer products for the spatial
+    covariances, the second recomputes each chunk's source bins for the
+    PSD and runs the Wiener kernel on the mixture's bins.
     """
     kind, alpha, order, _ = _resolve_method(method, alpha, order)
     if not true_sources:
@@ -445,22 +484,40 @@ def oracle_separate(
     for j, source in enumerate(true_sources):
         check_layout(f"source {j}", source.layout, mixture.layout)
 
-    mix_spec = stft(mixture, config)
-    images = SourceImages([stft(source, config) for source in true_sources])
+    length, channels = mixture.samples.shape
+    if length == 0:
+        raise ValueError("cannot transform an empty signal")
+    _, num_frames = _frame_layout(length, config)
+    outputs = [_OverlapAdd(config, num_frames, channels) for _ in true_sources]
+    chunks = list(_chunks(num_frames, config, channels))
+    win = config.taper()
+
+    def analyse(signal, start, stop):
+        bins = _analyse(signal.samples, config, win, start, stop)
+        return Spectrogram(bins, config, length, mixture.sample_rate)
 
     if kind == "MWF":
-        model = estimate_mwf_model(images, iterations)
-        del images
-        # The Wiener kernel on the mixture column: no mask is materialized.
-        masked = np.empty((model.num_sources,) + mix_spec.bins.shape, complex)
-        _wiener(model, mix_spec.bins[..., None, :], masked[..., None, :])
-        del model
-        specs = (
-            Spectrogram(bins, config, mix_spec.original_length, mixture.sample_rate)
-            for bins in masked
-        )
-    else:
-        mask = ibm_mask(images, order) if kind == "IBM" else irm_mask(images, alpha)
-        del images
-        specs = (apply_mask(mask, mix_spec, j) for j in range(mask.num_sources))
-    return [istft(spec, mixture.num_samples) for spec in specs]
+        outer_sums = np.zeros((len(true_sources), config.num_bins, channels, channels),
+                              dtype=np.complex128)
+        live = [False] * len(true_sources)
+        for start, stop in chunks:
+            for j, source in enumerate(true_sources):
+                bins = analyse(source, start, stop).bins
+                outer_sums[j] += _outer_sum(bins)
+                live[j] = live[j] or bool(np.any(bins))
+        covariance = _spatial_covariances(outer_sums, live)
+    for start, stop in chunks:
+        mix = analyse(mixture, start, stop)
+        images = [analyse(source, start, stop) for source in true_sources]
+        if kind == "MWF":
+            model = _local_model([image.bins for image in images], *covariance)
+            # The Wiener kernel on the mixture column: no mask is materialized.
+            masked = np.empty((model.num_sources,) + mix.bins.shape, complex)
+            _wiener(model, mix.bins[..., None, :], masked[..., None, :])
+        else:
+            images = SourceImages(images)
+            mask = ibm_mask(images, order) if kind == "IBM" else irm_mask(images, alpha)
+            masked = (apply_mask(mask, mix, j).bins for j in range(mask.num_sources))
+        for output, bins in zip(outputs, masked):
+            output.add(start, bins)
+    return [output.signal(length, mixture.sample_rate) for output in outputs]

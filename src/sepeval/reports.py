@@ -280,7 +280,7 @@ def write_report(scores, path) -> None:
         reports = [_report_text(score, "    ") for score in scores]
         text = _object({"reports": _array(reports, "  "),
                         "schema_version": version}, "")
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(text + "\n", encoding="utf-8", errors="surrogateescape")
 
 
 def read_report(path) -> list:

@@ -9,6 +9,14 @@ divides by the periodic overlap profile, the squared taper summed over one
 hop's worth of frames; full overlap makes that division exact, so
 ``istft(stft(x))`` reconstructs ``x`` to near machine precision for any
 window/hop combination whose squared taper never sums to zero.
+
+Both directions run over chunks of frames (:func:`_chunks`): analysis
+frames each chunk straight from the samples (:func:`_analyse`), and
+synthesis adds each chunk into one overlap-add buffer
+(:class:`_OverlapAdd`).  ``stft`` and ``istft`` drive these over a whole
+signal; the oracle separators in ``masks`` drive them over the mixture,
+the sources and the estimates at once, so no whole-track spectrogram is
+formed there.
 """
 
 from dataclasses import dataclass
@@ -21,7 +29,9 @@ from .audio import AudioSignal
 
 __all__ = ["StftConfig", "Spectrogram", "stft", "istft"]
 
-_FRAME_CHUNK = 256  # frames transformed per FFT batch, caps transient memory
+# Cap on the complex cells one array operation of the oracle path touches:
+# a chunk of frames here, a frequency slab of the Wiener kernel in ``masks``.
+_CHUNK_CELLS = 64_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +106,36 @@ def _frame_layout(num_samples: int, config: StftConfig):
     return pad_front, num_frames
 
 
+def _chunks(num_frames: int, config: StftConfig, channels: int):
+    """Frame ranges [start, stop) of at most ``_CHUNK_CELLS`` complex cells.
+
+    One chunk of bins is frames x bins x channels cells; at 4096/1024 and
+    two channels that is 15 frames, about 1 MB of spectra.
+    """
+    step = max(1, _CHUNK_CELLS // (config.num_bins * channels))
+    for start in range(0, num_frames, step):
+        yield start, min(start + step, num_frames)
+
+
+def _analyse(samples: np.ndarray, config: StftConfig, win: np.ndarray,
+             start: int, stop: int) -> np.ndarray:
+    """Bins of frames [start, stop) as an (F, t, I) complex array.
+
+    Frame k covers samples [k*hop - pad, k*hop - pad + size) of the
+    (N, I) ``samples``, zero outside them, where pad is the leading pad of
+    :func:`_frame_layout`.  Only the chunk's own span is copied (widened
+    to float64), so no padded copy of the whole signal is made.
+    """
+    size, hop = config.window_size, config.hop_size
+    first = start * hop - (size - hop)
+    span = np.zeros(((stop - start - 1) * hop + size, samples.shape[1]))
+    lo, hi = max(first, 0), min(first + span.shape[0], samples.shape[0])
+    if lo < hi:
+        span[lo - first:hi - first] = samples[lo:hi]
+    frames = np.lib.stride_tricks.sliding_window_view(span, size, axis=0)[::hop]
+    return np.moveaxis(rfft(frames * win, axis=-1), -1, 0)  # (t, I, F) -> (F, t, I)
+
+
 def stft(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
     """Short-time Fourier transform of all channels.
 
@@ -115,21 +155,11 @@ def stft(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
     num_samples, channels = samples.shape
     if num_samples == 0:
         raise ValueError("cannot transform an empty signal")
-
+    _, num_frames = _frame_layout(num_samples, config)
     win = config.taper()
-    size, hop = config.window_size, config.hop_size
-    pad_front, num_frames = _frame_layout(num_samples, config)
-    total = (num_frames - 1) * hop + size
-
-    padded = np.zeros((total, channels))
-    padded[pad_front:pad_front + num_samples] = samples
-
     bins = np.empty((config.num_bins, num_frames, channels), dtype=np.complex128)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, size, axis=0)[::hop]
-    for start in range(0, num_frames, _FRAME_CHUNK):
-        chunk = frames[start:start + _FRAME_CHUNK]  # (t, I, size)
-        spec = rfft(chunk * win, axis=-1)
-        bins[:, start:start + chunk.shape[0]] = np.moveaxis(spec, -1, 0)
+    for start, stop in _chunks(num_frames, config, channels):
+        bins[:, start:stop] = _analyse(samples, config, win, start, stop)
     return Spectrogram(bins, config, num_samples, signal.sample_rate)
 
 
@@ -153,6 +183,48 @@ def _overlap_profile(config: StftConfig) -> np.ndarray:
     return profile
 
 
+class _OverlapAdd:
+    """Weighted overlap-add synthesis of one signal, chunk by chunk.
+
+    Block b of the buffer holds samples [b*hop, (b+1)*hop); phase q of
+    frame k (its samples [q*hop, (q+1)*hop)) lands in block k+q.  Chunks
+    are added in frame order and, within a chunk, phases run last to
+    first, so each sample sums its frames in frame order whatever the
+    chunk size.  The buffer is divided by the overlap profile once, in
+    :meth:`signal`.  Raises ValueError at construction when the taper does
+    not overlap-add at the hop.
+    """
+
+    def __init__(self, config: StftConfig, num_frames: int, channels: int):
+        self.config = config
+        self.profile = _overlap_profile(config)
+        self.win = config.taper()
+        self.phases = -(-config.window_size // config.hop_size)
+        self.out = np.zeros((num_frames + self.phases - 1, config.hop_size, channels))
+
+    def add(self, start: int, bins: np.ndarray) -> None:
+        """Add the frames whose (F, t, I) ``bins`` start at frame ``start``."""
+        size, hop = self.config.window_size, self.config.hop_size
+        # Along the last axis of a contiguous (t, I, F) array.
+        chunk = np.ascontiguousarray(bins.transpose(1, 2, 0))
+        frames = irfft(chunk, n=size, axis=-1)  # (t, I, size)
+        frames *= self.win
+        count = frames.shape[0]
+        for q in reversed(range(self.phases)):
+            phase = frames[..., q * hop:(q + 1) * hop].swapaxes(1, 2)  # (t, <=hop, I)
+            self.out[start + q:start + q + count, :phase.shape[1]] += phase
+
+    def signal(self, length: int, sample_rate: int) -> AudioSignal:
+        """The synthesized samples, trimmed or zero-padded to ``length``."""
+        self.out /= self.profile[:, None]
+        channels = self.out.shape[-1]
+        pad_front, _ = _frame_layout(length, self.config)
+        result = self.out.reshape(-1, channels)[pad_front:pad_front + length]
+        if result.shape[0] < length:
+            result = np.vstack([result, np.zeros((length - result.shape[0], channels))])
+        return AudioSignal(result, sample_rate)
+
+
 def istft(spec: Spectrogram, original_length: int | None = None) -> AudioSignal:
     """Weighted overlap-add synthesis, trimmed to the original length.
 
@@ -170,35 +242,9 @@ def istft(spec: Spectrogram, original_length: int | None = None) -> AudioSignal:
         Near-exact reconstruction (max abs error well below 1e-6 for
         round trips) at the spectrogram's sample rate.
     """
-    config = spec.config
     if original_length is None:
         original_length = spec.original_length
-    profile = _overlap_profile(config)
-
-    win = config.taper()
-    size, hop = config.window_size, config.hop_size
-    num_frames, channels = spec.num_frames, spec.num_channels
-    phases = -(-size // hop)
-
-    # Block b holds samples [b*hop, (b+1)*hop); phase q of frame k (its
-    # samples [q*hop, (q+1)*hop)) lands in block k+q.  Phases run last to
-    # first, so each sample still sums its frames in frame order.
-    out = np.zeros((num_frames + phases - 1, hop, channels))
-    for start in range(0, num_frames, _FRAME_CHUNK):
-        # Along the last axis of a contiguous (t, I, F) copy, freed on return.
-        chunk = spec.bins[:, start:start + _FRAME_CHUNK].transpose(1, 2, 0)
-        frames = irfft(chunk.copy(), n=size, axis=-1)  # (t, I, size)
-        frames *= win
-        count = frames.shape[0]
-        for q in reversed(range(phases)):
-            phase = frames[..., q * hop:(q + 1) * hop].swapaxes(1, 2)  # (t, <=hop, I)
-            out[start + q:start + q + count, :phase.shape[1]] += phase
-    out /= profile[:, None]
-
-    pad_front, _ = _frame_layout(original_length, config)
-    result = out.reshape(-1, channels)[pad_front:pad_front + original_length]
-    if result.shape[0] < original_length:
-        result = np.vstack(
-            [result, np.zeros((original_length - result.shape[0], channels))]
-        )
-    return AudioSignal(result, spec.sample_rate)
+    synthesis = _OverlapAdd(spec.config, spec.num_frames, spec.num_channels)
+    for start, stop in _chunks(spec.num_frames, spec.config, spec.num_channels):
+        synthesis.add(start, spec.bins[:, start:stop])
+    return synthesis.signal(original_length, spec.sample_rate)

@@ -94,6 +94,15 @@ class TestOracleCommand:
                   "--output", tmp_path / "out"] + FAST)
         assert excinfo.value.code == 2
 
+    def test_iterations_flag_is_gone(self, corpus_root, tmp_path, capsys):
+        """The MWF model is fitted in one sweep; there is no sweep count."""
+        with pytest.raises(SystemExit) as excinfo:
+            _run(["oracle", "--corpus", corpus_root, "--method", "MWF",
+                  "--iterations", "2", "--output", tmp_path / "out"] + FAST)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --iterations 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_output_is_usage_error(self, corpus_root, capsys):
         with pytest.raises(SystemExit) as excinfo:
             _run(["oracle", "--corpus", corpus_root, "--method", "IBM1"] + FAST)
@@ -329,6 +338,54 @@ class TestUsageLine:
         assert f"{flag} is required" in err
 
 
+class TestUndecodableTrackName:
+    """Under an ASCII locale a non-ASCII track folder name is read as
+    surrogate escapes; each file that names the track holds the name's
+    original bytes."""
+
+    NAME = b"Mot\xc3\xb6rhead - Ace"  # UTF-8 bytes, not decodable as ASCII
+
+    @staticmethod
+    def _cli(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(sepeval.__file__).parents[1]),
+                   PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        env.pop("PYTHONIOENCODING", None)
+        return subprocess.run(
+            [sys.executable, "-m", "sepeval.cli", *map(str, argv)],
+            capture_output=True, env=env, timeout=120,
+        )
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        root = tmp_path / "corpus"
+        write_track(root / "test" / os.fsdecode(self.NAME), np.random.default_rng(7),
+                    num_samples=FIXTURE_RATE)
+        return root
+
+    def test_validate_writes_the_manifest(self, corpus, tmp_path):
+        manifest = tmp_path / "m.json"
+        proc = self._cli("validate", "--corpus", corpus, "--manifest", manifest)
+        assert proc.returncode == 0, proc.stderr
+        tracks = json.loads(manifest.read_bytes())["tracks"]
+        assert [track["name"] for track in tracks] == [self.NAME.decode("utf-8")]
+
+    def test_eval_writes_the_report_and_summary(self, corpus, tmp_path):
+        track = corpus / "test" / os.fsdecode(self.NAME)
+        estimates = tmp_path / "estimates" / track.name
+        estimates.mkdir(parents=True)
+        for stem in ("drums", "bass", "other", "vocals"):
+            shutil.copy(track / f"{stem}.wav", estimates / f"{stem}.wav")
+        out = tmp_path / "out"
+        proc = self._cli("eval", "--corpus", corpus, "--estimates", estimates.parent,
+                         "--output", out, "--method", "copies", *SCORING)
+        assert proc.returncode == 0, proc.stderr
+        (report,) = out.rglob("*.json")
+        assert os.fsencode(report.name) == self.NAME + b".json"
+        (score,) = read_report(report)
+        assert score.track == self.NAME.decode("utf-8")
+        assert b"," + self.NAME + b"," in (out / "summary.csv").read_bytes()
+
+
 class TestNumericFlags:
     """A count, length, exponent or level that is not a positive finite
     number is a usage error."""
@@ -343,7 +400,6 @@ class TestNumericFlags:
         ("eval", "--workers", "0"),
         ("eval", "--workers", "-3"),
         ("eval", "--filter-len", "0"),
-        ("oracle", "--iterations", "0"),
         ("oracle", "--filter-len", "-1"),
         ("oracle", "--stft-window", "0"),
         ("oracle", "--stft-window", "-256"),

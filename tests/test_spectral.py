@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from sepeval import AudioSignal, Spectrogram, StftConfig, istft, stft
+from sepeval.spectral import _overlap_profile
 
 
 def _direct_dft(frame):
@@ -253,3 +255,61 @@ class TestOverlapAddOracle:
         np.testing.assert_allclose(back[:length], samples, rtol=0, atol=1e-10)
         assert np.abs(back[length:covered]).max(initial=0.0) <= 1e-12
         assert not np.any(back[covered:])
+
+
+def _padded_stft(signal, config):
+    """Whole-signal analysis: one float64 padded copy, one FFT batch."""
+    samples = signal.samples
+    size, hop = config.window_size, config.hop_size
+    pad_front = size - hop
+    num_frames = (pad_front + len(samples) - 1) // hop + 1
+    padded = np.zeros(((num_frames - 1) * hop + size, samples.shape[1]))
+    padded[pad_front:pad_front + len(samples)] = samples
+    frames = np.lib.stride_tricks.sliding_window_view(padded, size, axis=0)[::hop]
+    return np.moveaxis(scipy.fft.rfft(frames * config.taper(), axis=-1), -1, 0)
+
+
+def _one_batch_istft(spec, length):
+    """Overlap-add of every frame from one inverse-FFT batch, phase by phase
+    from last to first, so each sample sums its frames in frame order."""
+    config = spec.config
+    size, hop = config.window_size, config.hop_size
+    phases = -(-size // hop)
+    frames = scipy.fft.irfft(spec.bins.transpose(1, 2, 0).copy(), n=size, axis=-1)
+    frames *= config.taper()
+    out = np.zeros((spec.num_frames + phases - 1, hop, spec.num_channels))
+    for q in reversed(range(phases)):
+        phase = frames[..., q * hop:(q + 1) * hop].swapaxes(1, 2)
+        out[q:q + spec.num_frames, :phase.shape[1]] += phase
+    out /= _overlap_profile(config)[:, None]
+    result = out.reshape(-1, spec.num_channels)[size - hop:size - hop + length]
+    return np.vstack([result, np.zeros((length - len(result), spec.num_channels))])
+
+
+ROUND_TRIP_CONFIGS = [  # TestRoundTrip's configs
+    StftConfig(256, 64), StftConfig(256, 128), StftConfig(256, 85),
+    StftConfig(128, 128, "rect"), StftConfig(128, 32, "rect"), StftConfig(64, 16, "hamming"),
+]
+
+
+class TestChunkedFraming:
+    """``stft`` and ``istft`` run chunk by chunk over frames, each chunk
+    framed straight from the samples; that changes no bit against one
+    padded copy and one FFT batch, however many chunks a signal spans."""
+
+    @pytest.mark.parametrize("config", OVERLAP_CONFIGS + ROUND_TRIP_CONFIGS, ids=str)
+    @pytest.mark.parametrize("length, channels", [
+        (1, 2), (29, 1), (1000, 2), (4097, 3), (24000, 2), (100_000, 2),
+    ])
+    def test_bitwise_equal_to_one_padded_copy(self, config, length, channels):
+        rng = np.random.default_rng(length + channels)
+        samples = rng.standard_normal((length, channels)).astype(np.float32)
+        spec = stft(AudioSignal(samples, 8000), config)
+        np.testing.assert_array_equal(spec.bins,
+                                      _padded_stft(AudioSignal(samples, 8000), config))
+        gains = rng.standard_normal(spec.bins.shape)
+        masked = Spectrogram(gains * spec.bins, config, length, 8000)
+        longer = length + config.window_size + 3
+        for target in (length, longer):
+            np.testing.assert_array_equal(istft(masked, target).samples,
+                                          _one_batch_istft(masked, target))
