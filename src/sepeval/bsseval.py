@@ -34,16 +34,25 @@ Levinson factor built from its lags in O(L^2 C^3), rather than the
 O(L^3 C^3) of a Cholesky factor of the dense Gram, which is never formed.
 The factor keeps only the spectra of its final forward and backward
 predictors, O(L C^2), and applies T^-1 in the Gohberg-Semencul form by
-FFT, followed by fixed refinement steps.  It is refused when one of its
-error blocks, scaled by R[0]'s diagonal, falls to ``_ERROR_FLOOR``
-(checked as the recursion runs, so a near-singular system is refused
-early), or when its solve of a fixed known-solution probe leaves a
-relative residual of ``_PROBE_TOLERANCE`` or more; that system's dense
-Gram is then factorized by Cholesky.  A reference silent over the span
-gets zero taps and no unknowns, so where only the target is audible its
-joint fit is its solo fit and the interference is exactly zero; when
-every reference is silent, so is every tap.  ``bss_eval`` factorizes only
-the single-reference systems of the references it scores against.
+FFT, followed by fixed refinement steps.  One recursion factors a stack
+of systems of one size, each on its own slice, so a system's solve does
+not depend on the stack it is in.  A system is refused, and leaves the
+stack, when one of its error blocks, scaled by R[0]'s diagonal, falls to
+``_ERROR_FLOOR`` (checked as the recursion runs, so a near-singular
+system is refused early), or when its solve of a fixed known-solution
+probe leaves a relative residual of ``_PROBE_TOLERANCE`` or more; its
+dense Gram is then factorized by Cholesky.  A reference silent over the
+span gets zero taps and no unknowns, so where only the target is audible
+its joint fit is its solo fit and the interference is exactly zero; when
+every reference is silent, so is every tap.
+
+A target of ``bss_eval`` is a reference, or a group of references scored
+against their sum with each other reference one interferer (MUSDB18's
+accompaniment).  One projector per fit serves every target: a group's
+lags, right-hand sides and projections are linear images of its
+members', and the solo systems of all targets are factorized in one
+stack, ahead of the joint systems, one per set of references scored
+against.
 """
 
 import functools
@@ -270,6 +279,20 @@ def _channels(signals) -> list:
     return [signal[:, c] for signal in signals for c in range(signal.shape[1])]
 
 
+def _members(target) -> tuple:
+    """The reference indices of a target: a group's own, or the one index."""
+    return target if isinstance(target, tuple) else (target,)
+
+
+def _summed(references, members: tuple, start: int, stop: int) -> np.ndarray:
+    """Samples [start, stop) of the sum of the ``members`` of ``references``,
+    in float64, added in the order of ``members``."""
+    total = references[members[0]][start:stop].astype(np.float64)
+    for j in members[1:]:
+        total += references[j][start:stop]
+    return total
+
+
 class _Projector:
     """Reference segment spectra and factorized normal equations for one span.
 
@@ -278,19 +301,31 @@ class _Projector:
     own block spectra, R[m] = ``_lags[m]``, are the Gram's blocks: with the
     unknowns lag-major, block (p, q) is R[p - q] (R[-m] = R[m]^T).  An
     estimate's cross-correlations are its lags, in the same layout, and
-    projections filter the segments.  System 0 is the joint one over
-    all references, system 1 + j reference j's alone (its channels).
+    projections filter the segments.
+
+    A target is scored against a frame of references (:meth:`_frame`):
+    every reference, or for a group target the references outside the
+    group and then the group's sum.  A system is keyed by its frame and
+    the audible references whose channels are its unknowns: the joint
+    system of a frame covers all of them, a target's solo system its own.
+    A group's quantities are linear images of its members': with M the
+    matrix that sums the members' channels (:meth:`_mixing`), its lags are
+    M^T R[m] M and its right-hand sides M^T D, and its taps filter each
+    member's segments.  Each frame's systems are loaded by 1e-12 of the
+    mean lag-0 energy over its channels.
 
     A reference that is silent over the span gets zero taps and no
-    unknowns: system 0 covers the audible references only, so when only
-    one is audible the joint system is that reference's solo system and
-    their taps are bitwise equal.  When every reference is silent
+    unknowns; a group is silent exactly when its summed samples are all
+    zero.  So when only one reference of a frame is audible its joint
+    system is that reference's solo system, factorized once, and their
+    taps are bitwise equal.  When every reference is silent
     (``degenerate``) the loading is zero too, nothing is factorized and
-    every tap is zero.  Each system is factorized once, when first solved,
-    by :func:`_levinson` from its loaded lags (a factor that holds only the
-    spectra of its final predictors and lags, 2.5 MB for 8 channels and
-    512 taps), or by Cholesky of its dense Gram when that factor is
-    refused; a Gram the loading leaves indefinite then raises LinAlgError.
+    every tap is zero.  Each system is factorized once, by :func:`_levinson`
+    from its loaded lags (a factor that holds only the spectra of its final
+    predictors and lags, 2.5 MB for 8 channels and 512 taps), in a stack
+    with the other systems :meth:`_factor` is given, or by Cholesky of its
+    dense Gram when that factor is refused; a Gram the loading leaves
+    indefinite then raises LinAlgError.
 
     Reusing one instance across estimates guarantees that evaluating the
     same estimate twice, in any order, produces bitwise-equal filters.
@@ -306,6 +341,7 @@ class _Projector:
         self.filter_len = filter_len
         self.num_refs = num_refs
         self.channels = channels
+        self.references = references
         self.blocks = _Blocks(num_samples, filter_len)
         self.segments = self.blocks.segment_spectra(references, num_samples)
         # The references' block spectra live only inside lags(), so they
@@ -314,73 +350,118 @@ class _Projector:
         # Lag 0 holds each channel pair twice, equal only to rounding; keeping
         # the upper triangle makes every Gram exactly symmetric.
         self._lags[0] = np.triu(self._lags[0]) + np.triu(self._lags[0], 1).T
-        energies = np.diagonal(self._lags[0])
-        # Diagonal loading: 1e-12 of the mean of the joint Gram's diagonal.
-        self._loading = 1e-12 * float(np.mean(energies))
-        self._audible = tuple(
-            j for j, energy in enumerate(energies.reshape(num_refs, channels))
-            if np.any(energy)
-        )
+        energies = np.diagonal(self._lags[0]).reshape(num_refs, channels)
+        self._audible = {j for j, energy in enumerate(energies) if np.any(energy)}
         self.degenerate = not self._audible
+        self._groups = {}   # group -> audible
         self._solvers = {}
 
-    def _system_refs(self, system: int) -> tuple:
-        """The audible references whose channels are the unknowns of ``system``."""
-        if system == 0:
-            return self._audible
-        return (system - 1,) if system - 1 in self._audible else ()
+    def _frame(self, target) -> tuple:
+        """The references ``target`` is scored against: all, or for a group
+        those outside it, then the group."""
+        if isinstance(target, tuple):
+            return tuple(j for j in range(self.num_refs) if j not in target) + (target,)
+        return tuple(range(self.num_refs))
 
-    def _channel_index(self, refs: tuple) -> np.ndarray:
-        channels = np.arange(self.channels)
-        return (np.asarray(refs)[:, None] * self.channels + channels).ravel()
+    def _is_audible(self, ref) -> bool:
+        """Whether reference or group ``ref`` has a nonzero sample in the span."""
+        if not isinstance(ref, tuple):
+            return ref in self._audible
+        if ref not in self._groups:
+            length, step = len(self.references[0]), self.blocks.length
+            self._groups[ref] = any(
+                np.any(_summed(self.references, ref, a, a + step))
+                for a in range(0, length, step)
+            )
+        return self._groups[ref]
 
-    def _system_lags(self, refs: tuple) -> np.ndarray:
-        """(L, C, C) lags among the channels of ``refs``, R[0] loaded."""
-        index = self._channel_index(refs)
-        lags = self._lags[:, index[:, None], index]
-        lags[0].flat[::len(index) + 1] += self._loading
+    def _system(self, frame: tuple, refs: tuple):
+        """Key of the system over the audible ones of ``refs`` in ``frame``,
+        or None when none is audible."""
+        refs = tuple(ref for ref in refs if self._is_audible(ref))
+        return (frame, refs) if refs else None
+
+    def _joint(self, target):
+        frame = self._frame(target)
+        return self._system(frame, frame)
+
+    def _solo(self, target):
+        return self._system(self._frame(target), (target,))
+
+    def _mixing(self, refs: tuple) -> np.ndarray:
+        """(J C, R C) matrix from the reference channels to those of the R
+        ``refs``: column block r sums the channels of ref r's members."""
+        mixing = np.zeros((self.num_refs, self.channels, len(refs), self.channels))
+        for r, ref in enumerate(refs):
+            mixing[list(_members(ref)), :, r] = np.eye(self.channels)
+        return mixing.reshape(self.num_refs * self.channels, -1)
+
+    def _loading(self, frame: tuple) -> float:
+        """Diagonal loading of the systems of ``frame``: 1e-12 of the mean
+        lag-0 energy over its channels."""
+        mixing = self._mixing(frame)
+        return 1e-12 * float(np.mean(np.diagonal(mixing.T @ self._lags[0] @ mixing)))
+
+    def _system_lags(self, key: tuple) -> np.ndarray:
+        """(L, C, C) lags among the channels of system ``key``, R[0] loaded."""
+        frame, refs = key
+        mixing = self._mixing(refs)
+        lags = mixing.T @ self._lags @ mixing
+        lags[0] = np.triu(lags[0]) + np.triu(lags[0], 1).T
+        lags[0].flat[::len(lags[0]) + 1] += self._loading(frame)
         return lags
 
-    def _solver(self, refs: tuple):
-        """T^-1 of the system over ``refs``, as a function of right-hand sides."""
-        if refs not in self._solvers:
-            lags = self._system_lags(refs)
-            try:
-                solver = _levinson(lags)
-            except LinAlgError:
-                solver = None
+    def _factor(self, keys) -> None:
+        """Factorize those of ``keys`` (None: no system) not yet factorized,
+        which must have one channel count: by block Levinson in one stack,
+        and by Cholesky each system it refuses."""
+        keys = [key for key in dict.fromkeys(keys)
+                if key is not None and key not in self._solvers]
+        if not keys:
+            return
+        stack = np.stack([self._system_lags(key) for key in keys])
+        for key, lags, solver in zip(keys, stack, _levinson(stack)):
             if solver is None:
-                # After the handler, so the refused factor is freed first.
                 # Finite by construction: AudioSignal rejects non-finite samples.
                 factor = cho_factor(_block_toeplitz(lags), overwrite_a=True,
                                     check_finite=False)
                 solver = functools.partial(cho_solve, factor, check_finite=False)
-            self._solvers[refs] = solver
-        return self._solvers[refs]
+            self._solvers[key] = solver
 
-    def _taps(self, D: np.ndarray, system: int) -> np.ndarray:
-        """(J', I_ref, I_est, L) taps solving ``system`` for (L, C, I_est) right-hand
+    def _taps(self, D: np.ndarray, key) -> np.ndarray:
+        """(R, I_ref, I_est, L) taps of the R references of system ``key``
+        (None: one reference, all zero) for (L, J I_ref, I_est) right-hand
         sides D[m, b, c] = <reference channel b delayed by m, estimate channel c>."""
-        refs = self._system_refs(system)
-        taps = np.zeros((self.num_refs if system == 0 else 1, self.channels,
-                         D.shape[2], self.filter_len))
-        if refs:
-            rhs = D[:, self._channel_index(refs)].reshape(-1, D.shape[2])
-            flat = self._solver(refs)(rhs)
-            taps[list(refs) if system == 0 else 0] = flat.reshape(
-                self.filter_len, len(refs), self.channels, D.shape[2]
-            ).transpose(1, 2, 3, 0)
-        return taps
+        if key is None:
+            return np.zeros((1, self.channels, D.shape[2], self.filter_len))
+        self._factor([key])
+        refs = key[1]
+        rhs = (self._mixing(refs).T @ D).reshape(-1, D.shape[2])
+        return self._solvers[key](rhs).reshape(
+            self.filter_len, len(refs), self.channels, D.shape[2]
+        ).transpose(1, 2, 3, 0)
 
     def fit(self, estimate: np.ndarray, solo) -> tuple:
-        """Joint taps to an estimate, and solo taps for each reference in ``solo``."""
+        """Joint taps to an estimate, (J, I_ref, I_est, L), and the solo taps
+        of each target in ``solo``, (1, I_ref, I_est, L).
+
+        The targets of ``solo`` share one frame, over which the joint taps
+        are fitted; a group's taps sit on each of its members.  Their solo
+        systems are factorized in one stack.
+        """
+        self._factor([self._solo(target) for target in solo])
         D = self.blocks.lags(self.segments, estimate)
-        return self._taps(D, 0), [self._taps(D, 1 + j) for j in solo]
+        taps = np.zeros((self.num_refs, self.channels, D.shape[2], self.filter_len))
+        joint = self._joint(next(iter(solo), 0))
+        if joint is not None:
+            for ref, ref_taps in zip(joint[1], self._taps(D, joint)):
+                taps[list(_members(ref))] = ref_taps
+        return taps, [self._taps(D, self._solo(target)) for target in solo]
 
 
 def _two_sided(lags: np.ndarray) -> np.ndarray:
-    """R[-(L-1)], ..., R[L-1] from R[m] = ``lags[m]``, with R[-m] = R[m]^T."""
-    return np.concatenate((lags[:0:-1].transpose(0, 2, 1), lags))
+    """R[-(L-1)], ..., R[L-1] from R[m] = ``lags[..., m, :, :]``, with R[-m] = R[m]^T."""
+    return np.concatenate((np.swapaxes(lags[..., :0:-1, :, :], -1, -2), lags), axis=-3)
 
 
 def _block_toeplitz(lags: np.ndarray) -> np.ndarray:
@@ -397,23 +478,66 @@ def _block_toeplitz(lags: np.ndarray) -> np.ndarray:
 def _toeplitz_product(spectrum: np.ndarray, x: np.ndarray, size: int,
                       first: int) -> np.ndarray:
     """Blocks first, ..., first + L - 1 of the FFT convolution of a block
-    sequence with the L blocks x[q] of (L C, K) ``x``, as (L C', K).
+    sequence with the L blocks x[q] of (..., L C, K) ``x``, as (..., L C', K).
 
-    ``spectrum`` is the sequence's (F, C', C) rFFT at ``size`` >= 2L - 1,
-    so no block taken wraps.  For the two-sided lags R[-(L-1)], ..., R[L-1]
-    of a block-Toeplitz T and ``first`` = L - 1 this is T x, y[p] = sum_q
-    R[p - q] x[q]; for L causal blocks v and ``first`` = 0 it is L(v) x,
-    and for the conjugate transpose of their spectrum L(v)^T x.
+    ``spectrum`` is the sequence's (..., F, C', C) rFFT at ``size`` >= 2L - 1,
+    so no block taken wraps; leading axes are systems, each its own.  For
+    the two-sided lags R[-(L-1)], ..., R[L-1] of a block-Toeplitz T and
+    ``first`` = L - 1 this is T x, y[p] = sum_q R[p - q] x[q]; for L causal
+    blocks v and ``first`` = 0 it is L(v) x, and for the conjugate transpose
+    of their spectrum L(v)^T x.  The K columns sit on the batch axis of one
+    matrix-vector product per bin and column, so each depends on its own
+    right-hand side alone.
     """
-    K = x.shape[-1]
-    blocks = x.reshape(-1, spectrum.shape[-1], K)
-    product = np.matmul(spectrum, scipy.fft.rfft(blocks, size, axis=0))
-    y = scipy.fft.irfft(product, size, axis=0)[first:first + len(blocks)]
-    return y.reshape(-1, K)
+    C, K = spectrum.shape[-1], x.shape[-1]
+    blocks = x.reshape(x.shape[:-2] + (-1, C, K))
+    X = scipy.fft.rfft(np.swapaxes(blocks, -1, -2), size, axis=-3)  # (..., F, K, C)
+    product = np.matmul(spectrum[..., None, :, :], X[..., None])[..., 0]
+    y = scipy.fft.irfft(np.swapaxes(product, -1, -2), size, axis=-3)
+    return y[..., first:first + blocks.shape[-3], :, :].reshape(x.shape[:-2] + (-1, K))
 
 
-def _levinson(lags: np.ndarray):
-    """T^-1 of the block-Toeplitz T of loaded (L, C, C) ``lags``, by block Levinson.
+def _gohberg_semencul(spectrum: np.ndarray, correlate: np.ndarray,
+                      convolve: np.ndarray, size: int):
+    """T^-1 applied by the Gohberg-Semencul form and refined (see
+    :func:`_levinson`), as a function of (..., L C, K) right-hand sides;
+    leading axes of the spectra are systems."""
+
+    def apply(rhs: np.ndarray) -> np.ndarray:
+        half = _toeplitz_product(correlate, rhs, size, 0)
+        return _toeplitz_product(convolve, half, size, 0)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        last = rhs.shape[-2] // spectrum.shape[-1] - 1
+        x = apply(rhs)
+        for _ in range(_REFINEMENTS):
+            x += apply(rhs - _toeplitz_product(spectrum, x, size, last))
+        return x
+
+    return solve
+
+
+def _below_floor(errors: np.ndarray, floor: np.ndarray) -> list:
+    """The systems whose error blocks minus ``floor`` are not positive
+    definite: one stacked Cholesky, then one per system if it raises."""
+    shifted = errors - floor
+    try:
+        np.linalg.cholesky(shifted)
+        return []
+    except LinAlgError:
+        pass
+    below = []
+    for s, matrix in enumerate(shifted):
+        try:
+            np.linalg.cholesky(matrix)
+        except LinAlgError:
+            below.append(s)
+    return below
+
+
+def _levinson(lags: np.ndarray) -> list:
+    """T^-1 of the block-Toeplitz T of each system of loaded (S, L, C, C)
+    ``lags``, by block Levinson over the stack of S systems.
 
     The forward and backward block recursions (Wiggins & Robinson 1965)
     run together: at order k the forward predictor a_k (blocks a_k[0..k],
@@ -438,107 +562,152 @@ def _levinson(lags: np.ndarray):
     ``_REFINEMENTS`` fixed refinement steps, x += apply(rhs - T x), T x by
     FFT from the lag spectrum (see :func:`_toeplitz_product`).
 
-    Returns that solve, or raises LinAlgError when an error block E, scaled
-    to S E S by S = diag(R[0])^-1/2, has an eigenvalue at or below
-    ``_ERROR_FLOOR``, or when the solve of T v for a fixed v leaves a
-    relative residual of ``_PROBE_TOLERANCE`` or more.  Levinson is only
-    weakly stable: near-singular Toeplitz systems lose the accuracy
-    Cholesky keeps.  S E_b[k] S is the Schur complement closing order
-    k + 1 of the unit-diagonal scaling of T, so the floor refuses only
-    systems whose scaled T has a condition number above 1 / ``_ERROR_FLOOR``
-    (a silent channel, loaded and decoupled, is no such system).  The
-    error blocks shrink as k grows, so the floor is checked every
-    ``_FLOOR_STRIDE`` orders during the recursion and on the final blocks
-    at its end; the gains' Cholesky solve refuses an error block that is
-    not positive definite at any order.
+    Every order's products, copies and floor checks run over the stack,
+    and the gains are one LAPACK ``dposv`` per system; each step reads and
+    writes its own system's slice only, so a system's solve is bitwise the
+    same alone or in any stack.  Returns one solve per system, or None for
+    a system that is refused: when an error block E, scaled to S E S by
+    S = diag(R[0])^-1/2, has an eigenvalue at or below ``_ERROR_FLOOR``,
+    when its gains' Cholesky solve finds an error block that is not
+    positive definite, or when its solve of T v for a fixed v leaves a
+    relative residual of ``_PROBE_TOLERANCE`` or more.  A refused system
+    leaves the stack and the others go on.  Levinson is only weakly
+    stable: near-singular Toeplitz systems lose the accuracy Cholesky
+    keeps.  S E_b[k] S is the Schur complement closing order k + 1 of the
+    unit-diagonal scaling of T, so the floor refuses only systems whose
+    scaled T has a condition number above 1 / ``_ERROR_FLOOR`` (a silent
+    channel, loaded and decoupled, is no such system).  The error blocks
+    shrink as k grows, so the floor is checked every ``_FLOOR_STRIDE``
+    orders during the recursion and on the final blocks at its end.
     """
-    L, C = lags.shape[:2]
+    L, C = lags.shape[1:3]
     n = L * C
-    floor = _ERROR_FLOOR * np.diag(np.tile(np.diagonal(lags[0]), 2))
-    negated = -lags.reshape(n, C).T         # column block m is -R[m]^T
+    solves = [None] * len(lags)
+    live = np.arange(len(lags))             # the systems still in the stack
+    floor = np.zeros((len(lags), 2 * C, 2 * C))
+    floor.reshape(len(lags), -1)[:, ::2 * C + 1] = _ERROR_FLOOR * np.tile(
+        np.diagonal(lags[:, 0], axis1=1, axis2=2), 2)
+    # Column block m is -R[m]^T.  C-contiguous, as are the copies drop()
+    # makes, so a system's products take one BLAS path before and after.
+    negated = np.ascontiguousarray(-np.swapaxes(lags.reshape(-1, n, C), 1, 2))
     # The pair [a_k; 0 | 0; b_k], transposed: its 2C columns are the rows
     # of a (2C, n + C) buffer, a_k's blocks from column block 0 and b_k's
     # from column block 1.  ``shifted`` views a buffer with its b rows one
     # block further on, so the product of the gains with one buffer writes
     # [a_{k+1}; 0 | 0; b_{k+1}] into the other, ready for the next order.
-    buffers = np.zeros((2, 2, C * (n + C) + C))
-    pairs = buffers.reshape(2, -1)[:, :2 * C * (n + C)].reshape(2, 2 * C, n + C)
-    shifted = buffers[..., :C * (n + C)].reshape(2, 2, C, n + C)
-    pairs[0, :C, :C] = pairs[0, C:, C:2 * C] = np.eye(C)
-    errors = np.zeros((2 * C, 2 * C))       # diag(E_f, E_b)
-    errors[:C, :C] = errors[C:, C:] = lags[0]
-    corner = np.empty((2 * C, 2 * C))       # [[E_f, -nabla], [-Delta, E_b]]
+    buffers = np.zeros((len(lags), 2, 2, C * (n + C) + C))
+    errors = np.zeros((len(lags), 2 * C, 2 * C))  # diag(E_f, E_b)
+    errors[:, :C, :C] = errors[:, C:, C:] = lags[:, 0]
+    corner = np.empty_like(errors)          # [[E_f, -nabla], [-Delta, E_b]]
+    gains = np.empty_like(errors)           # [[I, K_b], [K_f, I]], transposed
     two = 2.0 * np.eye(2 * C)
+
+    def views():
+        """Per parity of k, the views of the buffers that order k reads and
+        writes: the pair, its b rows transposed and the shifted buffer.
+        Rebinds ``pairs``, and ``systems`` to each system's (E, corner,
+        gains) slices, which its ``dposv`` reads and writes."""
+        nonlocal pairs, systems
+        S = len(live)
+        pairs = buffers.reshape(S, 2, -1)[..., :2 * C * (n + C)].reshape(S, 2, 2 * C, n + C)
+        shifted = buffers[..., :C * (n + C)].reshape(S, 2, 2, C, n + C)
+        systems = list(zip(errors, corner, gains))
+        return [(pairs[:, p, None], pairs[:, p, C:].transpose(0, 2, 1), shifted[:, 1 - p])
+                for p in (0, 1)]
+
+    def drop(refused) -> bool:
+        """Take the ``refused`` systems out of the stack; True if none is left."""
+        nonlocal live, floor, negated, buffers, errors, corner, gains, lags, parities
+        if refused:
+            keep = np.ones(len(live), dtype=bool)
+            keep[refused] = False
+            live, floor, negated, buffers, errors, corner, gains, lags = (
+                array[keep] for array in
+                (live, floor, negated, buffers, errors, corner, gains, lags))
+            if len(live):
+                parities = views()
+        return not len(live)
+
+    pairs = systems = None
+    parities = views()
+    pairs[:, 0, :C, :C] = pairs[:, 0, C:, C:2 * C] = np.eye(C)
     for k in range(L - 1):
-        if k % _FLOOR_STRIDE == 0:
-            np.linalg.cholesky(errors - floor)  # LinAlgError: below the floor
+        if k % _FLOOR_STRIDE == 0 and drop(_below_floor(errors, floor)):
+            return solves
         rows = (k + 2) * C
-        pair = pairs[k % 2]
+        pair, b_rows, out = parities[k % 2]
         corner[...] = errors
         # nabla = sum_i R[i + 1]^T b_k[i]: row 0 of T_{k+1} times [0; b_k].
-        np.matmul(negated[:, :rows], pair[C:, :rows].T, out=corner[:C, C:])
-        corner[C:, :C] = corner[:C, C:].T
-        _, gains, info = dposv(errors, corner)  # [[I, K_b], [K_f, I]]
-        if info:
-            raise LinAlgError("block Levinson error block is not positive definite")
-        np.matmul(gains.T.reshape(2, C, 2 * C), pair[:, :rows],
-                  out=shifted[1 - k % 2, :, :, :rows])
+        np.matmul(negated[..., :rows], b_rows[:, :rows], out=corner[:, :C, C:])
+        corner[:, C:, :C] = corner[:, :C, C:].transpose(0, 2, 1)
+        refused = []
+        for s, (error, rhs, gain) in enumerate(systems):
+            _, solution, info = dposv(error, rhs)
+            gain[...] = solution.T
+            if info:                          # E is not positive definite
+                refused.append(s)
+        if drop(refused):
+            return solves
+        if refused:
+            pair, b_rows, out = parities[k % 2]
+        np.matmul(gains.reshape(len(live), 2, C, 2 * C), pair[..., :rows],
+                  out=out[..., :rows])
         # diag(E_f + nabla K_f, E_b + Delta K_b) = corner (2I - gains).
-        np.matmul(corner, two - gains, out=errors)
-    np.linalg.cholesky(errors - floor)
-    pair = pairs[(L - 1) % 2, :, :n]        # [a | Zb], transposed
+        np.matmul(corner, two - gains.transpose(0, 2, 1), out=errors)
+    if drop(_below_floor(errors, floor)):
+        return solves
+    pair = pairs[:, (L - 1) % 2, :, :n]     # [a | Zb], transposed
     size = scipy.fft.next_fast_len(2 * L - 1, real=True)
-    spectrum = scipy.fft.rfft(_two_sided(lags), size, axis=0)
+    spectrum = scipy.fft.rfft(_two_sided(lags), size, axis=1)
     # Per bin, convolve is the (C, 2C) spectrum of [a | -Zb] and correlate
     # the (2C, C) conjugate transpose of that of [a E_f^-1 | Zb E_b^-1],
     # which is [a | -Zb] diag(E_f^-1, -E_b^-1).
-    pair[C:] *= -1.0
-    convolve = scipy.fft.rfft(pair.T.reshape(L, C, 2 * C), size, axis=0)
+    pair[:, C:] *= -1.0
+    convolve = scipy.fft.rfft(
+        np.swapaxes(pair, 1, 2).reshape(len(live), L, C, 2 * C), size, axis=1)
     inverse = np.linalg.inv(errors)
-    inverse[:, C:] *= -1.0
-    correlate = (convolve.reshape(-1, 2 * C) @ inverse).reshape(convolve.shape)
-    correlate = np.ascontiguousarray(correlate.conj().transpose(0, 2, 1))
-
-    def apply(rhs: np.ndarray) -> np.ndarray:
-        half = _toeplitz_product(correlate, rhs, size, 0)
-        return _toeplitz_product(convolve, half, size, 0)
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x = apply(rhs)
-        for _ in range(_REFINEMENTS):
-            x += apply(rhs - _toeplitz_product(spectrum, x, size, L - 1))
-        return x
-
+    inverse[:, :, C:] *= -1.0
+    correlate = (convolve.reshape(len(live), -1, 2 * C) @ inverse).reshape(convolve.shape)
+    correlate = np.ascontiguousarray(np.swapaxes(correlate.conj(), 2, 3))
     probe = np.random.default_rng(0).standard_normal((n, 1))
-    rhs = _toeplitz_product(spectrum, probe, size, L - 1)
-    residual = _toeplitz_product(spectrum, solve(rhs), size, L - 1) - rhs
-    if not np.linalg.norm(residual) < _PROBE_TOLERANCE * np.linalg.norm(rhs):
-        raise LinAlgError("block Levinson solve failed its probe")
-    return solve
+    rhs = _toeplitz_product(spectrum, np.broadcast_to(probe, (len(live), n, 1)),
+                            size, L - 1)
+    probed = _gohberg_semencul(spectrum, correlate, convolve, size)(rhs)
+    residual = _toeplitz_product(spectrum, probed, size, L - 1) - rhs
+    for s, system in enumerate(live):
+        if np.linalg.norm(residual[s]) < _PROBE_TOLERANCE * np.linalg.norm(rhs[s]):
+            solves[system] = _gohberg_semencul(spectrum[s], correlate[s],
+                                               convolve[s], size)
+    return solves
 
 
-def _parts(ref: np.ndarray, est: np.ndarray, j: int, taps: np.ndarray,
+def _parts(refs, est: np.ndarray, target, taps: np.ndarray,
            solo_taps: np.ndarray, blocks: _Blocks, segments: np.ndarray,
            spans) -> Iterator[Decomposition]:
     """The four parts of ``est[a:b]`` for each [a, b) of ``spans``, whose
-    starts must not decrease, from its projections on reference j
-    (``ref``) and on all.
+    starts must not decrease, from its projections on ``target`` (a
+    reference index, or a group scored against its members' sum) alone
+    and on all of ``refs``.
 
-    ``solo_taps`` are reference j's own, shaped (1, I_ref, I_est, L).
-    Interference is what the joint taps add to the solo projection: the
-    projection through their difference, so it is exactly zero when the
-    joint fit is the solo fit (every other reference silent).  Both
-    projections' block products are formed once; each block is inverse-
-    transformed once, by the first span that covers it, and held until a
-    span starts past it.  So beyond the products only the blocks and parts
-    of about one span are alive, provided each span's parts are dropped
-    before the next are asked for.
+    ``solo_taps`` are the target's own, shaped (1, I_ref, I_est, L), and
+    filter each member's segments.  Interference is what the joint taps
+    add to the solo projection: the projection through their difference,
+    so it is exactly zero when the joint fit is the solo fit (every other
+    reference silent).  Both projections' block products are formed once;
+    each block is inverse-transformed once, by the first span that covers
+    it, and held until a span starts past it.  So beyond the products only
+    the blocks and parts of about one span are alive, provided each span's
+    parts are dropped before the next are asked for.
     """
-    channels = ref.shape[1]
+    members = _members(target)
+    low, high = min(members), max(members) + 1  # the references spanning them
+    channels = refs[low].shape[1]
+    solo = np.zeros((high - low,) + solo_taps.shape[1:])
+    solo[[j - low for j in members]] = solo_taps[0]
     added = taps.copy()
-    added[j] -= solo_taps[0]
+    added[list(members)] -= solo_taps[0]
     products = (
-        blocks.product(segments[:, j * channels:(j + 1) * channels], solo_taps),
+        blocks.product(segments[:, low * channels:high * channels], solo),
         blocks.product(segments, added),
     )
     B = blocks.length
@@ -553,7 +722,7 @@ def _parts(ref: np.ndarray, est: np.ndarray, j: int, taps: np.ndarray,
         ]
         first = k0
         proj_solo, e_interf = (h[a - k0 * B:b - k0 * B] for h in held)
-        s_target = ref[a:b].astype(np.float64)
+        s_target = _summed(refs, members, a, b)
         yield Decomposition(s_target, proj_solo - s_target, e_interf,
                             est[a:b] - (proj_solo + e_interf))
 
@@ -565,9 +734,10 @@ def _signals(references, estimates=None, targets=None) -> tuple:
     The references are AudioSignals of one layout (length, channels and
     rate), or one (J, N, I) array; each estimate must have their layout,
     any rate against an array (see :func:`~sepeval.audio.check_layout`).
-    ``targets`` default to estimate k against reference k; one outside the
-    references raises IndexError.  Without ``estimates`` the last two are
-    None.
+    ``targets`` default to estimate k against reference k; each is a
+    reference index or a group, a tuple of distinct ones (else
+    ValueError), and an index outside the references raises IndexError.
+    Without ``estimates`` the last two are None.
     """
     if not len(references):
         raise ValueError("at least one reference is required")
@@ -598,9 +768,13 @@ def _signals(references, estimates=None, targets=None) -> tuple:
         targets = range(len(ests))
     elif len(targets) != len(ests):
         raise ValueError("one target index is required per estimate")
-    for j in targets:
-        if not 0 <= j < len(references):
-            raise IndexError(f"target index {j} out of range")
+    for target in targets:
+        members = _members(target)
+        if len(set(members)) != len(members) or not members:
+            raise ValueError(f"group target {target} needs distinct indices")
+        for j in members:
+            if not 0 <= j < len(references):
+                raise IndexError(f"target index {j} out of range")
     return references, ests, list(targets)
 
 
@@ -712,7 +886,7 @@ def decompose(
         )
     blocks = _Blocks(len(est), filters.filter_len)
     segments = blocks.segment_spectra(refs, len(est))
-    (d,) = _parts(refs[j], est, j, filters.taps, filters.solo_taps[j:j + 1],
+    (d,) = _parts(refs, est, j, filters.taps, filters.solo_taps[j:j + 1],
                   blocks, segments, [(0, len(est))])
     return d
 
@@ -763,10 +937,17 @@ def bss_eval(
     mode: str = DEFAULT_MODE,
     targets=None,
 ) -> list:
-    """Score each estimate against its target reference, framewise.
+    """Score each estimate against its target, framewise.
 
     Pairing is positional by default (estimate k scored against reference
-    k); pass ``targets`` to name the reference index for each estimate.
+    k); pass ``targets`` to name the target of each estimate: a reference
+    index, or a group, a tuple of reference indices.  An estimate of a
+    group is scored against the sum of the group's references, in float64
+    and in the tuple's order, and each reference outside the group counts
+    as one interferer: ``(0, 1, 2)`` over MUSDB18's drums, bass, other and
+    vocals is the accompaniment, scored against [vocals, accompaniment].
+    One fit pass serves every target: per span one projector, and one
+    block-Levinson stack for the solo systems of all targets.
     Returns one list of :class:`FrameScores` per estimate.
     """
     refs, ests, targets = _signals(references, estimates, targets)
@@ -775,11 +956,12 @@ def bss_eval(
     for start, stop, span_filter_len, frames in plan:
         span_refs = [ref[start:stop] for ref in refs]
         projector = _Projector(span_refs, span_filter_len)
+        projector._factor([projector._solo(target) for target in targets])
         windows = [(a - start, b - start) for a, b in frames]
-        for scores, est, j in zip(results, ests, targets):
+        for scores, est, target in zip(results, ests, targets):
             span_est = est[start:stop]
-            taps, (solo,) = projector.fit(span_est, [j])
-            parts = _parts(span_refs[j], span_est, j, taps, solo,
+            taps, (solo,) = projector.fit(span_est, [target])
+            parts = _parts(span_refs, span_est, target, taps, solo,
                            projector.blocks, projector.segments, windows)
             scores.extend(
                 _frame_scores(d, 0, b - a, start + a)

@@ -1,11 +1,13 @@
 """Campaign runner: evaluate estimate sets over a corpus and aggregate.
 
-For each track the four stems are scored jointly (the full stem set spans
-the interference subspace) and ``accompaniment`` is scored against the
-``[vocals, accompaniment]`` reference pair, with the accompaniment
-reference and, when no file is provided, its estimate formed by one rule,
-:func:`~sepeval.dataset.derive_accompaniment`, the sum of the non-vocal
-parts.  Scores aggregate as medians over finite frames per
+For each track one ``bss_eval`` call scores every target: the four stems
+jointly (the full stem set spans the interference subspace), and
+``accompaniment`` as the group of the non-vocal stems, against the sum
+of their references with vocals the one interferer (see
+:func:`~sepeval.bsseval.bss_eval`).  When no accompaniment file is
+provided, its estimate is the sum of the non-vocal estimates,
+:func:`~sepeval.dataset.derive_accompaniment`, the rule the group's
+reference follows.  Scores aggregate as medians over finite frames per
 track, then medians over tracks; pairwise method comparisons use the
 rank-based test from :mod:`sepeval.stats`.
 """
@@ -41,6 +43,10 @@ __all__ = [
 ]
 
 TARGET_NAMES = STEM_NAMES + ("accompaniment",)
+# Each target's bss_eval target over the stems in STEM_NAMES order: a stem
+# index, or the accompaniment's group.
+_TARGET_INDEX = {name: STEM_NAMES.index(name) for name in STEM_NAMES}
+_TARGET_INDEX["accompaniment"] = tuple(map(STEM_NAMES.index, ACCOMPANIMENT_STEMS))
 
 
 @dataclass(frozen=True)
@@ -100,27 +106,18 @@ def evaluate_track(
         )
     stems = load_stems(track)
 
-    # One parameter set for both bss_eval calls and the report header.
+    # One parameter set for the bss_eval call and the report header.
     params = dict(window=config.window, hop=config.hop,
                   filter_len=config.filter_len, mode=config.mode)
     params["hop"] = check_scoring(**params)
-    target_frames = {}
-    stem_targets = [name for name in STEM_NAMES if estimates.get(name) is not None]
-    if stem_targets:
-        frames = bss_eval(
-            [stems[name] for name in STEM_NAMES],
-            [estimates[name] for name in stem_targets],
-            targets=[STEM_NAMES.index(name) for name in stem_targets],
-            **params,
-        )
-        target_frames.update(zip(stem_targets, frames))
-    if estimates.get("accompaniment") is not None:
-        (target_frames["accompaniment"],) = bss_eval(
-            [stems["vocals"], derive_accompaniment(stems)],
-            [estimates["accompaniment"]],
-            targets=[1],
-            **params,
-        )
+    scored = [name for name in TARGET_NAMES if estimates.get(name) is not None]
+    frames = bss_eval(
+        [stems[name] for name in STEM_NAMES],
+        [estimates[name] for name in scored],
+        targets=[_TARGET_INDEX[name] for name in scored],
+        **params,
+    )
+    target_frames = dict(zip(scored, frames))
 
     for name in config.targets:
         if name not in target_frames:

@@ -392,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # The subcommand's parser, so the usage line is that command's.
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     with warnings.catch_warnings():
         warnings.simplefilter("always", RuntimeWarning)
         try:

@@ -30,7 +30,11 @@ The writer emits, from a fixed template, the bytes the ``json`` module
 writes for the payload with ``indent=2, sort_keys=True,
 ensure_ascii=False``: with ``indent`` set, that module runs CPython's
 pure-Python encoder, which took most of the write time.
-``tests/test_reports.py`` checks byte identity against it.  The reader raises
+``tests/test_reports.py`` checks byte identity against it.  Every report
+is valid UTF-8: a track folder's name that the file-system encoding
+could not decode is written as its original bytes where they are UTF-8,
+and each other byte as the JSON escape ``\\udcXX`` of its surrogate,
+which reads back as the same string.  The reader raises
 :class:`ReportSchemaError`, naming the file, for any malformed structure
 or value, including booleans or out-of-range numbers as dB values,
 non-integral frame timing and non-string names.
@@ -38,6 +42,7 @@ non-integral frame timing and non-string names.
 
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -54,6 +59,10 @@ METRIC_NAMES = ("SDR", "ISR", "SIR", "SAR")
 _FRAME_KEYS = ("ISR", "ISR_status", "SAR", "SAR_status", "SDR", "SDR_status",
                "SIR", "SIR_status", "duration", "time")
 _STATUS_VALUES = {"inf": math.inf, "neg_inf": -math.inf, "undefined": math.nan}
+# A lone surrogate, and a run of the U+DC80-U+DCFF escapes of the bytes of
+# a name that the file-system encoding could not decode.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+_ESCAPED_BYTES = re.compile(r"[\udc80-\udcff]+")
 
 
 class ReportSchemaError(ValueError):
@@ -107,12 +116,30 @@ def _db(value, field: str) -> float:
     )
 
 
+def _string(value: str) -> str:
+    """``value`` as a JSON string, as ``json`` writes it with ``ensure_ascii``
+    off, but valid UTF-8 whatever surrogates it holds.
+
+    Escaped bytes (see ``_ESCAPED_BYTES``) are restored: those that form
+    UTF-8 are written as such, the original bytes, and every surrogate
+    left is written as its ``\\uXXXX`` escape, which ``json.loads`` reads
+    back as the same surrogate.
+    """
+    text = encode_basestring(value)
+    if value.isascii():
+        return text
+    text = _ESCAPED_BYTES.sub(
+        lambda run: run.group().encode("utf-8", "surrogateescape")
+        .decode("utf-8", "surrogateescape"), text)
+    return _SURROGATE.sub(lambda match: f"\\u{ord(match.group()):04x}", text)
+
+
 def _object(members: dict, pad: str) -> str:
     """Already encoded values under sorted keys, braces indented by ``pad``."""
     if not members:
         return "{}"
     inner = pad + "  "
-    lines = (f"{inner}{encode_basestring(name)}: {members[name]}"
+    lines = (f"{inner}{_string(name)}: {members[name]}"
              for name in sorted(members))
     return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
 
@@ -183,7 +210,7 @@ def _report_text(score: TrackScore, pad: str, **extra) -> str:
     encoded = {}
     for name, kind in _HEADER.items():
         value = _checked(getattr(score, name), kind, name)
-        encoded[name] = encode_basestring(value) if kind is str else repr(value)
+        encoded[name] = _string(value) if kind is str else repr(value)
     targets = {}
     for name, frames in score.targets.items():
         text = _frames_text(_checked(name, str, "targets key"), frames, body + "  ")
@@ -280,7 +307,7 @@ def write_report(scores, path) -> None:
         reports = [_report_text(score, "    ") for score in scores]
         text = _object({"reports": _array(reports, "  "),
                         "schema_version": version}, "")
-    Path(path).write_text(text + "\n", encoding="utf-8", errors="surrogateescape")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_report(path) -> list:

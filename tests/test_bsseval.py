@@ -474,6 +474,11 @@ class TestBssEval:
             bss_eval(refs, ests + ests, window=300)
         with pytest.raises(IndexError):
             bss_eval(refs, ests, window=300, targets=[0, 7])
+        with pytest.raises(IndexError):
+            bss_eval(refs, ests, window=300, targets=[0, (1, 7)])
+        for group in ((), (1, 1)):
+            with pytest.raises(ValueError, match="distinct"):
+                bss_eval(refs, ests, window=300, targets=[0, group])
         short = AudioSignal(ests[0].samples[:100], 8000)
         with pytest.raises(ValueError):
             bss_eval(refs, [short], window=50)
@@ -657,6 +662,42 @@ def _audible(kind: str, rng, num_samples=1200, rate=8000) -> np.ndarray:
     return refs
 
 
+@pytest.mark.parametrize("mode", ["v4_global", "v3_windowed"])
+def test_group_target_scores_against_its_sum(mode):
+    """Group (0, 2) of three references scores as against the pair
+    [reference 1, reference 0 + reference 2], within 1e-9 dB."""
+    rng = np.random.default_rng(68)
+    refs = rng.standard_normal((3, 3000, 2))
+    est = AudioSignal(refs[0] + refs[2] + 0.3 * refs[1]
+                      + 0.1 * rng.standard_normal(refs[0].shape), 8000)
+    kwargs = dict(filter_len=16, window=1000, mode=mode)
+    (got,) = bss_eval(_signals(refs), [est], targets=[(0, 2)], **kwargs)
+    (want,) = bss_eval(_signals([refs[1], refs[0] + refs[2]]), [est], targets=[1],
+                       **kwargs)
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        for name in ("sdr", "isr", "sir", "sar"):
+            assert abs(getattr(g, name) - getattr(w, name)) <= 1e-9
+
+
+def test_group_systems_are_the_pair_projectors():
+    """The group's joint and solo lags, loading included, are those of a
+    projector over [reference 3, reference 0 + 1 + 2], to rounding."""
+    rng = np.random.default_rng(70)
+    refs = list(rng.standard_normal((4, 2000, 2)))
+    projector = bsseval_module._Projector(refs, 16)
+    pair = bsseval_module._Projector([refs[3], refs[0] + refs[1] + refs[2]], 16)
+    group = (0, 1, 2)
+    assert projector._frame(group) == (3, group)
+    loading = pair._loading((0, 1))
+    assert abs(projector._loading((3, group)) - loading) <= 1e-12 * loading
+    for got, want in ((projector._joint(group), pair._joint(0)),
+                      (projector._solo(group), pair._solo(1))):
+        got, want = projector._system_lags(got), pair._system_lags(want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got[0], got[0].T)
+
+
 class TestSilentSpanRule:
     """Silent references get exact zero taps and no unknowns; every other
     system gets the block-Levinson factor, or Cholesky when it is refused."""
@@ -696,7 +737,7 @@ class TestSilentSpanRule:
         structured = bsseval_module._levinson
 
         def counting_levinson(lags):
-            sizes.append(lags.shape[0] * lags.shape[1])
+            sizes.extend([lags.shape[1] * lags.shape[2]] * len(lags))
             return structured(lags)
 
         monkeypatch.setattr(bsseval_module, "_levinson", counting_levinson)
@@ -712,7 +753,8 @@ class TestSilentSpanRule:
         assert [f.sir for f in frames[:2]] == [math.inf, math.inf]
         assert all(math.isfinite(f.sdr) and math.isfinite(f.sar) for f in frames)
         assert math.isfinite(frames[2].sir)
-        assert sizes == [2 * 32, 2 * 32, 2 * 2 * 32, 2 * 32]
+        # Per window the solo stack, then the joint system if it differs.
+        assert sizes == [2 * 32, 2 * 32, 2 * 32, 2 * 2 * 32]
         first = compute_projection(signals, est, filter_len=32, mode="v3_windowed",
                                    window=window)[0]
         assert not np.any(first.taps[0]) and not np.any(first.solo_taps[0])
@@ -721,9 +763,9 @@ class TestSilentSpanRule:
         d = decompose(part, [AudioSignal(r[:window], 8000) for r in refs], 1, first)
         assert not np.any(d.e_interf)
 
-    # Systems, joint (0) then solo, whose block-Levinson factor is refused,
-    # all by the error floor (see test_refused_before_probe), with the
-    # order of the check that refuses them.
+    # Systems, joint (0) then solo (1 + j), whose block-Levinson factor is
+    # refused, all by the error floor (see test_refused_before_probe), with
+    # the order of the check that refuses them.
     FALLBACKS = {
         "duplicate": [0],            # order 0: R[0] is singular
         "mono_as_stereo": [0, 1, 2, 3],  # order 0
@@ -741,7 +783,7 @@ class TestSilentSpanRule:
         structured = bsseval_module._levinson
 
         def counting_levinson(lags):
-            levinson.append(lags.shape[0] * lags.shape[1])
+            levinson.extend([lags.shape[1] * lags.shape[2]] * len(lags))
             return structured(lags)
 
         def counting_cholesky(*args, **kwargs):
@@ -758,8 +800,9 @@ class TestSilentSpanRule:
         assert not filters.degenerate
         audible = 2 if kind == "one_silent" else 3
         sizes = [audible * 2 * 32] + [2 * 32] * audible  # the joint and solo
-        assert levinson == sizes
-        assert cholesky == [sizes[s] for s in self.FALLBACKS[kind]]
+        order = list(range(1, audible + 1)) + [0]  # the solo stack first
+        assert levinson == [sizes[s] for s in order]
+        assert cholesky == [sizes[s] for s in order if s in self.FALLBACKS[kind]]
         if kind == "one_silent":
             assert not np.any(filters.taps[2]) and not np.any(filters.solo_taps[2])
         d = decompose(estimate, signals, 0, filters)
@@ -783,12 +826,64 @@ class TestSilentSpanRule:
         rng = np.random.default_rng(62)
         projector = bsseval_module._Projector(list(_audible(kind, rng)), 32)
         for system in self.FALLBACKS[kind]:
-            lags = projector._system_lags(projector._system_refs(system))
+            key = projector._solo(system - 1) if system else projector._joint(0)
             orders.clear()
-            with pytest.raises(LinAlgError):
-                bsseval_module._levinson(lags)
+            assert bsseval_module._levinson(projector._system_lags(key)[None]) == [None]
             assert len(orders) <= bsseval_module._FLOOR_STRIDE
         assert probes == []
+
+    def test_refused_system_leaves_the_stack(self, monkeypatch):
+        """In one stack with accepted systems, only a refused one (a constant
+        stereo reference, refused at order 0 as the "dc" kind) takes
+        cho_factor; the others' solves are bitwise those of their factors
+        alone."""
+        cholesky = []
+
+        def counting_cholesky(*args, **kwargs):
+            cholesky.append(len(args[0]))
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(bsseval_module, "cho_factor", counting_cholesky)
+        rng = np.random.default_rng(66)
+        refs = rng.standard_normal((3, 1200, 2))
+        refs[1] = rng.uniform(0.1, 1.0, 2)
+        projector = bsseval_module._Projector(list(refs), 32)
+        keys = [projector._solo(j) for j in range(3)]
+        stack = np.stack([projector._system_lags(key) for key in keys])
+        solves = bsseval_module._levinson(stack)
+        assert [solve is None for solve in solves] == [False, True, False]
+        projector._factor(keys)
+        assert cholesky == [2 * 32]
+        rhs = rng.standard_normal((2 * 32, 2))
+        for j in (0, 2):
+            (alone,) = bsseval_module._levinson(stack[j:j + 1])
+            assert np.array_equal(projector._solvers[keys[j]](rhs), alone(rhs))
+            assert np.array_equal(solves[j](rhs), alone(rhs))
+
+    def test_gains_refusal_mid_recursion_leaves_the_stack(self, monkeypatch):
+        """A system whose gains' Cholesky solve fails at some order leaves the
+        stack there; the others' solves are bitwise those of their factors
+        alone."""
+        rng = np.random.default_rng(69)
+        projector = bsseval_module._Projector(list(rng.standard_normal((3, 1200, 2))), 32)
+        stack = np.stack([projector._system_lags(projector._solo(j)) for j in range(3)])
+        rhs = rng.standard_normal((2 * 32, 2))
+        alone = [bsseval_module._levinson(stack[j:j + 1])[0] for j in range(3)]
+        assert all(solve is not None for solve in alone)
+        gains, calls = bsseval_module.dposv, []
+
+        def failing_gains(error, corner):
+            # Each order solves the systems in stack order: while all three
+            # are in it, call 3 k + 2 is system 1's at order k.
+            calls.append(1)
+            solution = gains(error, corner)
+            return solution[:2] + (1,) if len(calls) == 3 * 4 + 2 else solution
+
+        monkeypatch.setattr(bsseval_module, "dposv", failing_gains)
+        solves = bsseval_module._levinson(stack)
+        assert solves[1] is None
+        for j in (0, 2):
+            assert np.array_equal(solves[j](rhs), alone[j](rhs))
 
     def test_refused_factor_falls_back_to_cholesky_then_raises(self, monkeypatch):
         """A refused structured factor goes to cho_factor; a failing
@@ -796,19 +891,21 @@ class TestSilentSpanRule:
         attempts = []
         other_solvers = []
 
-        def failing(name):
-            def factor(*args, **kwargs):
-                attempts.append(name)
-                raise LinAlgError("not positive definite")
-            return factor
+        def refusing(lags):
+            attempts.append("levinson")
+            return [None] * len(lags)
+
+        def failing(*args, **kwargs):
+            attempts.append("cholesky")
+            raise LinAlgError("not positive definite")
 
         def record(name):
             def solver(*args, **kwargs):
                 other_solvers.append(name)
             return solver
 
-        monkeypatch.setattr(bsseval_module, "_levinson", failing("levinson"))
-        monkeypatch.setattr(bsseval_module, "cho_factor", failing("cholesky"))
+        monkeypatch.setattr(bsseval_module, "_levinson", refusing)
+        monkeypatch.setattr(bsseval_module, "cho_factor", failing)
         monkeypatch.setattr(bsseval_module, "cho_solve", record("cho_solve"))
         for name in ("lstsq", "solve", "pinv", "inv", "cholesky"):
             monkeypatch.setattr(np.linalg, name, record(name))
@@ -817,7 +914,7 @@ class TestSilentSpanRule:
         est = AudioSignal(refs[0] + 0.1 * rng.standard_normal(refs[0].shape), 8000)
         with pytest.raises(LinAlgError):
             bss_eval(_signals(refs), [est], filter_len=16, window=600)
-        assert attempts == ["levinson", "cholesky"]  # the joint system's
+        assert attempts == ["levinson", "cholesky"]  # the target's solo system
         assert other_solvers == []
 
 
@@ -828,8 +925,8 @@ def test_factor_memory_is_linear_in_lags():
     5.8 MB.  The bound is 16 MB."""
     rng = np.random.default_rng(65)
     projector = bsseval_module._Projector(list(rng.standard_normal((4, 4096, 2))), 512)
-    lags = projector._system_lags(projector._system_refs(0))
-    assert lags.shape == (512, 8, 8)
+    lags = projector._system_lags(projector._joint(0))[None]
+    assert lags.shape == (1, 512, 8, 8)
     tracemalloc.start()
     try:
         bsseval_module._levinson(lags)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 import sepeval.bsseval as bsseval_module
 from sepeval import (
@@ -126,9 +126,15 @@ def _delay_matrix(channels: np.ndarray, filter_len: int) -> np.ndarray:
     return delayed.reshape(len(delayed), -1)
 
 
+def _system(projector: _Projector, system: int):
+    """Key of system 0, the joint one over all references, or of system
+    1 + j, reference j's solo one; None if it has no unknowns."""
+    return projector._solo(system - 1) if system else projector._joint(0)
+
+
 def _gram(projector: _Projector, system: int) -> np.ndarray:
     """Loaded dense Gram of one system, as the Cholesky fallback builds it."""
-    return _block_toeplitz(projector._system_lags(projector._system_refs(system)))
+    return _block_toeplitz(projector._system_lags(_system(projector, system)))
 
 
 @PROPERTY_SETTINGS
@@ -145,7 +151,7 @@ def test_gram_is_lag_major_block_toeplitz(span, num_refs, channels, seed):
     gram = _gram(projector, 0)
     delayed = _delay_matrix(np.concatenate(refs, axis=1), filter_len)
     expected = delayed.T @ delayed
-    unloaded = gram - projector._loading * np.eye(len(gram))
+    unloaded = gram - projector._loading(tuple(range(num_refs))) * np.eye(len(gram))
     assert np.abs(unloaded - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(gram, gram.T)
     lags = np.arange(filter_len)[:, None] * num_refs * channels
@@ -279,21 +285,47 @@ def test_structured_solve_matches_cholesky(span, num_refs, channels, kind, seed)
     refs = _kind_of_references(kind, rng, num_refs, channels, num_samples)
     projector = _Projector(list(refs), filter_len)
     for system in range(num_refs + 1):
-        refs_of_system = projector._system_refs(system)
-        if not refs_of_system:
+        key = _system(projector, system)
+        if key is None:
             continue
-        lags = projector._system_lags(refs_of_system)
+        lags = projector._system_lags(key)
         gram = _gram(projector, system)
         rhs = gram @ rng.standard_normal((len(gram), 2))
         expected = cho_solve(cho_factor(gram), rhs)
-        try:
-            solve = _levinson(lags)
-        except LinAlgError:
+        (solve,) = _levinson(lags[None])
+        if solve is None:
             assert kind == "sines" or (kind == "mono_as_stereo" and channels == 2)
-            assert np.array_equal(projector._solver(refs_of_system)(rhs), expected)
+            projector._factor([key])
+            assert np.array_equal(projector._solvers[key](rhs), expected)
             continue
         for x in (solve(rhs), expected):
             assert np.linalg.norm(gram @ x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+
+@PROPERTY_SETTINGS
+@given(span=spans(max_filter=24), num_refs=st.integers(2, 3),
+       channels=st.integers(1, 2),
+       kind=st.sampled_from(["noise", "silent_channel", "mono_as_stereo", "sines"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(span=(BLOCK, 13), num_refs=3, channels=2, kind="mono_as_stereo", seed=0)
+@example(span=(BLOCK, 2), num_refs=2, channels=2, kind="sines", seed=0)
+def test_stacked_solve_is_the_solve_alone(span, num_refs, channels, kind, seed):
+    """Each solo system's solve is bitwise the same factorized alone or in
+    a stack, in either order, and a system refused alone is refused in
+    the stack."""
+    num_samples, filter_len = span
+    rng = np.random.default_rng(seed)
+    refs = _kind_of_references(kind, rng, num_refs, channels, num_samples)
+    projector = _Projector(list(refs), filter_len)
+    keys = [projector._solo(j) for j in range(num_refs)]
+    stack = np.stack([projector._system_lags(key) for key in keys if key])
+    rhs = rng.standard_normal((filter_len * channels, 2))
+    alone = [_levinson(lags[None])[0] for lags in stack]
+    for order in (slice(None), slice(None, None, -1)):
+        for want, got in zip(alone[order], _levinson(stack[order])):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got(rhs), want(rhs))
 
 
 @PROPERTY_SETTINGS
@@ -310,14 +342,14 @@ def test_failed_probe_falls_back_to_cholesky(span, num_refs, channels, seed):
     with mock.patch.object(bsseval_module, "_PROBE_TOLERANCE", 0.0), \
             mock.patch.object(bsseval_module, "cho_factor",
                               wraps=cho_factor) as factor:
-        with pytest.raises(LinAlgError):
-            _levinson(_Projector(list(refs), filter_len)._system_lags((0,)))
+        projector = _Projector(list(refs), filter_len)
+        assert _levinson(projector._system_lags(projector._solo(0))[None]) == [None]
         projector = _Projector(list(refs), filter_len)
         taps, solo = projector.fit(est, range(num_refs))
         projector.fit(est, range(num_refs))
     assert factor.call_count == systems
     with mock.patch.object(bsseval_module, "_levinson",
-                           side_effect=LinAlgError("refused")):
+                           side_effect=lambda lags: [None] * len(lags)):
         expected_taps, expected_solo = _Projector(list(refs), filter_len).fit(
             est, range(num_refs))
     assert np.array_equal(taps, expected_taps)

@@ -31,10 +31,10 @@ from sepeval import (
     write_significance_json,
 )
 
-from sepeval import campaign, dataset
+from sepeval import bsseval, campaign, dataset
 from sepeval.bsseval import MODES
 
-from conftest import FIXTURE_RATE, write_track
+from conftest import FIXTURE_RATE, dyadic, write_track
 
 CONFIG = EvalConfig(window=4000, filter_len=32)
 
@@ -221,6 +221,108 @@ _PARAMETER = st.one_of(
     st.integers(1, 40),
     st.sampled_from([None, 0, -1, True, False, 16.0, math.nan, np.int64(16), "16"]),
 )
+
+
+def _assert_close_frames(got, want):
+    """Frames equal in timing and status, finite values within 1e-9 dB."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.window_start, g.window_len) == (w.window_start, w.window_len)
+        for name in ("sdr", "isr", "sir", "sar"):
+            a, b = getattr(g, name), getattr(w, name)
+            if math.isfinite(b):
+                assert abs(a - b) <= 1e-9, (name, g, w)
+            else:
+                assert a == b or math.isnan(a) and math.isnan(b), (name, g, w)
+
+
+class TestOneFitPass:
+    """One bss_eval call scores all five targets: the accompaniment, as the
+    group of the non-vocal stems, through the stems' own projector."""
+
+    WINDOW = 4000
+
+    @pytest.fixture
+    def corpus(self, corpus_root):
+        """The conftest corpus and a track whose vocals are silent over
+        window 0 and whose drums, bass and other are silent over window 1;
+        estimates are the stems plus noise, the accompaniment derived."""
+        rng = np.random.default_rng(71)
+        folder = corpus_root / "test" / "Gamma - Three"
+        folder.mkdir(parents=True)
+        stems = {name: dyadic(0.05 * rng.standard_normal((4 * self.WINDOW, 2)))
+                 for name in dataset.STEM_NAMES}
+        stems["vocals"][:self.WINDOW] = 0.0
+        for name in dataset.ACCOMPANIMENT_STEMS:
+            stems[name][self.WINDOW:2 * self.WINDOW] = 0.0
+        for name, samples in stems.items():
+            save_wav(folder / f"{name}.wav", AudioSignal(samples, FIXTURE_RATE))
+        save_wav(folder / "mixture.wav", AudioSignal(sum(stems.values()), FIXTURE_RATE))
+        corpus = scan_corpus(corpus_root)
+        for track in corpus.tracks:
+            true = dataset.load_stems(track)
+            _write_estimates(corpus_root / "est" / track.name,
+                             {name: true[name].samples for name in true},
+                             transform=lambda x: x + dyadic(0.02 * rng.standard_normal(x.shape)))
+        return corpus
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_accompaniment_scores_as_against_the_pair(self, corpus, mode):
+        """The frames match those of the [vocals, accompaniment] reference
+        pair within 1e-9 dB, statuses identical."""
+        config = EvalConfig(window=self.WINDOW, filter_len=32, mode=mode)
+        for track in corpus.tracks:
+            folder = corpus.root / "est" / track.name
+            score = evaluate_track(track, folder, "m", config)
+            stems = dataset.load_stems(track)
+            estimates = {name: campaign.load_wav(folder / f"{name}.wav")
+                         for name in dataset.STEM_NAMES}
+            (pair,) = bss_eval(
+                [stems["vocals"], dataset.derive_accompaniment(stems)],
+                [dataset.derive_accompaniment(estimates)], targets=[1],
+                window=self.WINDOW, filter_len=32, mode=mode)
+            frames = score.targets["accompaniment"]
+            _assert_close_frames(frames, pair)
+            if track.name == "Gamma - Three":
+                assert frames[1].sdr == -math.inf and math.isnan(frames[1].sir)
+                if mode == "v3_windowed":  # vocals silent: no interference
+                    assert frames[0].sir == math.inf
+
+    @pytest.mark.parametrize("mode, recursions", [
+        ("v4_global", [5, 1, 1]),
+        # Vocals silent: the group's joint system is its solo one.  Drums,
+        # bass and other silent: the stems' joint system is the vocals'.
+        ("v3_windowed", [4, 1] + [1, 1] + [5, 1, 1] * 2),
+    ])
+    def test_one_call_and_one_projector_per_span(self, corpus, monkeypatch,
+                                                 mode, recursions):
+        """Per track one bss_eval call and one projector per span; per span
+        one block-Levinson stack of the solo systems, then the joint
+        systems, stems' and accompaniment's, one each."""
+        calls, projectors, stacks = [], [], []
+        score, init, levinson = campaign.bss_eval, bsseval._Projector.__init__, bsseval._levinson
+
+        def counting_bss_eval(*args, **kwargs):
+            calls.append(1)
+            return score(*args, **kwargs)
+
+        def counting_init(self, *args):
+            projectors.append(1)
+            init(self, *args)
+
+        def counting_levinson(lags):
+            stacks.append(len(lags))
+            return levinson(lags)
+
+        monkeypatch.setattr(campaign, "bss_eval", counting_bss_eval)
+        monkeypatch.setattr(bsseval._Projector, "__init__", counting_init)
+        monkeypatch.setattr(bsseval, "_levinson", counting_levinson)
+        (track,) = [t for t in corpus.tracks if t.name == "Gamma - Three"]
+        config = EvalConfig(window=self.WINDOW, filter_len=32, mode=mode)
+        evaluate_track(track, corpus.root / "est" / track.name, "m", config)
+        assert len(calls) == 1
+        assert len(projectors) == (1 if mode == "v4_global" else 4)
+        assert stacks == recursions
 
 
 class TestConfigAgreesWithBssEval:

@@ -337,6 +337,22 @@ class TestUsageLine:
         assert err.startswith(f"usage: sepeval {argv[0]} ")
         assert f"{flag} is required" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--method", "IBM1"],
+        ["eval"],
+        ["aggregate", "--reports", "r", "--output", "x.csv"],
+        ["compare", "--reports", "r", "--output", "x.csv"],
+        ["validate"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_argument(self, capsys, argv):
+        """An unknown argument after a command is that command's usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            _run(argv + ["--bogus", "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: sepeval {argv[0]} ")
+        assert "unrecognized arguments: --bogus 1" in err
+
 
 class TestUndecodableTrackName:
     """Under an ASCII locale a non-ASCII track folder name is read as

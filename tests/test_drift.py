@@ -149,11 +149,9 @@ def test_corpus_reaches_both_statuses_and_fallback(tmp_path, monkeypatch):
     levinson = bsseval._levinson
 
     def counting(lags):
-        try:
-            return levinson(lags)
-        except bsseval.LinAlgError:
-            refused.append(lags.shape)
-            raise
+        solves = levinson(lags)
+        refused.extend(lags.shape[1:] for solve in solves if solve is None)
+        return solves
 
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
     statuses = {value for tracks in expected.values() for targets in tracks.values()

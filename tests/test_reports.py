@@ -86,6 +86,17 @@ class TestRoundTrip:
         assert read_report(path)[0].track == "Sизвед – Îles"
         assert "Îles" in path.read_text(encoding="utf-8")
 
+    def test_undecodable_track_name_round_trips(self, tmp_path):
+        """A folder name with an undecodable byte reads as a surrogate
+        escape; its report is valid UTF-8, holds the escape as JSON's
+        \\udcXX, and reads back as the same name."""
+        name = b"Mot\xf6rhead - Ace".decode("utf-8", "surrogateescape")
+        path = tmp_path / "s.json"
+        write_report(_score(track=name), path)
+        text = path.read_bytes().decode("utf-8")  # strict: a raw 0xf6 raises
+        assert '"track": "Mot\\udcf6rhead - Ace"' in text
+        assert read_report(path)[0].track == name
+
     def test_metadata_round_trips(self, tmp_path):
         path = tmp_path / "m.json"
         score = TrackScore(
