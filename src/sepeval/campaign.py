@@ -19,7 +19,7 @@ import os
 import statistics
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .audio import load_wav
@@ -27,7 +27,7 @@ from .bsseval import (DEFAULT_FILTER_LEN, DEFAULT_MODE, DEFAULT_WINDOW, bss_eval
                       check_scoring)
 from .dataset import (ACCOMPANIMENT_STEMS, STEM_NAMES, TrackRef,
                       derive_accompaniment, load_stems)
-from .reports import METRIC_NAMES, TrackScore, write_report
+from .reports import METRIC_NAMES, TrackScore, _write_json, write_report
 from .stats import SignificanceMatrix, pairwise_significance
 
 __all__ = [
@@ -58,13 +58,9 @@ class EvalConfig:
     hop: int | None = None
     filter_len: int = DEFAULT_FILTER_LEN
     mode: str = DEFAULT_MODE
-    targets: tuple = TARGET_NAMES
 
     def __post_init__(self):
         check_scoring(self.window, self.hop, self.filter_len, self.mode)
-        unknown = set(self.targets) - set(TARGET_NAMES)
-        if unknown:
-            raise ValueError(f"unknown targets: {sorted(unknown)}")
 
 
 def evaluate_track(
@@ -75,12 +71,13 @@ def evaluate_track(
 ) -> TrackScore:
     """Score the estimates for one track against its true stems.
 
-    Estimates are WAVs named after targets inside ``estimates_dir``; only
-    those of ``config.targets`` are decoded, with the non-vocal ones when
-    the accompaniment is derived.  Missing files drop that target from the
-    result (with a warning); an estimate whose length, channels or rate
-    differ from the track's, or no estimate for any target, are fatal for
-    the track, and are raised before any stem is decoded.
+    Estimates are WAVs named after targets inside ``estimates_dir``, and
+    every target whose file is there is scored; an accompaniment without
+    a file of its own is derived from the non-vocal estimates when all
+    three are there.  Missing files drop that target from the result (with
+    a warning); an estimate whose length, channels or rate differ from the
+    track's, or no estimate for any target, are fatal for the track, and
+    are raised before any stem is decoded.
     """
     estimates_dir = Path(estimates_dir)
 
@@ -92,25 +89,21 @@ def evaluate_track(
         track.check(f"estimate {path}", estimate.layout)
         return estimate
 
-    estimates = {name: load(name) for name in config.targets}
-    if "accompaniment" in estimates and estimates["accompaniment"] is None:
-        # No file of its own: the sum of the non-vocal parts, if all exist.
-        parts = {name: estimates[name] if name in estimates else load(name)
-                 for name in ACCOMPANIMENT_STEMS}
-        if all(part is not None for part in parts.values()):
-            estimates["accompaniment"] = derive_accompaniment(parts)
+    estimates = {name: load(name) for name in TARGET_NAMES}
+    if estimates["accompaniment"] is None and all(
+            estimates[name] is not None for name in ACCOMPANIMENT_STEMS):
+        estimates["accompaniment"] = derive_accompaniment(estimates)
     if all(estimate is None for estimate in estimates.values()):
         raise FileNotFoundError(
-            f"{track.name}: no estimate for any of {list(config.targets)} "
+            f"{track.name}: no estimate for any of {list(TARGET_NAMES)} "
             f"in {estimates_dir}"
         )
     stems = load_stems(track)
 
     # One parameter set for the bss_eval call and the report header.
-    params = dict(window=config.window, hop=config.hop,
-                  filter_len=config.filter_len, mode=config.mode)
+    params = asdict(config)
     params["hop"] = check_scoring(**params)
-    scored = [name for name in TARGET_NAMES if estimates.get(name) is not None]
+    scored = [name for name in TARGET_NAMES if estimates[name] is not None]
     frames = bss_eval(
         [stems[name] for name in STEM_NAMES],
         [estimates[name] for name in scored],
@@ -119,7 +112,7 @@ def evaluate_track(
     )
     target_frames = dict(zip(scored, frames))
 
-    for name in config.targets:
+    for name in TARGET_NAMES:
         if name not in target_frames:
             warnings.warn(
                 f"{track.name}: no estimate for target {name!r}",
@@ -333,5 +326,4 @@ def write_significance_json(matrix: SignificanceMatrix, path) -> None:
         "num_tracks": matrix.num_tracks,
         "p_values": cells,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
-                          encoding="utf-8", errors="surrogateescape")
+    _write_json(json.dumps(payload, indent=2, ensure_ascii=False), path)

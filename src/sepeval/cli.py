@@ -3,7 +3,8 @@
 Commands: ``oracle`` (write oracle separations, then score them as
 ``eval`` does), ``eval`` (score an estimates tree), ``aggregate``
 (medians to CSV), ``compare`` (pairwise significance) and ``validate``
-(corpus checks).  Selected tracks must share one sample rate.  A track
+(corpus checks).  Selected tracks must share one sample rate, and no
+name may be selected twice (once per split).  A track
 that fails in ``oracle``, ``eval`` or ``validate`` is warned about and
 skipped.  A track with no estimate for any target has failed.  Flags
 beat ``SEPEVAL_*`` environment variables, which beat built-in defaults; a
@@ -36,7 +37,7 @@ from .dataset import (
     validate_mixture,
     write_manifest,
 )
-from .masks import ORACLE_METHODS, _resolve_method, oracle_separate
+from .masks import _resolve_method, oracle_separate
 from .reports import METRIC_NAMES, read_report
 from .spectral import StftConfig, _overlap_profile
 
@@ -77,6 +78,16 @@ def _mode(name: str) -> str:
     return _MODES[name]
 
 
+def _method(name: str) -> str:
+    """An argparse type: an oracle method's name, which is its run label,
+    as ``masks._resolve_method`` accepts it."""
+    try:
+        _resolve_method(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
 def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
@@ -89,7 +100,8 @@ def _require(args, attr: str, flag: str, parser: argparse.ArgumentParser):
 
 
 def _select_tracks(corpus, split: str, names):
-    """The selected tracks, which must share one sample rate."""
+    """The selected tracks, which must share one sample rate and hold each
+    name once: reports and estimate folders are keyed by track name."""
     tracks = corpus.tracks if split == "both" else corpus.split(split)
     if names:
         wanted = set(names)
@@ -99,6 +111,11 @@ def _select_tracks(corpus, split: str, names):
             raise FileNotFoundError(f"tracks not found: {sorted(missing)}")
     if not tracks:
         raise FileNotFoundError(f"no tracks selected (split={split})")
+    selected = [t.name for t in tracks]
+    twice = sorted({name for name in selected if selected.count(name) > 1})
+    if twice:
+        raise ValueError(f"tracks {twice} are in both splits, and reports are "
+                         "keyed by track name; select one split with --split")
     rates = sorted({t.sample_rate for t in tracks})
     if len(rates) > 1:
         raise ValueError(
@@ -171,19 +188,17 @@ def cmd_oracle(args, parser) -> int:
         _overlap_profile(stft_config)  # istft's check, before any track is read
     except ValueError as exc:  # the hop exceeds the window or does not overlap-add
         parser.error(f"argument --stft-hop: {exc}")
-    kind, alpha, order, label = _resolve_method(args.method, args.alpha, args.order)
     corpus = scan_corpus(corpus_root)
     tracks = _select_tracks(corpus, args.split, args.tracks)
     config = _eval_config(args, parser, tracks)
-    method_dir = output / label
+    method = args.method  # the run label
+    method_dir = output / method
 
     def separate(track):
-        _progress(f"oracle {label}: {track.split}/{track.name}")
+        _progress(f"oracle {method}: {track.split}/{track.name}")
         mixture, stems = load_track(track)
-        estimates = oracle_separate(
-            mixture, list(stems.values()), kind, config=stft_config,
-            alpha=alpha, order=order,
-        )
+        estimates = oracle_separate(mixture, list(stems.values()), method,
+                                    config=stft_config)
         track_dir = method_dir / track.name
         track_dir.mkdir(parents=True, exist_ok=True)
         for name, estimate in zip(stems, estimates):
@@ -191,7 +206,7 @@ def cmd_oracle(args, parser) -> int:
         return track
 
     separated = _run_guarded(separate, tracks)
-    return _score(config, separated, method_dir, label, method_dir, workers=1)
+    return _score(config, separated, method_dir, method, method_dir, workers=1)
 
 
 def cmd_eval(args, parser) -> int:
@@ -311,13 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(oracle)
     oracle.add_argument(
-        "--method", required=True, choices=ORACLE_METHODS,
-        help="oracle mask; bare IBM/IRM use --order/--alpha",
+        "--method", required=True, type=_method,
+        help="oracle method, also the run label: IBM1, IBM2, MWF or IRM<alpha> "
+             "(IRM1, IRM2, IRM1.5)",
     )
-    oracle.add_argument("--alpha", type=_positive(float), default=None,
-                        help="IRM magnitude exponent (default 2)")
-    oracle.add_argument("--order", type=int, choices=(1, 2), default=None,
-                        help="IBM comparison order (default 1)")
     stft = StftConfig()
     oracle.add_argument("--stft-window", type=_positive(int),
                         default=stft.window_size,

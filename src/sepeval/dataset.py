@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioSignal, WavFormatError, check_layout, load_wav, wav_info
+from .reports import _write_json
 
 __all__ = [
     "STEM_NAMES",
@@ -192,7 +193,8 @@ def validate_mixture(ref: TrackRef, tolerance: float = 1e-2) -> MixtureReport:
 
 
 def write_manifest(corpus: Corpus, path) -> None:
-    """Write a JSON summary of the scanned corpus (names, durations, splits)."""
+    """Write a JSON summary of the scanned corpus (names, durations, splits),
+    valid UTF-8 whatever bytes the names hold, as reports are."""
     payload = {
         "root": str(corpus.root),
         "tracks": [
@@ -206,5 +208,4 @@ def write_manifest(corpus: Corpus, path) -> None:
             for track in corpus.tracks
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
-                          encoding="utf-8", errors="surrogateescape")
+    _write_json(json.dumps(payload, indent=2, ensure_ascii=False), path)

@@ -1,11 +1,13 @@
 """Oracle time-frequency masks computed from true source images.
 
-Five classic upper-bound separators are provided, all closed-form given
-the ground-truth source images:
+Three upper-bound separators are provided, all closed-form given the
+ground-truth source images, each method under one name that is also its
+run label:
 
 * IBM1 / IBM2: binary masks selecting bins where a source's magnitude
   (order 1) or power (order 2) is at least half the sum over sources.
-* IRM1 / IRM2: soft ratio masks, fractional magnitude or power.
+* IRM<alpha>: soft ratio masks of |y_j|^alpha, alpha > 0 written as
+  ``f"{alpha:g}"``: IRM1 (magnitude), IRM2 (power), IRM1.5.
 * MWF: multichannel Wiener filter from a local Gaussian model, one I-by-I
   complex matrix per source and bin.
 
@@ -34,7 +36,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "ORACLE_METHODS",
     "SourceImages",
     "ScalarMask",
     "MatrixMask",
@@ -46,10 +47,6 @@ __all__ = [
     "apply_mask",
     "oracle_separate",
 ]
-
-# The five canonical methods, then bare IBM and IRM (explicit order or alpha).
-ORACLE_METHODS = ("IBM1", "IBM2", "IRM1", "IRM2", "MWF", "IBM", "IRM")
-
 
 @dataclass
 class SourceImages:
@@ -428,29 +425,33 @@ def apply_mask(mask, mixture: Spectrogram, j: int) -> Spectrogram:
     return Spectrogram(masked, mixture.config, mixture.original_length, mixture.sample_rate)
 
 
-def _resolve_method(method: str, alpha, order) -> tuple:
-    """Normalize a method name plus optional explicit mask parameter to
-    ``(kind, alpha, order, label)``; the label names the run (``IRM1.5``).
+def _resolve_method(method: str) -> tuple:
+    """The mask kind and exponent, ``(kind, exponent)``, of an oracle method.
 
-    IBM takes only ``order`` and IRM only ``alpha``; MWF takes neither.  A
-    parameter the method does not take, or one that contradicts the
-    method's suffix, is an error.
+    Each method has one name, which is also its run label: ``IBM1`` and
+    ``IBM2`` (comparison order 1 or 2), ``MWF`` (no exponent), and
+    ``IRM<alpha>`` for the ratio mask's exponent alpha > 0, written as
+    ``f"{alpha:g}"`` (``IRM1``, ``IRM2``, ``IRM1.5``).  Any other
+    spelling, one that names the same exponent otherwise (``IRM2.0``,
+    ``irm2``) or one that ``:g`` rounds (``IRM1.2345678``), raises
+    ValueError, so no two names write one run.
     """
-    name = method.upper()
-    if name not in ORACLE_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {ORACLE_METHODS}")
-    kind, suffix = name[:3], name[3:]
-    for param, value, taker in (("alpha", alpha, "IRM"), ("order", order, "IBM")):
-        if value is not None and kind != taker:
-            raise ValueError(f"{param} {value} does not apply to method {name}")
-        if value is not None and suffix and value != int(suffix):
-            raise ValueError(f"{param} {value} conflicts with method {name}")
-    if kind == "IBM":
-        order = int(suffix) if suffix else (1 if order is None else order)
-    elif kind == "IRM":
-        alpha = float(suffix) if suffix else (2.0 if alpha is None else alpha)
-    param = order if alpha is None else alpha
-    return kind, alpha, order, kind if param is None else f"{kind}{param:g}"
+    kind, suffix = method[:3], method[3:]
+    if method in ("IBM1", "IBM2"):
+        return kind, int(suffix)
+    if method == "MWF":
+        return kind, None
+    if kind == "IRM":
+        try:
+            alpha = float(suffix)
+        except ValueError:
+            alpha = math.nan
+        if 0 < alpha < math.inf and f"IRM{alpha:g}" == method:
+            return kind, alpha
+    raise ValueError(
+        f"unknown method {method!r}; expected IBM1, IBM2, MWF or IRM<alpha> "
+        "with alpha > 0 as f'{alpha:g}' writes it (IRM1, IRM2, IRM1.5)"
+    )
 
 
 def oracle_separate(
@@ -458,16 +459,14 @@ def oracle_separate(
     true_sources: list,
     method: str,
     config: StftConfig = StftConfig(),
-    alpha: float | None = None,
-    order: int | None = None,
 ) -> list:
     """Run one oracle method end to end, returning time-domain estimates.
 
     All inputs are transformed with ``config``; the mask derived from the
     true source images is applied to the mixture and synthesized back,
-    trimmed to the input length.  ``method`` is one of the five canonical
-    names, or bare ``IBM``/``IRM`` combined with an explicit ``order`` or
-    ``alpha``.
+    trimmed to the input length.  ``method`` names the mask and its
+    exponent: ``IBM1``, ``IBM2``, ``MWF`` or ``IRM<alpha>``
+    (:func:`_resolve_method`).
 
     The work runs over chunks of frames (:func:`spectral._chunks`): each
     chunk's mixture and source bins are analysed, masked and added to the
@@ -478,7 +477,7 @@ def oracle_separate(
     covariances, the second recomputes each chunk's source bins for the
     PSD and runs the Wiener kernel on the mixture's bins.
     """
-    kind, alpha, order, _ = _resolve_method(method, alpha, order)
+    kind, exponent = _resolve_method(method)
     if not true_sources:
         raise ValueError("at least one true source is required")
     for j, source in enumerate(true_sources):
@@ -516,7 +515,7 @@ def oracle_separate(
             _wiener(model, mix.bins[..., None, :], masked[..., None, :])
         else:
             images = SourceImages(images)
-            mask = ibm_mask(images, order) if kind == "IBM" else irm_mask(images, alpha)
+            mask = (ibm_mask if kind == "IBM" else irm_mask)(images, exponent)
             masked = (apply_mask(mask, mix, j).bins for j in range(mask.num_sources))
         for output, bins in zip(outputs, masked):
             output.add(start, bins)

@@ -116,22 +116,22 @@ def _db(value, field: str) -> float:
     )
 
 
-def _string(value: str) -> str:
-    """``value`` as a JSON string, as ``json`` writes it with ``ensure_ascii``
-    off, but valid UTF-8 whatever surrogates it holds.
+def _write_json(text: str, path) -> None:
+    """Write JSON ``text`` and a newline to ``path`` as valid UTF-8, whatever
+    surrogates its strings hold.
 
+    ``text`` is JSON as ``json`` writes it with ``ensure_ascii`` off.
     Escaped bytes (see ``_ESCAPED_BYTES``) are restored: those that form
     UTF-8 are written as such, the original bytes, and every surrogate
     left is written as its ``\\uXXXX`` escape, which ``json.loads`` reads
     back as the same surrogate.
     """
-    text = encode_basestring(value)
-    if value.isascii():
-        return text
-    text = _ESCAPED_BYTES.sub(
-        lambda run: run.group().encode("utf-8", "surrogateescape")
-        .decode("utf-8", "surrogateescape"), text)
-    return _SURROGATE.sub(lambda match: f"\\u{ord(match.group()):04x}", text)
+    if not text.isascii():
+        text = _ESCAPED_BYTES.sub(
+            lambda run: run.group().encode("utf-8", "surrogateescape")
+            .decode("utf-8", "surrogateescape"), text)
+        text = _SURROGATE.sub(lambda match: f"\\u{ord(match.group()):04x}", text)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _object(members: dict, pad: str) -> str:
@@ -139,7 +139,7 @@ def _object(members: dict, pad: str) -> str:
     if not members:
         return "{}"
     inner = pad + "  "
-    lines = (f"{inner}{_string(name)}: {members[name]}"
+    lines = (f"{inner}{encode_basestring(name)}: {members[name]}"
              for name in sorted(members))
     return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
 
@@ -210,7 +210,7 @@ def _report_text(score: TrackScore, pad: str, **extra) -> str:
     encoded = {}
     for name, kind in _HEADER.items():
         value = _checked(getattr(score, name), kind, name)
-        encoded[name] = _string(value) if kind is str else repr(value)
+        encoded[name] = encode_basestring(value) if kind is str else repr(value)
     targets = {}
     for name, frames in score.targets.items():
         text = _frames_text(_checked(name, str, "targets key"), frames, body + "  ")
@@ -307,7 +307,7 @@ def write_report(scores, path) -> None:
         reports = [_report_text(score, "    ") for score in scores]
         text = _object({"reports": _array(reports, "  "),
                         "schema_version": version}, "")
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    _write_json(text, path)
 
 
 def read_report(path) -> list:

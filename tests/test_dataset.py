@@ -247,3 +247,14 @@ class TestManifest:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["tracks"][0]["name"] == "Mot\u00f6rhead - Ace"
+
+    def test_undecodable_name_is_written_as_valid_utf8(self, tmp_path):
+        """A name holding a byte the file-system encoding could not decode
+        (Latin-1 0xf6) is written as a JSON escape, as reports write it, so
+        the file loads from its bytes and gives back the same name."""
+        name = b"Mot\xf6rhead - Ace".decode("utf-8", "surrogateescape")
+        path = tmp_path / "manifest.json"
+        track = sepeval.TrackRef(name, "test", Path("t"), 8000, 8000, 2)
+        write_manifest(sepeval.Corpus(Path("c"), [track]), path)
+        assert b'"name": "Mot\\udcf6rhead - Ace"' in path.read_bytes()
+        assert json.loads(path.read_bytes())["tracks"][0]["name"] == name

@@ -164,7 +164,7 @@ def test_corpus_reaches_both_statuses_and_fallback(tmp_path, monkeypatch):
     for mode in ("v4_global", "v3_windowed"):
         refused.clear()
         run_campaign(track, root / "estimates", "drift",
-                     EvalConfig(mode=mode, targets=("vocals",), **CONFIG), workers=1)
+                     EvalConfig(mode=mode, **CONFIG), workers=1)
         assert refused, mode
 
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepeval import (
     AudioSignal,
@@ -23,8 +25,14 @@ from sepeval import (
     oracle_separate,
     stft,
 )
-from sepeval.masks import ORACLE_METHODS, _resolve_method, _wiener
+from sepeval.masks import _resolve_method, _wiener
 from sepeval.spectral import _CHUNK_CELLS, _frame_layout
+
+# Spellings that are no method's label: bare kinds, other orders, another
+# way of writing an exponent, a case change, exponents that are not
+# positive and finite, and one that ``:g`` rounds to IRM1.23457.
+REFUSED_METHODS = ("IBM", "IRM", "IBM3", "IRM2.0", "IRM+2", "IRM 2", "irm2", "IRM0",
+                   "IRM-1", "IRMinf", "IRMnan", "IRM1.2345678")
 
 
 def _spec(bins, rate=8000):
@@ -433,41 +441,39 @@ class TestOracleSeparate:
         for lo, hi in zip(base, scaled):
             np.testing.assert_array_equal(hi.samples, 4.0 * lo.samples)
 
-    def test_bare_names_take_explicit_parameters(self):
+    def test_exponent_parameters_are_gone(self):
+        """The exponent is in the method's name: ``alpha`` and ``order``
+        are unknown arguments, not remapped."""
         mixture, sources = _tones()
-        via_suffix = oracle_separate(mixture, sources, "IBM2", self.CONFIG)
-        via_order = oracle_separate(mixture, sources, "IBM", self.CONFIG, order=2)
-        for a, b in zip(via_suffix, via_order):
-            np.testing.assert_array_equal(a.samples, b.samples)
-        # fractional exponents only reachable through the bare spelling
-        oracle_separate(mixture, sources, "IRM", self.CONFIG, alpha=1.5)
-
-    def test_conflicting_parameters_rejected(self):
-        mixture, sources = _tones()
-        with pytest.raises(ValueError):
-            oracle_separate(mixture, sources, "IBM1", self.CONFIG, order=2)
-        with pytest.raises(ValueError):
-            oracle_separate(mixture, sources, "IRM2", self.CONFIG, alpha=1.0)
-        # A parameter the method does not take at all.
-        for method, param, value in (("MWF", "alpha", 3.0), ("MWF", "order", 2),
-                                     ("IBM", "alpha", 1.0), ("IBM2", "alpha", 2.0),
-                                     ("IRM", "order", 2), ("IRM1", "order", 1)):
-            with pytest.raises(ValueError, match=f"{param} {value} does not apply "
-                                                 f"to method {method}"):
+        for method, param, value in (("IRM", "alpha", 1.5), ("IRM2", "alpha", 2.0),
+                                     ("IBM", "order", 2), ("IBM1", "order", 1)):
+            with pytest.raises(TypeError, match=param):
                 oracle_separate(mixture, sources, method, self.CONFIG,
                                 **{param: value})
 
     def test_method_names_and_labels(self):
-        """Each accepted name resolves to its mask parameters and run label."""
-        expected = {"IBM1": ("IBM", None, 1, "IBM1"), "IBM2": ("IBM", None, 2, "IBM2"),
-                    "IRM1": ("IRM", 1.0, None, "IRM1"), "IRM2": ("IRM", 2.0, None, "IRM2"),
-                    "MWF": ("MWF", None, None, "MWF"), "IBM": ("IBM", None, 1, "IBM1"),
-                    "IRM": ("IRM", 2.0, None, "IRM2")}
-        assert tuple(expected) == ORACLE_METHODS
+        """Each method resolves to its mask kind and exponent, of the type
+        the mask takes."""
+        expected = {"IBM1": ("IBM", 1), "IBM2": ("IBM", 2), "IRM1": ("IRM", 1.0),
+                    "IRM2": ("IRM", 2.0), "IRM1.5": ("IRM", 1.5), "MWF": ("MWF", None)}
         for name, resolved in expected.items():
-            assert _resolve_method(name, None, None) == resolved
-        assert _resolve_method("irm", 1.5, None) == ("IRM", 1.5, None, "IRM1.5")
-        assert _resolve_method("IBM", None, 2)[3] == "IBM2"
+            assert repr(_resolve_method(name)) == repr(resolved)
+
+    # Derandomized: the same examples on every run, so the suite cannot flake.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_every_exponent_has_one_name(self, alpha):
+        """``IRM<alpha:g>`` is the name of the exponent it writes, for any
+        positive finite alpha."""
+        label = f"IRM{alpha:g}"
+        kind, exponent = _resolve_method(label)
+        assert (kind, exponent) == ("IRM", float(f"{alpha:g}"))
+        assert f"IRM{exponent:g}" == label
+
+    @pytest.mark.parametrize("method", REFUSED_METHODS)
+    def test_other_spellings_are_refused(self, method):
+        with pytest.raises(ValueError, match="expected IBM1, IBM2, MWF or IRM<alpha>"):
+            _resolve_method(method)
 
     def test_unknown_method_rejected(self):
         mixture, sources = _tones()
