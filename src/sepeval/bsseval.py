@@ -13,21 +13,27 @@ over-estimate performance.  With a single window spanning the whole track
 the modes coincide.
 
 One engine fits and projects, over overlap-save blocks of B samples (8192,
-or the whole span when it is shorter).  Each reference channel is held as
-the rFFTs of its segments, block k plus the L samples before it, at a size
-M >= B + L; no transform spans the whole signal.  Lags 0..L-1 of the
-segments against another signal's zero-padded block spectra are summed
-over blocks bin by bin and inverse-transformed once per channel pair,
-lag-major as (L, C, C'): against the references themselves they give the
+or the whole span when it is shorter).  A reference channel's segment,
+block k plus the L samples before it, is transformed at a size M >= B + L;
+no transform spans the whole signal, and no spectrum of a whole span is
+held.  A span is streamed in chunks of blocks, as many as hold the segment
+spectra of every reference channel in ``_CHUNK_CELLS`` complex cells, in
+two passes.  The fit pass forms each chunk's segment spectra once and
+adds their products with the zero-padded block spectra of every
+reference and estimate channel, one channel at a time, to that channel's
+cross spectra; one inverse transform per channel pair then gives lags
+0..L-1, lag-major as (L, C, C'): against the references themselves the
 Gram matrix's blocks, against an estimate its cross-correlations.  The
 normal equations keep that layout: unknown (p, a) is tap p of channel a,
 so the Gram is block-Toeplitz with block (p, q) = R[p - q], where R[m] is
-the lag-m matrix and R[-m] = R[m]^T.  Projections multiply tap spectra
-into the segment spectra, sum over reference channels and keep the B
-valid samples of each block's inverse transform; ``bss_eval`` transforms
-only the blocks under each window as it scores it, so it holds no part at
-full length.  Samples may be float32, as decoded; every transform runs on
-float64 copies.
+the lag-m matrix and R[-m] = R[m]^T.  The split pass forms each chunk's
+segment spectra again (a span of one chunk keeps them from the fit) and,
+for every estimate, multiplies tap spectra into them, sums over reference
+channels and keeps the B valid samples of each block's inverse transform;
+``bss_eval`` scores each window as soon as its samples are there, so
+beyond one chunk it holds about one window of samples per estimate and no
+part at full length.  Samples may be float32, as decoded; every transform
+runs on float64 copies.
 
 Each system is solved, after tiny diagonal loading, through a block-
 Levinson factor built from its lags in O(L^2 C^3), rather than the
@@ -85,6 +91,11 @@ DEFAULT_WINDOW = 44100
 DEFAULT_MODE = "v4_global"
 # Overlap-save block length, unless the span is shorter.
 _BLOCK_LEN = 8192
+# Complex cells of reference segment spectra, (blocks, C, F), held at once:
+# spans are streamed in chunks of as many blocks as fit (see _Blocks).  Four
+# stereo references at 512 taps take 6 blocks (3.4 MB), which hold a 1 s
+# window at 44.1 kHz, so a v3 fit transforms its references once.
+_CHUNK_CELLS = 240_000
 # Relative residual of the block-Levinson probe solve at or above which a
 # system falls back to Cholesky (see _levinson).  Coloured-noise stems at
 # 512 taps leave 2e-16 to 5e-16; the accepted systems of harmonic tones
@@ -193,9 +204,11 @@ class _Blocks:
     Block k covers samples [kB, (k+1)B); its segment [kB - L, (k+1)B) adds
     the L samples before it.  Because M >= B + L, circular products of a
     segment with a zero-padded block, or with L zero-padded taps, equal the
-    linear correlation or convolution over that block.  B follows from the
-    span length alone, so every caller on a span gets the same blocks and
-    hence bitwise-equal results.
+    linear correlation or convolution over that block.  Blocks are
+    transformed a chunk at a time (:meth:`chunks`), so no spectrum of a
+    whole span is held.  B follows from the span length alone, and the
+    chunks from it, L and the reference channel count, so every caller on
+    a span gets the same blocks and chunks and hence bitwise-equal results.
     """
 
     def __init__(self, num_samples: int, filter_len: int):
@@ -203,72 +216,111 @@ class _Blocks:
         self.filter_len = filter_len
         self.fft_size = scipy.fft.next_fast_len(self.length + filter_len, real=True)
 
-    def _spectra(self, channels: list, num_blocks: int, history: int):
-        """Per 1-D channel of ``channels``, the (F, K) rFFTs at M of its K
-        blocks, each with the ``history`` samples before it: samples
-        [kB - history, (k+1)B) of the channel, zero outside it.  One
-        zero-padded buffer serves every channel."""
-        padded = np.zeros(history + num_blocks * self.length)
-        frames = sliding_window_view(padded, self.length + history)[::self.length]
-        for samples in channels:
-            padded[history:history + len(samples)] = samples
-            yield scipy.fft.rfft(frames, n=self.fft_size, axis=-1).T
-
-    def segment_spectra(self, signals, length: int) -> np.ndarray:
-        """(F, C, K) segment rFFTs of the C channels of ``signals`` (see
-        :func:`_channels`), zero-extended to ``length`` samples and K blocks."""
-        channels = _channels(signals)
+    def chunks(self, length: int, channels: int) -> list:
+        """[first, stop) block ranges of the chunks of ``length`` samples: as
+        many blocks as hold the segment spectra of ``channels`` channels in
+        ``_CHUNK_CELLS`` complex cells, and at least one."""
+        size = max(1, _CHUNK_CELLS // ((self.fft_size // 2 + 1) * channels))
         num_blocks = -(-length // self.length)
-        spectra = np.empty((self.fft_size // 2 + 1, len(channels), num_blocks),
+        return [(k, min(k + size, num_blocks)) for k in range(0, num_blocks, size)]
+
+    def _spectra(self, channels: list, first: int, stop: int, history: int):
+        """Per 1-D channel of ``channels``, the (K, F) rFFTs at M of its
+        blocks first, ..., stop - 1, each with the ``history`` samples
+        before it: samples [kB - history, (k+1)B) of the channel, zero
+        outside it.  Each channel is written once into one (K, M) buffer,
+        so the transform pads nothing."""
+        B, width = self.length, self.length + history
+        frames = np.zeros((stop - first, self.fft_size))
+        for samples in channels:
+            # The blocks whose segment lies inside the channel: one strided copy.
+            lo, hi = max(first, -(-history // B)), min(stop, len(samples) // B)
+            if lo < hi:
+                frames[lo - first:hi - first, :width] = sliding_window_view(
+                    samples[lo * B - history:hi * B], width)[::B]
+            for k in range(first, stop):
+                if not lo <= k < hi:  # clipped by either end of the channel
+                    start = k * B - history
+                    part = samples[max(start, 0):start + width]
+                    row = frames[k - first, :width]
+                    row[:] = 0.0
+                    row[max(-start, 0):max(-start, 0) + len(part)] = part
+            yield scipy.fft.rfft(frames, axis=-1)
+
+    def segment_spectra(self, channels: list, first: int, stop: int) -> np.ndarray:
+        """(K, C, F) rFFTs of the segments of blocks first, ..., stop - 1 of
+        the C 1-D ``channels``, zero beyond their end."""
+        spectra = np.empty((stop - first, len(channels), self.fft_size // 2 + 1),
                            dtype=complex)
-        framed = self._spectra(channels, num_blocks, self.filter_len)
-        for c in range(len(channels)):
-            spectra[:, c] = next(framed)
+        for c, spectrum in enumerate(self._spectra(channels, first, stop,
+                                                   self.filter_len)):
+            spectra[:, c] = spectrum
         return spectra
 
-    def lags(self, segments: np.ndarray, signals) -> np.ndarray:
-        """(L, C, C') correlations r[m, a, b] = sum_n x_a[n - m] y_b[n].
+    def lags(self, references, signals) -> tuple:
+        """Per item of ``signals`` (see :func:`_channels`), its (L, C, C')
+        correlations r[m, a, b] = sum_n x_a[n - m] y_b[n] with the C channels
+        x of ``references``, all as long as x; and the segment spectra of x
+        when the span is one chunk, else None.
 
-        ``segments`` are the segment spectra of the C channels x; y are the
-        C' channels of ``signals``, as long as x.  One channel of y at a
-        time, its zero-padded blocks are transformed and conjugated, and
-        one product per bin sums them against the segments over blocks;
-        so column b depends on channel b alone.  One inverse transform per
-        channel pair gives the circular correlation c[d] = sum_n
-        x_seg[n + d] y_blk[n], whose lag m sits at d = L - m.
+        Chunk by chunk, the segment spectra of x are formed once.  One
+        channel of y at a time, the chunk's zero-padded blocks are
+        transformed and conjugated, and their products with the segments
+        are added, block by block and bin by bin, to the channel's cross
+        spectra; so column b depends on channel b alone.  After the last
+        chunk, one inverse transform per channel pair gives the circular
+        correlation c[d] = sum_n x_seg[n + d] y_blk[n], whose lag m sits at
+        d = L - m.  Cross spectra are held from the first chunk to the
+        last, so a span of one chunk holds one item's at a time.
         """
-        channels = _channels(signals)
-        num_blocks = -(-len(channels[0]) // self.length)
-        cross = np.empty(segments.shape[:2] + (len(channels),), dtype=complex)
-        blocks = np.empty((len(segments), num_blocks, 1), dtype=complex)
-        framed = self._spectra(channels, num_blocks, 0)
-        for c in range(len(channels)):
-            blocks[..., 0] = next(framed)
-            np.matmul(segments, np.conjugate(blocks, out=blocks),
-                      out=cross[:, :, c:c + 1])
-        return scipy.fft.irfft(cross, self.fft_size, axis=0)[self.filter_len:0:-1]
+        x = _channels(references)
+        ys = [_channels(signal) for signal in signals]
+        bins = self.fft_size // 2 + 1
+        term = np.empty((len(x), bins), dtype=complex)
+        chunks = self.chunks(len(x[0]), len(x))
+        cross, lags = [None] * len(ys), [None] * len(ys)
+        segments = None
+        for first, stop in chunks:
+            segments = None  # the last chunk's, freed before the next's are formed
+            segments = self.segment_spectra(x, first, stop)
+            for i, y in enumerate(ys):
+                if not first:
+                    cross[i] = np.zeros((len(x), len(y), bins), dtype=complex)
+                for b, spectrum in enumerate(self._spectra(y, first, stop, 0)):
+                    total = cross[i][:, b]
+                    for segment, block in zip(segments, np.conjugate(spectrum, out=spectrum)):
+                        total += np.multiply(segment, block, out=term)
+                if stop == chunks[-1][1]:
+                    lags[i] = np.ascontiguousarray(scipy.fft.irfft(cross[i], self.fft_size)[
+                        ..., self.filter_len:0:-1].transpose(2, 0, 1))
+                    cross[i] = None
+        return lags, segments if len(chunks) == 1 else None
 
-    def product(self, segments: np.ndarray, taps: np.ndarray) -> np.ndarray:
-        """(F, I_est, K) spectra of the channels of ``segments`` filtered
-        through (J, I_ref, I_est, L) taps and summed, block by block.
-
-        Tap spectra meet the segment spectra in one product per bin that
-        sums over reference channels; :meth:`valid` turns blocks of it into
-        samples.
-        """
+    def tap_spectra(self, taps: np.ndarray) -> np.ndarray:
+        """(I_est, J I_ref, F) rFFTs at M of (J, I_ref, I_est, L) taps, laid
+        out for :meth:`filtered`."""
         taps = taps.reshape(-1, *taps.shape[2:])
-        tap_spectra = scipy.fft.rfft(taps, n=self.fft_size, axis=-1).transpose(2, 1, 0)
-        return np.matmul(np.ascontiguousarray(tap_spectra), segments)
+        spectra = scipy.fft.rfft(taps, n=self.fft_size, axis=-1).transpose(1, 0, 2)
+        return np.ascontiguousarray(spectra)
 
-    def valid(self, product: np.ndarray, first: int, stop: int) -> np.ndarray:
-        """Samples [first B, stop B) of a :meth:`product`, shaped (samples,
-        I_est): one inverse transform per block and estimate channel, of
-        which the B valid samples are kept.  Each column is transformed on
-        its own, so a block's samples do not depend on the range."""
-        valid = scipy.fft.irfft(product[:, :, first:stop], self.fft_size, axis=0)[
-            self.filter_len:self.filter_len + self.length
-        ]
-        return valid.transpose(2, 0, 1).reshape(-1, product.shape[1])
+    def filtered(self, segments: np.ndarray, tap_spectra: np.ndarray,
+                 out: np.ndarray) -> None:
+        """Write to (K B, I_est) ``out`` the B valid samples of each block of
+        the channels of (K, C, F) ``segments`` filtered through
+        :meth:`tap_spectra` and summed: per reference channel one product,
+        bin by bin, added in channel order, then one inverse transform per
+        block and estimate channel, so a block's samples do not depend on
+        the others."""
+        product = np.multiply(segments[None, :, 0], tap_spectra[:, 0, None])
+        term = np.empty_like(product)
+        for c in range(1, segments.shape[1]):
+            product += np.multiply(segments[None, :, c], tap_spectra[:, c, None], out=term)
+        del term
+        valid = scipy.fft.irfft(product, self.fft_size)[
+            ..., self.filter_len:self.filter_len + self.length]
+        blocks = out.reshape(len(segments), self.length, -1)
+        for c, samples in enumerate(valid):
+            blocks[..., c] = samples
 
 
 def _channels(signals) -> list:
@@ -294,14 +346,15 @@ def _summed(references, members: tuple, start: int, stop: int) -> np.ndarray:
 
 
 class _Projector:
-    """Reference segment spectra and factorized normal equations for one span.
+    """Lags and factorized normal equations of one span's references and estimates.
 
-    Each reference channel is held as the spectra of its overlap-save
-    segments (see :class:`_Blocks`).  Their lags against the references'
-    own block spectra, R[m] = ``_lags[m]``, are the Gram's blocks: with the
-    unknowns lag-major, block (p, q) is R[p - q] (R[-m] = R[m]^T).  An
-    estimate's cross-correlations are its lags, in the same layout, and
-    projections filter the segments.
+    One pass over the span's chunks (:meth:`_Blocks.lags`) correlates the
+    references' overlap-save segments with the references' own blocks and
+    with every estimate's.  The former, R[m] = ``_lags[m]``, are the Gram's
+    blocks: with the unknowns lag-major, block (p, q) is R[p - q] (R[-m] =
+    R[m]^T).  The latter are the estimates' cross-correlations D, in the
+    same layout.  ``segments`` keeps the segment spectra of a span of one
+    chunk, for the split (:func:`_parts`) to reuse.
 
     A target is scored against a frame of references (:meth:`_frame`):
     every reference, or for a group target the references outside the
@@ -327,11 +380,12 @@ class _Projector:
     dense Gram when that factor is refused; a Gram the loading leaves
     indefinite then raises LinAlgError.
 
-    Reusing one instance across estimates guarantees that evaluating the
-    same estimate twice, in any order, produces bitwise-equal filters.
+    Each estimate channel's lags depend on that channel alone, so an
+    estimate's filters are bitwise the same with or without the others, in
+    any order, and fitting it twice gives them again.
     """
 
-    def __init__(self, references: list, filter_len: int):
+    def __init__(self, references: list, filter_len: int, estimates=()):
         num_refs = len(references)
         num_samples, channels = references[0].shape
         if filter_len > num_samples:
@@ -343,10 +397,9 @@ class _Projector:
         self.channels = channels
         self.references = references
         self.blocks = _Blocks(num_samples, filter_len)
-        self.segments = self.blocks.segment_spectra(references, num_samples)
-        # The references' block spectra live only inside lags(), so they
-        # are freed before any system is factorized.
-        self._lags = np.ascontiguousarray(self.blocks.lags(self.segments, references))
+        # One pass over the chunks gives the Gram's lags and every estimate's.
+        (self._lags, *self._rhs), self.segments = self.blocks.lags(
+            references, [references, *estimates])
         # Lag 0 holds each channel pair twice, equal only to rounding; keeping
         # the upper triangle makes every Gram exactly symmetric.
         self._lags[0] = np.triu(self._lags[0]) + np.triu(self._lags[0], 1).T
@@ -441,16 +494,16 @@ class _Projector:
             self.filter_len, len(refs), self.channels, D.shape[2]
         ).transpose(1, 2, 3, 0)
 
-    def fit(self, estimate: np.ndarray, solo) -> tuple:
-        """Joint taps to an estimate, (J, I_ref, I_est, L), and the solo taps
-        of each target in ``solo``, (1, I_ref, I_est, L).
+    def fit(self, index: int, solo) -> tuple:
+        """Joint taps to estimate ``index``, (J, I_ref, I_est, L), and the solo
+        taps of each target in ``solo``, (1, I_ref, I_est, L).
 
         The targets of ``solo`` share one frame, over which the joint taps
         are fitted; a group's taps sit on each of its members.  Their solo
         systems are factorized in one stack.
         """
         self._factor([self._solo(target) for target in solo])
-        D = self.blocks.lags(self.segments, estimate)
+        D = self._rhs[index]
         taps = np.zeros((self.num_refs, self.channels, D.shape[2], self.filter_len))
         joint = self._joint(next(iter(solo), 0))
         if joint is not None:
@@ -681,50 +734,77 @@ def _levinson(lags: np.ndarray) -> list:
     return solves
 
 
-def _parts(refs, est: np.ndarray, target, taps: np.ndarray,
-           solo_taps: np.ndarray, blocks: _Blocks, segments: np.ndarray,
-           spans) -> Iterator[Decomposition]:
-    """The four parts of ``est[a:b]`` for each [a, b) of ``spans``, whose
-    starts must not decrease, from its projections on ``target`` (a
-    reference index, or a group scored against its members' sum) alone
-    and on all of ``refs``.
+def _parts(refs, ests, targets, fits, blocks: _Blocks, spans,
+           segments=None) -> Iterator[tuple]:
+    """(k, a, the four parts of ``ests[k][a:b]``) for each [a, b) of ``spans``,
+    whose starts must not decrease, and each estimate k, from its
+    projections on ``targets[k]`` (a reference index, or a group scored
+    against its members' sum) alone and on all of ``refs``.
 
-    ``solo_taps`` are the target's own, shaped (1, I_ref, I_est, L), and
-    filter each member's segments.  Interference is what the joint taps
-    add to the solo projection: the projection through their difference,
-    so it is exactly zero when the joint fit is the solo fit (every other
-    reference silent).  Both projections' block products are formed once;
-    each block is inverse-transformed once, by the first span that covers
-    it, and held until a span starts past it.  So beyond the products only
-    the blocks and parts of about one span are alive, provided each span's
-    parts are dropped before the next are asked for.
+    ``fits[k]`` holds estimate k's joint taps and, alone in a list, its
+    target's own, shaped (1, I_ref, I_est, L), which filter each member's
+    segments (see :meth:`_Projector.fit`).
+    Interference is what the joint taps add to the solo projection: the
+    projection through their difference, so it is exactly zero when the
+    joint fit is the solo fit (every other reference silent).
+
+    Chunk by chunk, the references' segment spectra are formed once
+    (``segments``, those of a span of one chunk, are taken as given) and
+    filtered for every estimate through tap spectra formed once; the
+    valid samples of both projections are held until no span needs them,
+    and each span is split as soon as its samples are held.  So beyond one
+    chunk's spectra and samples and the estimates' tap spectra (one
+    estimate's at a time for a span of one chunk), only about one span of
+    samples per estimate is alive, provided each span's parts are dropped
+    before the next are asked for.
     """
-    members = _members(target)
-    low, high = min(members), max(members) + 1  # the references spanning them
-    channels = refs[low].shape[1]
-    solo = np.zeros((high - low,) + solo_taps.shape[1:])
-    solo[[j - low for j in members]] = solo_taps[0]
-    added = taps.copy()
-    added[list(members)] -= solo_taps[0]
-    products = (
-        blocks.product(segments[:, low * channels:high * channels], solo),
-        blocks.product(segments, added),
-    )
-    B = blocks.length
-    # The valid samples of blocks first, first + 1, ... of both projections.
-    first, held = 0, [np.empty((0, est.shape[1]))] * 2
-    for a, b in spans:
-        k0, k1 = a // B, -(-b // B)  # the blocks under [a, b)
-        done = max(k0, first + len(held[0]) // B)
-        held = [
-            np.concatenate((h[(k0 - first) * B:], blocks.valid(p, done, k1)))
-            for h, p in zip(held, products)
-        ]
-        first = k0
-        proj_solo, e_interf = (h[a - k0 * B:b - k0 * B] for h in held)
-        s_target = _summed(refs, members, a, b)
-        yield Decomposition(s_target, proj_solo - s_target, e_interf,
-                            est[a:b] - (proj_solo + e_interf))
+    channels = refs[0].shape[1]
+    projections = []  # per estimate, (reference channels, taps) of both projections
+    for (taps, (solo_taps,)), target in zip(fits, targets):
+        members = _members(target)
+        low, high = min(members), max(members) + 1  # the references spanning them
+        solo = np.zeros((high - low,) + solo_taps.shape[1:])
+        solo[[j - low for j in members]] = solo_taps[0]
+        added = taps.copy()
+        added[list(members)] -= solo_taps[0]
+        projections.append([(slice(low * channels, high * channels), solo),
+                            (slice(None), added)])
+    chunks = blocks.chunks(len(ests[0]), len(refs) * channels)
+    B, given = blocks.length, segments
+    # Per estimate, the valid samples of both projections from sample ``first`` on.
+    held = [[np.empty((0, est.shape[1]))] * 2 for est in ests]
+    first = scored = 0
+
+    def split(k: int, a: int, b: int) -> Decomposition:
+        proj_solo, e_interf = (h[a - first:b - first] for h in held[k])
+        s_target = _summed(refs, _members(targets[k]), a, b)
+        return Decomposition(s_target, proj_solo - s_target, e_interf,
+                             ests[k][a:b] - (proj_solo + e_interf))
+
+    for start, stop in chunks:
+        if given is None:
+            segments = None  # the last chunk's, freed before the next's are formed
+            segments = blocks.segment_spectra(_channels(refs), start, stop)
+        done = scored  # the spans whose samples are all held after this chunk
+        while done < len(spans) and spans[done][1] <= stop * B:
+            done += 1
+        keep = min(spans[done][0], stop * B) if done < len(spans) else stop * B
+        for k in range(len(ests)):
+            filters = projections[k]
+            if not start:
+                filters = [(sl, blocks.tap_spectra(taps)) for sl, taps in filters]
+                if len(chunks) > 1:
+                    projections[k] = filters
+            grown = []
+            for tail, (sl, spectra) in zip(held[k], filters):
+                grown.append(np.empty((len(tail) + (stop - start) * B, tail.shape[1])))
+                grown[-1][:len(tail)] = tail
+                blocks.filtered(segments[:, sl], spectra, grown[-1][len(tail):])
+            held[k] = grown
+            for a, b in spans[scored:done]:
+                yield k, a, split(k, a, b)
+            held[k] = [h[keep - first:].copy() for h in held[k]]
+        first, scored = keep, done
 
 
 def _signals(references, estimates=None, targets=None) -> tuple:
@@ -834,8 +914,9 @@ def compute_projection(
     filters = []
     for start, stop, span_filter_len, _ in _plan(len(est), filter_len, mode,
                                                  window, hop):
-        projector = _Projector([ref[start:stop] for ref in refs], span_filter_len)
-        taps, solo = projector.fit(est[start:stop], range(len(refs)))
+        projector = _Projector([ref[start:stop] for ref in refs], span_filter_len,
+                               [est[start:stop]])
+        taps, solo = projector.fit(0, range(len(refs)))
         filters.append(ProjectionFilters(
             taps, np.concatenate(solo), span_filter_len, mode=mode,
             window_start=start, window_len=stop - start,
@@ -861,8 +942,13 @@ def project(references, taps: np.ndarray) -> np.ndarray:
         )
     blocks = _Blocks(num_samples, taps.shape[3])
     length = num_samples + taps.shape[3] - 1
-    product = blocks.product(blocks.segment_spectra(refs, length), taps)
-    return blocks.valid(product, 0, product.shape[2])[:length]
+    ref_channels, spectra = _channels(refs), blocks.tap_spectra(taps)
+    chunks = blocks.chunks(length, len(ref_channels))
+    projection = np.empty((chunks[-1][1] * blocks.length, taps.shape[2]))
+    for first, stop in chunks:
+        blocks.filtered(blocks.segment_spectra(ref_channels, first, stop), spectra,
+                        projection[first * blocks.length:stop * blocks.length])
+    return projection[:length]
 
 
 def decompose(
@@ -884,10 +970,9 @@ def decompose(
         raise ValueError(
             f"filters cover {filters.taps.shape[0]} references, got {len(refs)}"
         )
-    blocks = _Blocks(len(est), filters.filter_len)
-    segments = blocks.segment_spectra(refs, len(est))
-    (d,) = _parts(refs, est, j, filters.taps, filters.solo_taps[j:j + 1],
-                  blocks, segments, [(0, len(est))])
+    fit = (filters.taps, [filters.solo_taps[j:j + 1]])
+    ((_, _, d),) = _parts(refs, [est], [j], [fit], _Blocks(len(est), filters.filter_len),
+                          [(0, len(est))])
     return d
 
 
@@ -955,19 +1040,17 @@ def bss_eval(
     results = [[] for _ in ests]
     for start, stop, span_filter_len, frames in plan:
         span_refs = [ref[start:stop] for ref in refs]
-        projector = _Projector(span_refs, span_filter_len)
+        span_ests = [est[start:stop] for est in ests]
+        projector = _Projector(span_refs, span_filter_len, span_ests)
         projector._factor([projector._solo(target) for target in targets])
+        fits = [projector.fit(k, [target]) for k, target in enumerate(targets)]
         windows = [(a - start, b - start) for a, b in frames]
-        for scores, est, target in zip(results, ests, targets):
-            span_est = est[start:stop]
-            taps, (solo,) = projector.fit(span_est, [target])
-            parts = _parts(span_refs, span_est, target, taps, solo,
-                           projector.blocks, projector.segments, windows)
-            scores.extend(
-                _frame_scores(d, 0, b - a, start + a)
-                for d, (a, b) in zip(parts, windows)
-            )
-        del projector  # before the next span's Gram is allocated
+        parts = _parts(span_refs, span_ests, targets, fits, projector.blocks, windows,
+                       projector.segments)
+        del projector  # its factors, before the split
+        for k, a, d in parts:
+            results[k].append(_frame_scores(d, 0, len(d.s_target), start + a))
+            del d  # before the next window's parts are formed
     return results
 
 

@@ -18,6 +18,7 @@ import math
 import os
 import statistics
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -138,8 +139,11 @@ def run_campaign(
     ``estimates_root/<track name>/<target>.wav`` supplies the estimates.
     Per-track failures are reported and skipped; the run fails only when
     every track fails.  Results are sorted by track name; with
-    ``output_dir`` set, one JSON report per track is written there.
+    ``output_dir`` set, one JSON report per track is written there.  Two
+    tracks of one name raise ValueError before any track is read (see
+    :func:`_check_names`).
     """
+    _check_names(tracks)
     estimates_root = Path(estimates_root)
     workers = workers or os.cpu_count() or 1
 
@@ -156,6 +160,16 @@ def run_campaign(
         for score in scores:
             write_report(score, output_dir / f"{score.track}.json")
     return scores
+
+
+def _check_names(tracks) -> None:
+    """Raise ValueError naming every name that more than one of ``tracks``
+    holds: estimate folders and reports are keyed by track name."""
+    twice = sorted(name for name, count in Counter(t.name for t in tracks).items()
+                   if count > 1)
+    if twice:
+        raise ValueError(f"tracks {twice} are named more than once, and estimate "
+                         "folders and reports are keyed by track name")
 
 
 def _map_threads(fn, items, workers: int) -> list:

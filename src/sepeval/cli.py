@@ -24,6 +24,7 @@ from .audio import save_wav
 from .bsseval import DEFAULT_FILTER_LEN, MODES
 from .campaign import (
     EvalConfig,
+    _check_names,
     _run_guarded,
     aggregate,
     run_campaign,
@@ -111,11 +112,10 @@ def _select_tracks(corpus, split: str, names):
             raise FileNotFoundError(f"tracks not found: {sorted(missing)}")
     if not tracks:
         raise FileNotFoundError(f"no tracks selected (split={split})")
-    selected = [t.name for t in tracks]
-    twice = sorted({name for name in selected if selected.count(name) > 1})
-    if twice:
-        raise ValueError(f"tracks {twice} are in both splits, and reports are "
-                         "keyed by track name; select one split with --split")
+    try:
+        _check_names(tracks)
+    except ValueError as error:
+        raise ValueError(f"{error}; select one split with --split") from None
     rates = sorted({t.sample_rate for t in tracks})
     if len(rates) > 1:
         raise ValueError(

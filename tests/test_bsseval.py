@@ -561,6 +561,42 @@ class TestOneEngine:
                 )
             assert frames == expected
 
+    def test_v4_frames_across_chunks_equal_public_pipeline_bitwise(self):
+        """A span of more blocks than one chunk holds, the last chunk ragged,
+        and five targets: the four references and the group of the first
+        three.  Each reference target's frames equal the public pipeline's,
+        the group's those of its estimate scored alone, bit for bit; and
+        each estimate's taps are the same fitted alone or beside the others,
+        in any order."""
+        rng = np.random.default_rng(71)
+        num_samples, filter_len, window = 10 * BLOCK + 1000, 16, 8000
+        chunks = bsseval_module._Blocks(num_samples, filter_len).chunks(num_samples, 8)
+        assert len(chunks) > 1
+        assert chunks[-1][1] - chunks[-1][0] < chunks[0][1] - chunks[0][0]
+        refs = rng.standard_normal((4, num_samples, 2))
+        samples = [refs[j] + 0.3 * refs[(j + 1) % 4]
+                   + 0.1 * rng.standard_normal(refs[j].shape) for j in range(4)]
+        samples.append(refs[0] + refs[1] + refs[2] + 0.4 * refs[3])
+        ests = [AudioSignal(s, 8000) for s in samples]
+        targets = [0, 1, 2, 3, (0, 1, 2)]
+        kwargs = dict(filter_len=filter_len, window=window)
+        results = bss_eval(_signals(refs), ests, targets=targets, **kwargs)
+        for est, j, frames in zip(ests, targets, results[:4]):
+            filters = compute_projection(_signals(refs), est, filter_len)
+            d = decompose(est, _signals(refs), j, filters)
+            assert frames == metrics_from_decomposition(d, window)
+        assert results[4] == bss_eval(_signals(refs), ests[4:], targets=targets[4:],
+                                      **kwargs)[0]
+        alone = [bsseval_module._Projector(list(refs), filter_len, [s]).fit(0, [t])
+                 for s, t in zip(samples, targets)]
+        order = [4, 2, 0, 3, 1]
+        together = bsseval_module._Projector(list(refs), filter_len,
+                                             [samples[i] for i in order])
+        for position, i in reversed(list(enumerate(order))):
+            taps, (solo,) = together.fit(position, [targets[i]])
+            assert np.array_equal(taps, alone[i][0])
+            assert np.array_equal(solo, alone[i][1][0])
+
     @pytest.mark.parametrize("mode", ["v4_global", "v3_windowed"])
     def test_silent_target_scores_ignore_block_edges(self, mode):
         """The target is silent for two blocks and part of a third, then plays.
@@ -937,15 +973,16 @@ def test_factor_memory_is_linear_in_lags():
 
 
 def test_scoring_memory_grows_only_with_block_spectra():
-    """v4 scoring holds, per estimate, the references' segment spectra and
-    two per-block product arrays (solo and interference), which grow with
-    the track, and the four parts of one window, which do not: no part is
-    held at full length.  Doubling a 20 s track at 8 kHz (four stereo
-    references, float32 as decoded, allocated before tracing) may raise
-    the tracemalloc peak by at most the growth of those spectra, computed
-    from the blocks' geometry, plus one window of parts: 16.3 MB, of which
-    scoring window by window used 13.2 MB, and holding the parts at full
-    length 22.4 MB."""
+    """v4 scoring holds no part at full length, and no spectrum of a whole
+    span: not the references' segment spectra, nor an estimate's two
+    per-block product arrays (solo and interference), which grew with the
+    track while they were held.  Doubling a 20 s track at 8 kHz (four
+    stereo references, float32 as decoded, allocated before tracing) may
+    raise the tracemalloc peak by at most the growth those whole-span
+    spectra had, computed from the blocks' geometry, plus one window of
+    parts: 16.3 MB.  Holding the parts at full length grew it by 22.4 MB,
+    holding the spectra and products 13.2 to 14.2 MB; streaming them in
+    chunks of blocks does not grow it (13.73 MB at 20 s and at 40 s)."""
     rate, channels, filter_len = 8000, 2, 64
     rng = np.random.default_rng(67)
     peaks, spectra = [], []
@@ -965,3 +1002,35 @@ def test_scoring_memory_grows_only_with_block_spectra():
             tracemalloc.stop()
     window_of_parts = 4 * rate * channels * 8
     assert peaks[1] - peaks[0] <= spectra[1] - spectra[0] + window_of_parts
+
+
+def test_scoring_memory_does_not_grow_with_track_length():
+    """v4 scoring streams each span in chunks of overlap-save blocks: per
+    chunk the references' segment spectra and every estimate's projections
+    of its blocks, then the four parts of one window.  So doubling a 20 s
+    track at 8 kHz (four stereo references and five estimates, the fifth
+    of the group of the first three, float32 as decoded, allocated before
+    tracing; 64 taps) may raise the tracemalloc peak of ``bss_eval`` by at
+    most one window of parts plus 256 kB.  Measured: 17.96 MB at 20 s and
+    at 40 s, no growth; the whole-span spectra and products held before
+    grew it by 14.2 MB."""
+    rate, channels, filter_len = 8000, 2, 64
+    rng = np.random.default_rng(72)
+    peaks = []
+    for seconds in (20, 40):
+        num_samples = seconds * rate
+        refs = [AudioSignal(rng.standard_normal((num_samples, channels))
+                            .astype(np.float32), rate) for _ in range(4)]
+        ests = [AudioSignal(refs[j].samples + np.float32(0.1) * refs[(j + 1) % 4].samples,
+                            rate) for j in range(4)]
+        ests.append(AudioSignal(refs[0].samples + refs[1].samples + refs[2].samples,
+                                rate))
+        tracemalloc.start()
+        try:
+            bss_eval(refs, ests, filter_len=filter_len, window=rate,
+                     targets=[0, 1, 2, 3, (0, 1, 2)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    window_of_parts = 4 * rate * channels * 8
+    assert peaks[1] - peaks[0] <= window_of_parts + 2**18

@@ -52,17 +52,28 @@ def _direct_lags(x: np.ndarray, y: np.ndarray, filter_len: int) -> np.ndarray:
     return np.correlate(padded, x, mode="valid")
 
 
+def _chunks(one_block: bool):
+    """Patch in chunks of one block each, or keep the module's chunks."""
+    cells = 1 if one_block else bsseval_module._CHUNK_CELLS
+    return mock.patch.object(bsseval_module, "_CHUNK_CELLS", cells)
+
+
 @PROPERTY_SETTINGS
-@given(span=spans(), channels=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
-@example(span=(2 * BLOCK, 3000), channels=2, seed=0)
-@example(span=(BLOCK, BLOCK), channels=1, seed=1)
-def test_lags_match_direct_correlation(span, channels, seed):
+@given(span=spans(), channels=st.integers(1, 2), one_block=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(span=(2 * BLOCK, 3000), channels=2, one_block=False, seed=0)
+@example(span=(3 * BLOCK + 1, 3000), channels=2, one_block=True, seed=0)
+@example(span=(BLOCK, BLOCK), channels=1, one_block=False, seed=1)
+def test_lags_match_direct_correlation(span, channels, one_block, seed):
+    """Lags summed chunk by chunk, one block per chunk or the module's
+    chunks, match np.correlate within 1e-12 of the channels' norms."""
     num_samples, filter_len = span
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((num_samples, channels))
     y = rng.standard_normal((num_samples, 2))
     blocks = _Blocks(num_samples, filter_len)
-    lags = blocks.lags(blocks.segment_spectra(x, num_samples), y)
+    with _chunks(one_block):
+        (lags,), _ = blocks.lags(x, [y])
     assert lags.shape == (filter_len, channels, 2)
     for a in range(channels):
         for b in range(2):
@@ -73,27 +84,31 @@ def test_lags_match_direct_correlation(span, channels, seed):
 
 @PROPERTY_SETTINGS
 @given(span=spans(max_filter=64), channels=st.integers(1, 3),
-       estimate_channels=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
-@example(span=(2 * BLOCK + 1, 64), channels=2, estimate_channels=3, seed=0)
+       estimate_channels=st.integers(2, 3), one_block=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(span=(2 * BLOCK + 1, 64), channels=2, estimate_channels=3, one_block=True,
+         seed=0)
 def test_lags_of_a_channel_do_not_depend_on_the_others(span, channels,
-                                                       estimate_channels, seed):
+                                                       estimate_channels, one_block,
+                                                       seed):
     """Lags are formed one channel of the second signal at a time, so each
-    column is bitwise that of the channel alone: for an estimate's
-    cross-correlations and for the columns of a projector's Gram."""
+    column is bitwise that of the channel alone, whatever else shares the
+    pass: for an estimate's cross-correlations and for the columns of a
+    projector's Gram."""
     num_samples, filter_len = span
     rng = np.random.default_rng(seed)
     refs = list(rng.standard_normal((2, num_samples, channels)))
     est = rng.standard_normal((num_samples, estimate_channels))
     blocks = _Blocks(num_samples, filter_len)
-    segments = blocks.segment_spectra(refs, num_samples)
-    lags = blocks.lags(segments, est)
-    for c in range(estimate_channels):
-        assert np.array_equal(lags[..., c], blocks.lags(segments, est[:, c:c + 1])[..., 0])
-    gram = blocks.lags(segments, refs)
-    for r, ref in enumerate(refs):
-        for c in range(channels):
-            alone = blocks.lags(segments, ref[:, c:c + 1])[..., 0]
-            assert np.array_equal(gram[..., r * channels + c], alone)
+    with _chunks(one_block):
+        (lags, gram), _ = blocks.lags(refs, [est, refs])
+        for c in range(estimate_channels):
+            (alone,), _ = blocks.lags(refs, [est[:, c:c + 1]])
+            assert np.array_equal(lags[..., c], alone[..., 0])
+        for r, ref in enumerate(refs):
+            for c in range(channels):
+                (alone,), _ = blocks.lags(refs, [ref[:, c:c + 1]])
+                assert np.array_equal(gram[..., r * channels + c], alone[..., 0])
 
 
 @PROPERTY_SETTINGS
@@ -344,14 +359,14 @@ def test_failed_probe_falls_back_to_cholesky(span, num_refs, channels, seed):
                               wraps=cho_factor) as factor:
         projector = _Projector(list(refs), filter_len)
         assert _levinson(projector._system_lags(projector._solo(0))[None]) == [None]
-        projector = _Projector(list(refs), filter_len)
-        taps, solo = projector.fit(est, range(num_refs))
-        projector.fit(est, range(num_refs))
+        projector = _Projector(list(refs), filter_len, [est])
+        taps, solo = projector.fit(0, range(num_refs))
+        projector.fit(0, range(num_refs))
     assert factor.call_count == systems
     with mock.patch.object(bsseval_module, "_levinson",
                            side_effect=lambda lags: [None] * len(lags)):
-        expected_taps, expected_solo = _Projector(list(refs), filter_len).fit(
-            est, range(num_refs))
+        expected_taps, expected_solo = _Projector(list(refs), filter_len, [est]).fit(
+            0, range(num_refs))
     assert np.array_equal(taps, expected_taps)
     assert all(np.array_equal(a, b) for a, b in zip(solo, expected_solo))
 
@@ -363,18 +378,18 @@ def test_failed_probe_falls_back_to_cholesky(span, num_refs, channels, seed):
        order=st.permutations(range(3)), seed=st.integers(0, 2**32 - 1))
 def test_taps_do_not_depend_on_estimate_order(span, num_refs, channels, kind,
                                               order, seed):
-    """Filters from one projector are bitwise equal whatever the order in
-    which estimates, and the solo systems of each, are fitted."""
+    """An estimate's filters are bitwise equal fitted alone or beside other
+    estimates, whatever their order and the order in which they, and the
+    solo systems of each, are fitted."""
     num_samples, filter_len = span
     rng = np.random.default_rng(seed)
     refs = list(_kind_of_references(kind, rng, num_refs, channels, num_samples))
     estimates = rng.standard_normal((3, num_samples, channels))
     solo = list(range(num_refs))
-    in_order = _Projector(refs, filter_len)
-    expected = [in_order.fit(est, solo) for est in estimates]
-    shuffled = _Projector(refs, filter_len)
-    for i in order:
-        taps, solo_taps = shuffled.fit(estimates[i], solo[::-1])
+    expected = [_Projector(refs, filter_len, [est]).fit(0, solo) for est in estimates]
+    shuffled = _Projector(refs, filter_len, [estimates[i] for i in order])
+    for position, i in reversed(list(enumerate(order))):
+        taps, solo_taps = shuffled.fit(position, solo[::-1])
         assert np.array_equal(taps, expected[i][0])
         for got, want in zip(solo_taps, expected[i][1][::-1]):
             assert np.array_equal(got, want)
@@ -399,38 +414,44 @@ def _frame_bits(frame, offset: int = 0) -> bytes:
 @PROPERTY_SETTINGS
 @given(framing=framings(), num_refs=st.integers(1, 3), channels=st.integers(1, 2),
        filter_len=st.integers(1, 24), mode=st.sampled_from(sorted(MODES)),
-       target=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+       target=st.integers(0, 2), one_block=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 @example(framing=(BLOCK + 5, 3000, 1000), num_refs=3, channels=2, filter_len=24,
-         mode="v4_global", target=1, seed=0)
+         mode="v4_global", target=1, one_block=False, seed=0)
+@example(framing=(3 * BLOCK + 5, 9000, 4000), num_refs=3, channels=2, filter_len=24,
+         mode="v4_global", target=1, one_block=True, seed=3)
 @example(framing=(BLOCK + 5, 3000, 4500), num_refs=2, channels=2, filter_len=24,
-         mode="v3_windowed", target=0, seed=1)
+         mode="v3_windowed", target=0, one_block=False, seed=1)
 @example(framing=(100, 40, 30), num_refs=2, channels=1, filter_len=24,
-         mode="v3_windowed", target=1, seed=2)
+         mode="v3_windowed", target=1, one_block=False, seed=2)
 def test_bss_eval_is_the_projection_layer_composed(framing, num_refs, channels,
-                                                   filter_len, mode, target, seed):
+                                                   filter_len, mode, target,
+                                                   one_block, seed):
     """bss_eval's frames equal, bit for bit, those of compute_projection,
-    decompose and metrics_from_decomposition composed, in both modes and
-    with any hop.  A v3 fit covers one window and scores it alone; the
-    last, ragged window's filters are no longer than it."""
+    decompose and metrics_from_decomposition composed, in both modes, with
+    any hop, and with windows across chunk edges.  A v3 fit covers one
+    window and scores it alone; the last, ragged window's filters are no
+    longer than it."""
     num_samples, window, hop = framing
     target %= num_refs
     rng = np.random.default_rng(seed)
     refs, est = _problem(rng, num_refs, channels, num_samples)
     signals = [AudioSignal(r, RATE) for r in refs]
-    (frames,) = bss_eval(signals, [AudioSignal(est, RATE)], filter_len=filter_len,
-                         window=window, hop=hop, mode=mode, targets=[target])
-    fits = compute_projection(signals, AudioSignal(est, RATE), filter_len,
-                              mode=mode, window=window, hop=hop)
-    if mode == "v4_global":
-        d = decompose(AudioSignal(est, RATE), signals, target, fits)
-        composed = [_frame_bits(f)
-                    for f in metrics_from_decomposition(d, window, hop)]
-    else:
-        composed = []
-        for fit in fits:
-            span = slice(fit.window_start, fit.window_start + fit.window_len)
-            d = decompose(AudioSignal(est[span], RATE),
-                          [AudioSignal(r[span], RATE) for r in refs], target, fit)
-            composed += [_frame_bits(f, fit.window_start)
-                         for f in metrics_from_decomposition(d, fit.window_len)]
+    with _chunks(one_block):
+        (frames,) = bss_eval(signals, [AudioSignal(est, RATE)], filter_len=filter_len,
+                             window=window, hop=hop, mode=mode, targets=[target])
+        fits = compute_projection(signals, AudioSignal(est, RATE), filter_len,
+                                  mode=mode, window=window, hop=hop)
+        if mode == "v4_global":
+            d = decompose(AudioSignal(est, RATE), signals, target, fits)
+            composed = [_frame_bits(f)
+                        for f in metrics_from_decomposition(d, window, hop)]
+        else:
+            composed = []
+            for fit in fits:
+                span = slice(fit.window_start, fit.window_start + fit.window_len)
+                d = decompose(AudioSignal(est[span], RATE),
+                              [AudioSignal(r[span], RATE) for r in refs], target, fit)
+                composed += [_frame_bits(f, fit.window_start)
+                             for f in metrics_from_decomposition(d, fit.window_len)]
     assert [_frame_bits(f) for f in frames] == composed

@@ -422,6 +422,20 @@ class TestRunCampaign:
             with pytest.raises(RuntimeError):
                 run_campaign(corpus.tracks, root, "m", CONFIG)
 
+    def test_duplicate_names_are_refused_before_reading(self, tmp_path, monkeypatch):
+        """``train/X`` and ``test/X`` would share ``estimates/X`` and one
+        report: the run raises, naming X, before any track is read."""
+        rng = np.random.default_rng(13)
+        for split in ("train", "test"):
+            write_track(tmp_path / split / "X", rng)
+        corpus = scan_corpus(tmp_path)
+        root = tmp_path / "estimates"
+        monkeypatch.setattr(campaign, "evaluate_track",
+                            lambda *args: pytest.fail("a track was read"))
+        with pytest.raises(ValueError, match=r"\['X'\]"):
+            run_campaign(corpus.tracks, root, "m", CONFIG, output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_memory_error_is_a_per_track_failure(self, tmp_path, monkeypatch):
         """Running out of memory on one track leaves the others scored."""
         corpus, root = self._setup(tmp_path, names=("Able", "Baker", "Charlie"))
