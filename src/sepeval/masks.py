@@ -15,7 +15,18 @@ Masks are built in the STFT domain and applied to the mixture; estimates
 return to the time domain through weighted overlap-add synthesis.  The
 MWF filters and estimates share one kernel, which solves the loaded
 mixture covariance of every bin and frame at once by an elementwise LDL^H
-elimination over the channels, slab by slab along frequency.
+elimination over the channels, slab by slab along frames.
+
+Every kernel works in the transform's own layout, channel-major: a
+source's bins are I contiguous (t, F) planes, one per channel (see
+``spectral``), a PSD is one (t, F) plane per source, and an I x I matrix
+per bin is I*I planes, entry (i, m) one plane (or one (F,) row for the
+frame-constant spatial covariances, which broadcasts over a plane).  Each
+step is then one array operation over whole contiguous planes, and a
+slab of frames is a contiguous run of every plane.  The public functions
+take and return the (F, T, I)-shaped arrays of their signatures and run
+the same kernels on transposed views of them; the arrays they return
+are transposed views of channel-major results.
 """
 
 import math
@@ -26,7 +37,6 @@ import numpy as np
 
 from .audio import AudioSignal, check_layout
 from .spectral import (
-    _CHUNK_CELLS,
     Spectrogram,
     StftConfig,
     _analyse,
@@ -136,15 +146,8 @@ class SpatialModel:
             )
         if psd.shape[:2] != cov.shape[:2]:
             raise ValueError("psd and spatial_cov disagree on (J, F)")
-        if not (np.all(np.isfinite(psd)) and np.all(np.isfinite(cov))):
-            raise ValueError("psd and spatial_cov must be finite")
-        if psd.size and psd.min() < 0.0:
-            raise ValueError("psd must be non-negative")
-        hermitian_gap = np.abs(cov - cov.conj().swapaxes(-1, -2)).max() if cov.size else 0.0
-        if hermitian_gap > 1e-10:
-            raise ValueError(
-                f"spatial covariance not Hermitian (max asymmetry {hermitian_gap:.2e})"
-            )
+        _check_psd(psd)
+        _check_covariance(cov)
         self.psd = psd
         self.spatial_cov = cov
         self.degenerate = tuple(self.degenerate)
@@ -158,15 +161,35 @@ class SpatialModel:
         return self.spatial_cov.shape[-1]
 
 
+def _check_psd(psd: np.ndarray) -> None:
+    """Raise ValueError unless every PSD value is finite and non-negative."""
+    if not np.all(np.isfinite(psd)):
+        raise ValueError("psd and spatial_cov must be finite")
+    if psd.size and psd.min() < 0.0:
+        raise ValueError("psd must be non-negative")
+
+
+def _check_covariance(cov: np.ndarray) -> None:
+    """Raise ValueError unless the (J, F, I, I) ``cov`` is finite and Hermitian."""
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("psd and spatial_cov must be finite")
+    hermitian_gap = np.abs(cov - cov.conj().swapaxes(-1, -2)).max() if cov.size else 0.0
+    if hermitian_gap > 1e-10:
+        raise ValueError(
+            f"spatial covariance not Hermitian (max asymmetry {hermitian_gap:.2e})"
+        )
+
+
 def _powers(sources: SourceImages, exponent: float) -> np.ndarray:
-    """|y_j|^exponent of every source image, shaped (J, F, T, I).
+    """|y_j|^exponent of every source image, channel-major (J, I, T, F).
 
     Written source by source into one float array, so no complex stack of
     the images is formed; each mask is then written over it in place.
     """
-    power = np.empty((sources.num_sources,) + sources.images[0].bins.shape)
-    for image, out in zip(sources.images, power):
-        np.abs(image.bins, out=out)
+    planes = [image.bins.T for image in sources.images]
+    power = np.empty((len(planes),) + planes[0].shape)
+    for bins, out in zip(planes, power):
+        np.abs(bins, out=out)
         out **= exponent
     return power
 
@@ -184,7 +207,7 @@ def ibm_mask(sources: SourceImages, order: int = 1) -> ScalarMask:
     total = values.sum(axis=0)
     np.greater_equal(values, 0.5 * total, out=values)
     values *= total > 0
-    return ScalarMask(values)
+    return ScalarMask(values.transpose(0, 3, 2, 1))
 
 
 def irm_mask(sources: SourceImages, alpha: float = 2.0) -> ScalarMask:
@@ -199,41 +222,42 @@ def irm_mask(sources: SourceImages, alpha: float = 2.0) -> ScalarMask:
     total = values.sum(axis=0)
     np.divide(values, total, out=values, where=total > 0)
     np.copyto(values, 1.0 / sources.num_sources, where=total == 0)
-    return ScalarMask(values)
+    return ScalarMask(values.transpose(0, 3, 2, 1))
 
 
 def _outer_sum(bins: np.ndarray) -> np.ndarray:
-    """Sum over frames of the outer products y y^H: (F, T, I) -> (F, I, I).
+    """Sum over frames of the outer products y y^H: (I, T, F) -> (I, I, F).
 
-    One elementwise product and sum per channel pair, exactly Hermitian;
-    for a few channels this beats a batch of (I, T) @ (T, I) products.
+    One elementwise product of two channel planes and one sum over frames
+    per channel pair, exactly Hermitian.
     """
-    channels = bins.shape[-1]
-    out = np.empty((bins.shape[0], channels, channels), dtype=np.complex128)
+    channels = bins.shape[0]
+    out = np.empty((channels, channels, bins.shape[-1]), dtype=np.complex128)
     for i in range(channels):
         for k in range(i, channels):
-            out[:, i, k] = (bins[..., i] * bins[..., k].conj()).sum(axis=1)
-            out[:, k, i] = out[:, i, k].conj()
+            out[i, k] = (bins[i] * bins[k].conj()).sum(axis=0)
+            out[k, i] = out[i, k].conj()
     return out
 
 
-def _spatial_covariances(outer_sums: list, live: list) -> tuple:
+def _spatial_covariances(outer_sums: np.ndarray, live: list) -> tuple:
     """R_j(f) = I * S_j(f) / tr S_j(f) from each source's outer-product sum S_j.
 
-    Returns the (J, F, I, I) covariances, their pseudo-inverses and the
-    indices of the sources that are not ``live`` (no energy anywhere),
-    which are pinned to the identity with one warning for all of them.  A
-    bin where a live source has no energy also gets the identity.
+    ``outer_sums`` is (J, I, I, F).  Returns the covariances and their
+    pseudo-inverses, both contiguous (J, I, I, F), and the indices of the
+    sources that are not ``live`` (no energy anywhere), which are pinned to
+    the identity with one warning for all of them.  A bin where a live
+    source has no energy also gets the identity.
     """
-    channels = outer_sums[0].shape[-1]
-    eye = np.eye(channels, dtype=np.complex128)
-    cov = np.empty((len(outer_sums),) + outer_sums[0].shape, dtype=np.complex128)
+    channels = outer_sums.shape[1]
+    eye = np.eye(channels, dtype=np.complex128)[..., None]
+    cov = np.empty(outer_sums.shape, dtype=np.complex128)
     for r, outer_sum in zip(cov, outer_sums):
-        trace = np.einsum("fii->f", outer_sum).real
+        trace = np.einsum("iif->f", outer_sum).real
         scalable = trace > 0
-        r[scalable] = outer_sum[scalable] * (channels / trace[scalable])[:, None, None]
-        r[~scalable] = eye
-    cov = (cov + cov.conj().swapaxes(-1, -2)) / 2.0
+        r[..., scalable] = outer_sum[..., scalable] * (channels / trace[scalable])
+        r[..., ~scalable] = eye
+    cov = (cov + cov.conj().swapaxes(1, 2)) / 2.0
     degenerate = tuple(j for j, source_live in enumerate(live) if not source_live)
     if degenerate:
         warnings.warn(
@@ -241,28 +265,29 @@ def _spatial_covariances(outer_sums: list, live: list) -> tuple:
             RuntimeWarning,
             stacklevel=3,
         )
-    return cov, np.linalg.pinv(cov, hermitian=True), degenerate
+    # pinv batches over (J, F); its inverse is made channel-major once.
+    inverse = np.linalg.pinv(cov.transpose(0, 3, 1, 2), hermitian=True)
+    return cov, np.ascontiguousarray(inverse.transpose(0, 2, 3, 1)), degenerate
 
 
-def _local_model(images: list, cov, cov_inv, degenerate) -> SpatialModel:
-    """The model over the frames of ``images``, one (F, T, I) array per source.
+def _local_model(images: list, cov_inv: np.ndarray, degenerate) -> np.ndarray:
+    """The PSD over the frames of ``images``, one (I, t, F) array per source.
 
-    v_j = max((1/I) * y_j^H R_j^{-1} y_j, 0) per bin and frame; a
-    degenerate source keeps v_j = 0.
+    v_j = max((1/I) * y_j^H R_j^{-1} y_j, 0) per bin and frame, as one
+    (J, t, F) array; a degenerate source keeps v_j = 0.
     """
-    channels = cov.shape[-1]
-    psd = np.zeros((len(images),) + images[0].shape[:2])
+    channels = cov_inv.shape[1]
+    psd = np.zeros((len(images),) + images[0].shape[1:])
+    solved = np.empty(images[0].shape, dtype=np.complex128)  # R^-1 y
     for j, bins in enumerate(images):
         if j in degenerate:
             continue
-        columns = [bins[..., m] for m in range(channels)]
-        solved = np.empty(bins.shape, dtype=np.complex128)  # R^-1 y
-        _channel_sum(cov_inv[j][:, None], columns, solved)
-        for i, column in enumerate(columns):
-            psd[j] += (solved[..., i] * column.conj()).real
+        _channel_sum(cov_inv[j], bins, solved)
+        for i in range(channels):
+            psd[j] += (solved[i] * bins[i].conj()).real
         psd[j] /= channels
         np.maximum(psd[j], 0.0, out=psd[j])
-    return SpatialModel(psd, cov, degenerate)
+    return psd
 
 
 def estimate_mwf_model(sources: SourceImages) -> SpatialModel:
@@ -276,131 +301,131 @@ def estimate_mwf_model(sources: SourceImages) -> SpatialModel:
     every sweep gives this same fit.  A source with no energy anywhere is
     flagged and pinned to R_j = identity, v_j = 0.
     """
-    images = [image.bins for image in sources.images]
+    images = [image.bins.T for image in sources.images]
     cov, cov_inv, degenerate = _spatial_covariances(
-        [_outer_sum(bins) for bins in images], [bool(np.any(bins)) for bins in images]
+        np.stack([_outer_sum(bins) for bins in images]),
+        [bool(np.any(bins)) for bins in images],
     )
-    return _local_model(images, cov, cov_inv, degenerate)
+    psd = _local_model(images, cov_inv, degenerate)
+    return SpatialModel(psd.transpose(0, 2, 1), cov.transpose(0, 3, 1, 2), degenerate)
 
 
-def _wiener(model: SpatialModel, rows: np.ndarray, out, epsilon=None) -> None:
+def _wiener(psd: np.ndarray, cov: np.ndarray, rows: np.ndarray, out: np.ndarray,
+            epsilon=None) -> None:
     """Write v_j R_j (C_x + eps*I)^{-1} B into ``out[j]`` for every source j.
 
-    B holds K right-hand-side columns per bin and frame.  ``rows`` and each
-    ``out[j]`` are (F, T, K, I), column k as row k.  Per frequency slab,
-    C_x = sum_j v_j R_j is one real batched product over the float view of
-    R, the solve is the elementwise LDL^H elimination of
-    :func:`_solve_hermitian`, and R_j Z is a sum over channels
-    (:func:`_channel_sum`).  By default eps tracks the local trace of C_x
-    (1e-10 * max(1, tr/I)) so silent bins stay invertible; an explicit
-    epsilon (including 0) overrides it, and a pivot that is then not
-    positive raises ``np.linalg.LinAlgError``.
+    Channel-major throughout: ``psd`` is (J, T, F), ``cov`` is (J, I, I, F),
+    and B holds K right-hand-side columns per bin and frame, ``rows`` as
+    (I, K, T, F), channel i of column k at ``rows[i, k]``; ``out`` is
+    (J, I, K, T, F).  Per slab of frames, each entry (i, m) of the lower
+    triangle of C_x is one plane, sum_j v_j R_j[i, m]; the solve is the
+    elementwise LDL^H elimination of :func:`_solve_hermitian`, and R_j Z
+    is a sum over channels (:func:`_channel_sum`).  By default eps tracks
+    the local trace of C_x (1e-10 * max(1, tr/I)) so silent bins stay
+    invertible; an explicit epsilon (including 0) overrides it, and a pivot
+    that is then not positive raises ``np.linalg.LinAlgError``.
     """
-    num_bins, num_frames, _, channels = rows.shape
-    diagonal = (..., np.arange(channels), np.arange(channels))
-    for start, stop in _freq_slabs(num_bins, num_frames, channels):
-        v = model.psd[:, start:stop]  # (J, Fc, T)
-        r = model.spatial_cov[:, start:stop]  # (J, Fc, I, I)
-        flat = np.ascontiguousarray(r).view(np.float64).reshape(
-            model.num_sources, stop - start, -1)  # (J, Fc, 2*I*I) re/im
-        mix_cov = (v.transpose(1, 2, 0) @ flat.transpose(1, 0, 2)).view(
-            np.complex128).reshape(stop - start, num_frames, channels, channels)
+    num_sources, num_frames, num_bins = psd.shape
+    channels = cov.shape[1]
+    for start, stop in _chunks(num_frames, num_bins, channels):
+        v = psd[:, start:stop]  # (J, t, F)
+        mix_cov = np.empty((channels, channels) + v.shape[1:], dtype=np.complex128)
+        for i in range(channels):
+            for m in range(i + 1):
+                entry = mix_cov[i, m]
+                np.multiply(v[0], cov[0, i, m], out=entry)
+                for j in range(1, num_sources):
+                    entry += v[j] * cov[j, i, m]
         if epsilon is None:
-            trace = np.einsum("ftii->ft", mix_cov).real
-            mix_cov[diagonal] += 1e-10 * np.maximum(1.0, trace / channels)[..., None]
+            trace = sum(mix_cov[i, i].real for i in range(channels))
+            loading = 1e-10 * np.maximum(1.0, trace / channels)
         else:
-            mix_cov[diagonal] += float(epsilon)
-        z = _solve_hermitian(mix_cov, rows[start:stop])
-        for j in range(model.num_sources):
-            target = out[j][start:stop]
-            _channel_sum(r[j][:, None, None], z, target)
-            target *= v[j][..., None, None]
+            loading = float(epsilon)
+        for i in range(channels):
+            mix_cov[i, i] += loading
+        z = _solve_hermitian(mix_cov, rows[:, :, start:stop])
+        for j in range(num_sources):
+            target = out[j][:, :, start:stop]
+            _channel_sum(cov[j], z, target)
+            target *= v[j]
 
 
 def _solve_hermitian(matrix: np.ndarray, rows: np.ndarray) -> list:
     """Solve A z = b elementwise for Hermitian positive definite A.
 
-    ``matrix`` is (..., I, I); only its lower triangle is read, and it is
-    overwritten.  ``rows`` is (..., K, I), right-hand side k as row k.
-    Returns the solution's channels as I arrays of shape (..., K).  LDL^H
-    elimination without pivoting, which is backward stable for Hermitian
-    positive definite A: Python loops run over channels only, and every
-    step is one array operation over all leading entries.  A pivot that
-    is not positive raises ``np.linalg.LinAlgError``.
+    ``matrix`` is (I, I, ...), entry (i, m) one array over the leading
+    bins and frames; only its lower triangle is read, and it is
+    overwritten.  ``rows`` is (I, K, ...), right-hand side k's channel i at
+    ``rows[i, k]``.  Returns the solution's channels as I arrays of shape
+    (K, ...).  LDL^H elimination without pivoting, which is backward stable
+    for Hermitian positive definite A: Python loops run over channels
+    only, and every step is one array operation over all bins and frames.
+    A pivot that is not positive raises ``np.linalg.LinAlgError``.
     """
-    channels = matrix.shape[-1]
-    shape = matrix.shape[:-2] + rows.shape[-2:-1]
-    z = [np.array(np.broadcast_to(rows[..., i], shape)) for i in range(channels)]
+    channels = matrix.shape[0]
+    shape = rows.shape[1:2] + matrix.shape[2:]
+    z = [np.array(np.broadcast_to(rows[i], shape)) for i in range(channels)]
     for k in range(channels):
-        pivot = matrix[..., k, k].real
+        pivot = matrix[k, k].real
         if not np.all(pivot > 0):
             raise np.linalg.LinAlgError("Wiener covariance is not positive definite")
         inverse = 1.0 / pivot
         for i in range(k + 1, channels):
-            multiplier = matrix[..., i, k] * inverse
+            multiplier = matrix[i, k] * inverse
             for m in range(k + 1, i + 1):
-                matrix[..., i, m] -= multiplier * matrix[..., m, k].conj()
-            z[i] -= multiplier[..., None] * z[k]
-            matrix[..., k, i] = multiplier.conj()  # L^H, in the unread upper half
-        z[k] *= inverse[..., None]
+                matrix[i, m] -= multiplier * matrix[m, k].conj()
+            z[i] -= multiplier * z[k]
+            matrix[k, i] = multiplier.conj()  # L^H, in the unread upper half
+        z[k] *= inverse
     for i in range(channels - 2, -1, -1):
         for m in range(i + 1, channels):
-            z[i] -= matrix[..., i, m][..., None] * z[m]
+            z[i] -= matrix[i, m] * z[m]
     return z
 
 
 def _channel_sum(matrix: np.ndarray, columns, out: np.ndarray) -> None:
-    """Per-bin matrix-vector product: out[..., i] = sum_m matrix[..., i, m] columns[m].
+    """Per-bin matrix-vector product: out[i] = sum_m matrix[i, m] * columns[m].
 
-    ``columns`` holds the vector's I channels as separate arrays, and every
-    entry of ``matrix`` broadcasts against them, so one (F, I, I) matrix
-    serves all frames.  Over a cache-sized slab and for a few channels,
-    this elementwise sum beats one small matmul per bin, and it beats
-    ``einsum`` once the matrix is broadcast.
+    Channel-major: ``matrix[i, m]`` is one array over bins (and frames),
+    ``columns`` holds the vector's I channels as planes, and every entry
+    broadcasts against them, so one (I, I, F) matrix serves all frames.
+    Over a cache-sized slab and for a few channels, this elementwise sum
+    over contiguous planes beats one small matmul per bin.
     """
-    for i in range(out.shape[-1]):
-        total = matrix[..., i, 0] * columns[0]
+    for i in range(len(out)):
+        np.multiply(matrix[i, 0], columns[0], out=out[i])
         for m in range(1, len(columns)):
-            total += matrix[..., i, m] * columns[m]
-        out[..., i] = total
+            out[i] += matrix[i, m] * columns[m]
 
 
 def mwf_mask(model: SpatialModel, epsilon: float | None = None) -> MatrixMask:
     """Multichannel Wiener filter M_j = C_j (C_x + eps*I)^{-1} per bin.
 
-    The Wiener kernel on identity columns: row k of its output is column k
-    of M_j, so it writes into the transposed mask.
+    The Wiener kernel on identity columns: channel i of column k of its
+    output is M_j[i, k], so it writes the channel-major (J, I, I, T, F)
+    mask whose transposed view is returned.  The model's PSD and spatial
+    covariances are made channel-major once per call (no copy for a model
+    from :func:`estimate_mwf_model`).
     """
-    num_bins, num_frames = model.psd.shape[1:]
+    num_sources, num_bins, num_frames = model.psd.shape
     channels = model.num_channels
-    values = np.empty((model.num_sources, num_bins, num_frames, channels, channels),
+    psd = np.ascontiguousarray(model.psd.transpose(0, 2, 1))
+    cov = np.ascontiguousarray(model.spatial_cov.transpose(0, 2, 3, 1))
+    values = np.empty((num_sources, channels, channels, num_frames, num_bins),
                       dtype=np.complex128)
-    identity = np.broadcast_to(np.eye(channels, dtype=np.complex128),
-                               (num_bins, num_frames, channels, channels))
-    _wiener(model, identity, values.swapaxes(-1, -2), epsilon)
-    return MatrixMask(values)
-
-
-def _freq_slabs(num_bins: int, num_frames: int, channels: int):
-    """Frequency chunks of at most 64k cells (frames x I x I per bin).
-
-    Every step of the Wiener kernel and of a matrix mask's product is a
-    whole-slab array operation that reads a strided I x I entry, so slabs
-    are kept cache-sized: a slab of C_x or of a mask is at most 1 MB, and
-    at two channels each per-channel temporary 256 kB.  The kernel
-    measured faster at this cap than at 250k or 4M cells, and its peak
-    memory stays far below that of its output.
-    """
-    step = max(1, _CHUNK_CELLS // max(1, num_frames * channels * channels))
-    for start in range(0, num_bins, step):
-        yield start, min(start + step, num_bins)
+    identity = np.broadcast_to(np.eye(channels, dtype=np.complex128)[..., None, None],
+                               (channels, channels, num_frames, num_bins))
+    _wiener(psd, cov, identity, values, epsilon)
+    return MatrixMask(values.transpose(0, 4, 3, 1, 2))
 
 
 def apply_mask(mask, mixture: Spectrogram, j: int) -> Spectrogram:
     """Apply source j's mask to the mixture spectrogram.
 
     Scalar masks multiply each channel; matrix masks act on the channel
-    vector x(f,t) by matrix-vector product.
+    vector x(f,t) by matrix-vector product, slab by slab along frames.
+    Both run on channel-major views, and the result's bins are the
+    transposed view of channel-major planes.
     """
     if not isinstance(mask, (ScalarMask, MatrixMask)):
         raise TypeError(f"unsupported mask type {type(mask).__name__}")
@@ -413,16 +438,18 @@ def apply_mask(mask, mixture: Spectrogram, j: int) -> Spectrogram:
             f"mask shape {values.shape[1:]} does not match "
             f"mixture {mixture.bins.shape}"
         )
+    planes = mixture.bins.T  # (I, T, F)
     if isinstance(mask, ScalarMask):
-        masked = values[j] * mixture.bins
+        masked = values[j].T * planes
     else:
-        masked = np.empty(mixture.bins.shape, dtype=np.complex128)
-        for start, stop in _freq_slabs(*masked.shape):
-            bins = mixture.bins[start:stop]
-            _channel_sum(values[j][start:stop],
-                         [bins[..., m] for m in range(bins.shape[-1])],
-                         masked[start:stop])
-    return Spectrogram(masked, mixture.config, mixture.original_length, mixture.sample_rate)
+        matrix = values[j].transpose(2, 3, 1, 0)  # (I, I, T, F)
+        masked = np.empty(planes.shape, dtype=np.complex128)
+        channels, num_frames, num_bins = planes.shape
+        for start, stop in _chunks(num_frames, num_bins, channels):
+            _channel_sum(matrix[:, :, start:stop], planes[:, start:stop],
+                         masked[:, start:stop])
+    return Spectrogram(masked.T, mixture.config, mixture.original_length,
+                       mixture.sample_rate)
 
 
 def _resolve_method(method: str) -> tuple:
@@ -471,11 +498,14 @@ def oracle_separate(
     The work runs over chunks of frames (:func:`spectral._chunks`): each
     chunk's mixture and source bins are analysed, masked and added to the
     estimates by overlap-add, so only one chunk's spectra are alive at a
-    time.  The scalar masks are local to each bin and frame, so their
-    estimates equal the whole-spectrogram route bitwise.  MWF makes two
-    passes: the first sums each source's outer products for the spatial
-    covariances, the second recomputes each chunk's source bins for the
-    PSD and runs the Wiener kernel on the mixture's bins.
+    time, and every chunk stays channel-major, (I, t, F), from analysis to
+    overlap-add.  The scalar masks are local to each bin and frame, so
+    their estimates equal the whole-spectrogram route bitwise.  MWF makes
+    two passes: the first sums each source's outer products for the
+    spatial covariances, which are checked once, the second recomputes
+    each chunk's source bins for the PSD (checked per chunk) and runs the
+    Wiener kernel on the mixture's bins.  The estimates' samples are
+    transposed views of channel-major overlap-add buffers.
     """
     kind, exponent = _resolve_method(method)
     if not true_sources:
@@ -488,35 +518,38 @@ def oracle_separate(
         raise ValueError("cannot transform an empty signal")
     _, num_frames = _frame_layout(length, config)
     outputs = [_OverlapAdd(config, num_frames, channels) for _ in true_sources]
-    chunks = list(_chunks(num_frames, config, channels))
+    chunks = list(_chunks(num_frames, config.num_bins, channels))
     win = config.taper()
 
     def analyse(signal, start, stop):
-        bins = _analyse(signal.samples, config, win, start, stop)
-        return Spectrogram(bins, config, length, mixture.sample_rate)
+        planes = _analyse(signal.samples, config, win, start, stop)
+        return Spectrogram(planes.T, config, length, mixture.sample_rate)
 
     if kind == "MWF":
-        outer_sums = np.zeros((len(true_sources), config.num_bins, channels, channels),
+        outer_sums = np.zeros((len(true_sources), channels, channels, config.num_bins),
                               dtype=np.complex128)
         live = [False] * len(true_sources)
         for start, stop in chunks:
             for j, source in enumerate(true_sources):
-                bins = analyse(source, start, stop).bins
-                outer_sums[j] += _outer_sum(bins)
-                live[j] = live[j] or bool(np.any(bins))
-        covariance = _spatial_covariances(outer_sums, live)
+                planes = analyse(source, start, stop).bins.T
+                outer_sums[j] += _outer_sum(planes)
+                live[j] = live[j] or bool(np.any(planes))
+        cov, cov_inv, degenerate = _spatial_covariances(outer_sums, live)
+        _check_covariance(cov.transpose(0, 3, 1, 2))
     for start, stop in chunks:
         mix = analyse(mixture, start, stop)
         images = [analyse(source, start, stop) for source in true_sources]
         if kind == "MWF":
-            model = _local_model([image.bins for image in images], *covariance)
+            psd = _local_model([image.bins.T for image in images], cov_inv, degenerate)
+            _check_psd(psd)
             # The Wiener kernel on the mixture column: no mask is materialized.
-            masked = np.empty((model.num_sources,) + mix.bins.shape, complex)
-            _wiener(model, mix.bins[..., None, :], masked[..., None, :])
+            masked = np.empty((len(images), channels, 1) + psd.shape[1:], complex)
+            _wiener(psd, cov, mix.bins.T[:, None], masked)
+            masked = masked[:, :, 0]
         else:
             images = SourceImages(images)
             mask = (ibm_mask if kind == "IBM" else irm_mask)(images, exponent)
-            masked = (apply_mask(mask, mix, j).bins for j in range(mask.num_sources))
-        for output, bins in zip(outputs, masked):
-            output.add(start, bins)
+            masked = (apply_mask(mask, mix, j).bins.T for j in range(mask.num_sources))
+        for output, planes in zip(outputs, masked):
+            output.add(start, planes)
     return [output.signal(length, mixture.sample_rate) for output in outputs]

@@ -17,6 +17,15 @@ synthesis adds each chunk into one overlap-add buffer
 signal; the oracle separators in ``masks`` drive them over the mixture,
 the sources and the estimates at once, so no whole-track spectrogram is
 formed there.
+
+Layout: every chunk is held as ``rfft`` writes it and ``irfft`` reads it,
+channel-major (I, t, F), so each channel's bins form one contiguous (t, F)
+plane, and the overlap-add buffer is channel-major too, (I, blocks, hop).
+A chunk is itself the slab the kernels in ``masks`` work on: at most
+``_CHUNK_CELLS`` complex cells.  The public (F, T, I) shape of a
+:class:`Spectrogram` is the transposed view ``planes.T`` of such an array,
+and an (N, I) signal out of synthesis is the transposed view of its
+buffer, so neither direction copies to change layout.
 """
 
 from dataclasses import dataclass
@@ -29,8 +38,8 @@ from .audio import AudioSignal
 
 __all__ = ["StftConfig", "Spectrogram", "stft", "istft"]
 
-# Cap on the complex cells one array operation of the oracle path touches:
-# a chunk of frames here, a frequency slab of the Wiener kernel in ``masks``.
+# Cap on the complex cells of one chunk of frames: one channel-major chunk
+# of bins here, one slab of the Wiener kernel and matrix masks in ``masks``.
 _CHUNK_CELLS = 64_000
 
 
@@ -69,7 +78,9 @@ class Spectrogram:
     """One-sided complex STFT tensor of shape (bins, frames, channels).
 
     Carries the source sample rate so synthesis can hand back a playable
-    signal without extra bookkeeping at the call site.
+    signal without extra bookkeeping at the call site.  ``bins`` may be any
+    strided view; those made here are ``planes.T`` of channel-major (I, T, F)
+    arrays, and ``bins.T`` gives the planes back.
     """
 
     bins: np.ndarray
@@ -106,34 +117,35 @@ def _frame_layout(num_samples: int, config: StftConfig):
     return pad_front, num_frames
 
 
-def _chunks(num_frames: int, config: StftConfig, channels: int):
+def _chunks(num_frames: int, num_bins: int, channels: int):
     """Frame ranges [start, stop) of at most ``_CHUNK_CELLS`` complex cells.
 
-    One chunk of bins is frames x bins x channels cells; at 4096/1024 and
+    One chunk of bins is channels x frames x bins cells; at 4096/1024 and
     two channels that is 15 frames, about 1 MB of spectra.
     """
-    step = max(1, _CHUNK_CELLS // (config.num_bins * channels))
+    step = max(1, _CHUNK_CELLS // (num_bins * channels))
     for start in range(0, num_frames, step):
         yield start, min(start + step, num_frames)
 
 
 def _analyse(samples: np.ndarray, config: StftConfig, win: np.ndarray,
              start: int, stop: int) -> np.ndarray:
-    """Bins of frames [start, stop) as an (F, t, I) complex array.
+    """Bins of frames [start, stop) as a channel-major (I, t, F) array.
 
     Frame k covers samples [k*hop - pad, k*hop - pad + size) of the
     (N, I) ``samples``, zero outside them, where pad is the leading pad of
     :func:`_frame_layout`.  Only the chunk's own span is copied (widened
-    to float64), so no padded copy of the whole signal is made.
+    to float64, one row per channel), so no padded copy of the whole
+    signal is made, and ``rfft`` returns the chunk already channel-major.
     """
     size, hop = config.window_size, config.hop_size
     first = start * hop - (size - hop)
-    span = np.zeros(((stop - start - 1) * hop + size, samples.shape[1]))
-    lo, hi = max(first, 0), min(first + span.shape[0], samples.shape[0])
+    span = np.zeros((samples.shape[1], (stop - start - 1) * hop + size))
+    lo, hi = max(first, 0), min(first + span.shape[1], samples.shape[0])
     if lo < hi:
-        span[lo - first:hi - first] = samples[lo:hi]
-    frames = np.lib.stride_tricks.sliding_window_view(span, size, axis=0)[::hop]
-    return np.moveaxis(rfft(frames * win, axis=-1), -1, 0)  # (t, I, F) -> (F, t, I)
+        span[:, lo - first:hi - first] = samples[lo:hi].T
+    frames = np.lib.stride_tricks.sliding_window_view(span, size, axis=1)[:, ::hop]
+    return rfft(frames * win, axis=-1)
 
 
 def stft(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
@@ -149,7 +161,8 @@ def stft(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
     Returns
     -------
     Spectrogram
-        Complex tensor of shape (F, T, I); linear in the input.
+        Complex tensor of shape (F, T, I), the transposed view of
+        channel-major (I, T, F) bins; linear in the input.
     """
     samples = signal.samples
     num_samples, channels = samples.shape
@@ -157,10 +170,10 @@ def stft(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
         raise ValueError("cannot transform an empty signal")
     _, num_frames = _frame_layout(num_samples, config)
     win = config.taper()
-    bins = np.empty((config.num_bins, num_frames, channels), dtype=np.complex128)
-    for start, stop in _chunks(num_frames, config, channels):
-        bins[:, start:stop] = _analyse(samples, config, win, start, stop)
-    return Spectrogram(bins, config, num_samples, signal.sample_rate)
+    planes = np.empty((channels, num_frames, config.num_bins), dtype=np.complex128)
+    for start, stop in _chunks(num_frames, config.num_bins, channels):
+        planes[:, start:stop] = _analyse(samples, config, win, start, stop)
+    return Spectrogram(planes.T, config, num_samples, signal.sample_rate)
 
 
 def _overlap_profile(config: StftConfig) -> np.ndarray:
@@ -186,13 +199,14 @@ def _overlap_profile(config: StftConfig) -> np.ndarray:
 class _OverlapAdd:
     """Weighted overlap-add synthesis of one signal, chunk by chunk.
 
-    Block b of the buffer holds samples [b*hop, (b+1)*hop); phase q of
-    frame k (its samples [q*hop, (q+1)*hop)) lands in block k+q.  Chunks
-    are added in frame order and, within a chunk, phases run last to
-    first, so each sample sums its frames in frame order whatever the
-    chunk size.  The buffer is divided by the overlap profile once, in
-    :meth:`signal`.  Raises ValueError at construction when the taper does
-    not overlap-add at the hop.
+    The buffer is channel-major, (I, blocks, hop): block b of channel i
+    holds samples [b*hop, (b+1)*hop); phase q of frame k (its samples
+    [q*hop, (q+1)*hop)) lands in block k+q.  Chunks are added in frame
+    order and, within a chunk, phases run last to first, so each sample
+    sums its frames in frame order whatever the chunk size.  The buffer is
+    divided by the overlap profile once, in :meth:`signal`.  Raises
+    ValueError at construction when the taper does not overlap-add at the
+    hop.
     """
 
     def __init__(self, config: StftConfig, num_frames: int, channels: int):
@@ -200,26 +214,28 @@ class _OverlapAdd:
         self.profile = _overlap_profile(config)
         self.win = config.taper()
         self.phases = -(-config.window_size // config.hop_size)
-        self.out = np.zeros((num_frames + self.phases - 1, config.hop_size, channels))
+        self.out = np.zeros((channels, num_frames + self.phases - 1, config.hop_size))
 
-    def add(self, start: int, bins: np.ndarray) -> None:
-        """Add the frames whose (F, t, I) ``bins`` start at frame ``start``."""
+    def add(self, start: int, planes: np.ndarray) -> None:
+        """Add the frames whose (I, t, F) ``planes`` start at frame ``start``."""
         size, hop = self.config.window_size, self.config.hop_size
-        # Along the last axis of a contiguous (t, I, F) array.
-        chunk = np.ascontiguousarray(bins.transpose(1, 2, 0))
-        frames = irfft(chunk, n=size, axis=-1)  # (t, I, size)
+        frames = irfft(planes, n=size, axis=-1)  # (I, t, size)
         frames *= self.win
-        count = frames.shape[0]
+        count = frames.shape[1]
         for q in reversed(range(self.phases)):
-            phase = frames[..., q * hop:(q + 1) * hop].swapaxes(1, 2)  # (t, <=hop, I)
-            self.out[start + q:start + q + count, :phase.shape[1]] += phase
+            phase = frames[..., q * hop:(q + 1) * hop]  # (I, t, <=hop)
+            self.out[:, start + q:start + q + count, :phase.shape[-1]] += phase
 
     def signal(self, length: int, sample_rate: int) -> AudioSignal:
-        """The synthesized samples, trimmed or zero-padded to ``length``."""
-        self.out /= self.profile[:, None]
-        channels = self.out.shape[-1]
+        """The synthesized samples, trimmed or zero-padded to ``length``.
+
+        Within the buffer's span the (N, I) samples are a transposed view
+        of the buffer, not a copy.
+        """
+        self.out /= self.profile
+        channels = self.out.shape[0]
         pad_front, _ = _frame_layout(length, self.config)
-        result = self.out.reshape(-1, channels)[pad_front:pad_front + length]
+        result = self.out.reshape(channels, -1)[:, pad_front:pad_front + length].T
         if result.shape[0] < length:
             result = np.vstack([result, np.zeros((length - result.shape[0], channels))])
         return AudioSignal(result, sample_rate)
@@ -245,6 +261,7 @@ def istft(spec: Spectrogram, original_length: int | None = None) -> AudioSignal:
     if original_length is None:
         original_length = spec.original_length
     synthesis = _OverlapAdd(spec.config, spec.num_frames, spec.num_channels)
-    for start, stop in _chunks(spec.num_frames, spec.config, spec.num_channels):
-        synthesis.add(start, spec.bins[:, start:stop])
+    planes = spec.bins.T  # (I, T, F)
+    for start, stop in _chunks(spec.num_frames, spec.config.num_bins, spec.num_channels):
+        synthesis.add(start, planes[:, start:stop])
     return synthesis.signal(original_length, spec.sample_rate)

@@ -32,6 +32,20 @@ def write_track(folder, rng, num_samples=2 * FIXTURE_RATE, rate=FIXTURE_RATE,
     return stems, mixture
 
 
+def relaid(samples, layout):
+    """The (N, I) ``samples`` with the same values in another memory layout:
+    "C" (row-major), "F" (column-major), or "strided" (every other column of
+    a wider row-major buffer)."""
+    samples = np.asarray(samples)
+    if layout == "C":
+        return np.ascontiguousarray(samples)
+    if layout == "F":
+        return np.asfortranarray(samples)
+    wide = np.zeros((samples.shape[0], 2 * samples.shape[1]), dtype=samples.dtype)
+    wide[:, ::2] = samples
+    return wide[:, ::2]
+
+
 @pytest.fixture
 def corpus_root(tmp_path):
     """Two-track corpus: one train track, one test track."""

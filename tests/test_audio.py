@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import relaid
 from sepeval import (
     AudioSignal,
     TruncatedWavError,
@@ -278,6 +279,18 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             back.samples[:, 0], [32767 / 32768.0, -1.0, 0.0]
         )
+
+    @pytest.mark.parametrize("bit_depth", [16, 24, 32])
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_layout_does_not_change_the_bytes(self, tmp_path, bit_depth, layout):
+        """Oracle estimates are transposed views of channel-major buffers:
+        such a signal writes the bytes of its row-major copy."""
+        rng = np.random.default_rng(45)
+        samples = rng.uniform(-0.9, 0.9, size=(301, 3))
+        paths = tmp_path / "c.wav", tmp_path / f"{layout}.wav"
+        for path, values in zip(paths, (samples, relaid(samples, layout))):
+            save_wav(path, AudioSignal(values, 8000), bit_depth=bit_depth)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_info_matches_written_header(self, tmp_path):
         signal = AudioSignal(np.zeros((100, 2)), 22050)

@@ -17,6 +17,7 @@ import scipy.signal
 from scipy.linalg import LinAlgError, cho_factor
 
 import sepeval.bsseval as bsseval_module
+from conftest import relaid
 from sepeval import (
     AudioSignal,
     Decomposition,
@@ -374,6 +375,16 @@ class TestBssEval:
                            targets=[1, 0])
         for f, s in zip(forward, swapped[::-1]):
             assert f == s
+
+    @pytest.mark.parametrize("mode", ["v4_global", "v3_windowed"])
+    def test_column_major_estimates_score_bitwise_the_same(self, mode):
+        """Oracle estimates are transposed views of channel-major buffers;
+        an F-ordered estimate scores as its C-ordered copy, bit for bit."""
+        refs, ests = self._fixture()
+        want = bss_eval(refs, ests, filter_len=16, window=300, mode=mode)
+        columns = [AudioSignal(relaid(e.samples, "F"), e.sample_rate) for e in ests]
+        assert all(e.samples.flags.f_contiguous for e in columns)
+        assert bss_eval(refs, columns, filter_len=16, window=300, mode=mode) == want
 
     @pytest.mark.parametrize("mode", ["v4_global", "v3_windowed"])
     def test_float32_signals_score_as_their_float64_widening(self, mode):

@@ -287,14 +287,18 @@ def _kind_of_references(kind, rng, num_refs, channels, num_samples):
          seed=0)
 @example(span=(BLOCK, 13), num_refs=3, channels=2, kind="mono_as_stereo", seed=0)
 @example(span=(BLOCK, 2), num_refs=2, channels=2, kind="sines", seed=0)
+@example(span=(1, 1), num_refs=1, channels=2, kind="noise", seed=0)
 def test_structured_solve_matches_cholesky(span, num_refs, channels, kind, seed):
     """Where the block-Levinson factor is accepted, its solve of T x = T v
     leaves a relative residual as small as cho_solve's on the same dense
     lag-major Gram, or near it (worst measured over 300 random draws: 6.7e-16
     on noise, silent-channel and mono-as-stereo references, against 5.0e-16,
     and 3.3e-14 on pure sines, against 9.4e-16; the bound is 1e-13).  Only
-    stereo references with identical channels, and pure sines, whose Grams
-    can be singular but for the loading, are refused."""
+    Grams that are singular but for the loading are refused: those of stereo
+    references with identical channels, of pure sines, and of any system
+    whose N + L - 1 samples of convolution cannot give its L*C columns full
+    rank (span (1, 1) over two noise channels is a one-sample Gram of rank
+    1)."""
     num_samples, filter_len = span
     rng = np.random.default_rng(seed)
     refs = _kind_of_references(kind, rng, num_refs, channels, num_samples)
@@ -309,7 +313,10 @@ def test_structured_solve_matches_cholesky(span, num_refs, channels, kind, seed)
         expected = cho_solve(cho_factor(gram), rhs)
         (solve,) = _levinson(lags[None])
         if solve is None:
-            assert kind == "sines" or (kind == "mono_as_stereo" and channels == 2)
+            system_channels = channels * (num_refs if system == 0 else 1)
+            rank_deficient = num_samples + filter_len - 1 < filter_len * system_channels
+            assert (kind == "sines" or (kind == "mono_as_stereo" and channels == 2)
+                    or rank_deficient)
             projector._factor([key])
             assert np.array_equal(projector._solvers[key](rhs), expected)
             continue
@@ -431,8 +438,11 @@ def test_bss_eval_is_the_projection_layer_composed(framing, num_refs, channels,
     decompose and metrics_from_decomposition composed, in both modes, with
     any hop, and with windows across chunk edges.  A v3 fit covers one
     window and scores it alone; the last, ragged window's filters are no
-    longer than it."""
+    longer than it.  A v4 filter is drawn no longer than the track
+    (a longer one is refused: ``test_v4_filter_longer_than_the_track``)."""
     num_samples, window, hop = framing
+    if mode == "v4_global":
+        filter_len = min(filter_len, num_samples)
     target %= num_refs
     rng = np.random.default_rng(seed)
     refs, est = _problem(rng, num_refs, channels, num_samples)
@@ -455,3 +465,18 @@ def test_bss_eval_is_the_projection_layer_composed(framing, num_refs, channels,
                 composed += [_frame_bits(f, fit.window_start)
                              for f in metrics_from_decomposition(d, fit.window_len)]
     assert [_frame_bits(f) for f in frames] == composed
+
+
+def test_v4_filter_longer_than_the_track():
+    """A v4 filter longer than the track is refused by both the scorer and
+    the projection layer (framing (16, 16, 1), filter_len 17)."""
+    rng = np.random.default_rng(0)
+    refs, est = _problem(rng, 2, 2, 16)
+    signals = [AudioSignal(r, RATE) for r in refs]
+    message = "filter_len 17 exceeds signal length 16"
+    with pytest.raises(ValueError, match=message):
+        bss_eval(signals, [AudioSignal(est, RATE)], filter_len=17, window=16, hop=1,
+                 mode="v4_global", targets=[0])
+    with pytest.raises(ValueError, match=message):
+        compute_projection(signals, AudioSignal(est, RATE), 17, mode="v4_global",
+                           window=16, hop=1)

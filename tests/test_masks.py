@@ -2,12 +2,15 @@
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepeval.masks as masks_module
+from conftest import relaid
 from sepeval import (
     AudioSignal,
     MatrixMask,
@@ -633,9 +636,12 @@ def _whole_spectrogram_estimates(mixture, sources, method, config):
     images = SourceImages([stft(source, config) for source in sources])
     if method == "MWF":
         model = estimate_mwf_model(images)
-        masked = np.empty((model.num_sources,) + mix.bins.shape, complex)
-        _wiener(model, mix.bins[..., None, :], masked[..., None, :])
-        specs = [Spectrogram(bins, config, mix.original_length, mixture.sample_rate)
+        planes = mix.bins.T  # (I, T, F)
+        masked = np.empty((model.num_sources, planes.shape[0], 1) + planes.shape[1:],
+                          complex)
+        _wiener(model.psd.transpose(0, 2, 1), model.spatial_cov.transpose(0, 2, 3, 1),
+                planes[:, None], masked)
+        specs = [Spectrogram(bins[:, 0].T, config, mix.original_length, mixture.sample_rate)
                  for bins in masked]
     else:
         power = int(method[3])
@@ -710,21 +716,84 @@ class TestChunkedOracle:
         assert not np.any(got[3].samples)
 
 
+def _three_chunks(config):
+    """The frame count of three stereo chunks, the last of one frame."""
+    return 2 * (_CHUNK_CELLS // (config.num_bins * 2)) + 1
+
+
+class TestLayout:
+    """Estimates depend on the values of the inputs, not on their layout."""
+
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_input_layout_gives_bitwise_the_same_estimates(self, layout):
+        config = StftConfig(256, 64)
+        mixture, sources = TestChunkedOracle._signals(config, 2, _three_chunks(config))
+        relaid_mixture = AudioSignal(relaid(mixture.samples, layout), 8000)
+        relaid_sources = [AudioSignal(relaid(s.samples, layout), 8000) for s in sources]
+        for method in ("IBM1", "IRM2", "MWF"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # silent source 3
+                want = oracle_separate(mixture, sources, method, config)
+                got = oracle_separate(relaid_mixture, relaid_sources, method, config)
+            for estimate, reference in zip(got, want):
+                np.testing.assert_array_equal(estimate.samples, reference.samples)
+
+    def test_spatial_covariance_is_checked_once(self):
+        """The track-constant covariances are checked once per call and the
+        PSD once per chunk, whatever the number of chunks."""
+        config = StftConfig(256, 64)
+        mixture, sources = TestChunkedOracle._signals(config, 2, _three_chunks(config))
+        calls = {"cov": 0, "psd": 0}
+
+        def counting(name, check):
+            def wrapper(values):
+                calls[name] += 1
+                check(values)
+            return wrapper
+
+        with pytest.warns(RuntimeWarning, match=r"sources \[3\] are silent"), \
+                mock.patch.object(masks_module, "_check_covariance",
+                                  counting("cov", masks_module._check_covariance)), \
+                mock.patch.object(masks_module, "_check_psd",
+                                  counting("psd", masks_module._check_psd)):
+            oracle_separate(mixture, sources, "MWF", config)
+        assert calls == {"cov": 1, "psd": 3}
+
+    @pytest.mark.parametrize("fault, message", [
+        ("nan", "psd and spatial_cov must be finite"),
+        ("asymmetric", "spatial covariance not Hermitian"),
+    ])
+    def test_covariance_check_refuses_with_the_model_messages(self, fault, message):
+        cov = np.broadcast_to(np.eye(2, dtype=complex), (1, 3, 2, 2)).copy()
+        if fault == "nan":
+            cov[0, 1, 0, 0] = np.nan
+        else:
+            cov[0, 1, 0, 1] = 1.0
+        for check in (masks_module._check_covariance,
+                      lambda c: SpatialModel(np.ones((1, 3, 4)), c)):
+            with pytest.raises(ValueError, match=message):
+                check(cov)
+
+
 def test_wiener_memory_is_slab_bounded():
-    """The kernel's temporaries live per frequency slab: on a 4 s stereo
+    """The kernel's temporaries live per slab of frames: on a 4 s stereo
     track with four sources (F = 2049, T = 176, K = 1) its tracemalloc peak
-    stays below two (F, T, I) complex arrays, 23 MB.  It read 3.2 MB; the
-    batched-solve kernel with 4M-cell slabs read 52 MB."""
+    stays below two (F, T, I) complex arrays, 23 MB.  It read 3.2 MB with
+    frequency slabs of the (F, T, I) layout and 5.7 MB with frame slabs of
+    the channel-major one; the batched-solve kernel with 4M-cell slabs read
+    52 MB."""
     rng = np.random.default_rng(37)
     num_bins, num_frames, channels = 2049, 176, 2
     mixing = _random_stack(rng, (4, num_bins, channels, channels))
     cov = mixing @ mixing.conj().swapaxes(-1, -2)
     model = SpatialModel(rng.random((4, num_bins, num_frames)), cov)
-    rows = _random_stack(rng, (num_bins, num_frames, 1, channels))
+    psd = np.ascontiguousarray(model.psd.transpose(0, 2, 1))  # (J, T, F)
+    cov = np.ascontiguousarray(model.spatial_cov.transpose(0, 2, 3, 1))  # (J, I, I, F)
+    rows = _random_stack(rng, (channels, 1, num_frames, num_bins))
     out = np.empty((4,) + rows.shape, dtype=complex)
     tracemalloc.start()
     try:
-        _wiener(model, rows, out)
+        _wiener(psd, cov, rows, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

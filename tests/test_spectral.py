@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from conftest import relaid
 from sepeval import AudioSignal, Spectrogram, StftConfig, istft, stft
 from sepeval.spectral import _overlap_profile
 
@@ -313,3 +314,37 @@ class TestChunkedFraming:
         for target in (length, longer):
             np.testing.assert_array_equal(istft(masked, target).samples,
                                           _one_batch_istft(masked, target))
+
+
+class TestLayout:
+    """Results depend on the values of the samples, not on their layout."""
+
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_input_layout_gives_bitwise_the_same_bins(self, layout):
+        rng = np.random.default_rng(46)
+        samples = rng.standard_normal((40_000, 3))
+        config = StftConfig(256, 64)  # 625 frames: chunks of 165
+        want = stft(AudioSignal(samples, 8000), config).bins
+        got = stft(AudioSignal(relaid(samples, layout), 8000), config).bins
+        np.testing.assert_array_equal(got, want)
+
+    def test_bins_are_a_view_of_channel_major_planes(self):
+        """stft's (F, T, I) bins transpose to contiguous (I, T, F) planes."""
+        rng = np.random.default_rng(47)
+        spec = stft(AudioSignal(rng.standard_normal((3000, 2)), 8000), StftConfig(128, 32))
+        assert spec.bins.T.flags.c_contiguous
+
+    def test_synthesis_returns_a_view_of_its_buffer(self):
+        """Within the frames' span the (N, I) samples are a view of the
+        channel-major overlap-add buffer, not a copy; past it they are
+        zero-padded."""
+        rng = np.random.default_rng(48)
+        samples = rng.standard_normal((3000, 2))
+        spec = stft(AudioSignal(samples, 8000), StftConfig(128, 32))
+        back = istft(spec).samples
+        assert back.base is not None and back.strides[0] == back.itemsize
+        np.testing.assert_allclose(back, samples, atol=1e-10)
+        longer = istft(spec, 4000).samples
+        assert longer.shape == (4000, 2)
+        np.testing.assert_array_equal(longer[:3000], back)
+        np.testing.assert_allclose(longer[3000:], 0.0, atol=1e-10)
