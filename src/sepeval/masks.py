@@ -180,18 +180,36 @@ def _check_covariance(cov: np.ndarray) -> None:
         )
 
 
-def _powers(sources: SourceImages, exponent: float) -> np.ndarray:
-    """|y_j|^exponent of every source image, channel-major (J, I, T, F).
+def _powers(images: list, exponent: float) -> np.ndarray:
+    """|y_j|^exponent of every source's (I, t, F) planes, as (J, I, t, F).
 
     Written source by source into one float array, so no complex stack of
     the images is formed; each mask is then written over it in place.
     """
-    planes = [image.bins.T for image in sources.images]
-    power = np.empty((len(planes),) + planes[0].shape)
-    for bins, out in zip(planes, power):
+    power = np.empty((len(images),) + images[0].shape)
+    for bins, out in zip(images, power):
         np.abs(bins, out=out)
         out **= exponent
     return power
+
+
+def _scalar_masks(images: list, kind: str, exponent: float) -> np.ndarray:
+    """The IBM or IRM masks of the sources' (I, t, F) planes, as (J, I, t, F).
+
+    ``kind`` is ``"IBM"``, with ``exponent`` the comparison order, or
+    ``"IRM"``, with ``exponent`` the ratio mask's alpha; both are local to
+    each bin and frame.  The one route of :func:`ibm_mask`,
+    :func:`irm_mask` and the oracle's chunks.
+    """
+    values = _powers(images, exponent)
+    total = values.sum(axis=0)
+    if kind == "IBM":
+        np.greater_equal(values, 0.5 * total, out=values)
+        values *= total > 0
+    else:
+        np.divide(values, total, out=values, where=total > 0)
+        np.copyto(values, 1.0 / len(images), where=total == 0)
+    return values
 
 
 def ibm_mask(sources: SourceImages, order: int = 1) -> ScalarMask:
@@ -203,11 +221,8 @@ def ibm_mask(sources: SourceImages, order: int = 1) -> ScalarMask:
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    values = _powers(sources, order)
-    total = values.sum(axis=0)
-    np.greater_equal(values, 0.5 * total, out=values)
-    values *= total > 0
-    return ScalarMask(values.transpose(0, 3, 2, 1))
+    images = [image.bins.T for image in sources.images]
+    return ScalarMask(_scalar_masks(images, "IBM", order).transpose(0, 3, 2, 1))
 
 
 def irm_mask(sources: SourceImages, alpha: float = 2.0) -> ScalarMask:
@@ -218,11 +233,8 @@ def irm_mask(sources: SourceImages, alpha: float = 2.0) -> ScalarMask:
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    values = _powers(sources, alpha)
-    total = values.sum(axis=0)
-    np.divide(values, total, out=values, where=total > 0)
-    np.copyto(values, 1.0 / sources.num_sources, where=total == 0)
-    return ScalarMask(values.transpose(0, 3, 2, 1))
+    images = [image.bins.T for image in sources.images]
+    return ScalarMask(_scalar_masks(images, "IRM", alpha).transpose(0, 3, 2, 1))
 
 
 def _outer_sum(bins: np.ndarray) -> np.ndarray:
@@ -419,13 +431,29 @@ def mwf_mask(model: SpatialModel, epsilon: float | None = None) -> MatrixMask:
     return MatrixMask(values.transpose(0, 4, 3, 1, 2))
 
 
+def _masked(mask: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """One source's channel-major mask applied to the (I, T, F) ``planes``.
+
+    A scalar mask, (I, T, F), multiplies each channel; a matrix mask,
+    (I, I, T, F), acts on the channel vector x(f,t) by matrix-vector
+    product, slab by slab along frames.  Returns channel-major planes.
+    """
+    if mask.ndim == planes.ndim:
+        return mask * planes
+    masked = np.empty(planes.shape, dtype=np.complex128)
+    channels, num_frames, num_bins = planes.shape
+    for start, stop in _chunks(num_frames, num_bins, channels):
+        _channel_sum(mask[:, :, start:stop], planes[:, start:stop], masked[:, start:stop])
+    return masked
+
+
 def apply_mask(mask, mixture: Spectrogram, j: int) -> Spectrogram:
     """Apply source j's mask to the mixture spectrogram.
 
     Scalar masks multiply each channel; matrix masks act on the channel
-    vector x(f,t) by matrix-vector product, slab by slab along frames.
-    Both run on channel-major views, and the result's bins are the
-    transposed view of channel-major planes.
+    vector x(f,t) by matrix-vector product (:func:`_masked`, on
+    channel-major views), and the result's bins are the transposed view
+    of channel-major planes.
     """
     if not isinstance(mask, (ScalarMask, MatrixMask)):
         raise TypeError(f"unsupported mask type {type(mask).__name__}")
@@ -438,16 +466,11 @@ def apply_mask(mask, mixture: Spectrogram, j: int) -> Spectrogram:
             f"mask shape {values.shape[1:]} does not match "
             f"mixture {mixture.bins.shape}"
         )
-    planes = mixture.bins.T  # (I, T, F)
     if isinstance(mask, ScalarMask):
-        masked = values[j].T * planes
+        channel_major = values[j].T  # (I, T, F)
     else:
-        matrix = values[j].transpose(2, 3, 1, 0)  # (I, I, T, F)
-        masked = np.empty(planes.shape, dtype=np.complex128)
-        channels, num_frames, num_bins = planes.shape
-        for start, stop in _chunks(num_frames, num_bins, channels):
-            _channel_sum(matrix[:, :, start:stop], planes[:, start:stop],
-                         masked[:, start:stop])
+        channel_major = values[j].transpose(2, 3, 1, 0)  # (I, I, T, F)
+    masked = _masked(channel_major, mixture.bins.T)
     return Spectrogram(masked.T, mixture.config, mixture.original_length,
                        mixture.sample_rate)
 
@@ -499,13 +522,17 @@ def oracle_separate(
     chunk's mixture and source bins are analysed, masked and added to the
     estimates by overlap-add, so only one chunk's spectra are alive at a
     time, and every chunk stays channel-major, (I, t, F), from analysis to
-    overlap-add.  The scalar masks are local to each bin and frame, so
-    their estimates equal the whole-spectrogram route bitwise.  MWF makes
-    two passes: the first sums each source's outer products for the
-    spatial covariances, which are checked once, the second recomputes
-    each chunk's source bins for the PSD (checked per chunk) and runs the
-    Wiener kernel on the mixture's bins.  The estimates' samples are
-    transposed views of channel-major overlap-add buffers.
+    overlap-add.  The chunks run on the plane kernels alone: the inputs
+    are checked once per call (finite as ``AudioSignal`` holds them, and
+    of one layout), and each estimate once as its ``AudioSignal`` is made.
+    The scalar masks (:func:`_scalar_masks`, :func:`_masked`) are local to
+    each bin and frame, so their estimates equal the whole-spectrogram
+    route bitwise.  MWF makes two passes: the first sums each source's
+    outer products for the spatial covariances, which are checked once,
+    the second recomputes each chunk's source bins for the PSD (checked
+    per chunk) and runs the Wiener kernel on the mixture's bins.  The
+    estimates' samples are transposed views of channel-major overlap-add
+    buffers.
     """
     kind, exponent = _resolve_method(method)
     if not true_sources:
@@ -522,8 +549,7 @@ def oracle_separate(
     win = config.taper()
 
     def analyse(signal, start, stop):
-        planes = _analyse(signal.samples, config, win, start, stop)
-        return Spectrogram(planes.T, config, length, mixture.sample_rate)
+        return _analyse(signal.samples, config, win, start, stop)
 
     if kind == "MWF":
         outer_sums = np.zeros((len(true_sources), channels, channels, config.num_bins),
@@ -531,7 +557,7 @@ def oracle_separate(
         live = [False] * len(true_sources)
         for start, stop in chunks:
             for j, source in enumerate(true_sources):
-                planes = analyse(source, start, stop).bins.T
+                planes = analyse(source, start, stop)
                 outer_sums[j] += _outer_sum(planes)
                 live[j] = live[j] or bool(np.any(planes))
         cov, cov_inv, degenerate = _spatial_covariances(outer_sums, live)
@@ -540,16 +566,14 @@ def oracle_separate(
         mix = analyse(mixture, start, stop)
         images = [analyse(source, start, stop) for source in true_sources]
         if kind == "MWF":
-            psd = _local_model([image.bins.T for image in images], cov_inv, degenerate)
+            psd = _local_model(images, cov_inv, degenerate)
             _check_psd(psd)
             # The Wiener kernel on the mixture column: no mask is materialized.
             masked = np.empty((len(images), channels, 1) + psd.shape[1:], complex)
-            _wiener(psd, cov, mix.bins.T[:, None], masked)
+            _wiener(psd, cov, mix[:, None], masked)
             masked = masked[:, :, 0]
         else:
-            images = SourceImages(images)
-            mask = (ibm_mask if kind == "IBM" else irm_mask)(images, exponent)
-            masked = (apply_mask(mask, mix, j).bins.T for j in range(mask.num_sources))
+            masked = (_masked(mask, mix) for mask in _scalar_masks(images, kind, exponent))
         for output, planes in zip(outputs, masked):
             output.add(start, planes)
     return [output.signal(length, mixture.sample_rate) for output in outputs]

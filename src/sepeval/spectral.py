@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, rfft
-from scipy.signal import get_window
 
 from .audio import AudioSignal
 
@@ -69,8 +68,21 @@ class StftConfig:
         return self.window_size // 2 + 1
 
     def taper(self) -> np.ndarray:
-        """The periodic analysis window as a float64 array."""
-        return get_window(self.window, self.window_size, fftbins=True).astype(np.float64)
+        """The periodic analysis window as a float64 array.
+
+        ``"hann"`` is computed here in the generalized-cosine form SciPy's
+        ``get_window("hann", M, fftbins=True)`` uses, which gives bitwise
+        its values; any other name goes to ``get_window``, so
+        ``scipy.signal`` loads only for such a taper.
+        """
+        size = self.window_size
+        if self.window == "hann":
+            if size == 1:
+                return np.ones(1)
+            return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, size + 1)))[:size]
+        from scipy.signal import get_window
+
+        return get_window(self.window, size, fftbins=True).astype(np.float64)
 
 
 @dataclass

@@ -3,14 +3,16 @@
 Scores are paired by track and ranked within each track (average ranks on
 ties), then Conover's post-hoc t-statistic on Friedman rank sums gives a
 two-sided p-value per method pair.  Rank-based, so any strictly monotone
-transform of the scores leaves the matrix unchanged.
+transform of the scores leaves the matrix unchanged.  Ranks and the t
+distribution's tail come from NumPy and ``scipy.special``, so the module
+loads no ``scipy.stats``.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import stdtr
 
 __all__ = ["SignificanceMatrix", "pairwise_significance"]
 
@@ -50,6 +52,21 @@ def _common_tracks(scores_by_method: dict) -> list:
     return sorted(common)
 
 
+def _average_ranks(data: np.ndarray) -> np.ndarray:
+    """1-based ranks within each row of ``data``, ties sharing their mean rank.
+
+    A value's rank is the count of smaller values in its row plus half of
+    (the count of equal values, itself included, plus one): for a run of
+    equal values at sorted positions s..e (0-based), the half-integer
+    ``0.5 * (s + e + 2)`` that ``scipy.stats.rankdata`` gives it.
+    Infinities rank like any other value, and equal infinities tie.
+    """
+    value, others = data[:, :, None], data[:, None, :]
+    smaller = np.count_nonzero(others < value, axis=2)
+    equal = np.count_nonzero(others == value, axis=2)
+    return smaller + 0.5 * (equal + 1)
+
+
 def pairwise_significance(
     scores_by_method: dict,
     metric: str = "",
@@ -69,6 +86,13 @@ def pairwise_significance(
     SignificanceMatrix
         p < alpha in cell (i, j) means methods i and j differ
         significantly; identical score vectors give p = 1.
+
+    Raises
+    ------
+    ValueError
+        When a score on a common track is NaN, which has no rank; the
+        message names the method and the track.  Infinite scores rank as
+        the extremes.
     """
     methods = tuple(scores_by_method)
     k = len(methods)
@@ -84,7 +108,11 @@ def pairwise_significance(
     data = np.array(
         [[scores_by_method[m][t] for m in methods] for t in tracks], dtype=np.float64
     )
-    ranks = _stats.rankdata(data, axis=1)  # (n, k)
+    unranked = np.argwhere(np.isnan(data))
+    if unranked.size:
+        t, m = unranked[0]
+        raise ValueError(f"score of method {methods[m]!r} on track {tracks[t]!r} is NaN")
+    ranks = _average_ranks(data)  # (n, k)
     rank_sums = ranks.sum(axis=0)
 
     a1 = float(np.sum(ranks * ranks))
@@ -108,8 +136,7 @@ def pairwise_significance(
                 # infinitely many standard errors wide.
                 value = 1.0 if gap == 0.0 else 0.0
             else:
-                value = float(
-                    min(1.0, 2.0 * _stats.t.sf(gap / math.sqrt(spread), df))
-                )
+                # stdtr(df, -x) is the upper tail t.sf(x, df), bitwise.
+                value = float(min(1.0, 2.0 * stdtr(df, -gap / math.sqrt(spread))))
             p[i, j] = p[j, i] = value
     return SignificanceMatrix(methods, p, metric, target, n)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.signal
 
 from conftest import relaid
 from sepeval import AudioSignal, Spectrogram, StftConfig, istft, stft
@@ -39,6 +40,17 @@ class TestAnalysis:
         assert np.array_equal(rect, boxcar)
         assert np.array_equal(rectangular, boxcar)
         np.testing.assert_array_equal(StftConfig(128, 32, "rect").taper(), np.ones(128))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 255, 256, 1024, 4096, 4097])
+    def test_hann_taper_is_bitwise_scipys(self, size):
+        """The Hann taper, computed without ``scipy.signal``, equals its
+        periodic ``get_window`` bitwise; other names still go through it."""
+        want = scipy.signal.get_window("hann", size, fftbins=True)
+        np.testing.assert_array_equal(StftConfig(size, 1).taper(), want)
+        np.testing.assert_array_equal(
+            StftConfig(size, 1, "hamming").taper(),
+            scipy.signal.get_window("hamming", size, fftbins=True),
+        )
 
     def test_interior_frame_matches_direct_dft(self):
         """A Hann-tapered interior frame equals the DFT of taper*segment."""

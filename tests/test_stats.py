@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sstats
 
 from sepeval import SignificanceMatrix, pairwise_significance
+from sepeval.stats import _average_ranks
 
 
 def _random_scores(rng, methods=("a", "b", "c"), tracks=8, lift=None):
@@ -45,7 +46,7 @@ class TestAgainstReferences:
         for i in range(3):
             for j in range(i + 1, 3):
                 expect = _reference_pvalue(data, i, j)
-                assert matrix.p_values[i, j] == pytest.approx(expect, rel=1e-12)
+                assert matrix.p_values[i, j] == expect
 
     def test_rank_statistic_consistent_with_friedman(self):
         """The internal chi-square statistic matches the scipy Friedman test
@@ -63,6 +64,29 @@ class TestAgainstReferences:
         t1 = (k - 1) * (np.sum(rank_sums**2) - n * c1) / (a1 - c1)
         scipy_stat = sstats.friedmanchisquare(*data.T).statistic
         assert t1 == pytest.approx(scipy_stat, rel=1e-12)
+
+
+def _tie_heavy_rows():
+    """200 rows of 7 scores from five values and +inf; the first 20 all equal."""
+    rng = np.random.default_rng(90)
+    data = rng.integers(-2, 3, size=(200, 7)).astype(float)
+    data[rng.random(data.shape) < 0.1] = math.inf
+    data[:20] = 3.0
+    return data
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 1.0, 1.0, 1.0]],  # all equal
+    [[0.0, -0.0, 0.0], [5.0, 5.0, 5.0]],  # signed zeros tie; all equal
+    [[2.0, 1.0, 2.0, 1.0, 2.0], [3.0, 3.0, 1.0, 2.0, 2.0]],
+    [[math.inf, 1.0, math.inf, -math.inf, -math.inf]],  # infinities tie
+    [[7.0]],
+    _tie_heavy_rows(),
+])
+def test_ranks_are_bitwise_rankdatas(rows):
+    """Ties get the half-integer average ranks of ``scipy.stats.rankdata``."""
+    data = np.array(rows)
+    np.testing.assert_array_equal(_average_ranks(data), sstats.rankdata(data, axis=1))
 
 
 class TestKnownDesigns:
@@ -139,6 +163,25 @@ class TestMatrixProperties:
         assert math.isnan(matrix.pair("a", "b"))
         assert matrix.pair("a", "a") == 1.0
         assert matrix.num_tracks == 1
+
+    def test_nan_score_is_refused_by_method_and_track(self):
+        """A NaN has no rank; it must not turn every p-value into 1.0."""
+        rng = np.random.default_rng(95)
+        scores = _random_scores(rng, tracks=6)
+        scores["b"]["track03"] = math.nan
+        with pytest.raises(ValueError, match="method 'b' on track 'track03' is NaN"):
+            pairwise_significance(scores)
+
+    def test_infinite_scores_rank_as_extremes(self):
+        rng = np.random.default_rng(100)
+        scores = _random_scores(rng, tracks=8)
+        finite = {m: dict(by_track) for m, by_track in scores.items()}
+        scores["a"]["track02"], finite["a"]["track02"] = math.inf, 1e300
+        scores["c"]["track05"], finite["c"]["track05"] = -math.inf, -1e300
+        np.testing.assert_array_equal(
+            pairwise_significance(scores).p_values,
+            pairwise_significance(finite).p_values,
+        )
 
     def test_fewer_than_two_methods_rejected(self):
         with pytest.raises(ValueError):
