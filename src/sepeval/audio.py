@@ -169,6 +169,7 @@ def _parse_header(fh):
             if chunk_size < 16:
                 raise WavFormatError("fmt chunk too small")
             body = _read_exact(fh, chunk_size, "fmt chunk")
+            fh.seek(chunk_size & 1, 1)  # the pad byte after an odd size
             (code, channels, rate, _byte_rate, _block_align,
              bits) = struct.unpack("<HHIIHH", body[:16])
             if code == _EXTENSIBLE:

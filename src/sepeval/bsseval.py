@@ -42,15 +42,16 @@ The factor keeps only the spectra of its final forward and backward
 predictors, O(L C^2), and applies T^-1 in the Gohberg-Semencul form by
 FFT, followed by fixed refinement steps.  One recursion factors a stack
 of systems of one size, each on its own slice, so a system's solve does
-not depend on the stack it is in.  A system is refused, and leaves the
-stack, when one of its error blocks, scaled by R[0]'s diagonal, falls to
-``_ERROR_FLOOR`` (checked as the recursion runs, so a near-singular
-system is refused early), or when its solve of a fixed known-solution
-probe leaves a relative residual of ``_PROBE_TOLERANCE`` or more; its
-dense Gram is then factorized by Cholesky.  A reference silent over the
-span gets zero taps and no unknowns, so where only the target is audible
-its joint fit is its solo fit and the interference is exactly zero; when
-every reference is silent, so is every tap.
+not depend on the stack it is in.  A system is refused when one of its
+error blocks, scaled by R[0]'s diagonal, falls to ``_ERROR_FLOOR``
+(checked as the recursion runs, so a near-singular system is refused
+early), or when its solve of a fixed known-solution probe leaves a
+relative residual of ``_PROBE_TOLERANCE`` or more; its dense Gram is
+then factorized by Cholesky.  A refusal during the recursion stops it,
+and the systems left run it again from the start.  A reference silent
+over the span gets zero taps and no unknowns, so where only the target
+is audible its joint fit is its solo fit and the interference is exactly
+zero; when every reference is silent, so is every tap.
 
 A target of ``bss_eval`` is a reference, or a group of references scored
 against their sum with each other reference one interferer (MUSDB18's
@@ -588,6 +589,67 @@ def _below_floor(errors: np.ndarray, floor: np.ndarray) -> list:
     return below
 
 
+def _predictors(lags: np.ndarray) -> tuple:
+    """The block recursion of :func:`_levinson` over the fixed stack of S
+    systems of loaded (S, L, C, C) ``lags``: (refused, predictors).
+
+    ``refused`` lists the systems refused at the first check that refuses
+    any (the floor every ``_FLOOR_STRIDE`` orders, a gains solve, the final
+    floor), and predictors is then None; otherwise ``refused`` is empty and
+    predictors is the final [a | Zb], transposed as (S, 2C, L C), and
+    diag(E_f, E_b), (S, 2C, 2C).
+    """
+    S, L, C = lags.shape[:3]
+    n = L * C
+    floor = np.zeros((S, 2 * C, 2 * C))
+    floor.reshape(S, -1)[:, ::2 * C + 1] = _ERROR_FLOOR * np.tile(
+        np.diagonal(lags[:, 0], axis1=1, axis2=2), 2)
+    # Column block m is -R[m]^T.  C-contiguous, so a system's products take
+    # one BLAS path in any stack.
+    negated = np.ascontiguousarray(-np.swapaxes(lags.reshape(-1, n, C), 1, 2))
+    # The pair [a_k; 0 | 0; b_k], transposed: its 2C columns are the rows
+    # of a (2C, n + C) buffer, a_k's blocks from column block 0 and b_k's
+    # from column block 1.  ``shifted`` views a buffer with its b rows one
+    # block further on, so the product of the gains with one buffer writes
+    # [a_{k+1}; 0 | 0; b_{k+1}] into the other, ready for the next order.
+    buffers = np.zeros((S, 2, 2, C * (n + C) + C))
+    pairs = buffers.reshape(S, 2, -1)[..., :2 * C * (n + C)].reshape(S, 2, 2 * C, n + C)
+    shifted = buffers[..., :C * (n + C)].reshape(S, 2, 2, C, n + C)
+    # Per parity of k, what order k reads and writes: the pair, its b rows
+    # transposed and the shifted buffer.
+    parities = [(pairs[:, p, None], pairs[:, p, C:].transpose(0, 2, 1), shifted[:, 1 - p])
+                for p in (0, 1)]
+    pairs[:, 0, :C, :C] = pairs[:, 0, C:, C:2 * C] = np.eye(C)
+    errors = np.zeros((S, 2 * C, 2 * C))    # diag(E_f, E_b)
+    errors[:, :C, :C] = errors[:, C:, C:] = lags[:, 0]
+    corner = np.empty_like(errors)          # [[E_f, -nabla], [-Delta, E_b]]
+    gains = np.empty_like(errors)           # [[I, K_b], [K_f, I]], transposed
+    systems = list(zip(errors, corner, gains))  # what each dposv reads and writes
+    two = 2.0 * np.eye(2 * C)
+    for k in range(L - 1):
+        if k % _FLOOR_STRIDE == 0 and (refused := _below_floor(errors, floor)):
+            return refused, None
+        rows = (k + 2) * C
+        pair, b_rows, out = parities[k % 2]
+        corner[...] = errors
+        # nabla = sum_i R[i + 1]^T b_k[i]: row 0 of T_{k+1} times [0; b_k].
+        np.matmul(negated[..., :rows], b_rows[:, :rows], out=corner[:, :C, C:])
+        corner[:, C:, :C] = corner[:, :C, C:].transpose(0, 2, 1)
+        refused = []
+        for s, (error, rhs, gain) in enumerate(systems):
+            _, solution, info = dposv(error, rhs)
+            gain[...] = solution.T
+            if info:                          # E is not positive definite
+                refused.append(s)
+        if refused:
+            return refused, None
+        np.matmul(gains.reshape(S, 2, C, 2 * C), pair[..., :rows], out=out[..., :rows])
+        # diag(E_f + nabla K_f, E_b + Delta K_b) = corner (2I - gains).
+        np.matmul(corner, two - gains.transpose(0, 2, 1), out=errors)
+    refused = _below_floor(errors, floor)
+    return refused, None if refused else (pairs[:, (L - 1) % 2, :, :n], errors)
+
+
 def _levinson(lags: np.ndarray) -> list:
     """T^-1 of the block-Toeplitz T of each system of loaded (S, L, C, C)
     ``lags``, by block Levinson over the stack of S systems.
@@ -623,8 +685,11 @@ def _levinson(lags: np.ndarray) -> list:
     S = diag(R[0])^-1/2, has an eigenvalue at or below ``_ERROR_FLOOR``,
     when its gains' Cholesky solve finds an error block that is not
     positive definite, or when its solve of T v for a fixed v leaves a
-    relative residual of ``_PROBE_TOLERANCE`` or more.  A refused system
-    leaves the stack and the others go on.  Levinson is only weakly
+    relative residual of ``_PROBE_TOLERANCE`` or more.  The recursion
+    (:func:`_predictors`) stops at the first check that refuses a system,
+    and the others run it again from order 0 in a stack without the
+    refused ones: a refusal at order k repeats k orders for them, and
+    leaves their solves as they are alone.  Levinson is only weakly
     stable: near-singular Toeplitz systems lose the accuracy Cholesky
     keeps.  S E_b[k] S is the Schur complement closing order k + 1 of the
     unit-diagonal scaling of T, so the floor refuses only systems whose
@@ -633,83 +698,19 @@ def _levinson(lags: np.ndarray) -> list:
     shrink as k grows, so the floor is checked every ``_FLOOR_STRIDE``
     orders during the recursion and on the final blocks at its end.
     """
+    solves = [None] * len(lags)
+    live = np.arange(len(lags))             # the systems not yet refused
+    while len(live):
+        refused, predictors = _predictors(lags[live])
+        live = np.delete(live, refused)
+        if not refused:
+            break
+    else:
+        return solves
+    lags = lags[live]
+    pair, errors = predictors               # [a | Zb], transposed
     L, C = lags.shape[1:3]
     n = L * C
-    solves = [None] * len(lags)
-    live = np.arange(len(lags))             # the systems still in the stack
-    floor = np.zeros((len(lags), 2 * C, 2 * C))
-    floor.reshape(len(lags), -1)[:, ::2 * C + 1] = _ERROR_FLOOR * np.tile(
-        np.diagonal(lags[:, 0], axis1=1, axis2=2), 2)
-    # Column block m is -R[m]^T.  C-contiguous, as are the copies drop()
-    # makes, so a system's products take one BLAS path before and after.
-    negated = np.ascontiguousarray(-np.swapaxes(lags.reshape(-1, n, C), 1, 2))
-    # The pair [a_k; 0 | 0; b_k], transposed: its 2C columns are the rows
-    # of a (2C, n + C) buffer, a_k's blocks from column block 0 and b_k's
-    # from column block 1.  ``shifted`` views a buffer with its b rows one
-    # block further on, so the product of the gains with one buffer writes
-    # [a_{k+1}; 0 | 0; b_{k+1}] into the other, ready for the next order.
-    buffers = np.zeros((len(lags), 2, 2, C * (n + C) + C))
-    errors = np.zeros((len(lags), 2 * C, 2 * C))  # diag(E_f, E_b)
-    errors[:, :C, :C] = errors[:, C:, C:] = lags[:, 0]
-    corner = np.empty_like(errors)          # [[E_f, -nabla], [-Delta, E_b]]
-    gains = np.empty_like(errors)           # [[I, K_b], [K_f, I]], transposed
-    two = 2.0 * np.eye(2 * C)
-
-    def views():
-        """Per parity of k, the views of the buffers that order k reads and
-        writes: the pair, its b rows transposed and the shifted buffer.
-        Rebinds ``pairs``, and ``systems`` to each system's (E, corner,
-        gains) slices, which its ``dposv`` reads and writes."""
-        nonlocal pairs, systems
-        S = len(live)
-        pairs = buffers.reshape(S, 2, -1)[..., :2 * C * (n + C)].reshape(S, 2, 2 * C, n + C)
-        shifted = buffers[..., :C * (n + C)].reshape(S, 2, 2, C, n + C)
-        systems = list(zip(errors, corner, gains))
-        return [(pairs[:, p, None], pairs[:, p, C:].transpose(0, 2, 1), shifted[:, 1 - p])
-                for p in (0, 1)]
-
-    def drop(refused) -> bool:
-        """Take the ``refused`` systems out of the stack; True if none is left."""
-        nonlocal live, floor, negated, buffers, errors, corner, gains, lags, parities
-        if refused:
-            keep = np.ones(len(live), dtype=bool)
-            keep[refused] = False
-            live, floor, negated, buffers, errors, corner, gains, lags = (
-                array[keep] for array in
-                (live, floor, negated, buffers, errors, corner, gains, lags))
-            if len(live):
-                parities = views()
-        return not len(live)
-
-    pairs = systems = None
-    parities = views()
-    pairs[:, 0, :C, :C] = pairs[:, 0, C:, C:2 * C] = np.eye(C)
-    for k in range(L - 1):
-        if k % _FLOOR_STRIDE == 0 and drop(_below_floor(errors, floor)):
-            return solves
-        rows = (k + 2) * C
-        pair, b_rows, out = parities[k % 2]
-        corner[...] = errors
-        # nabla = sum_i R[i + 1]^T b_k[i]: row 0 of T_{k+1} times [0; b_k].
-        np.matmul(negated[..., :rows], b_rows[:, :rows], out=corner[:, :C, C:])
-        corner[:, C:, :C] = corner[:, :C, C:].transpose(0, 2, 1)
-        refused = []
-        for s, (error, rhs, gain) in enumerate(systems):
-            _, solution, info = dposv(error, rhs)
-            gain[...] = solution.T
-            if info:                          # E is not positive definite
-                refused.append(s)
-        if drop(refused):
-            return solves
-        if refused:
-            pair, b_rows, out = parities[k % 2]
-        np.matmul(gains.reshape(len(live), 2, C, 2 * C), pair[..., :rows],
-                  out=out[..., :rows])
-        # diag(E_f + nabla K_f, E_b + Delta K_b) = corner (2I - gains).
-        np.matmul(corner, two - gains.transpose(0, 2, 1), out=errors)
-    if drop(_below_floor(errors, floor)):
-        return solves
-    pair = pairs[:, (L - 1) % 2, :, :n]     # [a | Zb], transposed
     size = scipy.fft.next_fast_len(2 * L - 1, real=True)
     spectrum = scipy.fft.rfft(_two_sided(lags), size, axis=1)
     # Per bin, convolve is the (C, 2C) spectrum of [a | -Zb] and correlate

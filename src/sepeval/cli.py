@@ -213,12 +213,17 @@ def cmd_eval(args, parser) -> int:
     corpus_root = _require(args, "corpus", "--corpus", parser)
     estimates = Path(_require(args, "estimates", "--estimates", parser))
     output = Path(_require(args, "output", "--output", parser))
+    # The directory's own name, also for "." and "..".
+    method = args.method or os.path.basename(os.path.abspath(estimates))
+    if not method:
+        parser.error(f"--method is required: estimates directory {estimates} "
+                     "has no name to label the reports with")
     if not estimates.is_dir():
         raise FileNotFoundError(f"estimates directory {estimates} does not exist")
     corpus = scan_corpus(corpus_root)
     tracks = _select_tracks(corpus, args.split, args.tracks)
     return _score(_eval_config(args, parser, tracks), tracks, estimates,
-                  args.method or estimates.name, output, workers=args.workers)
+                  method, output, workers=args.workers)
 
 
 def _read_report_paths(paths) -> list:
@@ -353,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="root holding <track>/<target>.wav estimate files",
     )
     evaluate.add_argument("--method", default=None,
-                          help="method label for reports (default: dir name)")
+                          help="method label for reports (default: the "
+                               "estimates directory's name)")
     evaluate.add_argument(
         "--workers", type=_positive(int), default=_env("WORKERS"),
         help="parallel track workers (default: cpu count)",

@@ -120,8 +120,9 @@ def scan_corpus(root) -> Corpus:
 
     Tracks are ordered lexicographically by name within each split, so
     repeated scans of the same tree are identical.  Folders that are
-    missing stems or whose stems disagree with the mixture in length,
-    channels or sample rate are skipped with a warning naming the problem.
+    missing stems, hold a stem whose header cannot be read or parsed, or
+    whose stems disagree with the mixture in length, channels or sample
+    rate are skipped with a warning naming the problem.
     """
     root = Path(root)
     if not root.is_dir():
@@ -134,7 +135,7 @@ def scan_corpus(root) -> Corpus:
         for folder in sorted(p for p in split_dir.iterdir() if p.is_dir()):
             try:
                 tracks.append(_probe_track(folder, split))
-            except WavFormatError as exc:
+            except (WavFormatError, OSError) as exc:
                 warnings.warn(
                     f"skipping {split}/{folder.name}: {exc}",
                     RuntimeWarning,

@@ -211,6 +211,16 @@ class TestHeaderWalk:
         np.testing.assert_array_equal(load_wav(tagged).samples,
                                       load_wav(plain).samples)
 
+    def test_odd_fmt_chunk_is_followed_by_its_pad_byte(self, tmp_path):
+        """A 17-byte fmt chunk, its pad byte skipped, reads as the 16-byte one."""
+        plain = tmp_path / "plain.wav"
+        plain.write_bytes(_riff(_chunk(b"fmt ", _FMT), _chunk(b"data", _PAYLOAD)))
+        odd = tmp_path / "odd.wav"
+        odd.write_bytes(_riff(_chunk(b"fmt ", _FMT + b"\x00"),
+                              _chunk(b"data", _PAYLOAD)))
+        assert wav_info(odd) == wav_info(plain) == WavInfo(2, 2, 8000, 16, "pcm")
+        np.testing.assert_array_equal(load_wav(odd).samples, load_wav(plain).samples)
+
     @pytest.mark.parametrize("raw, error, message", [
         (b"RIFF\x04\x00\x00\x00WAV", WavFormatError, "too short"),
         (_riff(b"fmt \x10\x00"), TruncatedWavError, "chunk header"),

@@ -907,30 +907,46 @@ class TestSilentSpanRule:
             assert np.array_equal(projector._solvers[keys[j]](rhs), alone(rhs))
             assert np.array_equal(solves[j](rhs), alone(rhs))
 
-    def test_gains_refusal_mid_recursion_leaves_the_stack(self, monkeypatch):
-        """A system whose gains' Cholesky solve fails at some order leaves the
-        stack there; the others' solves are bitwise those of their factors
-        alone."""
+    @pytest.mark.parametrize("check, order", [
+        ("gains", 4), ("gains", 48), ("floor", 16), ("floor", 48)])
+    def test_refusal_mid_recursion_leaves_the_stack(self, check, order, monkeypatch):
+        """A system refused at some order, by its gains' Cholesky solve or by
+        the error floor, gets None; the others run the recursion again from
+        order 0 without it, and their solves are bitwise those of their
+        factors alone."""
+        L = 64
         rng = np.random.default_rng(69)
-        projector = bsseval_module._Projector(list(rng.standard_normal((3, 1200, 2))), 32)
+        projector = bsseval_module._Projector(list(rng.standard_normal((3, 1200, 2))), L)
         stack = np.stack([projector._system_lags(projector._solo(j)) for j in range(3)])
-        rhs = rng.standard_normal((2 * 32, 2))
+        rhs = rng.standard_normal((2 * L, 2))
         alone = [bsseval_module._levinson(stack[j:j + 1])[0] for j in range(3)]
         assert all(solve is not None for solve in alone)
-        gains, calls = bsseval_module.dposv, []
+        gains, floor, solves, checks = bsseval_module.dposv, bsseval_module._below_floor, [], []
 
         def failing_gains(error, corner):
             # Each order solves the systems in stack order: while all three
             # are in it, call 3 k + 2 is system 1's at order k.
-            calls.append(1)
+            solves.append(1)
             solution = gains(error, corner)
-            return solution[:2] + (1,) if len(calls) == 3 * 4 + 2 else solution
+            failing = check == "gains" and len(solves) == 3 * order + 2
+            return solution[:2] + (1,) if failing else solution
+
+        def failing_floor(errors, shift):
+            # While all three are in the stack, check i is at order
+            # _FLOOR_STRIDE i.
+            checks.append(1)
+            failing = (check == "floor"
+                       and len(checks) == order // bsseval_module._FLOOR_STRIDE + 1)
+            return [1] if failing else floor(errors, shift)
 
         monkeypatch.setattr(bsseval_module, "dposv", failing_gains)
-        solves = bsseval_module._levinson(stack)
-        assert solves[1] is None
+        monkeypatch.setattr(bsseval_module, "_below_floor", failing_floor)
+        got = bsseval_module._levinson(stack)
+        assert got[1] is None
+        # The orders run by all three systems, then all L - 1 by the other two.
+        assert len(solves) == 3 * (order + (check == "gains")) + 2 * (L - 1)
         for j in (0, 2):
-            assert np.array_equal(solves[j](rhs), alone[j](rhs))
+            assert np.array_equal(got[j](rhs), alone[j](rhs))
 
     def test_refused_factor_falls_back_to_cholesky_then_raises(self, monkeypatch):
         """A refused structured factor goes to cho_factor; a failing

@@ -300,6 +300,33 @@ class TestEvalCommand:
                    "--output", out])
         assert rc == 0
 
+    @pytest.mark.parametrize("where, estimates", [
+        ("copies", "."), ("copies/Alpha - One", "..")])
+    def test_method_defaults_to_the_directory_name(self, corpus_root, tmp_path,
+                                                   monkeypatch, where, estimates):
+        """Run from inside the estimates tree, ``.`` and ``..`` label the
+        reports with the name of the directory they stand for."""
+        self._estimates_tree(tmp_path, corpus_root)
+        monkeypatch.chdir(tmp_path / where)
+        out = tmp_path / "out"
+        rc = _run(["eval", "--corpus", corpus_root, "--estimates", estimates,
+                   "--output", out, "--tracks", "Alpha - One"] + SCORING)
+        assert rc == 0
+        (score,) = read_report(out / "Alpha - One.json")
+        assert score.method == "copies"
+        with open(out / "summary.csv", newline="") as handle:
+            assert {row["method"] for row in csv.DictReader(handle)} == {"copies"}
+
+    def test_nameless_estimates_dir_needs_a_method(self, corpus_root, tmp_path,
+                                                   capsys):
+        """The file-system root has no name to label reports with."""
+        with pytest.raises(SystemExit) as excinfo:
+            _run(["eval", "--corpus", corpus_root, "--estimates", os.sep,
+                  "--output", tmp_path / "out"] + SCORING)
+        assert excinfo.value.code == 2
+        assert "--method is required" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_estimates_dir_fails_cleanly(self, corpus_root, tmp_path,
                                                  capsys):
         rc = _run(["eval", "--corpus", corpus_root,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sepeval
+import sepeval.dataset as dataset_module
 from sepeval import (
     STEM_NAMES,
     AudioSignal,
@@ -45,6 +46,22 @@ class TestScan:
     def test_missing_stem_skips_with_warning(self, corpus_root):
         (corpus_root / "train" / "Alpha - One" / "bass.wav").unlink()
         with pytest.warns(RuntimeWarning, match="bass"):
+            corpus = scan_corpus(corpus_root)
+        assert [t.name for t in corpus.tracks] == ["Beta - Two"]
+
+    def test_unreadable_stem_skips_with_warning(self, corpus_root, monkeypatch):
+        """An OSError from one stem's header read skips that track.  The
+        reader is patched to raise it, as permissions do not bind root."""
+        read = dataset_module.wav_info
+
+        def guarded(path):
+            if Path(path).parent.name == "Alpha - One" and Path(path).stem == "vocals":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read(path)
+
+        monkeypatch.setattr(dataset_module, "wav_info", guarded)
+        with pytest.warns(RuntimeWarning,
+                          match="skipping train/Alpha - One: .*Permission denied"):
             corpus = scan_corpus(corpus_root)
         assert [t.name for t in corpus.tracks] == ["Beta - Two"]
 
