@@ -70,8 +70,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dposv
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dposv, dpotrf
 
 from .audio import AudioSignal, check_layout
 
@@ -573,20 +573,9 @@ def _gohberg_semencul(spectrum: np.ndarray, correlate: np.ndarray,
 
 def _below_floor(errors: np.ndarray, floor: np.ndarray) -> list:
     """The systems whose error blocks minus ``floor`` are not positive
-    definite: one stacked Cholesky, then one per system if it raises."""
-    shifted = errors - floor
-    try:
-        np.linalg.cholesky(shifted)
-        return []
-    except LinAlgError:
-        pass
-    below = []
-    for s, matrix in enumerate(shifted):
-        try:
-            np.linalg.cholesky(matrix)
-        except LinAlgError:
-            below.append(s)
-    return below
+    definite: those whose LAPACK Cholesky (``dpotrf``, lower triangle)
+    returns a nonzero info."""
+    return [s for s, matrix in enumerate(errors - floor) if dpotrf(matrix, lower=1)[1]]
 
 
 def _predictors(lags: np.ndarray) -> tuple:
@@ -594,8 +583,11 @@ def _predictors(lags: np.ndarray) -> tuple:
     systems of loaded (S, L, C, C) ``lags``: (refused, predictors).
 
     ``refused`` lists the systems refused at the first check that refuses
-    any (the floor every ``_FLOOR_STRIDE`` orders, a gains solve, the final
-    floor), and predictors is then None; otherwise ``refused`` is empty and
+    any, and predictors is then None.  The checks are the floor, every
+    ``_FLOOR_STRIDE`` orders and on the final blocks (:func:`_below_floor`:
+    a nonzero ``dpotrf`` info for diag(E_f, E_b) less ``_ERROR_FLOOR``
+    times each channel's lag-0 energy on its diagonal), and every gains
+    solve (a nonzero ``dposv`` info).  Otherwise ``refused`` is empty and
     predictors is the final [a | Zb], transposed as (S, 2C, L C), and
     diag(E_f, E_b), (S, 2C, 2C).
     """
@@ -682,7 +674,9 @@ def _levinson(lags: np.ndarray) -> list:
     writes its own system's slice only, so a system's solve is bitwise the
     same alone or in any stack.  Returns one solve per system, or None for
     a system that is refused: when an error block E, scaled to S E S by
-    S = diag(R[0])^-1/2, has an eigenvalue at or below ``_ERROR_FLOOR``,
+    S = diag(R[0])^-1/2, has an eigenvalue at or below ``_ERROR_FLOOR``
+    (tested as LAPACK's Cholesky of E - ``_ERROR_FLOOR`` diag(R[0])
+    failing, a nonzero ``dpotrf`` info: see :func:`_below_floor`),
     when its gains' Cholesky solve finds an error block that is not
     positive definite, or when its solve of T v for a fixed v leaves a
     relative residual of ``_PROBE_TOLERANCE`` or more.  The recursion
@@ -964,13 +958,17 @@ def decompose(
     single-reference projection minus the target; interference is what
     the remaining references additionally explain; artifacts are the
     unexplained residual.  Successive residuals make the four parts sum
-    to the estimate exactly.
+    to the estimate exactly.  ``filters`` must cover the references and,
+    when fitted over a span (``window_len``), one as long as the estimate
+    (else ValueError).
     """
     refs, (est,), (j,) = _signals(references, [estimate], [target_index])
     if filters.taps.shape[0] != len(refs):
         raise ValueError(
             f"filters cover {filters.taps.shape[0]} references, got {len(refs)}"
         )
+    if filters.window_len not in (None, len(est)):
+        raise ValueError(f"filters span {filters.window_len} samples, got {len(est)}")
     fit = (filters.taps, [filters.solo_taps[j:j + 1]])
     ((_, _, d),) = _parts(refs, [est], [j], [fit], _Blocks(len(est), filters.filter_len),
                           [(0, len(est))])

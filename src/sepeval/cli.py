@@ -52,16 +52,17 @@ def _env(name: str, fallback=None):
     return os.environ.get(f"SEPEVAL_{name}", fallback)
 
 
-def _positive(kind, zero: bool = False):
-    """An argparse type: ``kind(text)``, which must be finite and above 0,
-    or with ``zero`` at least 0."""
+def _positive(kind, zero: bool = False, below: float = math.inf):
+    """An argparse type: ``kind(text)``, which must be above 0, or with
+    ``zero`` at least 0, and below ``below`` (by default: finite)."""
+    bound = "" if below == math.inf else f" and below {below:g}"
 
     def convert(text):
         value = kind(text)
         bounded = value >= 0 if zero else value > 0  # False for NaN
-        if not (bounded and value < math.inf):
+        if not (bounded and value < below):
             raise argparse.ArgumentTypeError(
-                f"must be {'non-negative' if zero else 'positive'}, got {text!r}"
+                f"must be {'non-negative' if zero else 'positive'}{bound}, got {text!r}"
             )
         return value
 
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="which split to process (default both)",
         )
         sub.add_argument(
-            "--tracks", nargs="*", default=None, metavar="NAME",
+            "--tracks", nargs="+", default=None, metavar="NAME",
             help="restrict to specific track names",
         )
 
@@ -386,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="target to compare on (default vocals)")
     compare.add_argument("--metric", default="SDR", choices=METRIC_NAMES,
                          help="metric to compare on (default SDR)")
-    compare.add_argument("--threshold", type=_positive(float), default=0.05,
-                         help="significance level for stderr verdicts")
+    compare.add_argument("--threshold", type=_positive(float, below=1.0), default=0.05,
+                         help="significance level for stderr verdicts, in (0, 1) "
+                              "(default 0.05)")
     compare.add_argument("--output", required=True,
                          help="CSV output path for the p-value matrix")
     compare.add_argument("--json", default=None,

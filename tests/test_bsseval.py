@@ -228,6 +228,19 @@ class TestDecomposition:
         )
         assert err_joint <= err_solo * (1 + 1e-9)
 
+    def test_filters_of_a_span_of_another_length_are_refused(self):
+        """A v3 window's filters split that window's samples, not the whole
+        estimate's."""
+        refs, est, _, _ = self._problem()
+        signals, half = _signals(refs), len(est) // 2
+        first = compute_projection(signals, AudioSignal(est, 8000), 8,
+                                   mode="v3_windowed", window=half)[0]
+        message = f"filters span {half} samples, got {len(est)}"
+        with pytest.raises(ValueError, match=message):
+            decompose(AudioSignal(est, 8000), signals, 0, first)
+        d = decompose(AudioSignal(est[:half], 8000), _signals(refs[:, :half]), 0, first)
+        assert d.s_target.shape == (half, refs.shape[2])
+
     def test_target_index_selects_reference(self):
         refs, est, filters, _ = self._problem()
         d = decompose(AudioSignal(est, 8000), _signals(refs), 1, filters)
@@ -979,6 +992,38 @@ class TestSilentSpanRule:
             bss_eval(_signals(refs), [est], filter_len=16, window=600)
         assert attempts == ["levinson", "cholesky"]  # the target's solo system
         assert other_solvers == []
+
+
+@pytest.mark.parametrize("channels", [1, 2, 4])
+def test_error_floor_refuses_by_the_scaled_smallest_eigenvalue(channels):
+    """The floor check refuses exactly the systems whose error blocks,
+    scaled by the lag-0 energies the floor is built from, have an
+    eigenvalue at or below _ERROR_FLOOR: in one stack, a smallest scaled
+    eigenvalue of _ERROR_FLOOR (1 - 1e-6) is refused and one of
+    _ERROR_FLOOR (1 + 1e-6) is accepted, alone or not, over lag-0
+    energies six decades apart."""
+    floor_value, size = bsseval_module._ERROR_FLOOR, 2 * channels
+    rng = np.random.default_rng(70 + channels)
+    margins = [-1e-6, 1e-6, 1e-6, -1e-6, 1e-6, -1e-6]
+    # Each system's lag-0 energies, once for E_f and once for E_b.
+    energies = np.tile(10.0 ** rng.uniform(-3.0, 3.0, (len(margins), channels)), 2)
+    errors = np.empty((len(margins), size, size))
+    for s, margin in enumerate(margins):
+        basis = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        eigenvalues = rng.uniform(0.1, 1.0, size)
+        eigenvalues[0] = floor_value * (1.0 + margin)
+        root = np.sqrt(energies[s])
+        errors[s] = root[:, None] * ((basis * eigenvalues) @ basis.T) * root
+    floor = np.zeros_like(errors)
+    floor.reshape(len(margins), -1)[:, ::size + 1] = floor_value * energies
+    scaled = errors / np.sqrt(energies[:, :, None] * energies[:, None, :])
+    below = [s for s, block in enumerate(scaled)
+             if np.linalg.eigvalsh(block)[0] <= floor_value]
+    assert below == [s for s, margin in enumerate(margins) if margin < 0]
+    assert bsseval_module._below_floor(errors, floor) == below
+    for s in range(len(margins)):
+        alone = bsseval_module._below_floor(errors[s:s + 1], floor[s:s + 1])
+        assert alone == ([0] if s in below else [])
 
 
 def test_factor_memory_is_linear_in_lags():

@@ -385,6 +385,16 @@ class TestEvalCommand:
         assert "no tracks selected (split=test)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_tracks_without_names_is_usage_error(self, tmp_path, capsys):
+        """``--tracks`` with no name after it would select every track."""
+        with pytest.raises(SystemExit) as excinfo:
+            _run(["eval", "--corpus", tmp_path / "corpus", "--estimates", tmp_path,
+                  "--output", tmp_path / "out", "--tracks"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tracks: expected at least one argument" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestUsageLine:
     """A usage error raised inside a command prints that command's usage."""
@@ -474,7 +484,7 @@ class TestUndecodableTrackName:
 
 class TestNumericFlags:
     """A count, length or level that is not a positive finite
-    number is a usage error."""
+    number, or a significance level not below 1, is a usage error."""
 
     @pytest.mark.parametrize("command, flag, value", [
         ("eval", "--window", "-1"),
@@ -494,6 +504,9 @@ class TestNumericFlags:
         ("compare", "--threshold", "nan"),
         ("compare", "--threshold", "0"),
         ("compare", "--threshold", "-0.05"),
+        ("compare", "--threshold", "1"),
+        ("compare", "--threshold", "1.5"),
+        ("compare", "--threshold", "inf"),
     ])
     def test_non_positive_value_is_usage_error(self, corpus_root, tmp_path,
                                                capsys, command, flag, value):
@@ -508,7 +521,8 @@ class TestNumericFlags:
             _run(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: must be positive, got '{value}'" in err
+        bound = "positive and below 1" if flag == "--threshold" else "positive"
+        assert f"argument {flag}: must be {bound}, got '{value}'" in err
         assert not (tmp_path / "out").exists()
 
     @staticmethod
@@ -715,6 +729,22 @@ class TestCompareCommand:
                    "--output", tmp_path / "sig.csv"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"sepeval: error: {bad}")
+
+    def test_closed_stderr_exits_1(self, tmp_path, monkeypatch):
+        """A verdict line written to a closed pipe (stderr piped into
+        ``head``, say) ends the run with exit 1, not a traceback."""
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+        _synthetic_reports(tmp_path / "a", "A")
+        _synthetic_reports(tmp_path / "b", "B")
+        monkeypatch.setattr(sys, "stderr", ClosedPipe())
+        rc = _run(["compare", "--reports", tmp_path / "a", tmp_path / "b",
+                   "--output", tmp_path / "sig.csv"])
+        assert rc == 1
+        assert (tmp_path / "sig.csv").is_file()
 
     def test_single_method_is_usage_error(self, tmp_path, capsys):
         _synthetic_reports(tmp_path / "a", "A")

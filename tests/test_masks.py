@@ -285,6 +285,7 @@ class TestApplyMask:
         rng = np.random.default_rng(42)
         mixture = _spec(_random_stack(rng, (3, 4, 2)))
         mask = ScalarMask(np.full((2, 3, 4, 2), 0.5))
+        assert mask.num_sources == 2
         np.testing.assert_array_equal(apply_mask(mask, mixture, 1).bins,
                                       0.5 * mixture.bins)
 
@@ -294,6 +295,7 @@ class TestApplyMask:
         swap = np.zeros((1, 3, 4, 2, 2), dtype=complex)
         swap[..., 0, 1] = 1.0
         swap[..., 1, 0] = 1.0
+        assert MatrixMask(swap).num_sources == 1
         swapped = apply_mask(MatrixMask(swap), mixture, 0).bins
         np.testing.assert_array_equal(swapped, mixture.bins[:, :, ::-1])
 
@@ -342,6 +344,7 @@ class TestMaskValidation:
     def test_source_images_shape_agreement(self):
         a = _spec(np.zeros((3, 4, 2)))
         b = _spec(np.zeros((3, 5, 2)))
+        assert SourceImages([b, b, b]).num_sources == 3
         with pytest.raises(ValueError):
             SourceImages([a, b])
         with pytest.raises(ValueError, match="at least one source image"):
@@ -493,6 +496,9 @@ class TestOracleSeparate:
         wrong_rate = AudioSignal(sources[0].samples, 16000)
         with pytest.raises(ValueError):
             oracle_separate(mixture, [wrong_rate], "IBM1", self.CONFIG)
+        empty = AudioSignal(np.zeros((0, 2)), 8000)
+        with pytest.raises(ValueError, match="cannot transform an empty signal"):
+            oracle_separate(empty, [empty], "IBM1", self.CONFIG)
 
 
 def _einsum_mwf_model(stack, sweeps=1):
