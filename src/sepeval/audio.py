@@ -278,23 +278,22 @@ def save_wav(path, signal: AudioSignal, bit_depth: int = 32) -> None:
     if bit_depth == 32:
         payload = samples.astype("<f4").tobytes()
         code, bits = _IEEE_FLOAT, 32
-    elif bit_depth == 16:
-        ints = np.clip(np.rint(samples * 32768.0), -32768, 32767).astype("<i2")
-        payload = ints.tobytes()
-        code, bits = _PCM, 16
-    elif bit_depth == 24:
-        ints = np.clip(np.rint(samples * 8388608.0), -8388608, 8388607)
-        quads = ints.astype("<i4").reshape(-1)
-        payload = quads.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-        code, bits = _PCM, 24
+    elif bit_depth in (16, 24):
+        # Each code is the low bytes of a little-endian int32.
+        scale = 2.0 ** (bit_depth - 1)
+        ints = np.clip(np.rint(samples * scale), -scale, scale - 1).astype("<i4")
+        quads = ints.reshape(-1).view(np.uint8).reshape(-1, 4)
+        payload = quads[:, :bit_depth // 8].tobytes()
+        code, bits = _PCM, bit_depth
     else:
         raise ValueError(f"bit_depth must be 16, 24 or 32, got {bit_depth}")
 
     channels = signal.num_channels
     block_align = channels * bits // 8
+    pad = b"\0" * (len(payload) % 2)  # RIFF chunks are word-aligned
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
+        b"RIFF", 36 + len(payload) + len(pad), b"WAVE",
         b"fmt ", 16, code, channels, signal.sample_rate,
         signal.sample_rate * block_align, block_align, bits,
         b"data", len(payload),
@@ -302,3 +301,4 @@ def save_wav(path, signal: AudioSignal, bit_depth: int = 32) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
+        fh.write(pad)

@@ -9,13 +9,19 @@ run label:
 * IRM<alpha>: soft ratio masks of |y_j|^alpha, alpha > 0 written as
   ``f"{alpha:g}"``: IRM1 (magnitude), IRM2 (power), IRM1.5.
 * MWF: multichannel Wiener filter from a local Gaussian model, one I-by-I
-  complex matrix per source and bin.
+  complex matrix per source and bin.  A source whose covariance trace is
+  zero in every bin is silent: its covariance is pinned to the identity
+  and its PSD is 0.
 
 Masks are built in the STFT domain and applied to the mixture; estimates
 return to the time domain through weighted overlap-add synthesis.  The
 MWF filters and estimates share one kernel, which solves the loaded
 mixture covariance of every bin and frame at once by an elementwise LDL^H
-elimination over the channels, slab by slab along frames.
+elimination over the channels, slab by slab along frames.  The MWF model
+is fitted by one routine for :func:`estimate_mwf_model` and
+:func:`oracle_separate`, over the same chunks of frames, so the oracle's
+estimates of every method are bitwise those of the whole-spectrogram
+route.
 
 Every kernel works in the transform's own layout, channel-major: a
 source's bins are I contiguous (t, F) planes, one per channel (see
@@ -127,8 +133,8 @@ class SpatialModel:
 
     ``psd`` is v_j(f,t) with shape (J, F, T); ``spatial_cov`` is R_j(f)
     with shape (J, F, I, I), Hermitian PSD and trace-normalized to I.
-    ``degenerate`` lists indices of all-zero sources whose covariance was
-    pinned to the identity.
+    ``degenerate`` lists indices of the sources whose covariance trace is
+    zero in every bin, pinned to the identity.
     """
 
     psd: np.ndarray
@@ -252,48 +258,51 @@ def _outer_sum(bins: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spatial_covariances(outer_sums: np.ndarray, live: list) -> tuple:
-    """R_j(f) = I * S_j(f) / tr S_j(f) from each source's outer-product sum S_j.
+def _spatial_covariances(chunks) -> tuple:
+    """R_j(f) = I * S_j(f) / tr S_j(f), S_j(f) the sum of y_j y_j^H over frames.
 
-    ``outer_sums`` is (J, I, I, F).  Returns the covariances and their
-    pseudo-inverses, both contiguous (J, I, I, F), and the indices of the
-    sources that are not ``live`` (no energy anywhere), which are pinned to
-    the identity with one warning for all of them.  A bin where a live
-    source has no energy also gets the identity.
+    ``chunks`` yields, for each :func:`spectral._chunks` range in order, the
+    sources' (I, t, F) planes over it; S_j is summed chunk by chunk, so the
+    whole-spectrogram and chunked routes fit bitwise the same model.
+    Returns the covariances and their pseudo-inverses, both contiguous
+    (J, I, I, F), and the indices of the degenerate sources, those whose
+    trace is zero in every bin, with one warning for all of them.  A bin
+    where a source has no energy gets the identity.
     """
+    outer_sums = sum(np.stack([_outer_sum(bins) for bins in images]) for images in chunks)
     channels = outer_sums.shape[1]
     eye = np.eye(channels, dtype=np.complex128)[..., None]
     cov = np.empty(outer_sums.shape, dtype=np.complex128)
-    for r, outer_sum in zip(cov, outer_sums):
+    degenerate = []
+    for j, (r, outer_sum) in enumerate(zip(cov, outer_sums)):
         trace = np.einsum("iif->f", outer_sum).real
         scalable = trace > 0
         r[..., scalable] = outer_sum[..., scalable] * (channels / trace[scalable])
         r[..., ~scalable] = eye
+        if not scalable.any():
+            degenerate.append(j)
     cov = (cov + cov.conj().swapaxes(1, 2)) / 2.0
-    degenerate = tuple(j for j, source_live in enumerate(live) if not source_live)
     if degenerate:
         warnings.warn(
-            f"sources {list(degenerate)} are silent; covariance pinned to identity",
+            f"sources {degenerate} are silent; covariance pinned to identity",
             RuntimeWarning,
             stacklevel=3,
         )
     # pinv batches over (J, F); its inverse is made channel-major once.
     inverse = np.linalg.pinv(cov.transpose(0, 3, 1, 2), hermitian=True)
-    return cov, np.ascontiguousarray(inverse.transpose(0, 2, 3, 1)), degenerate
+    return cov, np.ascontiguousarray(inverse.transpose(0, 2, 3, 1)), tuple(degenerate)
 
 
-def _local_model(images: list, cov_inv: np.ndarray, degenerate) -> np.ndarray:
+def _local_model(images: list, cov_inv: np.ndarray) -> np.ndarray:
     """The PSD over the frames of ``images``, one (I, t, F) array per source.
 
     v_j = max((1/I) * y_j^H R_j^{-1} y_j, 0) per bin and frame, as one
-    (J, t, F) array; a degenerate source keeps v_j = 0.
+    (J, t, F) array; a silent source's is exactly 0.
     """
     channels = cov_inv.shape[1]
     psd = np.zeros((len(images),) + images[0].shape[1:])
     solved = np.empty(images[0].shape, dtype=np.complex128)  # R^-1 y
     for j, bins in enumerate(images):
-        if j in degenerate:
-            continue
         _channel_sum(cov_inv[j], bins, solved)
         for i in range(channels):
             psd[j] += (solved[i] * bins[i].conj()).real
@@ -310,15 +319,19 @@ def estimate_mwf_model(sources: SourceImages) -> SpatialModel:
     matched quadratic form v_j = (1/I)*y_j^H R_j^{-1} y_j.  Alternating
     sweeps would weight the outer products by the previous PSD, but a
     weight that is constant over frames cancels in the normalization, so
-    every sweep gives this same fit.  A source with no energy anywhere is
-    flagged and pinned to R_j = identity, v_j = 0.
+    every sweep gives this same fit.  A source whose covariance trace is
+    zero in every bin is flagged and pinned to R_j = identity, v_j = 0.
+    The sums run over the oracle's chunks of frames, so
+    :func:`oracle_separate` fits bitwise this model.
     """
     images = [image.bins.T for image in sources.images]
+    channels, num_frames, num_bins = images[0].shape
+    # A spectrogram of no frames is one empty chunk, all of its sources silent.
+    chunks = list(_chunks(num_frames, num_bins, channels)) or [(0, 0)]
     cov, cov_inv, degenerate = _spatial_covariances(
-        np.stack([_outer_sum(bins) for bins in images]),
-        [bool(np.any(bins)) for bins in images],
+        [bins[:, start:stop] for bins in images] for start, stop in chunks
     )
-    psd = _local_model(images, cov_inv, degenerate)
+    psd = _local_model(images, cov_inv)
     return SpatialModel(psd.transpose(0, 2, 1), cov.transpose(0, 3, 1, 2), degenerate)
 
 
@@ -526,13 +539,16 @@ def oracle_separate(
     are checked once per call (finite as ``AudioSignal`` holds them, and
     of one layout), and each estimate once as its ``AudioSignal`` is made.
     The scalar masks (:func:`_scalar_masks`, :func:`_masked`) are local to
-    each bin and frame, so their estimates equal the whole-spectrogram
-    route bitwise.  MWF makes two passes: the first sums each source's
-    outer products for the spatial covariances, which are checked once,
-    the second recomputes each chunk's source bins for the PSD (checked
-    per chunk) and runs the Wiener kernel on the mixture's bins.  The
-    estimates' samples are transposed views of channel-major overlap-add
-    buffers.
+    each bin and frame.  MWF makes two passes: the first hands each
+    chunk's source bins to :func:`_spatial_covariances`, the fit
+    :func:`estimate_mwf_model` also runs over these chunks, and checks the
+    covariances once; the second recomputes each chunk's source bins for
+    the PSD (checked per chunk) and runs the Wiener kernel on the
+    mixture's bins.  A source whose covariance trace is zero in every bin
+    is silent (one warning names them all) and its estimate is 0.  So
+    every method's estimates equal the whole-spectrogram route bitwise.
+    The estimates' samples are transposed views of channel-major
+    overlap-add buffers.
     """
     kind, exponent = _resolve_method(method)
     if not true_sources:
@@ -552,21 +568,16 @@ def oracle_separate(
         return _analyse(signal.samples, config, win, start, stop)
 
     if kind == "MWF":
-        outer_sums = np.zeros((len(true_sources), channels, channels, config.num_bins),
-                              dtype=np.complex128)
-        live = [False] * len(true_sources)
-        for start, stop in chunks:
-            for j, source in enumerate(true_sources):
-                planes = analyse(source, start, stop)
-                outer_sums[j] += _outer_sum(planes)
-                live[j] = live[j] or bool(np.any(planes))
-        cov, cov_inv, degenerate = _spatial_covariances(outer_sums, live)
+        cov, cov_inv, _ = _spatial_covariances(
+            [analyse(source, start, stop) for source in true_sources]
+            for start, stop in chunks
+        )
         _check_covariance(cov.transpose(0, 3, 1, 2))
     for start, stop in chunks:
         mix = analyse(mixture, start, stop)
         images = [analyse(source, start, stop) for source in true_sources]
         if kind == "MWF":
-            psd = _local_model(images, cov_inv, degenerate)
+            psd = _local_model(images, cov_inv)
             _check_psd(psd)
             # The Wiener kernel on the mixture column: no mask is materialized.
             masked = np.empty((len(images), channels, 1) + psd.shape[1:], complex)

@@ -28,6 +28,7 @@ and an (N, I) signal out of synthesis is the transposed view of its
 buffer, so neither direction copies to change layout.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ class StftConfig:
     window: str = "hann"
 
     def __post_init__(self):
+        for name in ("window_size", "hop_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {self.window_size}")
         if not 0 < self.hop_size <= self.window_size:

@@ -128,15 +128,13 @@ def pairwise_significance(
     t1 = (k - 1) * (float(np.sum(rank_sums**2)) - n * c1) / (a1 - c1)
     spread = 2.0 * n * (a1 - c1) / df * (1.0 - t1 / (n * (k - 1)))
 
-    for i in range(k):
-        for j in range(i + 1, k):
-            gap = abs(rank_sums[i] - rank_sums[j])
-            if spread <= 0.0:
-                # Perfectly consistent rankings: any rank-sum gap is
-                # infinitely many standard errors wide.
-                value = 1.0 if gap == 0.0 else 0.0
-            else:
-                # stdtr(df, -x) is the upper tail t.sf(x, df), bitwise.
-                value = float(min(1.0, 2.0 * stdtr(df, -gap / math.sqrt(spread))))
-            p[i, j] = p[j, i] = value
+    gaps = np.abs(rank_sums[:, None] - rank_sums[None, :])
+    if spread <= 0.0:
+        # Perfectly consistent rankings: any rank-sum gap is infinitely
+        # many standard errors wide.
+        p = np.where(gaps == 0.0, 1.0, 0.0)
+    else:
+        # stdtr(df, -x) is the upper tail t.sf(x, df), bitwise; stdtr(df, 0)
+        # is 0.5, so the diagonal is 1.
+        p = np.minimum(1.0, 2.0 * stdtr(df, -gaps / math.sqrt(spread)))
     return SignificanceMatrix(methods, p, metric, target, n)

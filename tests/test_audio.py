@@ -1,6 +1,7 @@
 """WAV codec tests against hand-assembled byte fixtures."""
 
 import struct
+import wave
 
 import numpy as np
 import pytest
@@ -281,14 +282,30 @@ class TestRoundTrip:
         assert (info.num_samples, info.channels, info.bit_depth) == (256, 2, 32)
         assert info.codec == "float"
 
-    def test_write_clips_out_of_range(self, tmp_path):
+    @pytest.mark.parametrize("bit_depth", [16, 24])
+    def test_write_clips_out_of_range(self, tmp_path, bit_depth):
         samples = np.array([[1.5], [-2.0], [0.0]])
         path = tmp_path / "clip.wav"
-        save_wav(path, AudioSignal(samples, 8000), bit_depth=16)
+        save_wav(path, AudioSignal(samples, 8000), bit_depth=bit_depth)
         back = load_wav(path)
+        full_scale = 2.0 ** (bit_depth - 1)
         np.testing.assert_array_equal(
-            back.samples[:, 0], [32767 / 32768.0, -1.0, 0.0]
+            back.samples[:, 0], [(full_scale - 1) / full_scale, -1.0, 0.0]
         )
+
+    def test_odd_data_chunk_is_followed_by_a_pad_byte(self, tmp_path):
+        """Five 24-bit mono samples are 15 data bytes: a zero pad byte keeps
+        the RIFF chunk word-aligned and counts in the RIFF size only."""
+        path = tmp_path / "odd.wav"
+        save_wav(path, AudioSignal(np.linspace(-0.5, 0.5, 5), 8000), bit_depth=24)
+        raw = path.read_bytes()
+        assert len(raw) % 2 == 0
+        assert raw[-1] == 0
+        assert struct.unpack("<I", raw[4:8])[0] == len(raw) - 8
+        assert struct.unpack("<I", raw[40:44])[0] == 15
+        assert load_wav(path).num_samples == 5
+        with wave.open(str(path), "rb") as reader:
+            assert reader.getnframes() == 5
 
     @pytest.mark.parametrize("bit_depth", [16, 24, 32])
     @pytest.mark.parametrize("layout", ["F", "strided"])

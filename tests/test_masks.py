@@ -179,6 +179,15 @@ class TestSpatialModelFit:
         np.testing.assert_array_equal(model.spatial_cov[1],
                                       np.broadcast_to(np.eye(2), (4, 2, 2)))
 
+    def test_spectrogram_without_frames_has_every_source_silent(self):
+        empty = _spec(np.zeros((4, 0, 2)))
+        with pytest.warns(RuntimeWarning, match=r"sources \[0, 1\] are silent"):
+            model = estimate_mwf_model(SourceImages([empty, empty]))
+        assert model.degenerate == (0, 1)
+        assert model.psd.shape == (2, 4, 0)
+        np.testing.assert_array_equal(model.spatial_cov,
+                                      np.broadcast_to(np.eye(2), (2, 4, 2, 2)))
+
     def test_covariance_is_trace_normalized(self):
         rng = np.random.default_rng(24)
         bins = _random_stack(rng, (4, 9, 3))
@@ -705,7 +714,7 @@ class TestChunkedOracle:
 
     @pytest.mark.parametrize("config, channels, frames", _chunk_cases())
     def test_mwf_matches_the_whole_track_model(self, config, channels, frames):
-        """Within 1e-12 of the peak; the silent source warns once."""
+        """Bitwise: both routes fit one model; the silent source warns once."""
         mixture, sources = self._signals(config, channels, frames)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -716,10 +725,25 @@ class TestChunkedOracle:
         with pytest.warns(RuntimeWarning, match=r"sources \[3\] are silent"):
             want = _whole_spectrogram_estimates(mixture, sources, "MWF", config)
         for estimate, reference in zip(got, want):
-            scale = np.abs(reference.samples).max()
-            np.testing.assert_allclose(estimate.samples, reference.samples,
-                                       rtol=0, atol=1e-12 * scale)
+            np.testing.assert_array_equal(estimate.samples, reference.samples)
         assert not np.any(got[3].samples)
+
+    def test_source_whose_power_underflows_is_silent_in_both_routes(self):
+        """A float64 source of 1e-170 amplitude has nonzero bins, but every
+        bin's power underflows to 0: both routes flag it and warn, and its
+        PSD and estimate are 0."""
+        config = StftConfig(256, 64)
+        mixture, sources = self._signals(config, 2, _three_chunks(config))
+        sources[3] = AudioSignal(1e-170 * sources[0].samples, 8000)
+        images = SourceImages([stft(source, config) for source in sources])
+        assert np.any(images.images[3].bins)
+        with pytest.warns(RuntimeWarning, match=r"sources \[3\] are silent"):
+            model = estimate_mwf_model(images)
+        assert model.degenerate == (3,)
+        assert not np.any(model.psd[3])
+        with pytest.warns(RuntimeWarning, match=r"sources \[3\] are silent"):
+            estimates = oracle_separate(mixture, sources, "MWF", config)
+        assert not np.any(estimates[3].samples)
 
 
 def _three_chunks(config):

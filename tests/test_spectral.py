@@ -110,6 +110,23 @@ class TestAnalysis:
         with pytest.raises(ValueError):
             StftConfig(0, 0)
 
+    @pytest.mark.parametrize("sizes, field", [
+        ((4096.0, 1024), "window_size"),
+        ((4096, 1024.0), "hop_size"),
+        ((True, True), "window_size"),
+        ((64, True), "hop_size"),
+    ])
+    def test_sizes_that_are_not_integers_rejected(self, sizes, field):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            StftConfig(*sizes)
+
+    def test_numpy_integer_sizes_transform_as_python_ints(self):
+        signal = AudioSignal(np.random.default_rng(9).standard_normal((200, 1)), 8000)
+        np.testing.assert_array_equal(
+            stft(signal, StftConfig(np.int64(64), np.int32(16))).bins,
+            stft(signal, StftConfig(64, 16)).bins,
+        )
+
     def test_float32_signal_transforms_as_its_widening(self):
         """Decoded samples are float32; the frames are widened before the
         taper, so the bins are bitwise those of a float64 copy."""
