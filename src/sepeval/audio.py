@@ -7,6 +7,18 @@ samples widens them to float64 first.  The WAV codec supports little-endian
 RIFF/WAVE files with 16-bit PCM, 24-bit PCM and 32-bit IEEE float payloads,
 any channel count and any sample rate.
 
+One decoder reads them: :class:`WavReader` decodes any range of frames on
+demand, after checking the headers and that the declared payload is all
+there.  :func:`load_wav` is its read of every frame; ``sepeval eval`` and
+``validate --check-mixture`` read their files a block at a time through
+it, so no whole stem or estimate is held.
+
+A *source* is anything read like an (N, I) sample array: ``source[a:b]``
+gives samples [a, b) as an array, and it has a ``shape`` and a ``len``.
+An array is one, and so are a :class:`WavReader` and a
+:class:`SourceSum`, the float64 sum of sources by which the stems and
+estimates are summed everywhere.
+
 Scaling convention
 ------------------
 Integer PCM samples are mapped to float by dividing by 2**(bits-1):
@@ -25,6 +37,8 @@ import numpy as np
 __all__ = [
     "AudioSignal",
     "WavInfo",
+    "WavReader",
+    "SourceSum",
     "WavFormatError",
     "UnsupportedWavError",
     "TruncatedWavError",
@@ -148,7 +162,8 @@ def _read_exact(fh, n, what):
 def _parse_header(fh):
     """Walk the chunk list up to the data chunk.
 
-    Returns (codec, bit_depth, channels, sample_rate, data_size, data_offset).
+    Returns (info, data_size, data_offset): the file's :class:`WavInfo`,
+    the declared payload bytes and where the payload starts.
     """
     riff = fh.read(12)
     if len(riff) < 12:
@@ -192,26 +207,25 @@ def _parse_header(fh):
                 raise UnsupportedWavError(
                     f"unsupported codec: format tag {code:#06x} at {bits} bits"
                 )
-            return codec, bits, channels, rate, chunk_size, fh.tell()
+            info = WavInfo(chunk_size // (channels * bits // 8), channels, rate,
+                           bits, codec)
+            return info, chunk_size, fh.tell()
         else:
             # irrelevant chunk (LIST, fact, ...): skip, honoring pad byte
             fh.seek(chunk_size + (chunk_size & 1), 1)
 
 
-def load_wav(path) -> AudioSignal:
-    """Read a WAV file into an :class:`AudioSignal`.
+class WavReader:
+    """Frames of one WAV file, decoded a range at a time.
 
-    Parameters
-    ----------
-    path : str or Path
-        File to read.
-
-    Returns
-    -------
-    AudioSignal
-        Float32 samples scaled to [-1, 1] (see module docstring), channel
-        count and sample rate preserved.  Every codec is exact in float32:
-        16-bit values are i / 2**15, 24-bit values i / 2**23.
+    Opening reads the headers (``info``) and checks that the file holds
+    the whole payload they declare.  ``reader[start:stop]`` decodes frames
+    [start, stop), clipped to the file as a list slice is, to a float32
+    (frames, channels) array by the scaling convention (see the module
+    docstring), from one read of their bytes.  ``shape``, ``len`` and that
+    slice are those of the decoded samples, so a reader stands wherever
+    ``bsseval`` takes an (N, I) array.  Each read opens the file anew, so
+    a reader holds no file handle and threads may share it.
 
     Raises
     ------
@@ -222,42 +236,105 @@ def load_wav(path) -> AudioSignal:
     UnsupportedWavError
         If the codec is not PCM 16/24-bit or IEEE float32.
     TruncatedWavError
-        If the payload is shorter than the headers declare.
+        If the payload is shorter than the headers declare, on opening.
+    ValueError
+        If a read range of a float file holds a non-finite sample; the
+        message names the file.
     """
-    with open(path, "rb") as fh:
-        codec, bits, channels, rate, data_size, _ = _parse_header(fh)
-        bytes_per_frame = channels * bits // 8
-        num_frames = data_size // bytes_per_frame
-        payload = fh.read(num_frames * bytes_per_frame)
-    if len(payload) < num_frames * bytes_per_frame:
-        raise TruncatedWavError(
-            f"data chunk declares {data_size} bytes but payload is shorter"
-        )
 
-    if codec == "float":
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    elif bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float32)
-        samples *= 2.0 ** -15
-    else:  # 24-bit PCM: each code in the top three bytes of an int32
-        quads = np.zeros((num_frames * channels, 4), dtype=np.uint8)
-        quads[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-        samples = (quads.view("<i4")[:, 0] >> 8).astype(np.float32)
-        samples *= 2.0 ** -23
-    return AudioSignal(samples.reshape(num_frames, channels), rate)
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.info, data_size, self._offset = _parse_header(fh)
+            size = fh.seek(0, 2)
+        self._frame_bytes = self.info.channels * self.info.bit_depth // 8
+        if size - self._offset < len(self) * self._frame_bytes:
+            raise TruncatedWavError(
+                f"data chunk declares {data_size} bytes but payload is shorter"
+            )
+
+    @property
+    def shape(self) -> tuple:
+        return (self.info.num_samples, self.info.channels)
+
+    @property
+    def layout(self) -> tuple:
+        """(num_samples, channels, sample_rate), see :func:`check_layout`."""
+        return self.info.layout
+
+    def __len__(self) -> int:
+        return self.info.num_samples
+
+    def __getitem__(self, frames: slice) -> np.ndarray:
+        start, stop, step = frames.indices(len(self))
+        if step != 1:
+            raise ValueError("a WAV reader reads contiguous frames only")
+        count = max(stop - start, 0)
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset + start * self._frame_bytes)
+            payload = fh.read(count * self._frame_bytes)
+        if len(payload) < count * self._frame_bytes:
+            raise TruncatedWavError(f"{self.path} ends inside frames [{start}, {stop})")
+        if self.info.codec == "float":
+            samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+            if not np.all(np.isfinite(samples)):
+                raise ValueError(
+                    f"{self.path}: non-finite samples in frames [{start}, {stop})"
+                )
+        elif self.info.bit_depth == 16:
+            samples = np.frombuffer(payload, dtype="<i2").astype(np.float32)
+            samples *= 2.0 ** -15
+        else:  # 24-bit PCM: each code in the top three bytes of an int32
+            quads = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+            quads[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+            samples = (quads.view("<i4")[:, 0] >> 8).astype(np.float32)
+            samples *= 2.0 ** -23
+        return samples.reshape(count, self.info.channels)
+
+
+class SourceSum:
+    """The sum of sources of one shape, in float64 and in the order given,
+    itself a source: ``total[a:b]`` reads samples [a, b) of each part and
+    adds them in turn.  ``layout`` is the first part's, for parts that
+    have one."""
+
+    def __init__(self, parts):
+        self.parts = list(parts)
+        self.shape = self.parts[0].shape
+
+    @property
+    def layout(self) -> tuple:
+        return self.parts[0].layout
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, samples: slice) -> np.ndarray:
+        total = self.parts[0][samples].astype(np.float64)
+        for part in self.parts[1:]:
+            total += part[samples]
+        return total
+
+
+def load_wav(path) -> AudioSignal:
+    """Read a WAV file into an :class:`AudioSignal`: every frame of its
+    :class:`WavReader`, which raises what that reader raises.
+
+    Returns
+    -------
+    AudioSignal
+        Float32 samples scaled to [-1, 1] (see module docstring), channel
+        count and sample rate preserved.  Every codec is exact in float32:
+        16-bit values are i / 2**15, 24-bit values i / 2**23.
+    """
+    reader = WavReader(path)
+    return AudioSignal(reader[:], reader.info.sample_rate)
 
 
 def wav_info(path) -> WavInfo:
     """Read only the headers of a WAV file (cheap; payload untouched)."""
     with open(path, "rb") as fh:
-        codec, bits, channels, rate, data_size, _ = _parse_header(fh)
-    return WavInfo(
-        num_samples=data_size // (channels * bits // 8),
-        channels=channels,
-        sample_rate=rate,
-        bit_depth=bits,
-        codec=codec,
-    )
+        return _parse_header(fh)[0]
 
 
 def save_wav(path, signal: AudioSignal, bit_depth: int = 32) -> None:

@@ -35,6 +35,17 @@ beyond one chunk it holds about one window of samples per estimate and no
 part at full length.  Samples may be float32, as decoded; every transform
 runs on float64 copies.
 
+Every loop over a span reads it a range at a time from its sources
+(:func:`_sources`): the block framing reads each chunk's samples once per
+source, and the split and the check that a group is audible read one
+window or block, a group's references through their
+:class:`~sepeval.audio.SourceSum`.  A source is an (N, I)
+array or anything sliced like one, such as a
+:class:`~sepeval.audio.WavReader`, which decodes only the frames asked
+for.  So ``bss_eval`` over WAV readers holds no whole reference or
+estimate: a v4 span is the sources themselves, and a shorter span (a v3
+window) is read once.
+
 Each system is solved, after tiny diagonal loading, through a block-
 Levinson factor built from its lags in O(L^2 C^3), rather than the
 O(L^3 C^3) of a Cholesky factor of the dense Gram, which is never formed.
@@ -73,7 +84,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv, dpotrf
 
-from .audio import AudioSignal, check_layout
+from .audio import AudioSignal, SourceSum, check_layout
 
 __all__ = [
     "ProjectionFilters",
@@ -225,44 +236,48 @@ class _Blocks:
         num_blocks = -(-length // self.length)
         return [(k, min(k + size, num_blocks)) for k in range(0, num_blocks, size)]
 
-    def _spectra(self, channels: list, first: int, stop: int, history: int):
-        """Per 1-D channel of ``channels``, the (K, F) rFFTs at M of its
-        blocks first, ..., stop - 1, each with the ``history`` samples
-        before it: samples [kB - history, (k+1)B) of the channel, zero
-        outside it.  Each channel is written once into one (K, M) buffer,
-        so the transform pads nothing."""
+    def _spectra(self, sources: list, first: int, stop: int, history: int):
+        """Per channel of the (N, I) ``sources`` (see :func:`_sources`), in
+        order, the (K, F) rFFTs at M of its blocks first, ..., stop - 1,
+        each with the ``history`` samples before it: samples [kB - history,
+        (k+1)B) of the channel, zero outside it.  Each source's samples
+        [first B - history, stop B) are read once, and each channel is
+        written once into one (K, M) buffer, so the transform pads nothing."""
         B, width = self.length, self.length + history
+        base = max(first * B - history, 0)  # the first sample read
         frames = np.zeros((stop - first, self.fft_size))
-        for samples in channels:
-            # The blocks whose segment lies inside the channel: one strided copy.
-            lo, hi = max(first, -(-history // B)), min(stop, len(samples) // B)
-            if lo < hi:
-                frames[lo - first:hi - first, :width] = sliding_window_view(
-                    samples[lo * B - history:hi * B], width)[::B]
-            for k in range(first, stop):
-                if not lo <= k < hi:  # clipped by either end of the channel
-                    start = k * B - history
-                    part = samples[max(start, 0):start + width]
-                    row = frames[k - first, :width]
-                    row[:] = 0.0
-                    row[max(-start, 0):max(-start, 0) + len(part)] = part
-            yield scipy.fft.rfft(frames, axis=-1)
+        for source in sources:
+            # The blocks whose segment lies inside the source: one strided copy.
+            lo, hi = max(first, -(-history // B)), min(stop, len(source) // B)
+            for samples in source[base:stop * B].T:
+                if lo < hi:
+                    frames[lo - first:hi - first, :width] = sliding_window_view(
+                        samples[lo * B - history - base:hi * B - base], width)[::B]
+                for k in range(first, stop):
+                    if not lo <= k < hi:  # clipped by either end of the source
+                        start = k * B - history
+                        part = samples[max(start, 0) - base:start + width - base]
+                        row = frames[k - first, :width]
+                        row[:] = 0.0
+                        row[max(-start, 0):max(-start, 0) + len(part)] = part
+                yield scipy.fft.rfft(frames, axis=-1)
 
-    def segment_spectra(self, channels: list, first: int, stop: int) -> np.ndarray:
+    def segment_spectra(self, sources: list, first: int, stop: int) -> np.ndarray:
         """(K, C, F) rFFTs of the segments of blocks first, ..., stop - 1 of
-        the C 1-D ``channels``, zero beyond their end."""
-        spectra = np.empty((stop - first, len(channels), self.fft_size // 2 + 1),
+        the C channels of ``sources``, zero beyond their end."""
+        spectra = np.empty((stop - first, _width(sources), self.fft_size // 2 + 1),
                            dtype=complex)
-        for c, spectrum in enumerate(self._spectra(channels, first, stop,
+        for c, spectrum in enumerate(self._spectra(sources, first, stop,
                                                    self.filter_len)):
             spectra[:, c] = spectrum
         return spectra
 
     def lags(self, references, signals) -> tuple:
-        """Per item of ``signals`` (see :func:`_channels`), its (L, C, C')
-        correlations r[m, a, b] = sum_n x_a[n - m] y_b[n] with the C channels
-        x of ``references``, all as long as x; and the segment spectra of x
-        when the span is one chunk, else None.
+        """Per item of ``signals`` (each a source or sources, see
+        :func:`_sources`), its (L, C, C') correlations r[m, a, b] = sum_n
+        x_a[n - m] y_b[n] with the C channels x of ``references``, all as
+        long as x; and the segment spectra of x when the span is one chunk,
+        else None.
 
         Chunk by chunk, the segment spectra of x are formed once.  One
         channel of y at a time, the chunk's zero-padded blocks are
@@ -274,11 +289,11 @@ class _Blocks:
         d = L - m.  Cross spectra are held from the first chunk to the
         last, so a span of one chunk holds one item's at a time.
         """
-        x = _channels(references)
-        ys = [_channels(signal) for signal in signals]
+        x = _sources(references)
+        ys = [_sources(signal) for signal in signals]
         bins = self.fft_size // 2 + 1
-        term = np.empty((len(x), bins), dtype=complex)
-        chunks = self.chunks(len(x[0]), len(x))
+        term = np.empty((_width(x), bins), dtype=complex)
+        chunks = self.chunks(len(x[0]), _width(x))
         cross, lags = [None] * len(ys), [None] * len(ys)
         segments = None
         for first, stop in chunks:
@@ -286,7 +301,7 @@ class _Blocks:
             segments = self.segment_spectra(x, first, stop)
             for i, y in enumerate(ys):
                 if not first:
-                    cross[i] = np.zeros((len(x), len(y), bins), dtype=complex)
+                    cross[i] = np.zeros((_width(x), _width(y), bins), dtype=complex)
                 for b, spectrum in enumerate(self._spectra(y, first, stop, 0)):
                     total = cross[i][:, b]
                     for segment, block in zip(segments, np.conjugate(spectrum, out=spectrum)):
@@ -324,26 +339,26 @@ class _Blocks:
             blocks[..., c] = samples
 
 
-def _channels(signals) -> list:
-    """1-D views of the channels of one (N, I) array, or of a sequence of
-    them (a list or a (J, N, I) array), reference-major."""
-    if isinstance(signals, np.ndarray) and signals.ndim == 2:
-        signals = [signals]
-    return [signal[:, c] for signal in signals for c in range(signal.shape[1])]
+def _sources(signals) -> list:
+    """The (N, I) sources of one source, or of a sequence of them (a list
+    or a (J, N, I) array), reference-major.
+
+    A source is read a range of samples at a time, ``source[a:b]`` as an
+    (b - a, I) array, and has a ``shape`` and a ``len``: an array, or
+    anything that reads like one, such as a
+    :class:`~sepeval.audio.WavReader` or a
+    :class:`~sepeval.audio.SourceSum`."""
+    return [signals] if len(getattr(signals, "shape", ())) == 2 else list(signals)
+
+
+def _width(sources: list) -> int:
+    """The channels of ``sources`` in all."""
+    return sum(source.shape[1] for source in sources)
 
 
 def _members(target) -> tuple:
     """The reference indices of a target: a group's own, or the one index."""
     return target if isinstance(target, tuple) else (target,)
-
-
-def _summed(references, members: tuple, start: int, stop: int) -> np.ndarray:
-    """Samples [start, stop) of the sum of the ``members`` of ``references``,
-    in float64, added in the order of ``members``."""
-    total = references[members[0]][start:stop].astype(np.float64)
-    for j in members[1:]:
-        total += references[j][start:stop]
-    return total
 
 
 class _Projector:
@@ -422,10 +437,10 @@ class _Projector:
         if not isinstance(ref, tuple):
             return ref in self._audible
         if ref not in self._groups:
-            length, step = len(self.references[0]), self.blocks.length
+            total = SourceSum(self.references[j] for j in ref)
+            step = self.blocks.length
             self._groups[ref] = any(
-                np.any(_summed(self.references, ref, a, a + step))
-                for a in range(0, length, step)
+                np.any(total[a:a + step]) for a in range(0, len(total), step)
             )
         return self._groups[ref]
 
@@ -476,7 +491,7 @@ class _Projector:
         stack = np.stack([self._system_lags(key) for key in keys])
         for key, lags, solver in zip(keys, stack, _levinson(stack)):
             if solver is None:
-                # Finite by construction: AudioSignal rejects non-finite samples.
+                # Finite: AudioSignal and WavReader reject non-finite samples.
                 factor = cho_factor(_block_toeplitz(lags), overwrite_a=True,
                                     check_finite=False)
                 solver = functools.partial(cho_solve, factor, check_finite=False)
@@ -772,14 +787,14 @@ def _parts(refs, ests, targets, fits, blocks: _Blocks, spans,
 
     def split(k: int, a: int, b: int) -> Decomposition:
         proj_solo, e_interf = (h[a - first:b - first] for h in held[k])
-        s_target = _summed(refs, _members(targets[k]), a, b)
+        s_target = SourceSum(refs[j] for j in _members(targets[k]))[a:b]
         return Decomposition(s_target, proj_solo - s_target, e_interf,
                              ests[k][a:b] - (proj_solo + e_interf))
 
     for start, stop in chunks:
         if given is None:
             segments = None  # the last chunk's, freed before the next's are formed
-            segments = blocks.segment_spectra(_channels(refs), start, stop)
+            segments = blocks.segment_spectra(refs, start, stop)
         done = scored  # the spans whose samples are all held after this chunk
         while done < len(spans) and spans[done][1] <= stop * B:
             done += 1
@@ -803,10 +818,11 @@ def _parts(refs, ests, targets, fits, blocks: _Blocks, spans,
 
 
 def _signals(references, estimates=None, targets=None) -> tuple:
-    """Checked (N, I) sample arrays of ``references`` and ``estimates``,
-    uncopied, and the reference index each estimate is scored against.
+    """Checked (N, I) sources of ``references`` and ``estimates``, uncopied
+    and unread, and the reference index each estimate is scored against.
 
-    The references are AudioSignals of one layout (length, channels and
+    The references are AudioSignals or sources with a ``layout``, such as
+    :class:`~sepeval.audio.WavReader`, of one layout (length, channels and
     rate), or one (J, N, I) array; each estimate must have their layout,
     any rate against an array (see :func:`~sepeval.audio.check_layout`).
     ``targets`` default to estimate k against reference k; each is a
@@ -826,14 +842,14 @@ def _signals(references, estimates=None, targets=None) -> tuple:
         layout = references[0].layout
         for j, ref in enumerate(references):
             check_layout(f"reference {j}", ref.layout, layout)
-        references = [ref.samples for ref in references]
+        references = [_samples(ref) for ref in references]
     if estimates is None:
         return references, None, None
     if not estimates:
         raise ValueError("at least one estimate is required")
     for k, est in enumerate(estimates):
         check_layout(f"estimate {k}", est.layout, layout)
-    ests = [est.samples for est in estimates]
+    ests = [_samples(est) for est in estimates]
     if targets is None:
         if len(ests) > len(references):
             raise ValueError(
@@ -851,6 +867,12 @@ def _signals(references, estimates=None, targets=None) -> tuple:
             if not 0 <= j < len(references):
                 raise IndexError(f"target index {j} out of range")
     return references, ests, list(targets)
+
+
+def _samples(signal):
+    """The samples of an AudioSignal, or ``signal`` itself, a source (see
+    :func:`_sources`)."""
+    return signal.samples if isinstance(signal, AudioSignal) else signal
 
 
 def check_scoring(window: int, hop: int | None = None,
@@ -937,11 +959,11 @@ def project(references, taps: np.ndarray) -> np.ndarray:
         )
     blocks = _Blocks(num_samples, taps.shape[3])
     length = num_samples + taps.shape[3] - 1
-    ref_channels, spectra = _channels(refs), blocks.tap_spectra(taps)
-    chunks = blocks.chunks(length, len(ref_channels))
+    spectra = blocks.tap_spectra(taps)
+    chunks = blocks.chunks(length, num_refs * channels)
     projection = np.empty((chunks[-1][1] * blocks.length, taps.shape[2]))
     for first, stop in chunks:
-        blocks.filtered(blocks.segment_spectra(ref_channels, first, stop), spectra,
+        blocks.filtered(blocks.segment_spectra(refs, first, stop), spectra,
                         projection[first * blocks.length:stop * blocks.length])
     return projection[:length]
 
@@ -1030,6 +1052,9 @@ def bss_eval(
     and in the tuple's order, and each reference outside the group counts
     as one interferer: ``(0, 1, 2)`` over MUSDB18's drums, bass, other and
     vocals is the accompaniment, scored against [vocals, accompaniment].
+    References and estimates may also be sources that carry a ``layout``,
+    such as :class:`~sepeval.audio.WavReader`: each is read a block at a
+    time, and the scores are those of its decoded samples.
     One fit pass serves every target: per span one projector, and one
     block-Levinson stack for the solo systems of all targets.
     Returns one list of :class:`FrameScores` per estimate.
@@ -1038,8 +1063,11 @@ def bss_eval(
     plan = _plan(len(refs[0]), filter_len, mode, window, hop)
     results = [[] for _ in ests]
     for start, stop, span_filter_len, frames in plan:
-        span_refs = [ref[start:stop] for ref in refs]
-        span_ests = [est[start:stop] for est in ests]
+        # A span of the whole signal is its sources, read as it is streamed;
+        # a shorter one (a v3 window) is read once.
+        whole = (start, stop) == (0, len(refs[0]))
+        span_refs = list(refs) if whole else [ref[start:stop] for ref in refs]
+        span_ests = ests if whole else [est[start:stop] for est in ests]
         projector = _Projector(span_refs, span_filter_len, span_ests)
         projector._factor([projector._solo(target) for target in targets])
         fits = [projector.fit(k, [target]) for k, target in enumerate(targets)]

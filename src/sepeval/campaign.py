@@ -7,9 +7,12 @@ of their references with vocals the one interferer (see
 :func:`~sepeval.bsseval.bss_eval`).  When no accompaniment file is
 provided, its estimate is the sum of the non-vocal estimates,
 :func:`~sepeval.dataset.derive_accompaniment`, the rule the group's
-reference follows.  Scores aggregate as medians over finite frames per
-track, then medians over tracks; pairwise method comparisons use the
-rank-based test from :mod:`sepeval.stats`.
+reference follows.  Stems and estimates reach ``bss_eval`` as WAV
+readers (and a derived accompaniment as their
+:class:`~sepeval.audio.SourceSum`), read block by block, so no whole
+stem or estimate is decoded.  Scores aggregate as medians over finite
+frames per track, then medians over tracks; pairwise method comparisons
+use the rank-based test from :mod:`sepeval.stats`.
 """
 
 import csv
@@ -23,11 +26,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .audio import load_wav
+from .audio import SourceSum, WavReader
 from .bsseval import (DEFAULT_FILTER_LEN, DEFAULT_MODE, DEFAULT_WINDOW, bss_eval,
                       check_scoring)
-from .dataset import (ACCOMPANIMENT_STEMS, STEM_NAMES, TrackRef,
-                      derive_accompaniment, load_stems)
+from .dataset import ACCOMPANIMENT_STEMS, STEM_NAMES, TrackRef, open_stem
 from .reports import METRIC_NAMES, TrackScore, _write_json, write_report
 from .stats import SignificanceMatrix, pairwise_significance
 
@@ -77,36 +79,41 @@ def evaluate_track(
     a file of its own is derived from the non-vocal estimates when all
     three are there.  Missing files drop that target from the result (with
     a warning); an estimate whose length, channels or rate differ from the
-    track's, or no estimate for any target, are fatal for the track, and
-    are raised before any stem is decoded.
+    track's, or whose file is shorter than its header declares, or no
+    estimate for any target, are fatal for the track, and are raised from
+    the headers before any sample is read.  Every file is then read a
+    block at a time as it is scored (see :class:`~sepeval.audio.WavReader`);
+    a non-finite sample in a float estimate fails the track when its block
+    is read, naming the file.
     """
     estimates_dir = Path(estimates_dir)
 
-    def load(name):
+    def open_estimate(name):
         path = estimates_dir / f"{name}.wav"
         if not path.is_file():
             return None
-        estimate = load_wav(path)
+        estimate = WavReader(path)
         track.check(f"estimate {path}", estimate.layout)
         return estimate
 
-    estimates = {name: load(name) for name in TARGET_NAMES}
+    estimates = {name: open_estimate(name) for name in TARGET_NAMES}
     if estimates["accompaniment"] is None and all(
             estimates[name] is not None for name in ACCOMPANIMENT_STEMS):
-        estimates["accompaniment"] = derive_accompaniment(estimates)
+        estimates["accompaniment"] = SourceSum(estimates[name]
+                                               for name in ACCOMPANIMENT_STEMS)
     if all(estimate is None for estimate in estimates.values()):
         raise FileNotFoundError(
             f"{track.name}: no estimate for any of {list(TARGET_NAMES)} "
             f"in {estimates_dir}"
         )
-    stems = load_stems(track)
+    stems = [open_stem(track, name) for name in STEM_NAMES]
 
     # One parameter set for the bss_eval call and the report header.
     params = asdict(config)
     params["hop"] = check_scoring(**params)
     scored = [name for name in TARGET_NAMES if estimates[name] is not None]
     frames = bss_eval(
-        [stems[name] for name in STEM_NAMES],
+        stems,
         [estimates[name] for name in scored],
         targets=[_TARGET_INDEX[name] for name in scored],
         **params,

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioSignal, WavFormatError, check_layout, load_wav, wav_info
+from .audio import (AudioSignal, SourceSum, WavFormatError, WavReader, check_layout,
+                    load_wav, wav_info)
 from .reports import _write_json
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "scan_corpus",
     "load_track",
     "load_stems",
+    "open_stem",
     "derive_accompaniment",
     "validate_mixture",
     "write_manifest",
@@ -35,6 +37,8 @@ STEM_NAMES = ("drums", "bass", "other", "vocals")
 # The stems summed into the accompaniment: all but the vocals.
 ACCOMPANIMENT_STEMS = tuple(name for name in STEM_NAMES if name != "vocals")
 SPLITS = ("train", "test")
+# Samples per read of validate_mixture: 1.5 s at 44.1 kHz.
+_CHECK_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -165,19 +169,24 @@ def load_stems(ref: TrackRef) -> dict:
 
 
 def _load(ref: TrackRef, stem: str) -> AudioSignal:
+    return load_wav(open_stem(ref, stem).path)
+
+
+def open_stem(ref: TrackRef, stem: str) -> WavReader:
+    """A reader of the track's ``stem``.wav (``mixture`` or a stem name),
+    its header checked against the track's layout; no sample is read."""
     path = ref.path / f"{stem}.wav"
-    signal = load_wav(path)
-    ref.check(str(path), signal.layout)
-    return signal
+    reader = WavReader(path)
+    ref.check(str(path), reader.layout)
+    return reader
 
 
 def derive_accompaniment(stems) -> AudioSignal:
-    """Sum of the non-vocal stems (the karaoke complement), in float64."""
+    """Sum of the non-vocal stems (the karaoke complement), in float64: a
+    :class:`~sepeval.audio.SourceSum` of their samples in
+    ``ACCOMPANIMENT_STEMS`` order, read whole."""
     parts = [stems[name] for name in ACCOMPANIMENT_STEMS]
-    total = parts[0].samples.astype(np.float64)
-    for part in parts[1:]:
-        total += part.samples
-    return AudioSignal(total, parts[0].sample_rate)
+    return AudioSignal(SourceSum(part.samples for part in parts)[:], parts[0].sample_rate)
 
 
 def validate_mixture(ref: TrackRef, tolerance: float = 1e-2) -> MixtureReport:
@@ -185,11 +194,18 @@ def validate_mixture(ref: TrackRef, tolerance: float = 1e-2) -> MixtureReport:
 
     The oracle methods assume x = sum of source images; PCM-quantized
     corpora hold this to within a few quantization steps.  The stems are
-    summed in float64, the vocals last.
+    summed in float64, the vocals last, as :func:`derive_accompaniment`
+    plus the vocals.  The files are read ``_CHECK_BLOCK`` samples at a
+    time, and the deviation is the largest of the blocks' maxima, so it
+    is bitwise that of the whole track while no whole stem is held.
     """
-    mixture, stems = load_track(ref)
-    total = derive_accompaniment(stems).samples + stems["vocals"].samples
-    deviation = float(np.max(np.abs(mixture.samples - total))) if total.size else 0.0
+    mixture = open_stem(ref, "mixture")
+    total = SourceSum(open_stem(ref, stem) for stem in ACCOMPANIMENT_STEMS + ("vocals",))
+    deviation = 0.0
+    for start in range(0, len(mixture), _CHECK_BLOCK):
+        block = slice(start, start + _CHECK_BLOCK)
+        deviation = max(deviation,
+                        float(np.max(np.abs(mixture[block] - total[block]))))
     return MixtureReport(ref.name, deviation, tolerance, deviation <= tolerance)
 
 

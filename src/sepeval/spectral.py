@@ -48,7 +48,10 @@ class StftConfig:
     """Analysis parameters: taper size, hop and taper shape.
 
     The defaults (4096-sample Hann, hop 1024) match the transform used by
-    the oracle reference tooling for 44.1 kHz material.
+    the oracle reference tooling for 44.1 kHz material.  ``window`` is a
+    taper name (a ``str``, else TypeError) that SciPy's ``get_window``
+    accepts, checked on construction (else ValueError); ``"hann"`` needs
+    no SciPy (see :meth:`taper`).
     """
 
     window_size: int = 4096
@@ -67,6 +70,10 @@ class StftConfig:
                 f"hop_size must satisfy 0 < hop <= window_size, "
                 f"got hop={self.hop_size} window={self.window_size}"
             )
+        if not isinstance(self.window, str):
+            raise TypeError(f"window must be a taper name, got {self.window!r}")
+        if self.window != "hann":
+            self.taper()  # get_window's ValueError for a name it refuses
 
     @property
     def num_bins(self) -> int:

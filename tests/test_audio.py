@@ -1,5 +1,6 @@
 """WAV codec tests against hand-assembled byte fixtures."""
 
+import re
 import struct
 import wave
 
@@ -13,6 +14,7 @@ from sepeval import (
     UnsupportedWavError,
     WavFormatError,
     WavInfo,
+    WavReader,
     load_wav,
     save_wav,
     wav_info,
@@ -150,6 +152,53 @@ class TestFilePrecision:
         save_wav(paths[1], AudioSignal(narrow.astype(np.float64), 8000),
                  bit_depth=bit_depth)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestReader:
+    """WavReader decodes any range of frames exactly as load_wav decodes
+    the whole file, which is its read of every frame."""
+
+    @pytest.mark.parametrize("bit_depth", [16, 24, 32])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_ranges_are_slices_of_the_whole(self, tmp_path, bit_depth, channels):
+        rng = np.random.default_rng(bit_depth + channels)
+        path = tmp_path / "x.wav"
+        save_wav(path, AudioSignal(rng.uniform(-1, 1, (1001, channels)), 8000),
+                 bit_depth=bit_depth)
+        whole = load_wav(path).samples
+        reader = WavReader(path)
+        assert reader.shape == whole.shape and len(reader) == 1001
+        assert reader.layout == (1001, channels, 8000) == wav_info(path).layout
+        for start, stop in [(0, 1001), (0, 1), (500, 777), (1000, 1001), (990, 5000),
+                            (-11, None), (None, -1000), (600, 600), (700, 10),
+                            (2000, 3000)]:
+            part = reader[start:stop]
+            assert part.dtype == np.float32
+            np.testing.assert_array_equal(part, whole[start:stop])
+            assert part.shape == whole[start:stop].shape
+        with pytest.raises(ValueError, match="contiguous"):
+            reader[::2]
+
+    def test_truncation_is_raised_on_opening(self, tmp_path):
+        path = tmp_path / "short.wav"
+        save_wav(path, AudioSignal(np.zeros((100, 2)), 8000), bit_depth=16)
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(TruncatedWavError, match="payload is shorter"):
+            WavReader(path)
+        assert wav_info(path).num_samples == 100  # headers alone do not tell
+
+    def test_non_finite_float_is_raised_by_the_range_holding_it(self, tmp_path):
+        """Only a range that holds the NaN raises, naming the file."""
+        path = tmp_path / "nan.wav"
+        save_wav(path, AudioSignal(np.zeros((100, 2)), 8000))
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<f", np.nan)  # the last sample
+        path.write_bytes(bytes(raw))
+        reader = WavReader(path)
+        np.testing.assert_array_equal(reader[:99], np.zeros((99, 2)))
+        for read in (lambda: reader[99:], lambda: load_wav(path)):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite")):
+                read()
 
 
 class TestErrors:

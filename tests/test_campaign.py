@@ -5,8 +5,11 @@ import json
 import math
 import re
 import shutil
+import struct
 import threading
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ from sepeval import (
     write_significance_json,
 )
 
-from sepeval import bsseval, campaign, dataset
+from sepeval import audio, bsseval, campaign, dataset
 from sepeval.bsseval import MODES
 
 from conftest import FIXTURE_RATE, dyadic, write_track
@@ -57,6 +60,26 @@ def _write_estimates(dest, stem_arrays, names=None, transform=None):
         if transform is not None:
             samples = transform(samples)
         save_wav(dest / f"{name}.wav", AudioSignal(samples, FIXTURE_RATE))
+
+
+def _record_reads(monkeypatch):
+    """Lists that record, from now on, the path of every WAV file opened as
+    a reader and of every range read from one (``load_wav`` reads through
+    a reader too)."""
+    opened, read = [], []
+    init, getitem = audio.WavReader.__init__, audio.WavReader.__getitem__
+
+    def recording_init(self, path):
+        opened.append(Path(path))
+        init(self, path)
+
+    def recording_getitem(self, frames):
+        read.append(Path(self.path))
+        return getitem(self, frames)
+
+    monkeypatch.setattr(audio.WavReader, "__init__", recording_init)
+    monkeypatch.setattr(audio.WavReader, "__getitem__", recording_getitem)
+    return opened, read
 
 
 class TestEvaluateTrack:
@@ -132,54 +155,48 @@ class TestEvaluateTrack:
             evaluate_track(corpus.tracks[0], est_dir, "bad", CONFIG)
 
     def test_mixture_header_only_checks_stems(self, tmp_path, monkeypatch):
-        """mixture.wav is never decoded, yet a stem that disagrees with its
-        header is fatal and named."""
+        """mixture.wav is never read, yet a stem that disagrees with its
+        header is fatal and named, before any file is read; each stem and
+        estimate is opened once."""
         corpus, arrays = _corpus_with_arrays(tmp_path)
         stems, _ = arrays["One"]
         est_dir = tmp_path / "est"
         _write_estimates(est_dir, stems)
-        decoded = []
-        load_wav = campaign.load_wav
-
-        def recording_load_wav(path):
-            decoded.append(path.name)
-            return load_wav(path)
-
-        for module in (campaign, dataset):
-            monkeypatch.setattr(module, "load_wav", recording_load_wav)
-        evaluate_track(corpus.tracks[0], est_dir, "m", CONFIG)
-        assert "mixture.wav" not in decoded
-        assert decoded.count("vocals.wav") == 2  # the stem and its estimate
+        opened, read = _record_reads(monkeypatch)
         track = corpus.tracks[0]
+        evaluate_track(track, est_dir, "m", CONFIG)
+        files = [folder / f"{name}.wav" for folder in (track.path, est_dir)
+                 for name in dataset.STEM_NAMES]
+        assert sorted(opened) == sorted(files)
+        assert set(read) == set(files)
         save_wav(track.path / "bass.wav",
                  AudioSignal(np.zeros((100, 2)), FIXTURE_RATE))
+        read.clear()
         with pytest.raises(WavFormatError, match="bass"):
             evaluate_track(track, est_dir, "m", CONFIG)
+        assert read == []
 
     def test_each_estimate_file_is_decoded_once(self, tmp_path, monkeypatch):
-        """Every target file that is there, once: a derived accompaniment
-        sums the non-vocal estimates already decoded."""
+        """Every target file that is there is opened once, as one reader,
+        and read only through it: a derived accompaniment sums the
+        non-vocal estimates' readers and opens nothing of its own."""
         corpus, arrays = _corpus_with_arrays(tmp_path)
         stems, _ = arrays["One"]
         stems["accompaniment"] = stems["drums"] + stems["bass"] + stems["other"]
         est_dir = tmp_path / "est"
-        decoded = []
-        load_wav = campaign.load_wav
-
-        def recording_load_wav(path):
-            decoded.append(path.name)
-            return load_wav(path)
-
-        monkeypatch.setattr(campaign, "load_wav", recording_load_wav)
+        opened, read = _record_reads(monkeypatch)
 
         def decode(*targets):
             shutil.rmtree(est_dir, ignore_errors=True)
             _write_estimates(est_dir, stems, names=targets)
-            decoded.clear()
+            opened.clear()
+            read.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # missing targets
                 evaluate_track(corpus.tracks[0], est_dir, "m", CONFIG)
-            return sorted(decoded)
+            files = sorted(path.name for path in opened if path.parent == est_dir)
+            assert sorted({path.name for path in read if path.parent == est_dir}) == files
+            return files
 
         assert decode("vocals") == ["vocals.wav"]
         assert decode("bass", "vocals") == ["bass.wav", "vocals.wav"]
@@ -283,7 +300,7 @@ class TestOneFitPass:
             folder = corpus.root / "est" / track.name
             score = evaluate_track(track, folder, "m", config)
             stems = dataset.load_stems(track)
-            estimates = {name: campaign.load_wav(folder / f"{name}.wav")
+            estimates = {name: audio.load_wav(folder / f"{name}.wav")
                          for name in dataset.STEM_NAMES}
             (pair,) = bss_eval(
                 [stems["vocals"], dataset.derive_accompaniment(stems)],
@@ -331,6 +348,145 @@ class TestOneFitPass:
         assert len(calls) == 1
         assert len(projectors) == (1 if mode == "v4_global" else 4)
         assert stacks == recursions
+
+
+class TestStreamedScoring:
+    """``evaluate_track`` reads the stems and estimates from their files a
+    block at a time; its reports are byte for byte those of ``bss_eval``
+    over the decoded files, and its memory does not grow with the track."""
+
+    # Seven blocks and a part of one: two chunks at the module's size (of
+    # seven blocks at 32 taps), eight when the chunks are cut to one block.
+    NUM_SAMPLES = 7 * bsseval._BLOCK_LEN + 1000
+
+    @pytest.fixture
+    def track(self, tmp_path):
+        rng = np.random.default_rng(29)
+        write_track(tmp_path / "corpus" / "test" / "Long", rng,
+                    num_samples=self.NUM_SAMPLES)
+        return scan_corpus(tmp_path / "corpus").tracks[0]
+
+    @staticmethod
+    def _write(track, folder, depths, rng):
+        """Estimates of ``depths`` (target -> bit depth): each stem plus
+        noise, or for the accompaniment the sum of its stems."""
+        folder.mkdir(parents=True, exist_ok=True)
+        stems = {name: stem.samples for name, stem in dataset.load_stems(track).items()}
+        stems["accompaniment"] = sum(stems[name] for name in dataset.ACCOMPANIMENT_STEMS)
+        for name, depth in depths.items():
+            samples = stems[name] + 0.01 * rng.standard_normal(stems[name].shape)
+            save_wav(folder / f"{name}.wav", AudioSignal(samples, FIXTURE_RATE),
+                     bit_depth=depth)
+
+    # v3 windows are shorter than a block: one chunk each, however cut.
+    @pytest.mark.parametrize("mode, one_block", [
+        ("v4_global", False), ("v4_global", True), ("v3_windowed", False)])
+    @pytest.mark.parametrize("depths", [
+        # The accompaniment derived from 16-bit, 24-bit and float estimates.
+        {"drums": 16, "bass": 24, "other": 32, "vocals": 16},
+        {"drums": 32, "bass": 16, "other": 24, "vocals": 24, "accompaniment": 24},
+        {"vocals": 32, "accompaniment": 16},
+    ])
+    def test_reports_equal_in_memory_scoring(self, track, tmp_path, monkeypatch,
+                                             mode, one_block, depths):
+        folder = tmp_path / "est"
+        self._write(track, folder, depths, np.random.default_rng(len(depths)))
+        if one_block:
+            monkeypatch.setattr(bsseval, "_CHUNK_CELLS", 1)
+        blocks = bsseval._Blocks(self.NUM_SAMPLES, 32)
+        assert len(blocks.chunks(self.NUM_SAMPLES, 8)) == (8 if one_block else 2)
+        config = EvalConfig(window=4000, filter_len=32, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # missing targets
+            streamed = evaluate_track(track, folder, "m", config)
+
+        stems = dataset.load_stems(track)
+        estimates = {name: audio.load_wav(folder / f"{name}.wav") for name in depths}
+        if "accompaniment" not in estimates and "drums" in estimates:
+            estimates["accompaniment"] = dataset.derive_accompaniment(estimates)
+        names = [name for name in campaign.TARGET_NAMES if name in estimates]
+        frames = bss_eval([stems[name] for name in dataset.STEM_NAMES],
+                          [estimates[name] for name in names],
+                          targets=[campaign._TARGET_INDEX[name] for name in names],
+                          filter_len=32, window=4000, hop=4000, mode=mode)
+        expected = TrackScore(track=track.name, method="m",
+                              targets=dict(zip(names, frames)),
+                              sample_rate=FIXTURE_RATE, window=4000, hop=4000,
+                              mode=mode, filter_len=32)
+        write_report(streamed, tmp_path / "streamed.json")
+        write_report(expected, tmp_path / "expected.json")
+        assert set(streamed.targets) == set(names)
+        assert (tmp_path / "streamed.json").read_bytes() == (
+            tmp_path / "expected.json").read_bytes()
+
+    def test_memory_does_not_grow_with_the_track(self, tmp_path):
+        """The tracemalloc peak of ``evaluate_track`` on a 32 s track is
+        within 10% of its peak on an 8 s one (44.1 kHz, four stereo stems of
+        16-bit noise and float estimates, 1 s windows, 64 taps; the
+        accompaniment derived).  Measured: 20.6 and 22.3 MiB, the growth
+        being the samples held until a window is whole; decoding every stem
+        and estimate whole took it from 47 to 130 MiB."""
+        rate, peaks = 44100, []
+        rng = np.random.default_rng(31)
+        for seconds in (8, 32):
+            folder = tmp_path / f"corpus{seconds}" / "test" / "T"
+            est = tmp_path / f"est{seconds}"
+            folder.mkdir(parents=True)
+            est.mkdir()
+            stems = {name: dyadic(0.05 * rng.standard_normal((seconds * rate, 2)), 2**15)
+                     for name in dataset.STEM_NAMES}
+            for name, samples in stems.items():
+                save_wav(folder / f"{name}.wav", AudioSignal(samples, rate), bit_depth=16)
+                noisy = samples + 0.01 * rng.standard_normal(samples.shape)
+                save_wav(est / f"{name}.wav", AudioSignal(noisy, rate))
+            save_wav(folder / "mixture.wav", AudioSignal(sum(stems.values()), rate),
+                     bit_depth=16)
+            del stems
+            (track,) = scan_corpus(tmp_path / f"corpus{seconds}").tracks
+            config = EvalConfig(window=rate, filter_len=64)
+            tracemalloc.start()
+            try:
+                evaluate_track(track, est, "m", config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_non_finite_estimate_fails_its_track_alone(self, tmp_path):
+        """A NaN in the last block of a float estimate is met only when that
+        block is read, and fails that track alone, the warning naming the
+        file."""
+        rng = np.random.default_rng(37)
+        for name in ("Able", "Baker"):
+            write_track(tmp_path / "corpus" / "test" / name, rng,
+                        num_samples=self.NUM_SAMPLES)
+        corpus = scan_corpus(tmp_path / "corpus")
+        for track in corpus.tracks:
+            self._write(track, tmp_path / "est" / track.name,
+                        dict.fromkeys(dataset.STEM_NAMES, 32), rng)
+        path = tmp_path / "est" / "Able" / "vocals.wav"
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<f", math.nan)  # the last sample
+        path.write_bytes(bytes(raw))
+        with pytest.warns(RuntimeWarning) as caught:
+            scores = run_campaign(corpus.tracks, tmp_path / "est", "m", CONFIG)
+        assert [score.track for score in scores] == ["Baker"]
+        (failure,) = [str(w.message) for w in caught if "failed" in str(w.message)]
+        assert failure.startswith("track Able failed:")
+        assert f"{path}: non-finite samples" in failure
+
+    def test_truncated_estimate_fails_before_any_read(self, track, tmp_path,
+                                                      monkeypatch):
+        folder = tmp_path / "est"
+        self._write(track, folder, dict.fromkeys(dataset.STEM_NAMES, 24),
+                    np.random.default_rng(41))
+        path = folder / "other.wav"
+        path.write_bytes(path.read_bytes()[:-3000])
+        opened, read = _record_reads(monkeypatch)
+        with pytest.raises(WavFormatError, match="payload is shorter"):
+            evaluate_track(track, folder, "m", CONFIG)
+        assert path in opened
+        assert read == []
 
 
 class TestConfigAgreesWithBssEval:

@@ -16,6 +16,7 @@ from sepeval import (
     AudioSignal,
     FrameScores,
     TrackScore,
+    WavReader,
     load_wav,
     read_report,
     save_wav,
@@ -227,13 +228,19 @@ class TestOneNameInBothSplits:
     def test_selection_is_refused(self, twin_corpus, tmp_path, capsys, monkeypatch,
                                   command):
         decoded = []
+        read = WavReader.__getitem__
 
         def recording_load_wav(path):
             decoded.append(path)
             return load_wav(path)
 
+        def recording_read(reader, frames):
+            decoded.append(reader.path)
+            return read(reader, frames)
+
+        # load_wav reads through a WavReader too; eval reads only through one.
         monkeypatch.setattr("sepeval.dataset.load_wav", recording_load_wav)
-        monkeypatch.setattr("sepeval.campaign.load_wav", recording_load_wav)
+        monkeypatch.setattr(WavReader, "__getitem__", recording_read)
         out = tmp_path / "out"
         argv = (["--estimates", twin_corpus / "test"] + SCORING if command == "eval"
                 else ["--method", "IRM2"] + FAST)
@@ -530,8 +537,12 @@ class TestNumericFlags:
         def load_wav(path):
             raise AssertionError(f"{path} decoded before the usage error")
 
-        monkeypatch.setattr("sepeval.campaign.load_wav", load_wav)
+        def read(reader, frames):
+            raise AssertionError(f"{reader.path} read before the usage error")
+
+        # load_wav reads through a WavReader too; eval reads only through one.
         monkeypatch.setattr("sepeval.dataset.load_wav", load_wav)
+        monkeypatch.setattr(WavReader, "__getitem__", read)
 
     @pytest.mark.parametrize("command", ["eval", "oracle"])
     @pytest.mark.parametrize("flag", ["--window", "--hop"])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,65 @@ class TestMixtureValidation:
         report = validate_mixture(track, tolerance=1e-3)
         assert report.max_deviation == expected
         assert report.passed == (expected <= 1e-3)
+
+
+class TestMixtureValidationByBlocks:
+    """validate_mixture reads the mixture and the stems a block at a time:
+    the deviation is bitwise the whole track's, and its memory is flat."""
+
+    @staticmethod
+    def _track(root, num_samples, seed):
+        """A float32 track whose mixture is off the stem sum by a
+        non-dyadic amount, most in its last but one sample."""
+        rng = np.random.default_rng(seed)
+        folder = root / "train" / "Off - Sum"
+        folder.mkdir(parents=True)
+        stems = [rng.standard_normal((num_samples, 2)) * 0.05 for _ in STEM_NAMES]
+        for name, samples in zip(STEM_NAMES, stems):
+            save_wav(folder / f"{name}.wav", AudioSignal(samples, FIXTURE_RATE))
+        mixture = sum(stems) + rng.standard_normal(stems[0].shape) * 1e-3 / 3.0
+        mixture[-2] += 0.01
+        save_wav(folder / "mixture.wav", AudioSignal(mixture, FIXTURE_RATE))
+        (track,) = scan_corpus(root).tracks
+        return track
+
+    @pytest.mark.parametrize("block", [999, 1000, 8000, 65536])
+    def test_deviation_is_the_whole_tracks(self, tmp_path, monkeypatch, block):
+        track = self._track(tmp_path, 8000, 78)
+        mixture, stems = load_track(track)
+        total = derive_accompaniment(stems).samples + stems["vocals"].samples
+        expected = float(np.max(np.abs(mixture.samples - total)))
+        reads = []
+        read = sepeval.WavReader.__getitem__
+
+        def recording_read(reader, frames):
+            samples = read(reader, frames)
+            reads.append(len(samples))
+            return samples
+
+        monkeypatch.setattr(dataset_module, "_CHECK_BLOCK", block)
+        monkeypatch.setattr(sepeval.WavReader, "__getitem__", recording_read)
+        report = validate_mixture(track, tolerance=1e-3)
+        assert report.max_deviation == expected
+        assert not report.passed
+        assert len(reads) == 5 * -(-8000 // block) and max(reads) == min(block, 8000)
+
+    def test_memory_does_not_grow_with_the_track(self, tmp_path, monkeypatch):
+        """Four times the blocks, the same tracemalloc peak within one
+        block of float64 samples; decoding the whole track made it grow
+        with it."""
+        block = 4096
+        monkeypatch.setattr(dataset_module, "_CHECK_BLOCK", block)
+        peaks = []
+        for blocks in (4, 16):
+            track = self._track(tmp_path / str(blocks), blocks * block, blocks)
+            tracemalloc.start()
+            try:
+                validate_mixture(track)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= block * 2 * 8, peaks
 
 
 class TestManifest:

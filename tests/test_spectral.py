@@ -120,6 +120,18 @@ class TestAnalysis:
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
             StftConfig(*sizes)
 
+    @pytest.mark.parametrize("window", [3, 8.6, None, True, b"hann", ("kaiser", 3.0)])
+    def test_window_that_is_not_a_name_rejected(self, window):
+        """A number is no taper name, though get_window reads it as a
+        Kaiser beta."""
+        with pytest.raises(TypeError, match="window must be a taper name"):
+            StftConfig(64, 16, window)
+
+    @pytest.mark.parametrize("window", ["nope", "", "kaiser", "Hann "])
+    def test_window_name_get_window_refuses_rejected_on_construction(self, window):
+        with pytest.raises(ValueError, match="window"):
+            StftConfig(64, 16, window)
+
     def test_numpy_integer_sizes_transform_as_python_ints(self):
         signal = AudioSignal(np.random.default_rng(9).standard_normal((200, 1)), 8000)
         np.testing.assert_array_equal(
