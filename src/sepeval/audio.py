@@ -141,10 +141,11 @@ def check_layout(what: str, layout: tuple, expected: tuple,
     """Raise ``error`` naming ``what`` unless ``layout`` is ``expected``.
 
     A layout is (num_samples, channels, sample_rate), from a WAV header or
-    a decoded signal (``WavInfo.layout``, ``AudioSignal.layout``).  An
-    expected rate of None, for samples held in a bare array, matches any.
+    a decoded signal (``WavInfo.layout``, ``AudioSignal.layout``).  A rate
+    of None on either side, for samples held in a bare array, matches any.
     """
-    if any(want not in (None, got) for got, want in zip(layout, expected)):
+    if any(got != want and None not in (got, want)
+           for got, want in zip(layout, expected)):
         num_samples, channels, rate = expected
         raise error(
             f"{what} has {layout[0]} samples x {layout[1]} ch @ {layout[2]} Hz, "

@@ -823,8 +823,9 @@ def _signals(references, estimates=None, targets=None) -> tuple:
 
     The references are AudioSignals or sources with a ``layout``, such as
     :class:`~sepeval.audio.WavReader`, of one layout (length, channels and
-    rate), or one (J, N, I) array; each estimate must have their layout,
-    any rate against an array (see :func:`~sepeval.audio.check_layout`).
+    rate), or one (J, N, I) array; the estimates are of the same kinds,
+    each of their layout, and a bare array's rows match any rate (see
+    :func:`~sepeval.audio.check_layout`).  Anything else raises TypeError.
     ``targets`` default to estimate k against reference k; each is a
     reference index or a group, a tuple of distinct ones (else
     ValueError), and an index outside the references raises IndexError.
@@ -832,23 +833,17 @@ def _signals(references, estimates=None, targets=None) -> tuple:
     """
     if not len(references):
         raise ValueError("at least one reference is required")
-    if isinstance(references, np.ndarray):
-        if references.ndim != 3:
-            raise ValueError(
-                f"reference array must be (J, N, I), got {references.shape}"
-            )
-        layout = references.shape[1:] + (None,)
-    else:
-        layout = references[0].layout
-        for j, ref in enumerate(references):
-            check_layout(f"reference {j}", ref.layout, layout)
+    layouts = _layouts("reference", references)
+    for j, layout in enumerate(layouts):
+        check_layout(f"reference {j}", layout, layouts[0])
+    if not isinstance(references, np.ndarray):
         references = [_samples(ref) for ref in references]
     if estimates is None:
         return references, None, None
-    if not estimates:
+    if not len(estimates):
         raise ValueError("at least one estimate is required")
-    for k, est in enumerate(estimates):
-        check_layout(f"estimate {k}", est.layout, layout)
+    for k, layout in enumerate(_layouts("estimate", estimates)):
+        check_layout(f"estimate {k}", layout, layouts[0])
     ests = [_samples(est) for est in estimates]
     if targets is None:
         if len(ests) > len(references):
@@ -867,6 +862,25 @@ def _signals(references, estimates=None, targets=None) -> tuple:
             if not 0 <= j < len(references):
                 raise IndexError(f"target index {j} out of range")
     return references, ests, list(targets)
+
+
+def _layouts(kind: str, signals) -> list:
+    """The layout of each of ``signals``: a (J, N, I) array's rows have no
+    rate; any other signal must carry a ``layout``, else TypeError."""
+    if isinstance(signals, np.ndarray):
+        if signals.ndim != 3:
+            raise ValueError(f"{kind} array must be (J, N, I), got {signals.shape}")
+        return [signals.shape[1:] + (None,)] * len(signals)
+    layouts = []
+    for j, signal in enumerate(signals):
+        if not hasattr(signal, "layout"):
+            raise TypeError(
+                f"{kind} {j} is a {type(signal).__name__}: {kind}s must be "
+                "AudioSignals or sources with a layout (such as WavReaders), "
+                "or one (J, N, I) array"
+            )
+        layouts.append(signal.layout)
+    return layouts
 
 
 def _samples(signal):

@@ -24,6 +24,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .audio import SourceSum, WavReader
@@ -232,7 +233,7 @@ def _finite_median(values) -> float | None:
     """Median of the finite values as floats, None if none: for an even
     count the mean of the two middle values, ``(a + b) / 2``, as in
     ``np.median``."""
-    finite = [float(v) for v in values if math.isfinite(v)]
+    finite = list(map(float, filter(math.isfinite, values)))
     return statistics.median(finite) if finite else None
 
 
@@ -252,6 +253,10 @@ class AggregateTable:
     @property
     def methods(self) -> tuple:
         return tuple(sorted({key[0] for key in self.track_medians}))
+
+    @property
+    def targets(self) -> tuple:
+        return tuple(sorted({key[1] for key in self.track_medians}))
 
     def scores_by_method(self, target: str, metric: str) -> dict:
         """Per-method {track: median} maps, for significance testing."""
@@ -282,6 +287,10 @@ class AggregateTable:
                     ])
 
 
+# Each metric's FrameScores attribute.
+_METRIC_VALUES = {metric: attrgetter(metric.lower()) for metric in METRIC_NAMES}
+
+
 def aggregate(scores) -> AggregateTable:
     """Median over finite frames per track, then median over tracks.
 
@@ -293,7 +302,7 @@ def aggregate(scores) -> AggregateTable:
     table = AggregateTable()
     for score in scores:
         for target, frames in score.targets.items():
-            for metric in METRIC_NAMES:
+            for metric, value in _METRIC_VALUES.items():
                 key = (score.method, target, metric)
                 per_track = table.track_medians.setdefault(key, {})
                 if score.track in per_track:
@@ -301,10 +310,7 @@ def aggregate(scores) -> AggregateTable:
                         f"two reports score method {score.method!r} on target "
                         f"{target!r} of track {score.track!r}"
                     )
-                attribute = metric.lower()
-                per_track[score.track] = _finite_median(
-                    [getattr(frame, attribute) for frame in frames]
-                )
+                per_track[score.track] = _finite_median(map(value, frames))
     for key, per_track in table.track_medians.items():
         table.campaign_medians[key] = _finite_median(
             v for v in per_track.values() if v is not None
@@ -315,7 +321,16 @@ def aggregate(scores) -> AggregateTable:
 def significance_from_table(
     table: AggregateTable, target: str, metric: str
 ) -> SignificanceMatrix:
-    """Pairwise significance of method differences on one target/metric."""
+    """Pairwise significance of method differences on one target/metric.
+
+    Raises ValueError naming the target and the table's targets when no
+    method has scores on ``target``.
+    """
+    if target not in table.targets:
+        raise ValueError(
+            f"no report scores target {target!r}; the reports hold "
+            + ", ".join(map(repr, table.targets))
+        )
     scores = table.scores_by_method(target, metric)
     if len(scores) < 2:
         raise ValueError(

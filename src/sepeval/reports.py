@@ -38,12 +38,21 @@ which reads back as the same string.  The reader raises
 :class:`ReportSchemaError`, naming the file, for any malformed structure
 or value, including booleans or out-of-range numbers as dB values,
 non-integral frame timing and non-string names.
+
+The common frame, four finite floats with "ok" (or, in a file, absent)
+statuses and int timing, takes one fast path each way: the writer fills
+one ``%`` template with it, and the reader builds its
+:class:`FrameScores` straight from the object.  Every other frame is
+checked and encoded, or decoded, field by field, and the fast paths
+give the bytes and the frames those checks give, so a file's bytes and
+every error are the same whichever path a frame takes.
 """
 
 import json
 import math
 import re
 from dataclasses import MISSING, dataclass, fields
+from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -153,33 +162,38 @@ def _array(items: list, pad: str) -> str:
 
 
 def _encode_value(value: float) -> tuple:
-    """A dB value for the frame template and its status; non-finite is null."""
+    """A dB value's JSON text and its status; non-finite is null."""
     if math.isnan(value):
         return "null", "undefined"
     if math.isinf(value):
         return "null", "inf" if value > 0 else "neg_inf"
-    return value, "ok"
+    return repr(value), "ok"
 
 
-def _frame_template(pad: str) -> str:
-    """``str.format`` text of one frame object whose braces sit at ``pad``."""
+@cache
+def _frame_template(pad: str, value: str = "%r", status: str = '"ok"') -> str:
+    """``%`` text of one frame object whose braces sit at ``pad``: each dB
+    value is ``value``, each status ``status`` and the timing ``%d``."""
     inner = pad + "  "
     lines = (
-        f'{inner}"{key}": ' + ('"{}"' if key.endswith("_status") else "{}")
+        f'{inner}"{key}": ' + (status if key.endswith("_status")
+                               else value if key in METRIC_NAMES else "%d")
         for key in _FRAME_KEYS
     )
-    return "{{\n" + ",\n".join(lines) + "\n" + pad + "}}"
+    return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
 
 
 def _frames_text(target: str, frames, pad: str) -> str:
     """A target's frame list, brackets indented by ``pad``.
 
-    ``format`` writes an exact float as ``float.__repr__`` and an exact
-    int as ``int.__repr__``.  A frame of finite exact floats and exact
-    int timing, the common case, goes into the template as is; any other
-    frame has each value checked and converted first.
+    ``%r`` writes an exact float as ``float.__repr__`` and ``%d`` an
+    exact int as ``int.__repr__``.  A frame of finite exact floats and
+    exact int timing, the common case, fills one template whose statuses
+    are ``"ok"``; any other frame has each value checked and encoded
+    first, its statuses filled in.
     """
-    template = _frame_template(pad + "  ")
+    fast = _frame_template(pad + "  ")
+    checked = _frame_template(pad + "  ", "%s", '"%s"')
     items = []
     for i, frame in enumerate(frames):
         isr, sar, sdr, sir = frame.isr, frame.sar, frame.sdr, frame.sir
@@ -187,12 +201,10 @@ def _frames_text(target: str, frames, pad: str) -> str:
         if (type(isr) is type(sar) is type(sdr) is type(sir) is float
                 and type(duration) is type(time) is int
                 and math.isfinite(isr + sar + sdr + sir)):
-            items.append(template.format(
-                isr, "ok", sar, "ok", sdr, "ok", sir, "ok", duration, time
-            ))
+            items.append(fast % (isr, sar, sdr, sir, duration, time))
         else:
             where = f"targets[{target!r}][{i}]"
-            items.append(template.format(
+            items.append(checked % (
                 *_encode_value(_db(isr, f"{where}.ISR")),
                 *_encode_value(_db(sar, f"{where}.SAR")),
                 *_encode_value(_db(sdr, f"{where}.SDR")),
@@ -286,10 +298,25 @@ def _score_from_obj(obj: dict, where: str) -> TrackScore:
             raise ReportSchemaError(f"{where}: target {name!r} lacks frames")
         if not isinstance(body["frames"], list):
             raise ReportSchemaError(f"{where}: target {name!r} frames not a list")
-        targets[name] = [
-            _frame_from_obj(frame, f"{where}.{name}[{i}]")
-            for i, frame in enumerate(body["frames"])
-        ]
+        targets[name] = frames = []
+        for i, frame in enumerate(body["frames"]):
+            # The common frame, four finite floats with "ok" or absent
+            # statuses and int timing, is built here; _frame_from_obj
+            # checks any other and names what is wrong with it.
+            if type(frame) is dict:
+                get = frame.get
+                sdr, isr, sir, sar = get("SDR"), get("ISR"), get("SIR"), get("SAR")
+                start, length = get("time"), get("duration")
+                if (type(sdr) is type(isr) is type(sir) is type(sar) is float
+                        and type(start) is type(length) is int
+                        and math.isfinite(sdr + isr + sir + sar)
+                        and get("SDR_status", "ok") == "ok"
+                        and get("ISR_status", "ok") == "ok"
+                        and get("SIR_status", "ok") == "ok"
+                        and get("SAR_status", "ok") == "ok"):
+                    frames.append(FrameScores(sdr, isr, sir, sar, start, length))
+                    continue
+            frames.append(_frame_from_obj(frame, f"{where}.{name}[{i}]"))
     return TrackScore(targets=targets, **header)
 
 

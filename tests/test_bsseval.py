@@ -9,6 +9,7 @@ problem statement.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -508,6 +509,38 @@ class TestBssEval:
             bss_eval(refs, [short], window=50)
         with pytest.raises(ValueError):
             compute_projection(refs, ests[0], filter_len=601)
+
+    @pytest.mark.parametrize("mode", ["v4_global", "v3_windowed"])
+    @pytest.mark.parametrize("refs_as_array", [False, True])
+    def test_estimates_array_scores_as_signals(self, mode, refs_as_array):
+        """A (K, N, I) estimates array is taken as references are, against
+        references of any rate, and scores as its rows' AudioSignals."""
+        refs, ests = self._fixture()
+        want = bss_eval(refs, ests, filter_len=16, window=300, mode=mode)
+        stacked = np.stack([est.samples for est in ests])
+        if refs_as_array:
+            refs = np.stack([ref.samples for ref in refs])
+        assert bss_eval(refs, stacked, filter_len=16, window=300, mode=mode) == want
+
+    def test_estimates_array_is_checked(self):
+        refs, ests = self._fixture()
+        with pytest.raises(ValueError, match=re.escape("estimate array must be (J, N, I)")):
+            bss_eval(refs, ests[0].samples, window=300)
+        with pytest.raises(ValueError, match="estimate 0 has 599 samples"):
+            bss_eval(refs, np.stack([ests[0].samples[:-1]]), window=300)
+        with pytest.raises(ValueError, match="at least one estimate"):
+            bss_eval(refs, np.empty((0, 600, 2)), window=300)
+
+    @pytest.mark.parametrize("which", ["references", "estimates"])
+    def test_bare_array_list_names_the_accepted_kinds(self, which):
+        refs, ests = self._fixture()
+        bare = {"references": ([ref.samples for ref in refs], ests),
+                "estimates": (refs, [ests[0], ests[1].samples])}[which]
+        kind, index = {"references": ("reference", 0), "estimates": ("estimate", 1)}[which]
+        message = (f"{kind} {index} is a ndarray: {kind}s must be AudioSignals or "
+                   "sources with a layout (such as WavReaders), or one (J, N, I) array")
+        with pytest.raises(TypeError, match=re.escape(message)):
+            bss_eval(*bare, window=300)
 
 
 class TestOneEngine:

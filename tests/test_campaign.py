@@ -849,3 +849,49 @@ class TestMedianProperty:
         shuffled = aggregate(data.draw(st.permutations(scores)))
         assert shuffled.track_medians == table.track_medians
         assert shuffled.campaign_medians == table.campaign_medians
+
+
+# dB values as scores hold them: floats of every kind, ints and NumPy floats.
+_DB_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+_SCORED_FRAMES = st.lists(
+    st.tuples(_DB_VALUES, _DB_VALUES, _DB_VALUES, _DB_VALUES),
+    max_size=7,
+).map(lambda rows: [FrameScores(*row, window_start=100 * i, window_len=100)
+                    for i, row in enumerate(rows)])
+
+
+def _bits(table: AggregateTable) -> tuple:
+    """The table's medians as the bytes of each float64, None kept."""
+    def packed(value):
+        return None if value is None else struct.pack("<d", value)
+
+    return (
+        {key: {track: packed(v) for track, v in per_track.items()}
+         for key, per_track in table.track_medians.items()},
+        {key: packed(v) for key, v in table.campaign_medians.items()},
+    )
+
+
+class TestAggregateOfReadReports:
+    # Derandomized: the same examples on every run, so the suite cannot flake.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(scores=st.lists(
+        st.builds(TrackScore, track=st.sampled_from(["A", "B", "C"]),
+                  method=st.sampled_from(["m", "n"]),
+                  targets=st.dictionaries(st.sampled_from(["vocals", "bass"]),
+                                          _SCORED_FRAMES, max_size=2)),
+        min_size=1, max_size=6, unique_by=lambda score: (score.track, score.method),
+    ))
+    def test_equals_in_memory_aggregate_bitwise(self, scores, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("aggregate")
+        for i, score in enumerate(scores):
+            write_report(score, folder / f"{i}.json")
+        back = [score for i in range(len(scores))
+                for score in read_report(folder / f"{i}.json")]
+        assert _bits(aggregate(back)) == _bits(aggregate(scores))

@@ -651,7 +651,7 @@ class TestMalformedEnvironment:
         assert not (tmp_path / "out").exists()
 
 
-def _synthetic_reports(folder, method, lift=0.0, tracks=6):
+def _synthetic_reports(folder, method, lift=0.0, tracks=6, targets=("vocals",)):
     """Write single-method report files with a controllable score level."""
     folder.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(7)
@@ -662,7 +662,7 @@ def _synthetic_reports(folder, method, lift=0.0, tracks=6):
                         sir=1.0, sar=1.0, window_start=0, window_len=100)
         ]
         score = TrackScore(track=name, method=method,
-                           targets={"vocals": frames},
+                           targets=dict.fromkeys(targets, frames),
                            sample_rate=8000, window=100, hop=100)
         write_report(score, folder / f"{name}.json")
 
@@ -781,6 +781,18 @@ class TestCompareCommand:
         with open(out, newline="") as handle:
             assert list(csv.reader(handle)) == [["method", "A", "B"],
                                                 ["A", "1.0", ""], ["B", "", "1.0"]]
+
+    def test_target_no_report_holds_is_named(self, tmp_path, capsys):
+        _synthetic_reports(tmp_path / "a", "A", targets=("vocals", "drums"))
+        _synthetic_reports(tmp_path / "b", "B", targets=("vocals", "bass"))
+        out = tmp_path / "sig.csv"
+        rc = _run(["compare", "--reports", tmp_path / "a", tmp_path / "b",
+                   "--target", "vocal", "--output", out])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "sepeval: error: no report scores target 'vocal'; the reports hold "
+            "'bass', 'drums', 'vocals'\n")
+        assert not out.exists()
 
     def test_duplicate_report_is_an_error(self, tmp_path, capsys):
         _synthetic_reports(tmp_path / "a", "A")

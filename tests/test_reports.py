@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepeval.reports as reports_module
 from sepeval import (
+    METRIC_NAMES,
     FrameScores,
     ReportSchemaError,
     TrackScore,
     read_report,
     write_report,
 )
+from sepeval.reports import _frame_from_obj, _score_from_obj
 
 
 def _frame(sdr=1.5, isr=2.5, sir=3.5, sar=4.5, start=0, length=100):
@@ -303,6 +306,27 @@ _ANY_SCORES = st.builds(
     filter_len=st.integers(0, 4096),
 )
 
+# Frames the writer fills its template with as they are: finite exact
+# floats and int timing.
+_FAST_FRAMES = st.builds(
+    FrameScores,
+    *[st.one_of(st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+                st.floats(allow_nan=False, allow_infinity=False))] * 4,
+    window_start=st.integers(0, 10**9),
+    window_len=st.integers(0, 10**6),
+)
+# Frames it checks and encodes first: a fast frame with one dB value
+# non-finite, an int or a NumPy float64.
+_CHECKED_FRAMES = st.tuples(
+    _FAST_FRAMES,
+    st.sampled_from(["sdr", "isr", "sir", "sar"]),
+    st.one_of(
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.integers(-10**6, 10**6),
+        st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    ),
+).map(lambda draw: dataclasses.replace(draw[0], **{draw[1]: draw[2]}))
+
 
 class TestWriterMatchesJsonDumps:
     # Derandomized: the same examples on every run, so the suite cannot flake.
@@ -325,6 +349,18 @@ class TestWriterMatchesJsonDumps:
         path = tmp_path / "r.json"
         write_report(scores, path)
         assert path.read_bytes() == _dumps_form(scores)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fast=st.lists(_FAST_FRAMES, min_size=1, max_size=4),
+           checked=st.lists(_CHECKED_FRAMES, min_size=1, max_size=4),
+           data=st.data())
+    def test_target_mixing_fast_and_checked_frames(self, fast, checked, data,
+                                                   tmp_path_factory):
+        frames = data.draw(st.permutations(fast + checked))
+        score = _score(targets={"vocals": frames, "bass": fast})
+        path = tmp_path_factory.mktemp("mixed") / "r.json"
+        write_report(score, path)
+        assert path.read_bytes() == _dumps_form(score)
 
 
 # Values of types the schema does not hold.
@@ -561,3 +597,93 @@ class TestReaderRejectsMalformed:
         path.write_bytes(raw)
         with pytest.raises(ReportSchemaError, match=re.escape(str(path))):
             read_report(path)
+
+
+_STATUSES = tuple(f"{name}_status" for name in METRIC_NAMES)
+# JSON values of every kind.
+_JSON_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=1),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+# Per key of a frame object, the values worth trying there first.
+_NEAR_MISSES = {
+    **dict.fromkeys(METRIC_NAMES, [math.inf, -math.inf, math.nan, 10**400, -(10**400),
+                               3, True, False, None, "1.0"]),
+    **dict.fromkeys(_STATUSES, ["ok", "inf", "neg_inf", "undefined", "OK", "",
+                                None, 0, True, ["ok"]]),
+    **dict.fromkeys(("time", "duration"), [100.0, 2.5, True, None, "0", -1,
+                                           10**30, math.inf]),
+    "sdr": ["ok", 1.0], "extra": [[], None],
+}
+_ABSENT = object()
+# A frame the reader takes on its fast path: four finite floats, statuses
+# "ok" or absent, int timing.
+_COMMON_FRAME_OBJECTS = st.fixed_dictionaries(
+    {**dict.fromkeys(METRIC_NAMES, st.floats(allow_nan=False, allow_infinity=False)),
+     "time": st.integers(0, 10**9), "duration": st.integers(0, 10**6)},
+    optional=dict.fromkeys(_STATUSES, st.just("ok")),
+)
+
+
+@st.composite
+def _frame_objects(draw):
+    """A common frame object; one with up to three keys removed or set to
+    another value (a near miss first, extra keys too); or no object."""
+    frame = draw(_COMMON_FRAME_OBJECTS)
+    kind = draw(st.sampled_from(["common", "changed", "not an object"]))
+    if kind == "not an object":
+        return draw(_JSON_VALUES)
+    if kind == "changed":
+        keys = draw(st.lists(st.sampled_from(sorted(_NEAR_MISSES)), min_size=1,
+                             max_size=3, unique=True))
+        for key in keys:
+            value = draw(st.one_of(st.sampled_from(_NEAR_MISSES[key]),
+                                   st.just(_ABSENT), _JSON_VALUES))
+            if value is _ABSENT:
+                frame.pop(key, None)
+            else:
+                frame[key] = value
+    return frame
+
+
+def _outcome(read):
+    """The frame ``read()`` gives, as the type and repr of each field, or
+    the type and message of what it raises."""
+    try:
+        frame = read()
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+    return [(type(value), repr(value)) for value in dataclasses.astuple(frame)]
+
+
+class TestReaderFastPath:
+    """The reader builds common frames itself and sends every other frame
+    to ``_frame_from_obj``: the results and errors are the same."""
+
+    # Derandomized: the same examples on every run, so the suite cannot flake.
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(frame=_frame_objects())
+    def test_same_frame_or_error_as_checked_reader(self, frame):
+        report = {"track": "x", "method": "m", "targets": {"vocals": {"frames": [frame]}}}
+        fast = _outcome(lambda: _score_from_obj(report, "r.json").targets["vocals"][0])
+        assert fast == _outcome(lambda: _frame_from_obj(frame, "r.json.vocals[0]"))
+
+    def test_common_frames_skip_the_checked_reader(self, tmp_path, monkeypatch):
+        frames = [_frame(), _frame(sdr=-0.0, start=100), _frame(sar=1e308, length=7)]
+        path = tmp_path / "r.json"
+        write_report(_score(targets={"vocals": frames}), path)
+        payload = json.loads(path.read_text())
+        del payload["targets"]["vocals"]["frames"][1]["SIR_status"]
+        path.write_text(json.dumps(payload))
+
+        def refuse(obj, where):
+            raise AssertionError(f"{where} left the fast path")
+
+        monkeypatch.setattr(reports_module, "_frame_from_obj", refuse)
+        (score,) = read_report(path)
+        assert score.targets["vocals"] == frames
