@@ -9,15 +9,15 @@ any channel count and any sample rate.
 
 One decoder reads them: :class:`WavReader` decodes any range of frames on
 demand, after checking the headers and that the declared payload is all
-there.  :func:`load_wav` is its read of every frame; ``sepeval eval`` and
-``validate --check-mixture`` read their files a block at a time through
-it, so no whole stem or estimate is held.
+there.  :func:`load_wav` is its read of every frame; every ``sepeval``
+command reads its files a block at a time through one.
 
 A *source* is anything read like an (N, I) sample array: ``source[a:b]``
 gives samples [a, b) as an array, and it has a ``shape`` and a ``len``.
 An array is one, and so are a :class:`WavReader` and a
 :class:`SourceSum`, the float64 sum of sources by which the stems and
-estimates are summed everywhere.
+estimates are summed everywhere.  :func:`_layouts` is the one rule for
+the signal arguments of ``bss_eval``, ``oracle_separate`` and ``stft``.
 
 Scaling convention
 ------------------
@@ -224,9 +224,9 @@ class WavReader:
     [start, stop), clipped to the file as a list slice is, to a float32
     (frames, channels) array by the scaling convention (see the module
     docstring), from one read of their bytes.  ``shape``, ``len`` and that
-    slice are those of the decoded samples, so a reader stands wherever
-    ``bsseval`` takes an (N, I) array.  Each read opens the file anew, so
-    a reader holds no file handle and threads may share it.
+    slice are those of the decoded samples, so a reader stands wherever a
+    source is taken.  Each read opens the file anew, so a reader holds no
+    file handle and threads may share it.
 
     Raises
     ------
@@ -291,6 +291,32 @@ class WavReader:
             samples = (quads.view("<i4")[:, 0] >> 8).astype(np.float32)
             samples *= 2.0 ** -23
         return samples.reshape(count, self.info.channels)
+
+
+def _layouts(kind: str, signals) -> list:
+    """The layout of each of ``signals``, the signal arguments of one
+    ``kind``: AudioSignals or sources with a ``layout`` (such as
+    :class:`WavReader` or :class:`SourceSum`), or one (J, N, I) array,
+    whose rows have no rate.  Anything else raises TypeError."""
+    if isinstance(signals, np.ndarray):
+        if signals.ndim != 3:
+            raise ValueError(f"{kind} array must be (J, N, I), got {signals.shape}")
+        return [signals.shape[1:] + (None,)] * len(signals)
+    layouts = []
+    for j, signal in enumerate(signals):
+        if not hasattr(signal, "layout"):
+            raise TypeError(
+                f"{kind} {j} is a {type(signal).__name__}: {kind}s must be "
+                "AudioSignals or sources with a layout (such as WavReaders), "
+                "or one (J, N, I) array"
+            )
+        layouts.append(signal.layout)
+    return layouts
+
+
+def _samples(signal):
+    """The samples of an AudioSignal, or ``signal`` itself, a source."""
+    return signal.samples if isinstance(signal, AudioSignal) else signal
 
 
 class SourceSum:

@@ -42,9 +42,9 @@ window or block, a group's references through their
 :class:`~sepeval.audio.SourceSum`.  A source is an (N, I)
 array or anything sliced like one, such as a
 :class:`~sepeval.audio.WavReader`, which decodes only the frames asked
-for.  So ``bss_eval`` over WAV readers holds no whole reference or
-estimate: a v4 span is the sources themselves, and a shorter span (a v3
-window) is read once.
+for.  So ``bss_eval`` and ``compute_projection`` over WAV readers hold
+no whole reference or estimate: one rule (:func:`_span`) makes a v4 span
+the sources themselves, and reads a shorter span (a v3 window) once.
 
 Each system is solved, after tiny diagonal loading, through a block-
 Levinson factor built from its lags in O(L^2 C^3), rather than the
@@ -84,7 +84,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv, dpotrf
 
-from .audio import AudioSignal, SourceSum, check_layout
+from .audio import AudioSignal, SourceSum, _layouts, _samples, check_layout
 
 __all__ = [
     "ProjectionFilters",
@@ -821,11 +821,10 @@ def _signals(references, estimates=None, targets=None) -> tuple:
     """Checked (N, I) sources of ``references`` and ``estimates``, uncopied
     and unread, and the reference index each estimate is scored against.
 
-    The references are AudioSignals or sources with a ``layout``, such as
-    :class:`~sepeval.audio.WavReader`, of one layout (length, channels and
-    rate), or one (J, N, I) array; the estimates are of the same kinds,
-    each of their layout, and a bare array's rows match any rate (see
-    :func:`~sepeval.audio.check_layout`).  Anything else raises TypeError.
+    The references are signals of the kinds :func:`~sepeval.audio._layouts`
+    takes (else TypeError), of one layout (length, channels and rate); the
+    estimates are of the same kinds, each of their layout, and a bare
+    array's rows match any rate (see :func:`~sepeval.audio.check_layout`).
     ``targets`` default to estimate k against reference k; each is a
     reference index or a group, a tuple of distinct ones (else
     ValueError), and an index outside the references raises IndexError.
@@ -836,8 +835,7 @@ def _signals(references, estimates=None, targets=None) -> tuple:
     layouts = _layouts("reference", references)
     for j, layout in enumerate(layouts):
         check_layout(f"reference {j}", layout, layouts[0])
-    if not isinstance(references, np.ndarray):
-        references = [_samples(ref) for ref in references]
+    references = [_samples(ref) for ref in references]
     if estimates is None:
         return references, None, None
     if not len(estimates):
@@ -864,29 +862,13 @@ def _signals(references, estimates=None, targets=None) -> tuple:
     return references, ests, list(targets)
 
 
-def _layouts(kind: str, signals) -> list:
-    """The layout of each of ``signals``: a (J, N, I) array's rows have no
-    rate; any other signal must carry a ``layout``, else TypeError."""
-    if isinstance(signals, np.ndarray):
-        if signals.ndim != 3:
-            raise ValueError(f"{kind} array must be (J, N, I), got {signals.shape}")
-        return [signals.shape[1:] + (None,)] * len(signals)
-    layouts = []
-    for j, signal in enumerate(signals):
-        if not hasattr(signal, "layout"):
-            raise TypeError(
-                f"{kind} {j} is a {type(signal).__name__}: {kind}s must be "
-                "AudioSignals or sources with a layout (such as WavReaders), "
-                "or one (J, N, I) array"
-            )
-        layouts.append(signal.layout)
-    return layouts
-
-
-def _samples(signal):
-    """The samples of an AudioSignal, or ``signal`` itself, a source (see
-    :func:`_sources`)."""
-    return signal.samples if isinstance(signal, AudioSignal) else signal
+def _span(sources, start: int, stop: int) -> list:
+    """The ``sources`` over samples [start, stop) of a fit: a span of the
+    whole signal is the sources themselves, read as it is streamed, and a
+    shorter one (a v3 window) is read once."""
+    if (start, stop) == (0, len(sources[0])):
+        return list(sources)
+    return [source[start:stop] for source in sources]
 
 
 def check_scoring(window: int, hop: int | None = None,
@@ -945,8 +927,8 @@ def compute_projection(
     filters = []
     for start, stop, span_filter_len, _ in _plan(len(est), filter_len, mode,
                                                  window, hop):
-        projector = _Projector([ref[start:stop] for ref in refs], span_filter_len,
-                               [est[start:stop]])
+        projector = _Projector(_span(refs, start, stop), span_filter_len,
+                               _span([est], start, stop))
         taps, solo = projector.fit(0, range(len(refs)))
         filters.append(ProjectionFilters(
             taps, np.concatenate(solo), span_filter_len, mode=mode,
@@ -1077,11 +1059,7 @@ def bss_eval(
     plan = _plan(len(refs[0]), filter_len, mode, window, hop)
     results = [[] for _ in ests]
     for start, stop, span_filter_len, frames in plan:
-        # A span of the whole signal is its sources, read as it is streamed;
-        # a shorter one (a v3 window) is read once.
-        whole = (start, stop) == (0, len(refs[0]))
-        span_refs = list(refs) if whole else [ref[start:stop] for ref in refs]
-        span_ests = ests if whole else [est[start:stop] for est in ests]
+        span_refs, span_ests = _span(refs, start, stop), _span(ests, start, stop)
         projector = _Projector(span_refs, span_filter_len, span_ests)
         projector._factor([projector._solo(target) for target in targets])
         fits = [projector.fit(k, [target]) for k, target in enumerate(targets)]

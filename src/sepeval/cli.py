@@ -33,7 +33,8 @@ from .campaign import (
     write_significance_json,
 )
 from .dataset import (
-    load_track,
+    STEM_NAMES,
+    open_stem,
     scan_corpus,
     validate_mixture,
     write_manifest,
@@ -197,12 +198,11 @@ def cmd_oracle(args, parser) -> int:
 
     def separate(track):
         _progress(f"oracle {method}: {track.split}/{track.name}")
-        mixture, stems = load_track(track)
-        estimates = oracle_separate(mixture, list(stems.values()), method,
-                                    config=stft_config)
+        mixture, *stems = (open_stem(track, name) for name in ("mixture",) + STEM_NAMES)
+        estimates = oracle_separate(mixture, stems, method, config=stft_config)
         track_dir = method_dir / track.name
         track_dir.mkdir(parents=True, exist_ok=True)
-        for name, estimate in zip(stems, estimates):
+        for name, estimate in zip(STEM_NAMES, estimates):
             save_wav(track_dir / f"{name}.wav", estimate, bit_depth=args.bit_depth)
         return track
 

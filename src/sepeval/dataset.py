@@ -4,6 +4,8 @@ A corpus lives under ``root/{train,test}/<track>/`` with five WAV files
 per track: ``mixture.wav`` plus the stems ``drums``, ``bass``, ``other``
 and ``vocals``.  Scanning probes headers only; malformed track folders
 are skipped with a warning so one bad rip cannot sink a campaign run.
+The commands read a track's files a block at a time through
+:func:`open_stem`; :func:`load_track` decodes them whole.
 """
 
 import json
@@ -26,7 +28,6 @@ __all__ = [
     "MixtureReport",
     "scan_corpus",
     "load_track",
-    "load_stems",
     "open_stem",
     "derive_accompaniment",
     "validate_mixture",
@@ -151,25 +152,15 @@ def scan_corpus(root) -> Corpus:
 
 
 def load_track(ref: TrackRef):
-    """Load a track's mixture and its four stems as audio signals.
+    """Decode a track's mixture and its four stems whole, each checked
+    against its scanned layout.
 
     Returns ``(mixture, stems)`` where ``stems`` maps stem name to
     signal in the canonical order drums, bass, other, vocals.
     """
-    return _load(ref, "mixture"), load_stems(ref)
-
-
-def load_stems(ref: TrackRef) -> dict:
-    """Load a track's four stems, each checked against its scanned layout.
-
-    Returns a map from stem name to signal in the canonical order drums,
-    bass, other, vocals.
-    """
-    return {stem: _load(ref, stem) for stem in STEM_NAMES}
-
-
-def _load(ref: TrackRef, stem: str) -> AudioSignal:
-    return load_wav(open_stem(ref, stem).path)
+    mixture, *stems = (load_wav(open_stem(ref, stem).path)
+                       for stem in ("mixture",) + STEM_NAMES)
+    return mixture, dict(zip(STEM_NAMES, stems))
 
 
 def open_stem(ref: TrackRef, stem: str) -> WavReader:

@@ -21,7 +21,8 @@ elimination over the channels, slab by slab along frames.  The MWF model
 is fitted by one routine for :func:`estimate_mwf_model` and
 :func:`oracle_separate`, over the same chunks of frames, so the oracle's
 estimates of every method are bitwise those of the whole-spectrogram
-route.
+route.  The oracle reads its inputs a chunk of frames at a time, so over
+WAV readers it holds only its estimates whole.
 
 Every kernel works in the transform's own layout, channel-major: a
 source's bins are I contiguous (t, F) planes, one per channel (see
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioSignal, check_layout
+from .audio import _layouts, _samples, check_layout
 from .spectral import (
     Spectrogram,
     StftConfig,
@@ -518,8 +519,8 @@ def _resolve_method(method: str) -> tuple:
 
 
 def oracle_separate(
-    mixture: AudioSignal,
-    true_sources: list,
+    mixture,
+    true_sources,
     method: str,
     config: StftConfig = StftConfig(),
 ) -> list:
@@ -529,15 +530,19 @@ def oracle_separate(
     true source images is applied to the mixture and synthesized back,
     trimmed to the input length.  ``method`` names the mask and its
     exponent: ``IBM1``, ``IBM2``, ``MWF`` or ``IRM<alpha>``
-    (:func:`_resolve_method`).
+    (:func:`_resolve_method`).  The true sources are signals as
+    ``bss_eval`` takes them (:func:`~sepeval.audio._layouts`), the mixture
+    one with a rate; all must have the mixture's layout.
 
     The work runs over chunks of frames (:func:`spectral._chunks`): each
-    chunk's mixture and source bins are analysed, masked and added to the
-    estimates by overlap-add, so only one chunk's spectra are alive at a
-    time, and every chunk stays channel-major, (I, t, F), from analysis to
-    overlap-add.  The chunks run on the plane kernels alone: the inputs
-    are checked once per call (finite as ``AudioSignal`` holds them, and
-    of one layout), and each estimate once as its ``AudioSignal`` is made.
+    chunk's span of the mixture and source samples is read (a
+    :class:`~sepeval.audio.WavReader` decodes only it), analysed, masked
+    and added to the estimates by overlap-add, so only one chunk's spectra
+    are alive at a time, and every chunk stays channel-major, (I, t, F),
+    from analysis to overlap-add.  The chunks run on the plane kernels
+    alone: the inputs are checked once per call (of one layout, and finite
+    as ``AudioSignal`` holds them or a reader decodes them), and each
+    estimate once as its ``AudioSignal`` is made.
     The scalar masks (:func:`_scalar_masks`, :func:`_masked`) are local to
     each bin and frame.  MWF makes two passes: the first hands each
     chunk's source bins to :func:`_spatial_covariances`, the fit
@@ -551,21 +556,21 @@ def oracle_separate(
     overlap-add buffers.
     """
     kind, exponent = _resolve_method(method)
-    if not true_sources:
+    ((length, channels, rate),) = _layouts("mixture", [mixture])
+    if not len(true_sources):
         raise ValueError("at least one true source is required")
-    for j, source in enumerate(true_sources):
-        check_layout(f"source {j}", source.layout, mixture.layout)
-
-    length, channels = mixture.samples.shape
+    for j, layout in enumerate(_layouts("source", true_sources)):
+        check_layout(f"source {j}", layout, (length, channels, rate))
     if length == 0:
         raise ValueError("cannot transform an empty signal")
+    mixture, true_sources = _samples(mixture), [_samples(s) for s in true_sources]
     _, num_frames = _frame_layout(length, config)
     outputs = [_OverlapAdd(config, num_frames, channels) for _ in true_sources]
     chunks = list(_chunks(num_frames, config.num_bins, channels))
     win = config.taper()
 
-    def analyse(signal, start, stop):
-        return _analyse(signal.samples, config, win, start, stop)
+    def analyse(source, start, stop):
+        return _analyse(source, config, win, start, stop)
 
     if kind == "MWF":
         cov, cov_inv, _ = _spatial_covariances(
@@ -587,4 +592,4 @@ def oracle_separate(
             masked = (_masked(mask, mix) for mask in _scalar_masks(images, kind, exponent))
         for output, planes in zip(outputs, masked):
             output.add(start, planes)
-    return [output.signal(length, mixture.sample_rate) for output in outputs]
+    return [output.signal(length, rate) for output in outputs]

@@ -11,12 +11,12 @@ hop's worth of frames; full overlap makes that division exact, so
 window/hop combination whose squared taper never sums to zero.
 
 Both directions run over chunks of frames (:func:`_chunks`): analysis
-frames each chunk straight from the samples (:func:`_analyse`), and
-synthesis adds each chunk into one overlap-add buffer
-(:class:`_OverlapAdd`).  ``stft`` and ``istft`` drive these over a whole
-signal; the oracle separators in ``masks`` drive them over the mixture,
-the sources and the estimates at once, so no whole-track spectrogram is
-formed there.
+reads and frames each chunk's span of samples (:func:`_analyse`), so a
+WAV reader decodes one span at a time, and synthesis adds each chunk
+into one overlap-add buffer (:class:`_OverlapAdd`).  ``stft`` and
+``istft`` drive these over a whole signal; the oracle separators in
+``masks`` drive them over the mixture, the sources and the estimates at
+once, so no whole-track spectrogram is formed there.
 
 Layout: every chunk is held as ``rfft`` writes it and ``irfft`` reads it,
 channel-major (I, t, F), so each channel's bins form one contiguous (t, F)
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, rfft
 
-from .audio import AudioSignal
+from .audio import AudioSignal, _layouts, _samples
 
 __all__ = ["StftConfig", "Spectrogram", "stft", "istft"]
 
@@ -152,33 +152,35 @@ def _chunks(num_frames: int, num_bins: int, channels: int):
         yield start, min(start + step, num_frames)
 
 
-def _analyse(samples: np.ndarray, config: StftConfig, win: np.ndarray,
+def _analyse(source, config: StftConfig, win: np.ndarray,
              start: int, stop: int) -> np.ndarray:
     """Bins of frames [start, stop) as a channel-major (I, t, F) array.
 
     Frame k covers samples [k*hop - pad, k*hop - pad + size) of the
-    (N, I) ``samples``, zero outside them, where pad is the leading pad of
-    :func:`_frame_layout`.  Only the chunk's own span is copied (widened
-    to float64, one row per channel), so no padded copy of the whole
-    signal is made, and ``rfft`` returns the chunk already channel-major.
+    (N, I) ``source``, zero outside them, where pad is the leading pad of
+    :func:`_frame_layout`.  Only the chunk's own span is read and copied
+    (widened to float64, one row per channel), so no padded copy of the
+    whole signal is made, and ``rfft`` returns the chunk already
+    channel-major.
     """
     size, hop = config.window_size, config.hop_size
     first = start * hop - (size - hop)
-    span = np.zeros((samples.shape[1], (stop - start - 1) * hop + size))
-    lo, hi = max(first, 0), min(first + span.shape[1], samples.shape[0])
+    span = np.zeros((source.shape[1], (stop - start - 1) * hop + size))
+    lo, hi = max(first, 0), min(first + span.shape[1], len(source))
     if lo < hi:
-        span[:, lo - first:hi - first] = samples[lo:hi].T
+        span[:, lo - first:hi - first] = source[lo:hi].T
     frames = np.lib.stride_tricks.sliding_window_view(span, size, axis=1)[:, ::hop]
     return rfft(frames * win, axis=-1)
 
 
-def stft(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
+def stft(signal, config: StftConfig = StftConfig()) -> Spectrogram:
     """Short-time Fourier transform of all channels.
 
     Parameters
     ----------
-    signal : AudioSignal
-        Non-empty input.
+    signal : AudioSignal or source with a layout
+        Non-empty input, such as a :class:`~sepeval.audio.WavReader`;
+        anything else raises TypeError.
     config : StftConfig
         Framing parameters.
 
@@ -188,16 +190,15 @@ def stft(signal: AudioSignal, config: StftConfig = StftConfig()) -> Spectrogram:
         Complex tensor of shape (F, T, I), the transposed view of
         channel-major (I, T, F) bins; linear in the input.
     """
-    samples = signal.samples
-    num_samples, channels = samples.shape
+    ((num_samples, channels, rate),) = _layouts("signal", [signal])
     if num_samples == 0:
         raise ValueError("cannot transform an empty signal")
     _, num_frames = _frame_layout(num_samples, config)
-    win = config.taper()
+    source, win = _samples(signal), config.taper()
     planes = np.empty((channels, num_frames, config.num_bins), dtype=np.complex128)
     for start, stop in _chunks(num_frames, config.num_bins, channels):
-        planes[:, start:stop] = _analyse(samples, config, win, start, stop)
-    return Spectrogram(planes.T, config, num_samples, signal.sample_rate)
+        planes[:, start:stop] = _analyse(source, config, win, start, stop)
+    return Spectrogram(planes.T, config, num_samples, rate)
 
 
 def _overlap_profile(config: StftConfig) -> np.ndarray:

@@ -24,11 +24,14 @@ from sepeval import (
     Decomposition,
     FrameScores,
     ProjectionFilters,
+    StftConfig,
     bss_eval,
     compute_projection,
     decompose,
     metrics_from_decomposition,
+    oracle_separate,
     project,
+    stft,
 )
 from sepeval.bsseval import _BLOCK_LEN as BLOCK
 
@@ -531,16 +534,27 @@ class TestBssEval:
         with pytest.raises(ValueError, match="at least one estimate"):
             bss_eval(refs, np.empty((0, 600, 2)), window=300)
 
-    @pytest.mark.parametrize("which", ["references", "estimates"])
+    @pytest.mark.parametrize("which", ["references", "estimates", "mixture",
+                                       "sources", "signal"])
     def test_bare_array_list_names_the_accepted_kinds(self, which):
+        """bss_eval, oracle_separate and stft take their signals by one
+        rule, which refuses a bare (N, I) array by name."""
         refs, ests = self._fixture()
-        bare = {"references": ([ref.samples for ref in refs], ests),
-                "estimates": (refs, [ests[0], ests[1].samples])}[which]
-        kind, index = {"references": ("reference", 0), "estimates": ("estimate", 1)}[which]
+        bare, config = refs[1].samples, StftConfig(64, 16)
+        call, kind, index = {
+            "references": (lambda: bss_eval([refs[0].samples], ests, window=300),
+                           "reference", 0),
+            "estimates": (lambda: bss_eval(refs, [ests[0], bare], window=300),
+                          "estimate", 1),
+            "mixture": (lambda: oracle_separate(bare, refs, "IRM2", config), "mixture", 0),
+            "sources": (lambda: oracle_separate(ests[0], [refs[0], bare], "IRM2", config),
+                        "source", 1),
+            "signal": (lambda: stft(bare, config), "signal", 0),
+        }[which]
         message = (f"{kind} {index} is a ndarray: {kind}s must be AudioSignals or "
                    "sources with a layout (such as WavReaders), or one (J, N, I) array")
         with pytest.raises(TypeError, match=re.escape(message)):
-            bss_eval(*bare, window=300)
+            call()
 
 
 class TestOneEngine:
@@ -707,6 +721,51 @@ class TestOneEngine:
         got = project(refs, taps)
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class _Recorded:
+    """An (N, I) source with a layout that records the length of each read."""
+
+    def __init__(self, samples, reads, rate=8000):
+        self.samples, self.reads = samples, reads
+        self.shape, self.layout = samples.shape, samples.shape + (rate,)
+
+    def __len__(self):
+        return len(self.samples)
+
+    def __getitem__(self, frames):
+        samples = self.samples[frames]
+        self.reads.append(len(samples))
+        return samples
+
+
+class TestSpanReads:
+    """bss_eval and compute_projection take a fit's span by one rule: the
+    whole signal's span is the sources themselves, read a chunk of blocks
+    at a time, so no read of a v4 fit spans the track."""
+
+    # Three chunks of four stereo references at 16 taps, and part of one.
+    NUM_SAMPLES = 3 * 6 * BLOCK + 1000
+
+    @pytest.mark.parametrize("call", ["compute_projection", "bss_eval"])
+    def test_v4_span_is_read_a_chunk_at_a_time(self, call):
+        rng = np.random.default_rng(58)
+        refs = rng.standard_normal((4, self.NUM_SAMPLES, 2))
+        est = refs[0] + 0.1 * rng.standard_normal(refs[0].shape)
+        ((first, stop), *_) = bsseval_module._Blocks(self.NUM_SAMPLES, 16).chunks(
+            self.NUM_SAMPLES, 8)
+        reads = []
+
+        def run(references, estimate):
+            if call == "bss_eval":
+                return bss_eval(references, [estimate], filter_len=16, window=BLOCK)
+            filters = compute_projection(references, estimate, 16)
+            return filters.taps.tolist(), filters.solo_taps.tolist()
+
+        want = run(_signals(refs), AudioSignal(est, 8000))
+        got = run([_Recorded(ref, reads) for ref in refs], _Recorded(est, reads))
+        assert got == want
+        assert stop - first == 6 and max(reads) == (stop - first) * BLOCK + 16
 
 
 class TestProjectionFiltersType:

@@ -285,7 +285,7 @@ class TestOneFitPass:
         save_wav(folder / "mixture.wav", AudioSignal(sum(stems.values()), FIXTURE_RATE))
         corpus = scan_corpus(corpus_root)
         for track in corpus.tracks:
-            true = dataset.load_stems(track)
+            true = dataset.load_track(track)[1]
             _write_estimates(corpus_root / "est" / track.name,
                              {name: true[name].samples for name in true},
                              transform=lambda x: x + dyadic(0.02 * rng.standard_normal(x.shape)))
@@ -299,7 +299,7 @@ class TestOneFitPass:
         for track in corpus.tracks:
             folder = corpus.root / "est" / track.name
             score = evaluate_track(track, folder, "m", config)
-            stems = dataset.load_stems(track)
+            stems = dataset.load_track(track)[1]
             estimates = {name: audio.load_wav(folder / f"{name}.wav")
                          for name in dataset.STEM_NAMES}
             (pair,) = bss_eval(
@@ -371,7 +371,7 @@ class TestStreamedScoring:
         """Estimates of ``depths`` (target -> bit depth): each stem plus
         noise, or for the accompaniment the sum of its stems."""
         folder.mkdir(parents=True, exist_ok=True)
-        stems = {name: stem.samples for name, stem in dataset.load_stems(track).items()}
+        stems = {name: stem.samples for name, stem in dataset.load_track(track)[1].items()}
         stems["accompaniment"] = sum(stems[name] for name in dataset.ACCOMPANIMENT_STEMS)
         for name, depth in depths.items():
             samples = stems[name] + 0.01 * rng.standard_normal(stems[name].shape)
@@ -400,7 +400,7 @@ class TestStreamedScoring:
             warnings.simplefilter("ignore", RuntimeWarning)  # missing targets
             streamed = evaluate_track(track, folder, "m", config)
 
-        stems = dataset.load_stems(track)
+        stems = dataset.load_track(track)[1]
         estimates = {name: audio.load_wav(folder / f"{name}.wav") for name in depths}
         if "accompaniment" not in estimates and "drums" in estimates:
             estimates["accompaniment"] = dataset.derive_accompaniment(estimates)

@@ -182,6 +182,42 @@ class TestOracleScoresLikeEval:
             assert (out / method / name).read_bytes() == (rescored / name).read_bytes()
 
 
+class TestOracleReadsByRange:
+    """``oracle`` reads its tracks through WAV readers, a chunk of frames at
+    a time, and writes what ``oracle_separate`` makes of the decoded track."""
+
+    NUM_SAMPLES = 10 * FIXTURE_RATE  # six chunks of frames at FAST's 256/64, stereo
+
+    @pytest.mark.parametrize("bit_depth", [16, 24, 32])
+    def test_no_read_spans_the_track(self, tmp_path, monkeypatch, bit_depth):
+        write_track(tmp_path / "corpus" / "test" / "Long", np.random.default_rng(5),
+                    num_samples=self.NUM_SAMPLES)
+        (track,) = sepeval.scan_corpus(tmp_path / "corpus").tracks
+        mixture, stems = sepeval.load_track(track)
+        want = sepeval.oracle_separate(mixture, list(stems.values()), "MWF",
+                                       sepeval.StftConfig(256, 64))
+        reads, read = [], WavReader.__getitem__
+
+        def recording_read(reader, frames):
+            samples = read(reader, frames)
+            reads.append(len(samples))
+            return samples
+
+        def load_wav(path):
+            raise AssertionError(f"{path} decoded whole")
+
+        monkeypatch.setattr("sepeval.dataset.load_wav", load_wav)
+        monkeypatch.setattr(WavReader, "__getitem__", recording_read)
+        out = tmp_path / "out"
+        assert _run(["oracle", "--corpus", tmp_path / "corpus", "--method", "MWF",
+                     "--output", out, "--bit-depth", bit_depth] + FAST) == 0
+        assert reads and max(reads) < self.NUM_SAMPLES
+        for name, estimate in zip(stems, want):
+            save_wav(tmp_path / "want.wav", estimate, bit_depth=bit_depth)
+            assert (out / "MWF" / "Long" / f"{name}.wav").read_bytes() == (
+                tmp_path / "want.wav").read_bytes()
+
+
 class TestMixedSampleRates:
     """Windows are sized in seconds, so a selection must share one rate."""
 
@@ -238,7 +274,8 @@ class TestOneNameInBothSplits:
             decoded.append(reader.path)
             return read(reader, frames)
 
-        # load_wav reads through a WavReader too; eval reads only through one.
+        # load_wav reads through a WavReader too; eval and oracle read only
+        # through one.
         monkeypatch.setattr("sepeval.dataset.load_wav", recording_load_wav)
         monkeypatch.setattr(WavReader, "__getitem__", recording_read)
         out = tmp_path / "out"
@@ -540,7 +577,8 @@ class TestNumericFlags:
         def read(reader, frames):
             raise AssertionError(f"{reader.path} read before the usage error")
 
-        # load_wav reads through a WavReader too; eval reads only through one.
+        # load_wav reads through a WavReader too; eval and oracle read only
+        # through one.
         monkeypatch.setattr("sepeval.dataset.load_wav", load_wav)
         monkeypatch.setattr(WavReader, "__getitem__", read)
 

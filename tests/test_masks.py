@@ -19,13 +19,16 @@ from sepeval import (
     SpatialModel,
     Spectrogram,
     StftConfig,
+    WavReader,
     apply_mask,
     estimate_mwf_model,
     ibm_mask,
     irm_mask,
     istft,
+    load_wav,
     mwf_mask,
     oracle_separate,
+    save_wav,
     stft,
 )
 from sepeval.masks import _resolve_method, _wiener
@@ -752,14 +755,25 @@ def _three_chunks(config):
 
 
 class TestLayout:
-    """Estimates depend on the values of the inputs, not on their layout."""
+    """Estimates depend on the values of the inputs, not on their layout or
+    on the kind of signal that holds them (see ``audio._layouts``)."""
 
-    @pytest.mark.parametrize("layout", ["F", "strided"])
-    def test_input_layout_gives_bitwise_the_same_estimates(self, layout):
+    @pytest.mark.parametrize("layout", ["F", "strided", "readers", "stacked"])
+    def test_input_layout_gives_bitwise_the_same_estimates(self, layout, tmp_path):
         config = StftConfig(256, 64)
         mixture, sources = TestChunkedOracle._signals(config, 2, _three_chunks(config))
-        relaid_mixture = AudioSignal(relaid(mixture.samples, layout), 8000)
-        relaid_sources = [AudioSignal(relaid(s.samples, layout), 8000) for s in sources]
+        if layout == "readers":  # WAV files, against their decoded float32 values
+            paths = [tmp_path / f"{j}.wav" for j in range(len(sources) + 1)]
+            for path, signal in zip(paths, [mixture] + sources):
+                save_wav(path, signal)
+            mixture, *sources = map(load_wav, paths)
+            relaid_mixture, *relaid_sources = map(WavReader, paths)
+        elif layout == "stacked":  # the sources as one (J, N, I) array
+            relaid_mixture = mixture
+            relaid_sources = np.stack([source.samples for source in sources])
+        else:
+            relaid_mixture = AudioSignal(relaid(mixture.samples, layout), 8000)
+            relaid_sources = [AudioSignal(relaid(s.samples, layout), 8000) for s in sources]
         for method in ("IBM1", "IRM2", "MWF"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # silent source 3
@@ -858,14 +872,16 @@ def test_oracle_memory_frees_images_and_masked_spectrograms(method, bound):
     assert peak < bound * spectrogram
 
 
+@pytest.mark.parametrize("inputs", ["signals", "readers"])
 @pytest.mark.parametrize("method", ["IRM2", "MWF"])
-def test_oracle_memory_grows_only_with_its_outputs(method):
-    """Only one chunk of frames is analysed, masked and synthesized at a
-    time, so from a 2 s to a 6 s track of four stereo sources at 44.1 kHz
-    and 4096/1024, the tracemalloc peak of ``oracle_separate`` grows by at
-    most 1.25 times the growth of its float64 estimates (2.8 MB per
-    track-second).  It grew by 1.0 times; transforming whole tracks, the
-    peak grew by 7.8 times (22 MB per track-second)."""
+def test_oracle_memory_grows_only_with_its_outputs(method, inputs, tmp_path):
+    """Only one chunk of frames is read, analysed, masked and synthesized
+    at a time, so from a 2 s to a 6 s track of four stereo sources at
+    44.1 kHz and 4096/1024, the tracemalloc peak of ``oracle_separate``
+    grows by at most 1.25 times the growth of its float64 estimates (2.8 MB
+    per track-second), whether it is given AudioSignals or WAV readers.
+    It grew by 1.0 times; transforming whole tracks, the peak grew by 7.8
+    times (22 MB per track-second)."""
     rate, config = 44100, StftConfig(4096, 1024)
     peaks, outputs = [], []
     for seconds in (2, 6):
@@ -873,6 +889,11 @@ def test_oracle_memory_grows_only_with_its_outputs(method):
         sources = [AudioSignal(rng.standard_normal((seconds * rate, 2)) * 0.05, rate)
                    for _ in range(4)]
         mixture = AudioSignal(sum(source.samples for source in sources), rate)
+        if inputs == "readers":
+            paths = [tmp_path / f"{seconds}-{j}.wav" for j in range(5)]
+            for path, signal in zip(paths, [mixture] + sources):
+                save_wav(path, signal)
+            mixture, *sources = map(WavReader, paths)
         tracemalloc.start()
         try:
             estimates = oracle_separate(mixture, sources, method, config)

@@ -6,7 +6,8 @@ import scipy.fft
 import scipy.signal
 
 from conftest import relaid
-from sepeval import AudioSignal, Spectrogram, StftConfig, istft, stft
+from sepeval import (AudioSignal, Spectrogram, StftConfig, WavReader, istft, load_wav,
+                     save_wav, stft)
 from sepeval.spectral import _overlap_profile
 
 
@@ -358,16 +359,24 @@ class TestChunkedFraming:
 
 
 class TestLayout:
-    """Results depend on the values of the samples, not on their layout."""
+    """Results depend on the values of the samples, not on their layout or
+    on the kind of signal that holds them (see ``audio._layouts``)."""
 
-    @pytest.mark.parametrize("layout", ["F", "strided"])
-    def test_input_layout_gives_bitwise_the_same_bins(self, layout):
+    @pytest.mark.parametrize("layout", ["F", "strided", "reader"])
+    def test_input_layout_gives_bitwise_the_same_bins(self, layout, tmp_path):
         rng = np.random.default_rng(46)
         samples = rng.standard_normal((40_000, 3))
         config = StftConfig(256, 64)  # 625 frames: chunks of 165
-        want = stft(AudioSignal(samples, 8000), config).bins
-        got = stft(AudioSignal(relaid(samples, layout), 8000), config).bins
-        np.testing.assert_array_equal(got, want)
+        if layout == "reader":  # a WAV file, against its decoded float32 values
+            save_wav(tmp_path / "x.wav", AudioSignal(samples, 8000))
+            signal = WavReader(tmp_path / "x.wav")
+            samples = load_wav(tmp_path / "x.wav").samples
+        else:
+            signal = AudioSignal(relaid(samples, layout), 8000)
+        want = stft(AudioSignal(samples, 8000), config)
+        got = stft(signal, config)
+        np.testing.assert_array_equal(got.bins, want.bins)
+        assert (got.original_length, got.sample_rate) == (40_000, 8000)
 
     def test_bins_are_a_view_of_channel_major_planes(self):
         """stft's (F, T, I) bins transpose to contiguous (I, T, F) planes."""
