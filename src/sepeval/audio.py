@@ -17,7 +17,9 @@ gives samples [a, b) as an array, and it has a ``shape`` and a ``len``.
 An array is one, and so are a :class:`WavReader` and a
 :class:`SourceSum`, the float64 sum of sources by which the stems and
 estimates are summed everywhere.  :func:`_layouts` is the one rule for
-the signal arguments of ``bss_eval``, ``oracle_separate`` and ``stft``.
+the signal arguments of ``bss_eval``, ``oracle_separate`` and ``stft``,
+and :func:`_frames` the one framing of a source, for the STFT frames of
+``spectral`` and the overlap-save segments and blocks of ``bsseval``.
 
 Scaling convention
 ------------------
@@ -30,9 +32,10 @@ unchanged both ways.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "AudioSignal",
@@ -241,6 +244,8 @@ class WavReader:
     ValueError
         If a read range of a float file holds a non-finite sample; the
         message names the file.
+    TypeError
+        If a reader is indexed by anything but a slice.
     """
 
     def __init__(self, path):
@@ -267,6 +272,8 @@ class WavReader:
         return self.info.num_samples
 
     def __getitem__(self, frames: slice) -> np.ndarray:
+        if not isinstance(frames, slice):
+            raise TypeError("a WAV reader reads contiguous frame slices only")
         start, stop, step = frames.indices(len(self))
         if step != 1:
             raise ValueError("a WAV reader reads contiguous frames only")
@@ -317,6 +324,22 @@ def _layouts(kind: str, signals) -> list:
 def _samples(signal):
     """The samples of an AudioSignal, or ``signal`` itself, a source."""
     return signal.samples if isinstance(signal, AudioSignal) else signal
+
+
+def _frames(source, offset: int, count: int, width: int, hop: int):
+    """Per channel of the (N, I) ``source``, in order, its (count, width)
+    frames: frame k holds samples [offset + k hop, offset + k hop + width)
+    of the channel, zero outside the source, and ``offset`` may be
+    negative.  The samples the frames cover are read once, in one slice,
+    and each channel is copied in turn into one zero-extended float64 span
+    that every frame views, so each view holds until the next is yielded.
+    """
+    span = np.zeros((count - 1) * hop + width)
+    lo = max(offset, 0)
+    samples = source[lo:max(offset + len(span), lo)]  # clipped to the source
+    for channel in samples.T:
+        span[lo - offset:lo - offset + len(channel)] = channel
+        yield sliding_window_view(span, width)[::hop]
 
 
 class SourceSum:
@@ -377,8 +400,19 @@ def save_wav(path, signal: AudioSignal, bit_depth: int = 32) -> None:
         32 writes IEEE float32 (lossless up to float32 precision);
         16 and 24 write integer PCM with round-to-nearest quantization,
         computed in float64.
+
+    Raises
+    ------
+    ValueError
+        If ``bit_depth`` is not one of these, or a sample is not finite or,
+        at 32 bits, outside the float32 range; the message names the path.
+        Nothing is written then, so an existing file keeps its bytes.
     """
     samples = signal.samples.astype(np.float64, copy=False)
+    limit = np.finfo(np.float32 if bit_depth == 32 else np.float64).max
+    # A NaN fails every comparison, an infinity the float64 range.
+    if samples.size and not -limit <= samples.min() <= samples.max() <= limit:
+        raise ValueError(f"{path}: samples must be finite, within float32 at 32 bits")
     if bit_depth == 32:
         payload = samples.astype("<f4").tobytes()
         code, bits = _IEEE_FLOAT, 32

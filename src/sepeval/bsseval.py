@@ -36,9 +36,10 @@ part at full length.  Samples may be float32, as decoded; every transform
 runs on float64 copies.
 
 Every loop over a span reads it a range at a time from its sources
-(:func:`_sources`): the block framing reads each chunk's samples once per
-source, and the split and the check that a group is audible read one
-window or block, a group's references through their
+(:func:`_sources`): the block framing, ``audio._frames`` as for the STFT
+of the oracles, reads each chunk's samples once per source, and the
+split and the check that a group is audible read one window or block, a
+group's references through their
 :class:`~sepeval.audio.SourceSum`.  A source is an (N, I)
 array or anything sliced like one, such as a
 :class:`~sepeval.audio.WavReader`, which decodes only the frames asked
@@ -84,7 +85,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv, dpotrf
 
-from .audio import AudioSignal, SourceSum, _layouts, _samples, check_layout
+from .audio import AudioSignal, SourceSum, _frames, _layouts, _samples, check_layout
 
 __all__ = [
     "ProjectionFilters",
@@ -240,26 +241,16 @@ class _Blocks:
         """Per channel of the (N, I) ``sources`` (see :func:`_sources`), in
         order, the (K, F) rFFTs at M of its blocks first, ..., stop - 1,
         each with the ``history`` samples before it: samples [kB - history,
-        (k+1)B) of the channel, zero outside it.  Each source's samples
-        [first B - history, stop B) are read once, and each channel is
-        written once into one (K, M) buffer, so the transform pads nothing."""
+        (k+1)B) of the channel, zero outside it.  Each source is framed by
+        :func:`~sepeval.audio._frames`, which reads its samples [first B -
+        history, stop B) once, and each channel's frames are copied into
+        the first B + history columns of one zero-padded (K, M) buffer,
+        whose transform is the channel's."""
         B, width = self.length, self.length + history
-        base = max(first * B - history, 0)  # the first sample read
         frames = np.zeros((stop - first, self.fft_size))
         for source in sources:
-            # The blocks whose segment lies inside the source: one strided copy.
-            lo, hi = max(first, -(-history // B)), min(stop, len(source) // B)
-            for samples in source[base:stop * B].T:
-                if lo < hi:
-                    frames[lo - first:hi - first, :width] = sliding_window_view(
-                        samples[lo * B - history - base:hi * B - base], width)[::B]
-                for k in range(first, stop):
-                    if not lo <= k < hi:  # clipped by either end of the source
-                        start = k * B - history
-                        part = samples[max(start, 0) - base:start + width - base]
-                        row = frames[k - first, :width]
-                        row[:] = 0.0
-                        row[max(-start, 0):max(-start, 0) + len(part)] = part
+            for framed in _frames(source, first * B - history, stop - first, width, B):
+                frames[:, :width] = framed
                 yield scipy.fft.rfft(frames, axis=-1)
 
     def segment_spectra(self, sources: list, first: int, stop: int) -> np.ndarray:
@@ -295,7 +286,6 @@ class _Blocks:
         term = np.empty((_width(x), bins), dtype=complex)
         chunks = self.chunks(len(x[0]), _width(x))
         cross, lags = [None] * len(ys), [None] * len(ys)
-        segments = None
         for first, stop in chunks:
             segments = None  # the last chunk's, freed before the next's are formed
             segments = self.segment_spectra(x, first, stop)

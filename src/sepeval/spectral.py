@@ -11,9 +11,10 @@ hop's worth of frames; full overlap makes that division exact, so
 window/hop combination whose squared taper never sums to zero.
 
 Both directions run over chunks of frames (:func:`_chunks`): analysis
-reads and frames each chunk's span of samples (:func:`_analyse`), so a
-WAV reader decodes one span at a time, and synthesis adds each chunk
-into one overlap-add buffer (:class:`_OverlapAdd`).  ``stft`` and
+reads and frames each chunk's span of samples (:func:`_analyse`) by
+``audio._frames``, the framing of ``bsseval``'s overlap-save blocks too,
+so a WAV reader decodes one span at a time, and synthesis adds each
+chunk into one overlap-add buffer (:class:`_OverlapAdd`).  ``stft`` and
 ``istft`` drive these over a whole signal; the oracle separators in
 ``masks`` drive them over the mixture, the sources and the estimates at
 once, so no whole-track spectrogram is formed there.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, rfft
 
-from .audio import AudioSignal, _layouts, _samples
+from .audio import AudioSignal, _frames, _layouts, _samples
 
 __all__ = ["StftConfig", "Spectrogram", "stft", "istft"]
 
@@ -158,19 +159,18 @@ def _analyse(source, config: StftConfig, win: np.ndarray,
 
     Frame k covers samples [k*hop - pad, k*hop - pad + size) of the
     (N, I) ``source``, zero outside them, where pad is the leading pad of
-    :func:`_frame_layout`.  Only the chunk's own span is read and copied
-    (widened to float64, one row per channel), so no padded copy of the
-    whole signal is made, and ``rfft`` returns the chunk already
-    channel-major.
+    :func:`_frame_layout`.  The frames come from
+    :func:`~sepeval.audio._frames`, which reads only the chunk's own span,
+    and each channel's are tapered straight into one (I, t, size) array,
+    so no padded copy of the whole signal is made, and ``rfft`` returns
+    the chunk already channel-major.
     """
     size, hop = config.window_size, config.hop_size
-    first = start * hop - (size - hop)
-    span = np.zeros((source.shape[1], (stop - start - 1) * hop + size))
-    lo, hi = max(first, 0), min(first + span.shape[1], len(source))
-    if lo < hi:
-        span[:, lo - first:hi - first] = source[lo:hi].T
-    frames = np.lib.stride_tricks.sliding_window_view(span, size, axis=1)[:, ::hop]
-    return rfft(frames * win, axis=-1)
+    tapered = np.empty((source.shape[1], stop - start, size))
+    for out, frames in zip(tapered, _frames(source, start * hop - (size - hop),
+                                            stop - start, size, hop)):
+        np.multiply(frames, win, out=out)
+    return rfft(tapered, axis=-1)
 
 
 def stft(signal, config: StftConfig = StftConfig()) -> Spectrogram:

@@ -6,6 +6,8 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import relaid
 from sepeval import (
@@ -19,6 +21,7 @@ from sepeval import (
     save_wav,
     wav_info,
 )
+from sepeval.audio import SourceSum, _frames
 
 
 def _wav_bytes(audio_format, channels, rate, bits, payload):
@@ -178,6 +181,8 @@ class TestReader:
             assert part.shape == whole[start:stop].shape
         with pytest.raises(ValueError, match="contiguous"):
             reader[::2]
+        with pytest.raises(TypeError, match="contiguous frame slices"):
+            reader[3]
 
     def test_truncation_is_raised_on_opening(self, tmp_path):
         path = tmp_path / "short.wav"
@@ -368,6 +373,24 @@ class TestRoundTrip:
             save_wav(path, AudioSignal(values, 8000), bit_depth=bit_depth)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("bit_depth", [16, 24, 32])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+    def test_write_refuses_what_the_reader_refuses(self, tmp_path, bit_depth, value):
+        """A non-finite sample, set after construction, or at 32 bits a
+        finite one beyond float32, raises naming the path and writes
+        nothing; at 16 and 24 bits a finite 1e39 clips to full scale."""
+        path = tmp_path / "x.wav"
+        path.write_bytes(b"kept")
+        signal = AudioSignal(np.zeros((4, 2)), 8000)
+        signal.samples[2, 1] = value
+        if np.isfinite(value) and bit_depth != 32:
+            save_wav(path, signal, bit_depth=bit_depth)
+            assert load_wav(path).samples[2, 1] == 1 - 2.0 ** (1 - bit_depth)
+            return
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            save_wav(path, signal, bit_depth=bit_depth)
+        assert path.read_bytes() == b"kept"
+
     def test_info_matches_written_header(self, tmp_path):
         signal = AudioSignal(np.zeros((100, 2)), 22050)
         path = tmp_path / "info.wav"
@@ -407,3 +430,55 @@ class TestAudioSignal:
         with pytest.raises(ValueError):
             save_wav(tmp_path / "x.wav", AudioSignal(np.zeros((4, 1)), 8000),
                      bit_depth=12)
+
+
+class _Recording:
+    """A source that records the length of every range read from it."""
+
+    def __init__(self, source):
+        self.source, self.shape, self.reads = source, source.shape, []
+
+    def __len__(self):
+        return len(self.source)
+
+    def __getitem__(self, samples):
+        part = self.source[samples]
+        self.reads.append(len(part))
+        return part
+
+
+class TestFrames:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["array", 16, 24, 32, "sum"]),
+           num_samples=st.integers(1, 40), channels=st.integers(1, 3),
+           count=st.integers(1, 6), width=st.integers(1, 12), data=st.data())
+    def test_frames_are_zero_padded_slices(self, kind, num_samples, channels, count,
+                                           width, data, tmp_path_factory):
+        """Frame k of each channel is samples [offset + k hop, offset + k hop
+        + width) of the source, zero outside it, in float64, for offsets
+        before the start (the STFT's leading pad, a segment's history) and
+        frames past the end, from one range read per call."""
+        hop = data.draw(st.integers(1, width), label="hop")
+        front = (count + 1) * width + 3  # past the farthest reach of a span before the source
+        offset = data.draw(st.integers(-front, num_samples + 3), label="offset")
+        rng = np.random.default_rng(num_samples * channels)
+        samples = rng.uniform(-1, 1, (num_samples, channels))
+        if kind == "array":
+            source = samples
+        else:
+            path = tmp_path_factory.mktemp("frames") / "x.wav"
+            save_wav(path, AudioSignal(samples, 8000), bit_depth=16 if kind == "sum" else kind)
+            source = WavReader(path)
+            if kind == "sum":
+                source = SourceSum([source, samples])
+        recording = _Recording(source)
+        whole = np.asarray(source[0:num_samples], dtype=np.float64)
+        padded = np.zeros((front + num_samples + front, channels))
+        padded[front:front + num_samples] = whole
+        got = [frames.copy() for frames in _frames(recording, offset, count, width, hop)]
+        assert len(got) == channels and len(recording.reads) == 1
+        for channel, frames in enumerate(got):
+            assert frames.dtype == np.float64 and frames.shape == (count, width)
+            for k in range(count):
+                start = front + offset + k * hop
+                np.testing.assert_array_equal(frames[k], padded[start:start + width, channel])

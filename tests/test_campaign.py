@@ -423,7 +423,7 @@ class TestStreamedScoring:
         """The tracemalloc peak of ``evaluate_track`` on a 32 s track is
         within 10% of its peak on an 8 s one (44.1 kHz, four stereo stems of
         16-bit noise and float estimates, 1 s windows, 64 taps; the
-        accompaniment derived).  Measured: 20.6 and 22.3 MiB, the growth
+        accompaniment derived).  Measured: 20.6 and 22.4 MiB, the growth
         being the samples held until a window is whole; decoding every stem
         and estimate whole took it from 47 to 130 MiB."""
         rate, peaks = 44100, []
