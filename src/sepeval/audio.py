@@ -21,6 +21,9 @@ the signal arguments of ``bss_eval``, ``oracle_separate`` and ``stft``,
 and :func:`_frames` the one framing of a source, for the STFT frames of
 ``spectral`` and the overlap-save segments and blocks of ``bsseval``.
 
+:func:`_replace` is the one way an output file reaches disk: WAVs,
+reports, CSVs and the manifest are each written whole or not at all.
+
 Scaling convention
 ------------------
 Integer PCM samples are mapped to float by dividing by 2**(bits-1):
@@ -31,6 +34,7 @@ clipped to the valid code range.  Float32 payloads are passed through
 unchanged both ways.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -387,8 +391,37 @@ def wav_info(path) -> WavInfo:
         return _parse_header(fh)[0]
 
 
+def _replace(path, *parts: bytes) -> None:
+    """Make ``parts``, in order, the whole content of the file at ``path``.
+
+    The parts go to a hidden sibling, ``.<name>.tmp`` in the target's
+    directory, which ``os.replace`` then renames over the target, so a
+    reader sees the old file or the new one, never part of one.  Any
+    exception, an interrupt too, unlinks the sibling and is re-raised; a
+    process killed mid-write can leave one behind, which no command reads
+    and the next write replaces.  A symlink is written through, as
+    ``open`` does: the file it points to is replaced.  A target that
+    exists but is not a regular file (``/dev/null``, a FIFO) is written
+    in place, never renamed over.
+    """
+    target = os.path.realpath(path)
+    regular = os.path.isfile(target) or not os.path.exists(target)
+    head, name = os.path.split(target)
+    written = os.path.join(head, f".{name}.tmp") if regular else target
+    try:
+        with open(written, "wb") as handle:
+            handle.writelines(parts)
+        if regular:
+            os.replace(written, target)
+    except BaseException:
+        if regular and os.path.lexists(written):
+            os.unlink(written)
+        raise
+
+
 def save_wav(path, signal: AudioSignal, bit_depth: int = 32) -> None:
-    """Write an :class:`AudioSignal` as a WAV file.
+    """Write an :class:`AudioSignal` as a WAV file, whole or not at all
+    (see :func:`_replace`).
 
     Parameters
     ----------
@@ -397,9 +430,9 @@ def save_wav(path, signal: AudioSignal, bit_depth: int = 32) -> None:
     signal : AudioSignal
         Audio to write; samples must be finite.
     bit_depth : {16, 24, 32}
-        32 writes IEEE float32 (lossless up to float32 precision);
-        16 and 24 write integer PCM with round-to-nearest quantization,
-        computed in float64.
+        32 writes IEEE float32 (lossless up to float32 precision), from
+        float32 samples as they are; 16 and 24 write integer PCM with
+        round-to-nearest quantization, computed in float64.
 
     Raises
     ------
@@ -408,18 +441,19 @@ def save_wav(path, signal: AudioSignal, bit_depth: int = 32) -> None:
         at 32 bits, outside the float32 range; the message names the path.
         Nothing is written then, so an existing file keeps its bytes.
     """
-    samples = signal.samples.astype(np.float64, copy=False)
+    samples = signal.samples
     limit = np.finfo(np.float32 if bit_depth == 32 else np.float64).max
     # A NaN fails every comparison, an infinity the float64 range.
     if samples.size and not -limit <= samples.min() <= samples.max() <= limit:
         raise ValueError(f"{path}: samples must be finite, within float32 at 32 bits")
     if bit_depth == 32:
-        payload = samples.astype("<f4").tobytes()
+        payload = samples.astype("<f4", copy=False).tobytes()
         code, bits = _IEEE_FLOAT, 32
     elif bit_depth in (16, 24):
         # Each code is the low bytes of a little-endian int32.
         scale = 2.0 ** (bit_depth - 1)
-        ints = np.clip(np.rint(samples * scale), -scale, scale - 1).astype("<i4")
+        wide = samples.astype(np.float64, copy=False)
+        ints = np.clip(np.rint(wide * scale), -scale, scale - 1).astype("<i4")
         quads = ints.reshape(-1).view(np.uint8).reshape(-1, 4)
         payload = quads[:, :bit_depth // 8].tobytes()
         code, bits = _PCM, bit_depth
@@ -436,7 +470,4 @@ def save_wav(path, signal: AudioSignal, bit_depth: int = 32) -> None:
         signal.sample_rate * block_align, block_align, bits,
         b"data", len(payload),
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(pad)
+    _replace(path, header, payload, pad)

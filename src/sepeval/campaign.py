@@ -16,6 +16,7 @@ use the rank-based test from :mod:`sepeval.stats`.
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
-from .audio import SourceSum, WavReader
+from .audio import SourceSum, WavReader, _replace
 from .bsseval import (DEFAULT_FILTER_LEN, DEFAULT_MODE, DEFAULT_WINDOW, bss_eval,
                       check_scoring)
 from .dataset import ACCOMPANIMENT_STEMS, STEM_NAMES, TrackRef, open_stem
@@ -146,27 +147,29 @@ def run_campaign(
     thread (see :func:`_map_threads`).
     ``estimates_root/<track name>/<target>.wav`` supplies the estimates.
     Per-track failures are reported and skipped; the run fails only when
-    every track fails.  Results are sorted by track name; with
-    ``output_dir`` set, one JSON report per track is written there.  Two
-    tracks of one name raise ValueError before any track is read (see
-    :func:`_check_names`).
+    every track fails.  Results are sorted by track name.  With
+    ``output_dir`` set, the directory is made before any track is read,
+    and each track's JSON report is written there by the job that scored
+    it, as soon as it is scored: an interrupted or killed run keeps the
+    reports of the tracks it finished.  A report that cannot be written
+    fails its track alone.  Two tracks of one name raise ValueError
+    before any track is read (see :func:`_check_names`).
     """
     _check_names(tracks)
     estimates_root = Path(estimates_root)
     workers = workers or os.cpu_count() or 1
-
-    def one(track: TrackRef):
-        return evaluate_track(
-            track, estimates_root / track.name, method_name, config
-        )
-
-    scores = _run_guarded(one, tracks, workers)
-    scores.sort(key=lambda s: s.track)
     if output_dir is not None:
         output_dir = Path(output_dir)
         output_dir.mkdir(parents=True, exist_ok=True)
-        for score in scores:
+
+    def one(track: TrackRef):
+        score = evaluate_track(track, estimates_root / track.name, method_name, config)
+        if output_dir is not None:
             write_report(score, output_dir / f"{score.track}.json")
+        return score
+
+    scores = _run_guarded(one, tracks, workers)
+    scores.sort(key=lambda s: s.track)
     return scores
 
 
@@ -194,10 +197,15 @@ def _map_threads(fn, items, workers: int) -> list:
     """
     if workers == 1:
         return list(map(fn, items))
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    try:
         futures = [pool.submit(fn, item) for item in items]
         mine = {i: fn(items[i]) for i in reversed(range(len(items)))
                 if futures[i].cancel()}
+    finally:
+        # On an exception, such as an interrupt, helpers stop after the
+        # item they hold rather than work through the queue.
+        pool.shutdown(cancel_futures=True)
     return [mine[i] if i in mine else future.result()
             for i, future in enumerate(futures)]
 
@@ -237,6 +245,20 @@ def _finite_median(values) -> float | None:
     return statistics.median(finite) if finite else None
 
 
+def _cell(value) -> str:
+    """A float CSV cell: blank for None or NaN, else ``repr(float(value))``."""
+    return "" if value is None or math.isnan(value) else repr(float(value))
+
+
+def _write_csv(rows, path) -> None:
+    """Write ``rows`` to ``path`` as CSV, whole or not at all (see
+    :func:`~sepeval.audio._replace`), in UTF-8 with each byte of a name
+    that the file-system encoding could not decode written raw."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    _replace(path, text.getvalue().encode("utf-8", "surrogateescape"))
+
+
 @dataclass
 class AggregateTable:
     """Track-wise and campaign-wide medians per (method, target, metric).
@@ -269,22 +291,13 @@ class AggregateTable:
         return out
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["method", "target", "metric", "track",
-                 "track_median", "campaign_median"]
-            )
-            for key in sorted(self.track_medians):
-                method, target, metric = key
-                campaign = self.campaign_medians[key]
-                for track in sorted(self.track_medians[key]):
-                    median = self.track_medians[key][track]
-                    writer.writerow([
-                        method, target, metric, track,
-                        "" if median is None else repr(median),
-                        "" if campaign is None else repr(campaign),
-                    ])
+        header = ["method", "target", "metric", "track", "track_median",
+                  "campaign_median"]
+        _write_csv([header] + [
+            [*key, track, _cell(medians[track]), _cell(self.campaign_medians[key])]
+            for key, medians in sorted(self.track_medians.items())
+            for track in sorted(medians)
+        ], path)
 
 
 # Each metric's FrameScores attribute.
@@ -340,14 +353,9 @@ def significance_from_table(
 
 
 def write_significance_csv(matrix: SignificanceMatrix, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["method"] + list(matrix.methods))
-        for i, method in enumerate(matrix.methods):
-            row = [method]
-            for value in matrix.p_values[i]:
-                row.append("" if math.isnan(value) else repr(float(value)))
-            writer.writerow(row)
+    rows = zip(matrix.methods, matrix.p_values)
+    _write_csv([["method", *matrix.methods]]
+               + [[method, *map(_cell, row)] for method, row in rows], path)
 
 
 def write_significance_json(matrix: SignificanceMatrix, path) -> None:

@@ -56,6 +56,7 @@ from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 
+from .audio import _replace
 from .bsseval import DEFAULT_FILTER_LEN, DEFAULT_MODE, DEFAULT_WINDOW, FrameScores
 
 __all__ = ["SCHEMA_VERSION", "METRIC_NAMES", "ReportSchemaError", "TrackScore",
@@ -127,7 +128,8 @@ def _db(value, field: str) -> float:
 
 def _write_json(text: str, path) -> None:
     """Write JSON ``text`` and a newline to ``path`` as valid UTF-8, whatever
-    surrogates its strings hold.
+    surrogates its strings hold, whole or not at all (see
+    :func:`~sepeval.audio._replace`).
 
     ``text`` is JSON as ``json`` writes it with ``ensure_ascii`` off.
     Escaped bytes (see ``_ESCAPED_BYTES``) are restored: those that form
@@ -140,7 +142,7 @@ def _write_json(text: str, path) -> None:
             lambda run: run.group().encode("utf-8", "surrogateescape")
             .decode("utf-8", "surrogateescape"), text)
         text = _SURROGATE.sub(lambda match: f"\\u{ord(match.group()):04x}", text)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    _replace(path, text.encode("utf-8"), b"\n")
 
 
 def _object(members: dict, pad: str) -> str:

@@ -1,8 +1,14 @@
-"""WAV codec tests against hand-assembled byte fixtures."""
+"""WAV codec tests against hand-assembled byte fixtures, and tests of the
+one file writer, ``audio._replace``, under every writer of an output file."""
 
+import os
 import re
+import stat
 import struct
+import threading
+import tracemalloc
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +18,25 @@ from hypothesis import strategies as st
 from conftest import relaid
 from sepeval import (
     AudioSignal,
+    Corpus,
+    FrameScores,
+    SignificanceMatrix,
+    TrackScore,
     TruncatedWavError,
     UnsupportedWavError,
     WavFormatError,
     WavInfo,
     WavReader,
+    aggregate,
     load_wav,
     save_wav,
     wav_info,
+    write_manifest,
+    write_report,
+    write_significance_csv,
+    write_significance_json,
 )
+from sepeval import audio
 from sepeval.audio import SourceSum, _frames
 
 
@@ -146,15 +162,25 @@ class TestFilePrecision:
     @pytest.mark.parametrize("bit_depth", [16, 24, 32])
     def test_float32_and_its_widening_write_the_same_bytes(self, tmp_path,
                                                            bit_depth):
+        """Float32 samples write the bytes of their float64 widening; at 32
+        bits they are encoded as they are, so the write holds no more than
+        the payload beside them (the float64 route held four times it)."""
         rng = np.random.default_rng(47)
-        narrow = rng.uniform(-1.2, 1.2, (500, 2)).astype(np.float32)
+        narrow = rng.uniform(-1.2, 1.2, (100_000, 2)).astype(np.float32)
         # Codes halfway between two steps, where rounding must be exact.
         narrow[:4, 0] = np.array([0.5, 1.5, -2.5, 3.5]) / 2.0 ** (bit_depth - 1)
         paths = tmp_path / "narrow.wav", tmp_path / "wide.wav"
-        save_wav(paths[0], AudioSignal(narrow, 8000), bit_depth=bit_depth)
+        tracemalloc.start()
+        try:
+            save_wav(paths[0], AudioSignal(narrow, 8000), bit_depth=bit_depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         save_wav(paths[1], AudioSignal(narrow.astype(np.float64), 8000),
                  bit_depth=bit_depth)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        if bit_depth == 32:
+            assert peak < 2 * narrow.nbytes
 
 
 class TestReader:
@@ -482,3 +508,110 @@ class TestFrames:
             for k in range(count):
                 start = front + offset + k * hop
                 np.testing.assert_array_equal(frames[k], padded[start:start + width, channel])
+
+
+_SCORE = TrackScore("Able", "m", {"vocals": [FrameScores(1.0, 2.0, 3.0, 4.0, 0, 100)]},
+                    sample_rate=8000, window=100, hop=100)
+_MATRIX = SignificanceMatrix(("a", "b"), np.array([[1.0, 0.25], [0.25, 1.0]]),
+                             metric="SDR", target="vocals", num_tracks=2)
+# Every writer of an output file, by name: each puts its file on disk
+# through audio._replace.
+WRITERS = {
+    "save_wav": lambda path: save_wav(path, AudioSignal(np.full((9, 2), 0.5), 8000),
+                                      bit_depth=24),
+    "write_report": lambda path: write_report(_SCORE, path),
+    "write_manifest": lambda path: write_manifest(Corpus(Path("corpus"), []), path),
+    "AggregateTable.write_csv": lambda path: aggregate([_SCORE]).write_csv(path),
+    "write_significance_csv": lambda path: write_significance_csv(_MATRIX, path),
+    "write_significance_json": lambda path: write_significance_json(_MATRIX, path),
+}
+
+
+class _FailingFile:
+    """A file opened for writing that takes half of the first bytes it is
+    given, then raises ``error``: a full disk, or an interrupt, midway."""
+
+    def __init__(self, error, path, mode):
+        self.file, self.error = open(path, mode), error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def write(self, data):
+        self.file.write(bytes(data)[:len(data) // 2])
+        self.file.flush()
+        raise self.error
+
+    def writelines(self, parts):
+        for part in parts:
+            self.write(part)
+
+
+def _written(writer, folder):
+    """The bytes ``writer`` writes to a fresh file in ``folder``."""
+    folder.mkdir()
+    writer(folder / "out")
+    return (folder / "out").read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+class TestOneWriter:
+    """Every output file is written whole or not at all, through one helper."""
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                       KeyboardInterrupt()], ids=["full", "interrupt"])
+    @pytest.mark.parametrize("old", [b"old bytes", None], ids=["over", "new"])
+    def test_a_write_that_raises_midway_leaves_the_old_file(self, writer, error, old,
+                                                           tmp_path, monkeypatch):
+        target = tmp_path / "out"
+        if old is not None:
+            target.write_bytes(old)
+        monkeypatch.setattr(audio, "open", lambda *args: _FailingFile(error, *args),
+                            raising=False)
+        with pytest.raises(type(error)):
+            writer(target)
+        if old is None:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert os.listdir(tmp_path) == ["out"] and target.read_bytes() == old
+
+    def test_a_symlink_is_written_through(self, writer, tmp_path):
+        real = tmp_path / "real" / "file"
+        real.parent.mkdir()
+        real.write_bytes(b"old bytes")
+        link = tmp_path / "link"
+        link.symlink_to(real)
+        writer(link)
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == _written(writer, tmp_path / "fresh")
+        assert sorted(os.listdir(real.parent)) == ["file"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_a_fifo_is_written_in_place(self, writer, tmp_path):
+        """A target that is not a regular file is never renamed over: a
+        FIFO stays a FIFO, and its reader gets the file's bytes."""
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        writer(fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["pipe"]
+        assert got == [_written(writer, tmp_path / "fresh")]
+
+    def test_an_undecodable_name_is_written_as_its_bytes(self, writer, tmp_path):
+        """A target named by bytes that the file-system encoding cannot
+        decode (a Latin-1 name under the C locale, or under UTF-8) is
+        written under those bytes."""
+        name = b"Mot\xf6rhead - Ace"
+        writer(tmp_path / os.fsdecode(name))
+        assert os.listdir(os.fsencode(tmp_path)) == [name]
+        assert (tmp_path / os.fsdecode(name)).read_bytes() == _written(
+            writer, tmp_path / "fresh")

@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import os
 import re
 import shutil
 import struct
 import threading
 import tracemalloc
 import warnings
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -592,17 +594,23 @@ class TestRunCampaign:
             run_campaign(corpus.tracks, root, "m", CONFIG, output_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
-    def test_memory_error_is_a_per_track_failure(self, tmp_path, monkeypatch):
-        """Running out of memory on one track leaves the others scored."""
+    @pytest.mark.parametrize("step,track_name,error", [
+        ("evaluate_track", attrgetter("name"), MemoryError("cannot allocate the Gram")),
+        ("write_report", attrgetter("track"), OSError(28, "No space left on device")),
+    ], ids=["memory", "report-write"])
+    def test_a_failing_step_is_a_per_track_failure(self, tmp_path, monkeypatch, step,
+                                                   track_name, error):
+        """Running out of memory on one track, or failing to write its
+        report, leaves the others scored and reported."""
         corpus, root = self._setup(tmp_path, names=("Able", "Baker", "Charlie"))
-        real = campaign.evaluate_track
+        real = getattr(campaign, step)
 
-        def exhausting(track, *args, **kwargs):
-            if track.name == "Baker":
-                raise MemoryError("cannot allocate the Gram")
-            return real(track, *args, **kwargs)
+        def failing(first, *args, **kwargs):
+            if track_name(first) == "Baker":  # first: the TrackRef, or its TrackScore
+                raise error
+            return real(first, *args, **kwargs)
 
-        monkeypatch.setattr(campaign, "evaluate_track", exhausting)
+        monkeypatch.setattr(campaign, step, failing)
         out = tmp_path / "reports"
         with pytest.warns(RuntimeWarning, match="Baker") as caught:
             scores = run_campaign(corpus.tracks, root, "m", CONFIG,
@@ -611,6 +619,37 @@ class TestRunCampaign:
         assert sorted(p.name for p in out.iterdir()) == ["Able.json", "Charlie.json"]
         failures = [str(w.message) for w in caught if "failed" in str(w.message)]
         assert len(failures) == 1 and "Baker" in failures[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_interrupt_keeps_the_finished_reports(self, tmp_path, monkeypatch,
+                                                    workers):
+        """Each report is written as its track is scored: an interrupt on
+        the third of four tracks leaves reports of tracks scored before it,
+        each the bytes an uninterrupted run writes, and no partial file.
+        One worker scores in order; two take tracks from both ends."""
+        names = ("Able", "Baker", "Charlie", "Delta")
+        corpus, root = self._setup(tmp_path, names=names)
+        whole = tmp_path / "whole"
+        run_campaign(corpus.tracks, root, "m", CONFIG, workers=1, output_dir=whole)
+        real = campaign.evaluate_track
+
+        def interrupted(track, *args, **kwargs):
+            if track.name == "Charlie":
+                raise KeyboardInterrupt
+            return real(track, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "evaluate_track", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(corpus.tracks, root, "m", CONFIG, workers=workers,
+                         output_dir=out)
+        kept = sorted(os.listdir(out))
+        if workers == 1:
+            assert kept == ["Able.json", "Baker.json"]
+        else:
+            assert kept and set(kept) <= {"Able.json", "Baker.json", "Delta.json"}
+        for name in kept:
+            assert (out / name).read_bytes() == (whole / name).read_bytes()
 
 
 class TestMapThreads:
@@ -648,6 +687,35 @@ class TestMapThreads:
 
         with pytest.raises(KeyError, match="helper"):
             campaign._map_threads(fail_off_caller, range(2), workers=2)
+
+    def test_an_interrupt_stops_helpers_after_their_item(self, monkeypatch):
+        """An interrupt on the calling thread cancels the items no helper
+        has started: the helper finishes the one it holds, and no other
+        item starts."""
+        shut = threading.Event()
+
+        class Pool(campaign.ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                shut.set()  # what is left queued now would run
+                super().shutdown(wait=wait)
+
+        monkeypatch.setattr(campaign, "ThreadPoolExecutor", Pool)
+        caller = threading.get_ident()
+        started, held = [], threading.Event()
+
+        def work(item):
+            started.append(item)
+            if threading.get_ident() != caller:
+                held.set()
+                shut.wait(timeout=10)  # hold this item until the pool shuts down
+                return item
+            held.wait(timeout=10)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            campaign._map_threads(work, list(range(20)), workers=2)
+        assert sorted(started) == [0, 19]
 
 
 def _frame(sdr, start=0, length=100):

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,7 @@ class TestOracleCommand:
             assert set(score.targets) == {"drums", "bass", "other", "vocals",
                                           "accompaniment"}
         assert (method_dir / "summary.csv").is_file()
+        assert not list(out.rglob("*.tmp"))  # every file was renamed into place
         assert "Alpha - One" in capsys.readouterr().err
 
     def test_split_and_track_selection(self, corpus_root, tmp_path):
@@ -317,7 +319,8 @@ class TestEvalCommand:
                    "--output", out, "--mode", mode, "--method", "copies",
                    "--filter-len", "32", "--window", "0.5"])
         assert rc == 0
-        assert (out / "summary.csv").is_file()
+        assert sorted(os.listdir(out)) == ["Alpha - One.json", "Beta - Two.json",
+                                           "summary.csv"]
         (score,) = read_report(out / "Alpha - One.json")
         assert score.mode == ("v4_global" if mode == "v4" else "v3_windowed")
         assert score.window == FIXTURE_RATE // 2
@@ -765,6 +768,15 @@ class TestCompareCommand:
         payload = json.loads(out_json.read_text())
         assert payload["methods"] == ["A", "B"]
         assert "differ" in capsys.readouterr().err
+
+    def test_output_to_a_device_is_written_in_place(self, tmp_path):
+        """A device is written, never renamed over: /dev/null stays one."""
+        _synthetic_reports(tmp_path / "a", "A")
+        _synthetic_reports(tmp_path / "b", "B", lift=10.0)
+        rc = _run(["compare", "--reports", tmp_path / "a", tmp_path / "b",
+                   "--output", os.devnull, "--json", os.devnull])
+        assert rc == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     @pytest.mark.parametrize("keys,value", [case[1:] for case in MALFORMED],
                              ids=[case[0] for case in MALFORMED])
