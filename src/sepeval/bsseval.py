@@ -59,11 +59,12 @@ error blocks, scaled by R[0]'s diagonal, falls to ``_ERROR_FLOOR``
 (checked as the recursion runs, so a near-singular system is refused
 early), or when its solve of a fixed known-solution probe leaves a
 relative residual of ``_PROBE_TOLERANCE`` or more; its dense Gram is
-then factorized by Cholesky.  A refusal during the recursion stops it,
-and the systems left run it again from the start.  A reference silent
-over the span gets zero taps and no unknowns, so where only the target
-is audible its joint fit is its solo fit and the interference is exactly
-zero; when every reference is silent, so is every tap.
+then factorized by Cholesky.  The recursion runs once per stack: a
+system refused during it is parked in place while the others go on.  A
+reference silent over the span gets zero taps and no unknowns, so where
+only the target is audible its joint fit is its solo fit and the
+interference is exactly zero; when every reference is silent, so is
+every tap.
 
 A target of ``bss_eval`` is a reference, or a group of references scored
 against their sum with each other reference one interferer (MUSDB18's
@@ -584,17 +585,19 @@ def _below_floor(errors: np.ndarray, floor: np.ndarray) -> list:
 
 
 def _predictors(lags: np.ndarray) -> tuple:
-    """The block recursion of :func:`_levinson` over the fixed stack of S
-    systems of loaded (S, L, C, C) ``lags``: (refused, predictors).
+    """The block recursion of :func:`_levinson`, run once over the stack of
+    S systems of loaded (S, L, C, C) ``lags``: (refused, predictors).
 
-    ``refused`` lists the systems refused at the first check that refuses
-    any, and predictors is then None.  The checks are the floor, every
+    ``refused`` is the set of systems refused by a check: the floor, every
     ``_FLOOR_STRIDE`` orders and on the final blocks (:func:`_below_floor`:
     a nonzero ``dpotrf`` info for diag(E_f, E_b) less ``_ERROR_FLOOR``
     times each channel's lag-0 energy on its diagonal), and every gains
-    solve (a nonzero ``dposv`` info).  Otherwise ``refused`` is empty and
-    predictors is the final [a | Zb], transposed as (S, 2C, L C), and
-    diag(E_f, E_b), (S, 2C, 2C).
+    solve (a nonzero ``dposv`` info).  A refused system is parked in place
+    as the identity system, its lags and floor zero and its error block and
+    gains I, so its numbers stay finite while the others go on.  predictors
+    is the final [a | Zb] of every system, transposed as (S, 2C, L C), and
+    diag(E_f, E_b), (S, 2C, 2C), which mean nothing for a refused one.  The
+    recursion stops at the order where every system is refused.
     """
     S, L, C = lags.shape[:3]
     n = L * C
@@ -623,28 +626,35 @@ def _predictors(lags: np.ndarray) -> tuple:
     gains = np.empty_like(errors)           # [[I, K_b], [K_f, I]], transposed
     systems = list(zip(errors, corner, gains))  # what each dposv reads and writes
     two = 2.0 * np.eye(2 * C)
+    refused = set()
+
+    def refuse(new: list) -> bool:
+        """Park the systems ``new``; True when every system is refused."""
+        negated[new] = floor[new] = 0.0
+        errors[new] = corner[new] = gains[new] = np.eye(2 * C)
+        refused.update(new)
+        return len(refused) == S
+
     for k in range(L - 1):
-        if k % _FLOOR_STRIDE == 0 and (refused := _below_floor(errors, floor)):
-            return refused, None
+        if k % _FLOOR_STRIDE == 0 and refuse(_below_floor(errors, floor)):
+            break
         rows = (k + 2) * C
         pair, b_rows, out = parities[k % 2]
         corner[...] = errors
         # nabla = sum_i R[i + 1]^T b_k[i]: row 0 of T_{k+1} times [0; b_k].
         np.matmul(negated[..., :rows], b_rows[:, :rows], out=corner[:, :C, C:])
         corner[:, C:, :C] = corner[:, :C, C:].transpose(0, 2, 1)
-        refused = []
         for s, (error, rhs, gain) in enumerate(systems):
             _, solution, info = dposv(error, rhs)
             gain[...] = solution.T
             if info:                          # E is not positive definite
-                refused.append(s)
-        if refused:
-            return refused, None
+                refuse([s])
+        if len(refused) == S:
+            break
         np.matmul(gains.reshape(S, 2, C, 2 * C), pair[..., :rows], out=out[..., :rows])
         # diag(E_f + nabla K_f, E_b + Delta K_b) = corner (2I - gains).
         np.matmul(corner, two - gains.transpose(0, 2, 1), out=errors)
-    refused = _below_floor(errors, floor)
-    return refused, None if refused else (pairs[:, (L - 1) % 2, :, :n], errors)
+    return refused.union(_below_floor(errors, floor)), (pairs[:, (L - 1) % 2, :, :n], errors)
 
 
 def _levinson(lags: np.ndarray) -> list:
@@ -685,29 +695,24 @@ def _levinson(lags: np.ndarray) -> list:
     when its gains' Cholesky solve finds an error block that is not
     positive definite, or when its solve of T v for a fixed v leaves a
     relative residual of ``_PROBE_TOLERANCE`` or more.  The recursion
-    (:func:`_predictors`) stops at the first check that refuses a system,
-    and the others run it again from order 0 in a stack without the
-    refused ones: a refusal at order k repeats k orders for them, and
-    leaves their solves as they are alone.  Levinson is only weakly
-    stable: near-singular Toeplitz systems lose the accuracy Cholesky
-    keeps.  S E_b[k] S is the Schur complement closing order k + 1 of the
-    unit-diagonal scaling of T, so the floor refuses only systems whose
-    scaled T has a condition number above 1 / ``_ERROR_FLOOR`` (a silent
-    channel, loaded and decoupled, is no such system).  The error blocks
-    shrink as k grows, so the floor is checked every ``_FLOOR_STRIDE``
-    orders during the recursion and on the final blocks at its end.
+    (:func:`_predictors`) runs once per stack: a system refused at some
+    order is parked in place as the identity system while the others go
+    on, and it stops early only when every system is refused.  Levinson is
+    only weakly stable: near-singular Toeplitz systems lose the accuracy
+    Cholesky keeps.  S E_b[k] S is the Schur complement closing order
+    k + 1 of the unit-diagonal scaling of T, so the floor refuses only
+    systems whose scaled T has a condition number above 1 /
+    ``_ERROR_FLOOR`` (a silent channel, loaded and decoupled, is no such
+    system).  The error blocks shrink as k grows, so the floor is checked
+    every ``_FLOOR_STRIDE`` orders during the recursion and on the final
+    blocks at its end.
     """
     solves = [None] * len(lags)
-    live = np.arange(len(lags))             # the systems not yet refused
-    while len(live):
-        refused, predictors = _predictors(lags[live])
-        live = np.delete(live, refused)
-        if not refused:
-            break
-    else:
+    refused, (pair, errors) = _predictors(lags)  # [a | Zb], transposed
+    live = [s for s in range(len(lags)) if s not in refused]
+    if not live:
         return solves
-    lags = lags[live]
-    pair, errors = predictors               # [a | Zb], transposed
+    lags, pair, errors = lags[live], pair[live], errors[live]
     L, C = lags.shape[1:3]
     n = L * C
     size = scipy.fft.next_fast_len(2 * L - 1, real=True)

@@ -141,15 +141,18 @@ def run_campaign(
     workers: int | None = None,
     output_dir=None,
     separate=None,
+    skipped=(),
 ) -> list:
     """Evaluate many tracks, in parallel, deterministically ordered.
 
     ``workers`` tracks are scored at a time, one of them on the calling
     thread (see :func:`_map_threads`).
     ``estimates_root/<track name>/<target>.wav`` supplies the estimates.
-    With ``separate`` set, each track's job first calls
-    ``separate(track, estimates_root / track.name)`` to write them there
-    (``sepeval oracle``); a track whose separation raises is not scored.
+    With ``separate`` set, each track's job first removes the track's
+    earlier estimates there, one file per target, then calls
+    ``separate(track, estimates_root / track.name)`` to write them
+    (``sepeval oracle``); a track whose separation raises is not scored,
+    and leaves no estimates of an earlier run.
     Per-track failures are reported and skipped; the run fails only when
     every track fails.  Results are sorted by track name.  Two tracks of
     one name raise ValueError before any track is read (see
@@ -157,7 +160,9 @@ def run_campaign(
 
     With ``output_dir`` set, this run alone writes what the directory
     holds.  The directory is made, and an earlier run's ``summary.csv``
-    removed, before any track is read.  Each track's job removes the
+    removed, before any track is read; so are the report and the estimates
+    this run would write of each name in ``skipped``, a track the corpus
+    scan skipped this time.  Each track's job removes the
     track's earlier report, then writes its JSON report as soon as the
     track is scored; a report that cannot be written fails its track
     alone.  ``summary.csv``, the :func:`aggregate` of the returned
@@ -174,16 +179,26 @@ def run_campaign(
         output_dir.mkdir(parents=True, exist_ok=True)
         _remove(output_dir / "summary.csv")
 
+    def clear(name: str) -> None:
+        """Remove what an earlier run wrote for track ``name``: its
+        estimates, when this run writes them, and its report."""
+        if separate is not None:
+            for target in TARGET_NAMES:
+                _remove(estimates_root / name / f"{target}.wav")
+        if output_dir is not None:
+            _remove(output_dir / f"{name}.json")
+
+    for name in skipped:
+        clear(name)
+
     def one(track: TrackRef):
         folder = estimates_root / track.name
-        report = None if output_dir is None else output_dir / f"{track.name}.json"
-        if report is not None:
-            _remove(report)
+        clear(track.name)
         if separate is not None:
             separate(track, folder)
         score = evaluate_track(track, folder, method_name, config)
-        if report is not None:
-            write_report(score, report)
+        if output_dir is not None:
+            write_report(score, output_dir / f"{track.name}.json")
         return score
 
     scores = _run_guarded(one, tracks, workers)

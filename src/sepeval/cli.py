@@ -9,9 +9,11 @@ split).  A track that fails in ``oracle``, ``eval`` or ``validate`` is
 warned about and skipped.  A track with no estimate for any target has
 failed.  ``oracle`` and ``eval`` write their output directory through
 ``run_campaign``: a rerun removes ``summary.csv`` and each track's old
-report first, so after a run that ends, a selected track has a report
-exactly when ``summary.csv`` covers it; an interrupted run leaves the
-finished tracks' outputs and no ``summary.csv``.  Flags
+report (and ``oracle``'s old estimates) first, those of a track the
+corpus scan now skips too, unless ``--tracks`` names the tracks.  So
+after a run that ends, a selected track has a report exactly when
+``summary.csv`` covers it; an interrupted run leaves the finished
+tracks' outputs and no ``summary.csv``.  Flags
 beat ``SEPEVAL_*`` environment variables, which beat built-in defaults; a
 malformed variable is a usage error of the subcommands that read it.
 Progress and warnings go to stderr; machine-readable output goes to
@@ -107,10 +109,14 @@ def _require(args, attr: str, flag: str, parser: argparse.ArgumentParser):
     return value
 
 
-def _select_tracks(corpus, split: str, names):
+def _select_tracks(corpus, split: str, names) -> tuple:
     """The selected tracks, which must share one sample rate and hold each
-    name once: reports and estimate folders are keyed by track name."""
+    name once: reports and estimate folders are keyed by track name; and
+    the names of the folders of ``split`` the scan skipped, none when
+    ``names`` are given."""
     tracks = corpus.tracks if split == "both" else corpus.split(split)
+    skipped = [] if names else [name for folder_split, name in corpus.skipped
+                                if split in ("both", folder_split)]
     if names:
         wanted = set(names)
         tracks = [t for t in tracks if t.name in wanted]
@@ -129,7 +135,7 @@ def _select_tracks(corpus, split: str, names):
             f"selected tracks mix sample rates {rates} Hz; evaluation windows "
             "are sized in seconds, so select tracks of one rate"
         )
-    return tracks
+    return tracks, skipped
 
 
 def _eval_config(args, parser, tracks) -> EvalConfig:
@@ -156,12 +162,13 @@ def _eval_config(args, parser, tracks) -> EvalConfig:
 
 
 def _score(config: EvalConfig, tracks, estimates: Path, method: str, output: Path,
-           workers, separate=None) -> int:
+           workers, separate=None, skipped=()) -> int:
     """Score ``estimates/<track>/`` for each track, written first by
-    ``separate`` if given, into reports and summary.csv under ``output``."""
+    ``separate`` if given, into reports and summary.csv under ``output``,
+    with the outputs of the ``skipped`` names removed."""
     _progress(f"evaluating {method} on {len(tracks)} tracks ({config.mode} mode)")
     scores = run_campaign(tracks, estimates, method, config, workers=workers,
-                          output_dir=output, separate=separate)
+                          output_dir=output, separate=separate, skipped=skipped)
     _progress(f"wrote {len(scores)} reports and summary.csv under {output}")
     return 0
 
@@ -195,7 +202,7 @@ def cmd_oracle(args, parser) -> int:
     except ValueError as exc:  # the hop exceeds the window or does not overlap-add
         parser.error(f"argument --stft-hop: {exc}")
     corpus = scan_corpus(corpus_root)
-    tracks = _select_tracks(corpus, args.split, args.tracks)
+    tracks, skipped = _select_tracks(corpus, args.split, args.tracks)
     config = _eval_config(args, parser, tracks)
     method = args.method  # the run label
     method_dir = output / method
@@ -209,7 +216,7 @@ def cmd_oracle(args, parser) -> int:
             save_wav(folder / f"{name}.wav", estimate, bit_depth=args.bit_depth)
 
     return _score(config, tracks, method_dir, method, method_dir, workers=1,
-                  separate=separate)
+                  separate=separate, skipped=skipped)
 
 
 def cmd_eval(args, parser) -> int:
@@ -224,9 +231,9 @@ def cmd_eval(args, parser) -> int:
     if not estimates.is_dir():
         raise FileNotFoundError(f"estimates directory {estimates} does not exist")
     corpus = scan_corpus(corpus_root)
-    tracks = _select_tracks(corpus, args.split, args.tracks)
+    tracks, skipped = _select_tracks(corpus, args.split, args.tracks)
     return _score(_eval_config(args, parser, tracks), tracks, estimates,
-                  method, output, workers=args.workers)
+                  method, output, workers=args.workers, skipped=skipped)
 
 
 def _read_report_paths(paths) -> list:

@@ -10,7 +10,7 @@ The commands read a track's files a block at a time through
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,10 +71,12 @@ class TrackRef:
 
 @dataclass
 class Corpus:
-    """All tracks found under a corpus root, ordered by split then name."""
+    """All tracks found under a corpus root, ordered by split then name, and
+    the (split, name) of each track folder the scan skipped, in scan order."""
 
     root: Path
     tracks: list
+    skipped: list = field(default_factory=list)
 
     def split(self, name: str) -> list:
         return [track for track in self.tracks if track.split == name]
@@ -127,12 +129,13 @@ def scan_corpus(root) -> Corpus:
     repeated scans of the same tree are identical.  Folders that are
     missing stems, hold a stem whose header cannot be read or parsed, or
     whose stems disagree with the mixture in length, channels or sample
-    rate are skipped with a warning naming the problem.
+    rate are skipped with a warning naming the problem, and listed in
+    :attr:`Corpus.skipped`.
     """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} does not exist")
-    tracks = []
+    tracks, skipped = [], []
     for split in SPLITS:
         split_dir = root / split
         if not split_dir.is_dir():
@@ -141,6 +144,7 @@ def scan_corpus(root) -> Corpus:
             try:
                 tracks.append(_probe_track(folder, split))
             except (WavFormatError, OSError) as exc:
+                skipped.append((split, folder.name))
                 warnings.warn(
                     f"skipping {split}/{folder.name}: {exc}",
                     RuntimeWarning,
@@ -148,7 +152,7 @@ def scan_corpus(root) -> Corpus:
                 )
     if not tracks:
         raise ValueError(f"no usable tracks found under {root}")
-    return Corpus(root, tracks)
+    return Corpus(root, tracks, skipped)
 
 
 def load_track(ref: TrackRef):

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1012,46 +1013,94 @@ class TestSilentSpanRule:
             assert np.array_equal(projector._solvers[keys[j]](rhs), alone(rhs))
             assert np.array_equal(solves[j](rhs), alone(rhs))
 
+    @staticmethod
+    def _refusing(refusals, monkeypatch) -> tuple:
+        """Make the gains solve and the floor check refuse the systems of
+        a three-system stack named in ``refusals``, {(check, order):
+        systems}; returns the lists that get one entry per dposv call and
+        the (refused, predictors) of each _predictors call."""
+        gains, floor, solves, checks = bsseval_module.dposv, bsseval_module._below_floor, [], []
+        predictors, predicted = bsseval_module._predictors, []
+
+        def failing_gains(error, corner):
+            # Each order solves all three systems in stack order: call
+            # 3 k + s + 1 is system s's at order k.
+            order, system = divmod(len(solves), 3)
+            solves.append(1)
+            solution = gains(error, corner)
+            # A failed solve, as LAPACK's: the right-hand side left as it was.
+            failing = system in refusals.get(("gains", order), ())
+            return solution[:1] + (corner, 1) if failing else solution
+
+        def failing_floor(errors, shift):
+            # Check i is at order _FLOOR_STRIDE i.
+            order = len(checks) * bsseval_module._FLOOR_STRIDE
+            checks.append(1)
+            return sorted(set(floor(errors, shift)) | set(refusals.get(("floor", order), ())))
+
+        def recorded(lags):
+            predicted.append(predictors(lags))
+            return predicted[-1]
+
+        monkeypatch.setattr(bsseval_module, "dposv", failing_gains)
+        monkeypatch.setattr(bsseval_module, "_below_floor", failing_floor)
+        monkeypatch.setattr(bsseval_module, "_predictors", recorded)
+        return solves, predicted
+
+    @staticmethod
+    def _parked_finite(predicted, refused):
+        """One _predictors call, which refused ``refused`` and left every
+        number of the stack finite, the parked systems' too."""
+        ((got, (pair, errors)),) = predicted
+        assert got == set(refused)
+        assert np.all(np.isfinite(pair)) and np.all(np.isfinite(errors))
+
+    @staticmethod
+    def _stack(L=64):
+        rng = np.random.default_rng(69)
+        projector = bsseval_module._Projector(list(rng.standard_normal((3, 1200, 2))), L)
+        return np.stack([projector._system_lags(projector._solo(j)) for j in range(3)])
+
     @pytest.mark.parametrize("check, order", [
         ("gains", 4), ("gains", 48), ("floor", 16), ("floor", 48)])
     def test_refusal_mid_recursion_leaves_the_stack(self, check, order, monkeypatch):
         """A system refused at some order, by its gains' Cholesky solve or by
-        the error floor, gets None; the others run the recursion again from
-        order 0 without it, and their solves are bitwise those of their
-        factors alone."""
+        the error floor, gets None and is parked in place: the recursion
+        runs once, one dposv per system per order, and the others' solves
+        are bitwise those of their factors alone."""
         L = 64
-        rng = np.random.default_rng(69)
-        projector = bsseval_module._Projector(list(rng.standard_normal((3, 1200, 2))), L)
-        stack = np.stack([projector._system_lags(projector._solo(j)) for j in range(3)])
-        rhs = rng.standard_normal((2 * L, 2))
+        stack = self._stack(L)
+        rhs = np.random.default_rng(68).standard_normal((2 * L, 2))
         alone = [bsseval_module._levinson(stack[j:j + 1])[0] for j in range(3)]
         assert all(solve is not None for solve in alone)
-        gains, floor, solves, checks = bsseval_module.dposv, bsseval_module._below_floor, [], []
-
-        def failing_gains(error, corner):
-            # Each order solves the systems in stack order: while all three
-            # are in it, call 3 k + 2 is system 1's at order k.
-            solves.append(1)
-            solution = gains(error, corner)
-            failing = check == "gains" and len(solves) == 3 * order + 2
-            return solution[:2] + (1,) if failing else solution
-
-        def failing_floor(errors, shift):
-            # While all three are in the stack, check i is at order
-            # _FLOOR_STRIDE i.
-            checks.append(1)
-            failing = (check == "floor"
-                       and len(checks) == order // bsseval_module._FLOOR_STRIDE + 1)
-            return [1] if failing else floor(errors, shift)
-
-        monkeypatch.setattr(bsseval_module, "dposv", failing_gains)
-        monkeypatch.setattr(bsseval_module, "_below_floor", failing_floor)
+        solves, predicted = self._refusing({(check, order): [1]}, monkeypatch)
         got = bsseval_module._levinson(stack)
         assert got[1] is None
-        # The orders run by all three systems, then all L - 1 by the other two.
-        assert len(solves) == 3 * (order + (check == "gains")) + 2 * (L - 1)
+        assert len(solves) == 3 * (L - 1)
+        self._parked_finite(predicted, [1])
         for j in (0, 2):
             assert np.array_equal(got[j](rhs), alone[j](rhs))
+
+    @pytest.mark.parametrize("refusals, orders", [
+        ({("gains", 4): [1], ("floor", 16): [0], ("gains", 20): [2]}, 21),
+        ({("floor", 16): [0, 2], ("gains", 40): [1]}, 41),
+        ({("floor", 32): [0, 1, 2]}, 32)])
+    def test_every_system_refused_stops_the_recursion(self, refusals, orders,
+                                                      monkeypatch):
+        """When every system of a stack is refused, the recursion stops at
+        that order and every system gets None, with no floating-point
+        warning from the parked systems."""
+        stack = self._stack()
+        solves, predicted = self._refusing(refusals, monkeypatch)
+        probes = []
+        monkeypatch.setattr(bsseval_module, "_toeplitz_product",
+                            lambda *args: probes.append(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bsseval_module._levinson(stack) == [None] * 3
+        assert len(solves) == 3 * orders
+        assert probes == []
+        self._parked_finite(predicted, [0, 1, 2])
 
     def test_refused_factor_falls_back_to_cholesky_then_raises(self, monkeypatch):
         """A refused structured factor goes to cho_factor; a failing

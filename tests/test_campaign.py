@@ -580,6 +580,39 @@ class TestRunCampaign:
             with pytest.raises(RuntimeError):
                 run_campaign(corpus.tracks, root, "m", CONFIG)
 
+    @pytest.mark.parametrize("separating", [False, True])
+    def test_skipped_names_lose_their_outputs_before_the_first_job(
+            self, tmp_path, monkeypatch, separating):
+        """The report of each name in ``skipped`` is removed before any
+        track is read; its estimates only when the run writes estimates
+        (``separate``), never from an estimates tree it only reads."""
+        corpus, root = self._setup(tmp_path)
+        out = tmp_path / "reports"
+        run_campaign(corpus.tracks, root, "m", CONFIG, workers=1, output_dir=out)
+        shutil.copytree(root / "Able", root / "Gone")
+        shutil.copy(out / "Able.json", out / "Gone.json")
+        kept = shutil.copytree(root / "Baker", tmp_path / "kept")
+        real, seen = campaign.evaluate_track, []
+
+        def recording(track, *args, **kwargs):
+            seen.append(sorted(path.name for path in out.iterdir()))
+            return real(track, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "evaluate_track", recording)
+        # A separation that writes Baker's estimates back.
+        separate = None
+        if separating:
+            def separate(track, folder):
+                shutil.copytree(kept, folder, dirs_exist_ok=True)
+        run_campaign(corpus.tracks[1:], root, "m", CONFIG, workers=1, output_dir=out,
+                     separate=separate, skipped=["Gone"])
+        assert seen == [["Able.json"]]
+        assert sorted(path.name for path in out.iterdir()) == [
+            "Able.json", "Baker.json", "summary.csv"]
+        gone, able = (sorted(path.name for path in (root / name).iterdir())
+                      for name in ("Gone", "Able"))
+        assert gone == ([] if separating else able) and able
+
     def test_duplicate_names_are_refused_before_reading(self, tmp_path, monkeypatch):
         """``train/X`` and ``test/X`` would share ``estimates/X`` and one
         report: the run raises, naming X, before any track is read."""

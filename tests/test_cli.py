@@ -187,10 +187,16 @@ def _aggregated_tracks(reports, tmp_path):
     return _summary_tracks(table)
 
 
+def _estimated_tracks(method_dir):
+    """The tracks with an estimate WAV under ``method_dir``."""
+    return {path.parent.name for path in method_dir.glob("*/*.wav")}
+
+
 class TestRerun:
-    """A rerun into an output directory leaves no report of a track that
-    failed this time: ``summary.csv`` and ``aggregate --reports`` of the
-    directory cover the same tracks."""
+    """A rerun into an output directory leaves no report, and for
+    ``oracle`` no estimates, of a track that failed this time or that the
+    corpus scan now skips: ``summary.csv``, ``aggregate --reports`` of the
+    directory and ``oracle``'s estimate folders cover the same tracks."""
 
     def test_eval_drops_the_report_of_a_track_that_now_fails(self, tmp_path):
         corpus = _four_track_corpus(tmp_path / "corpus")
@@ -217,10 +223,46 @@ class TestRerun:
         assert _summary_tracks(out / "IRM2" / "summary.csv") == set(FOUR_TRACKS)
         stem = corpus / "test" / "B2" / "bass.wav"  # its header still scans
         stem.write_bytes(stem.read_bytes()[:-400])
+        assert _estimated_tracks(out / "IRM2") == set(FOUR_TRACKS)
         with pytest.warns(RuntimeWarning, match="track B2 failed"):
             assert _run(argv) == 0
         assert _summary_tracks(out / "IRM2" / "summary.csv") == {"A1", "C3", "D4"}
         assert _aggregated_tracks(out / "IRM2", tmp_path) == {"A1", "C3", "D4"}
+        assert _estimated_tracks(out / "IRM2") == {"A1", "C3", "D4"}
+
+    @pytest.mark.parametrize("command", ["eval", "oracle"])
+    def test_drops_the_outputs_of_a_track_the_scan_now_skips(self, tmp_path, command):
+        """A track whose stem no longer scans loses its report (and its
+        oracle estimates) on a rerun over its split; a rerun that names
+        other tracks with --tracks keeps the reports of those left out."""
+        corpus = _four_track_corpus(tmp_path / "corpus")
+        out = tmp_path / "out"
+        if command == "eval":
+            estimates = tmp_path / "estimates"
+            for name in FOUR_TRACKS:
+                shutil.copytree(corpus / "test" / name, estimates / name)
+            argv = ["eval", "--corpus", corpus, "--estimates", estimates,
+                    "--output", out, "--workers", "1"] + SCORING
+            reports = out
+        else:
+            argv = ["oracle", "--corpus", corpus, "--method", "IRM2",
+                    "--output", out] + FAST
+            reports = out / "IRM2"
+        assert _run(argv) == 0
+        (corpus / "test" / "B2" / "bass.wav").write_bytes(b"junk")
+        with pytest.warns(RuntimeWarning, match="skipping test/B2"):
+            assert _run(argv + ["--tracks", "A1", "C3"]) == 0
+        assert _summary_tracks(reports / "summary.csv") == {"A1", "C3"}
+        assert _aggregated_tracks(reports, tmp_path) == set(FOUR_TRACKS)
+        with pytest.warns(RuntimeWarning, match="skipping test/B2"):
+            assert _run(argv + ["--split", "test"]) == 0
+        assert not (reports / "B2.json").exists()
+        assert _summary_tracks(reports / "summary.csv") == {"A1", "C3", "D4"}
+        assert _aggregated_tracks(reports, tmp_path) == {"A1", "C3", "D4"}
+        if command == "oracle":
+            assert _estimated_tracks(reports) == {"A1", "C3", "D4"}
+        else:  # an estimates tree is only read
+            assert (estimates / "B2" / "bass.wav").is_file()
 
 
 class TestOraclePass:

@@ -32,6 +32,7 @@ class TestScan:
         corpus = scan_corpus(corpus_root)
         assert [t.name for t in corpus.train] == ["Alpha - One"]
         assert [t.name for t in corpus.test] == ["Beta - Two"]
+        assert corpus.skipped == []
         track = corpus.tracks[0]
         assert track.sample_rate == FIXTURE_RATE
         assert track.channels == 2
@@ -49,6 +50,7 @@ class TestScan:
         with pytest.warns(RuntimeWarning, match="bass"):
             corpus = scan_corpus(corpus_root)
         assert [t.name for t in corpus.tracks] == ["Beta - Two"]
+        assert corpus.skipped == [("train", "Alpha - One")]
 
     def test_unreadable_stem_skips_with_warning(self, corpus_root, monkeypatch):
         """An OSError from one stem's header read skips that track.  The
@@ -65,6 +67,7 @@ class TestScan:
                           match="skipping train/Alpha - One: .*Permission denied"):
             corpus = scan_corpus(corpus_root)
         assert [t.name for t in corpus.tracks] == ["Beta - Two"]
+        assert corpus.skipped == [("train", "Alpha - One")]
 
     def test_inconsistent_stem_skips_with_warning(self, corpus_root):
         folder = corpus_root / "test" / "Beta - Two"
@@ -73,6 +76,7 @@ class TestScan:
         with pytest.warns(RuntimeWarning, match="drums"):
             corpus = scan_corpus(corpus_root)
         assert [t.name for t in corpus.tracks] == ["Alpha - One"]
+        assert corpus.skipped == [("test", "Beta - Two")]
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
