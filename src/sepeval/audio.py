@@ -16,9 +16,10 @@ A *source* is anything read like an (N, I) sample array: ``source[a:b]``
 gives samples [a, b) as an array, and it has a ``shape`` and a ``len``.
 An array is one, and so are a :class:`WavReader` and a
 :class:`SourceSum`, the float64 sum of sources by which the stems and
-estimates are summed everywhere.  :func:`_layouts` is the one rule for
-the signal arguments of ``bss_eval``, ``oracle_separate`` and ``stft``,
-and :func:`_frames` the one framing of a source, for the STFT frames of
+estimates are summed everywhere.  :func:`_inputs` is the one step by
+which ``bss_eval``, ``oracle_separate`` and ``stft`` check their signal
+arguments (kind, count and layout) and take their sources, and
+:func:`_frames` the one framing of a source, for the STFT frames of
 ``spectral`` and the overlap-save segments and blocks of ``bsseval``.
 
 :func:`_replace` is the one way an output file reaches disk: WAVs,
@@ -305,30 +306,36 @@ class WavReader:
         return samples.reshape(count, self.info.channels)
 
 
-def _layouts(kind: str, signals) -> list:
-    """The layout of each of ``signals``, the signal arguments of one
-    ``kind``: AudioSignals or sources with a ``layout`` (such as
+def _inputs(kind: str, signals, expected: tuple | None = None) -> tuple:
+    """The (N, I) sources of ``signals``, the signal arguments of one
+    ``kind``, uncopied and unread, and the first one's layout.
+
+    ``signals`` are AudioSignals or sources with a ``layout`` (such as
     :class:`WavReader` or :class:`SourceSum`), or one (J, N, I) array,
-    whose rows have no rate.  Anything else raises TypeError."""
+    whose rows have no rate; anything else raises TypeError.  Each must
+    have the layout ``expected``, by default the first one's, else
+    :func:`check_layout` raises ValueError naming ``{kind} {j}``; and
+    there must be at least one (else ValueError).  An AudioSignal's
+    source is its samples, any other signal is its own."""
+    if not len(signals):
+        raise ValueError(f"at least one {kind} is required")
     if isinstance(signals, np.ndarray):
         if signals.ndim != 3:
             raise ValueError(f"{kind} array must be (J, N, I), got {signals.shape}")
-        return [signals.shape[1:] + (None,)] * len(signals)
-    layouts = []
-    for j, signal in enumerate(signals):
-        if not hasattr(signal, "layout"):
-            raise TypeError(
-                f"{kind} {j} is a {type(signal).__name__}: {kind}s must be "
-                "AudioSignals or sources with a layout (such as WavReaders), "
-                "or one (J, N, I) array"
-            )
-        layouts.append(signal.layout)
-    return layouts
-
-
-def _samples(signal):
-    """The samples of an AudioSignal, or ``signal`` itself, a source."""
-    return signal.samples if isinstance(signal, AudioSignal) else signal
+        layouts = [signals.shape[1:] + (None,)] * len(signals)
+    else:
+        for j, signal in enumerate(signals):
+            if not hasattr(signal, "layout"):
+                raise TypeError(
+                    f"{kind} {j} is a {type(signal).__name__}: {kind}s must be "
+                    "AudioSignals or sources with a layout (such as WavReaders), "
+                    "or one (J, N, I) array"
+                )
+        layouts = [signal.layout for signal in signals]
+    expected = layouts[0] if expected is None else expected
+    for j, layout in enumerate(layouts):
+        check_layout(f"{kind} {j}", layout, expected)
+    return [s.samples if isinstance(s, AudioSignal) else s for s in signals], layouts[0]
 
 
 def _frames(source, offset: int, count: int, width: int, hop: int):

@@ -86,7 +86,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv, dpotrf
 
-from .audio import AudioSignal, SourceSum, _frames, _layouts, _samples, check_layout
+from .audio import AudioSignal, SourceSum, _frames, _inputs
 
 __all__ = [
     "ProjectionFilters",
@@ -112,9 +112,12 @@ _BLOCK_LEN = 8192
 _CHUNK_CELLS = 240_000
 # Relative residual of the block-Levinson probe solve at or above which a
 # system falls back to Cholesky (see _levinson).  Coloured-noise stems at
-# 512 taps leave 2e-16 to 5e-16; the accepted systems of harmonic tones
-# over a 16-bit noise floor, pure sines and lowpass noise up to 4e-12;
-# near-singular systems that pass the error floor can leave 1e-11 and more.
+# 512 taps leave 2e-16 to 5e-16 on 8 s tracks, but their joint system's
+# residual grows with the track: 4.5e-13 at 60 s and 1.3e-10 at 240 s, so
+# a long track's joint system falls back to the dense Gram.  The accepted
+# systems of harmonic tones over a 16-bit noise floor, pure sines and
+# lowpass noise leave up to 4e-12; near-singular systems that pass the
+# error floor can leave 1e-11 and more.
 _PROBE_TOLERANCE = 1e-11
 # Smallest eigenvalue of a Levinson error block, scaled by R[0]'s diagonal,
 # at or below which the factor is refused (see _levinson).  Coloured-noise
@@ -244,15 +247,12 @@ class _Blocks:
         each with the ``history`` samples before it: samples [kB - history,
         (k+1)B) of the channel, zero outside it.  Each source is framed by
         :func:`~sepeval.audio._frames`, which reads its samples [first B -
-        history, stop B) once, and each channel's frames are copied into
-        the first B + history columns of one zero-padded (K, M) buffer,
-        whose transform is the channel's."""
+        history, stop B) once, and each channel's (K, B + history) frames
+        are transformed zero-padded to M."""
         B, width = self.length, self.length + history
-        frames = np.zeros((stop - first, self.fft_size))
         for source in sources:
             for framed in _frames(source, first * B - history, stop - first, width, B):
-                frames[:, :width] = framed
-                yield scipy.fft.rfft(frames, axis=-1)
+                yield scipy.fft.rfft(framed, self.fft_size, axis=-1)
 
     def segment_spectra(self, sources: list, first: int, stop: int) -> np.ndarray:
         """(K, C, F) rFFTs of the segments of blocks first, ..., stop - 1 of
@@ -816,28 +816,18 @@ def _signals(references, estimates=None, targets=None) -> tuple:
     """Checked (N, I) sources of ``references`` and ``estimates``, uncopied
     and unread, and the reference index each estimate is scored against.
 
-    The references are signals of the kinds :func:`~sepeval.audio._layouts`
-    takes (else TypeError), of one layout (length, channels and rate); the
-    estimates are of the same kinds, each of their layout, and a bare
-    array's rows match any rate (see :func:`~sepeval.audio.check_layout`).
-    ``targets`` default to estimate k against reference k; each is a
-    reference index or a group, a tuple of distinct ones (else
-    ValueError), and an index outside the references raises IndexError.
-    Without ``estimates`` the last two are None.
+    Both are read by :func:`~sepeval.audio._inputs`: the references of one
+    layout (length, channels and rate), the estimates each of theirs, and
+    a bare array's rows match any rate.  ``targets`` default to estimate
+    k against reference k; each is a reference index or a group, a tuple
+    of distinct ones (else ValueError), and an index outside the
+    references raises IndexError.  Without ``estimates`` the last two are
+    None.
     """
-    if not len(references):
-        raise ValueError("at least one reference is required")
-    layouts = _layouts("reference", references)
-    for j, layout in enumerate(layouts):
-        check_layout(f"reference {j}", layout, layouts[0])
-    references = [_samples(ref) for ref in references]
+    references, layout = _inputs("reference", references)
     if estimates is None:
         return references, None, None
-    if not len(estimates):
-        raise ValueError("at least one estimate is required")
-    for k, layout in enumerate(_layouts("estimate", estimates)):
-        check_layout(f"estimate {k}", layout, layouts[0])
-    ests = [_samples(est) for est in estimates]
+    ests, _ = _inputs("estimate", estimates, layout)
     if targets is None:
         if len(ests) > len(references):
             raise ValueError(

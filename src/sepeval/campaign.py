@@ -15,6 +15,7 @@ frames per track, then medians over tracks; pairwise method comparisons
 use the rank-based test from :mod:`sepeval.stats`.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -149,10 +150,10 @@ def run_campaign(
     thread (see :func:`_map_threads`).
     ``estimates_root/<track name>/<target>.wav`` supplies the estimates.
     With ``separate`` set, each track's job first removes the track's
-    earlier estimates there, one file per target, then calls
-    ``separate(track, estimates_root / track.name)`` to write them
-    (``sepeval oracle``); a track whose separation raises is not scored,
-    and leaves no estimates of an earlier run.
+    earlier estimates there, one file per target, and the folder they
+    leave empty, then calls ``separate(track, estimates_root / track.name)``
+    to write them (``sepeval oracle``); a track whose separation raises is
+    not scored, and leaves no estimates or folder of an earlier run.
     Per-track failures are reported and skipped; the run fails only when
     every track fails.  Results are sorted by track name.  Two tracks of
     one name raise ValueError before any track is read (see
@@ -181,10 +182,14 @@ def run_campaign(
 
     def clear(name: str) -> None:
         """Remove what an earlier run wrote for track ``name``: its
-        estimates, when this run writes them, and its report."""
+        estimates and then their folder, when this run writes them, and
+        its report.  A folder that holds anything else stays, and so does
+        a symlink."""
         if separate is not None:
             for target in TARGET_NAMES:
                 _remove(estimates_root / name / f"{target}.wav")
+            with contextlib.suppress(OSError):
+                (estimates_root / name).rmdir()
         if output_dir is not None:
             _remove(output_dir / f"{name}.json")
 

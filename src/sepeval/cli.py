@@ -9,11 +9,11 @@ split).  A track that fails in ``oracle``, ``eval`` or ``validate`` is
 warned about and skipped.  A track with no estimate for any target has
 failed.  ``oracle`` and ``eval`` write their output directory through
 ``run_campaign``: a rerun removes ``summary.csv`` and each track's old
-report (and ``oracle``'s old estimates) first, those of a track the
-corpus scan now skips too, unless ``--tracks`` names the tracks.  So
-after a run that ends, a selected track has a report exactly when
-``summary.csv`` covers it; an interrupted run leaves the finished
-tracks' outputs and no ``summary.csv``.  Flags
+report (and ``oracle``'s old estimates and their emptied folder) first,
+those of a track the corpus scan now skips too, unless ``--tracks``
+names the tracks.  So after a run that ends, a selected track has a
+report exactly when ``summary.csv`` covers it; an interrupted run
+leaves the finished tracks' outputs and no ``summary.csv``.  Flags
 beat ``SEPEVAL_*`` environment variables, which beat built-in defaults; a
 malformed variable is a usage error of the subcommands that read it.
 Progress and warnings go to stderr; machine-readable output goes to
@@ -161,11 +161,15 @@ def _eval_config(args, parser, tracks) -> EvalConfig:
                       filter_len=args.filter_len, mode=args.mode)
 
 
-def _score(config: EvalConfig, tracks, estimates: Path, method: str, output: Path,
-           workers, separate=None, skipped=()) -> int:
-    """Score ``estimates/<track>/`` for each track, written first by
+def _score(args, parser, estimates: Path, method: str, output: Path, workers,
+           separate=None) -> int:
+    """The body of ``oracle`` and ``eval``: scan ``--corpus``, select its
+    tracks and score ``estimates/<track>/`` for each, written first by
     ``separate`` if given, into reports and summary.csv under ``output``,
-    with the outputs of the ``skipped`` names removed."""
+    with the outputs of the tracks the scan skipped removed (see
+    :func:`run_campaign`)."""
+    tracks, skipped = _select_tracks(scan_corpus(args.corpus), args.split, args.tracks)
+    config = _eval_config(args, parser, tracks)
     _progress(f"evaluating {method} on {len(tracks)} tracks ({config.mode} mode)")
     scores = run_campaign(tracks, estimates, method, config, workers=workers,
                           output_dir=output, separate=separate, skipped=skipped)
@@ -194,16 +198,13 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_oracle(args, parser) -> int:
-    corpus_root = _require(args, "corpus", "--corpus", parser)
+    _require(args, "corpus", "--corpus", parser)
     output = Path(_require(args, "output", "--output", parser))
     try:
         stft_config = StftConfig(args.stft_window, args.stft_hop)
         _overlap_profile(stft_config)  # istft's check, before any track is read
     except ValueError as exc:  # the hop exceeds the window or does not overlap-add
         parser.error(f"argument --stft-hop: {exc}")
-    corpus = scan_corpus(corpus_root)
-    tracks, skipped = _select_tracks(corpus, args.split, args.tracks)
-    config = _eval_config(args, parser, tracks)
     method = args.method  # the run label
     method_dir = output / method
 
@@ -215,12 +216,12 @@ def cmd_oracle(args, parser) -> int:
         for name, estimate in zip(STEM_NAMES, estimates):
             save_wav(folder / f"{name}.wav", estimate, bit_depth=args.bit_depth)
 
-    return _score(config, tracks, method_dir, method, method_dir, workers=1,
-                  separate=separate, skipped=skipped)
+    return _score(args, parser, method_dir, method, method_dir, workers=1,
+                  separate=separate)
 
 
 def cmd_eval(args, parser) -> int:
-    corpus_root = _require(args, "corpus", "--corpus", parser)
+    _require(args, "corpus", "--corpus", parser)
     estimates = Path(_require(args, "estimates", "--estimates", parser))
     output = Path(_require(args, "output", "--output", parser))
     # The directory's own name, also for "." and "..".
@@ -230,10 +231,7 @@ def cmd_eval(args, parser) -> int:
                      "has no name to label the reports with")
     if not estimates.is_dir():
         raise FileNotFoundError(f"estimates directory {estimates} does not exist")
-    corpus = scan_corpus(corpus_root)
-    tracks, skipped = _select_tracks(corpus, args.split, args.tracks)
-    return _score(_eval_config(args, parser, tracks), tracks, estimates,
-                  method, output, workers=args.workers, skipped=skipped)
+    return _score(args, parser, estimates, method, output, workers=args.workers)
 
 
 def _read_report_paths(paths) -> list:

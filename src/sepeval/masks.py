@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import _layouts, _samples, check_layout
+from .audio import _inputs
 from .spectral import (
     Spectrogram,
     StftConfig,
@@ -531,7 +531,7 @@ def oracle_separate(
     trimmed to the input length.  ``method`` names the mask and its
     exponent: ``IBM1``, ``IBM2``, ``MWF`` or ``IRM<alpha>``
     (:func:`_resolve_method`).  The true sources are signals as
-    ``bss_eval`` takes them (:func:`~sepeval.audio._layouts`), the mixture
+    ``bss_eval`` takes them (:func:`~sepeval.audio._inputs`), the mixture
     one with a rate; all must have the mixture's layout.
 
     The work runs over chunks of frames (:func:`spectral._chunks`): each
@@ -556,14 +556,10 @@ def oracle_separate(
     overlap-add buffers.
     """
     kind, exponent = _resolve_method(method)
-    ((length, channels, rate),) = _layouts("mixture", [mixture])
-    if not len(true_sources):
-        raise ValueError("at least one true source is required")
-    for j, layout in enumerate(_layouts("source", true_sources)):
-        check_layout(f"source {j}", layout, (length, channels, rate))
+    (mixture,), (length, channels, rate) = _inputs("mixture", [mixture])
+    true_sources, _ = _inputs("source", true_sources, (length, channels, rate))
     if length == 0:
         raise ValueError("cannot transform an empty signal")
-    mixture, true_sources = _samples(mixture), [_samples(s) for s in true_sources]
     _, num_frames = _frame_layout(length, config)
     outputs = [_OverlapAdd(config, num_frames, channels) for _ in true_sources]
     chunks = list(_chunks(num_frames, config.num_bins, channels))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, rfft
 
-from .audio import AudioSignal, _frames, _layouts, _samples
+from .audio import AudioSignal, _frames, _inputs
 
 __all__ = ["StftConfig", "Spectrogram", "stft", "istft"]
 
@@ -190,11 +190,11 @@ def stft(signal, config: StftConfig = StftConfig()) -> Spectrogram:
         Complex tensor of shape (F, T, I), the transposed view of
         channel-major (I, T, F) bins; linear in the input.
     """
-    ((num_samples, channels, rate),) = _layouts("signal", [signal])
+    (source,), (num_samples, channels, rate) = _inputs("signal", [signal])
     if num_samples == 0:
         raise ValueError("cannot transform an empty signal")
     _, num_frames = _frame_layout(num_samples, config)
-    source, win = _samples(signal), config.taper()
+    win = config.taper()
     planes = np.empty((channels, num_frames, config.num_bins), dtype=np.complex128)
     for start, stop in _chunks(num_frames, config.num_bins, channels):
         planes[:, start:stop] = _analyse(source, config, win, start, stop)

@@ -535,27 +535,66 @@ class TestBssEval:
         with pytest.raises(ValueError, match="at least one estimate"):
             bss_eval(refs, np.empty((0, 600, 2)), window=300)
 
-    @pytest.mark.parametrize("which", ["references", "estimates", "mixture",
-                                       "sources", "signal"])
-    def test_bare_array_list_names_the_accepted_kinds(self, which):
-        """bss_eval, oracle_separate and stft take their signals by one
-        rule, which refuses a bare (N, I) array by name."""
+    def _signal_arguments(self, which):
+        """The kind one signal argument of an entry point names in its
+        refusals, its valid signals, and a call that passes a given list
+        of signals as it, the other arguments valid.  bss_eval,
+        compute_projection, decompose, project, oracle_separate and stft
+        read them all by one step (``audio._inputs``)."""
         refs, ests = self._fixture()
-        bare, config = refs[1].samples, StftConfig(64, 16)
-        call, kind, index = {
-            "references": (lambda: bss_eval([refs[0].samples], ests, window=300),
-                           "reference", 0),
-            "estimates": (lambda: bss_eval(refs, [ests[0], bare], window=300),
-                          "estimate", 1),
-            "mixture": (lambda: oracle_separate(bare, refs, "IRM2", config), "mixture", 0),
-            "sources": (lambda: oracle_separate(ests[0], [refs[0], bare], "IRM2", config),
-                        "source", 1),
-            "signal": (lambda: stft(bare, config), "signal", 0),
+        est, config = ests[0], StftConfig(64, 16)
+        filters = compute_projection(refs, est, 8)
+        return {
+            "references": ("reference", refs, lambda s: bss_eval(s, ests, window=300)),
+            "estimates": ("estimate", ests, lambda s: bss_eval(refs, s, window=300)),
+            "projection references": ("reference", refs,
+                                      lambda s: compute_projection(s, est, 8)),
+            "projection estimate": ("estimate", [est],
+                                    lambda s: compute_projection(refs, *s, 8)),
+            "decompose references": ("reference", refs,
+                                     lambda s: decompose(est, s, 0, filters)),
+            "decompose estimate": ("estimate", [est],
+                                   lambda s: decompose(*s, refs, 0, filters)),
+            "project references": ("reference", refs, lambda s: project(s, filters.taps)),
+            "mixture": ("mixture", [est], lambda s: oracle_separate(*s, refs, "IRM2", config)),
+            "sources": ("source", refs, lambda s: oracle_separate(est, s, "IRM2", config)),
+            "signal": ("signal", [est], lambda s: stft(*s, config)),
         }[which]
+
+    @pytest.mark.parametrize("which", [
+        "references", "estimates", "projection references", "projection estimate",
+        "decompose references", "decompose estimate", "project references",
+        "mixture", "sources", "signal"])
+    def test_bare_array_list_names_the_accepted_kinds(self, which):
+        """Every signal argument is taken by one rule, which refuses a bare
+        (N, I) array in a list by name and index."""
+        kind, signals, call = self._signal_arguments(which)
+        index = len(signals) - 1
         message = (f"{kind} {index} is a ndarray: {kind}s must be AudioSignals or "
                    "sources with a layout (such as WavReaders), or one (J, N, I) array")
         with pytest.raises(TypeError, match=re.escape(message)):
-            call()
+            call(signals[:-1] + [signals[-1].samples])
+
+    @pytest.mark.parametrize("which", [
+        "references", "estimates", "projection references", "decompose references",
+        "project references", "sources"])
+    def test_an_empty_signal_list_is_refused(self, which):
+        kind, _, call = self._signal_arguments(which)
+        with pytest.raises(ValueError, match=f"^at least one {kind} is required$"):
+            call([])
+
+    @pytest.mark.parametrize("which", [
+        "references", "estimates", "projection references", "projection estimate",
+        "decompose references", "decompose estimate", "project references", "sources"])
+    def test_a_signal_of_another_layout_is_refused_by_name(self, which):
+        """A list's last signal one sample short is refused against the
+        first reference, source or mixture, naming its kind and index."""
+        kind, signals, call = self._signal_arguments(which)
+        short = AudioSignal(signals[-1].samples[:-1], 8000)
+        message = (f"{kind} {len(signals) - 1} has 599 samples x 2 ch @ 8000 Hz, "
+                   "expected 600 x 2 @ 8000 Hz")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(signals[:-1] + [short])
 
 
 class TestOneEngine:

@@ -584,12 +584,17 @@ class TestRunCampaign:
     def test_skipped_names_lose_their_outputs_before_the_first_job(
             self, tmp_path, monkeypatch, separating):
         """The report of each name in ``skipped`` is removed before any
-        track is read; its estimates only when the run writes estimates
-        (``separate``), never from an estimates tree it only reads."""
+        track is read; its estimates, and then their emptied folder, only
+        when the run writes estimates (``separate``), never from an
+        estimates tree it only reads.  A folder that holds another file
+        stays, and so does a symlinked one, whose estimates go."""
         corpus, root = self._setup(tmp_path)
         out = tmp_path / "reports"
         run_campaign(corpus.tracks, root, "m", CONFIG, workers=1, output_dir=out)
-        shutil.copytree(root / "Able", root / "Gone")
+        for name in ("Gone", "Noted"):
+            shutil.copytree(root / "Able", root / name)
+        (root / "Noted" / "notes.txt").write_text("kept")
+        (root / "Linked").symlink_to(shutil.copytree(root / "Able", tmp_path / "linked"))
         shutil.copy(out / "Able.json", out / "Gone.json")
         kept = shutil.copytree(root / "Baker", tmp_path / "kept")
         real, seen = campaign.evaluate_track, []
@@ -605,13 +610,19 @@ class TestRunCampaign:
             def separate(track, folder):
                 shutil.copytree(kept, folder, dirs_exist_ok=True)
         run_campaign(corpus.tracks[1:], root, "m", CONFIG, workers=1, output_dir=out,
-                     separate=separate, skipped=["Gone"])
+                     separate=separate, skipped=["Gone", "Noted", "Linked"])
         assert seen == [["Able.json"]]
         assert sorted(path.name for path in out.iterdir()) == [
             "Able.json", "Baker.json", "summary.csv"]
-        gone, able = (sorted(path.name for path in (root / name).iterdir())
-                      for name in ("Gone", "Able"))
-        assert gone == ([] if separating else able) and able
+        able = sorted(path.name for path in (root / "Able").iterdir())
+        assert able and (root / "Linked").is_symlink()
+        left = {name: sorted(path.name for path in (root / name).iterdir())
+                for name in ("Gone", "Noted", "Linked") if (root / name).exists()}
+        if separating:
+            assert left == {"Noted": ["notes.txt"], "Linked": []}
+        else:
+            assert left == {"Gone": able, "Noted": sorted(able + ["notes.txt"]),
+                            "Linked": able}
 
     def test_duplicate_names_are_refused_before_reading(self, tmp_path, monkeypatch):
         """``train/X`` and ``test/X`` would share ``estimates/X`` and one

@@ -188,8 +188,13 @@ def _aggregated_tracks(reports, tmp_path):
 
 
 def _estimated_tracks(method_dir):
-    """The tracks with an estimate WAV under ``method_dir``."""
-    return {path.parent.name for path in method_dir.glob("*/*.wav")}
+    """The track folders under ``method_dir``, each of which must hold one
+    estimate WAV per stem and nothing else: a folder left empty counts."""
+    folders = [path for path in method_dir.iterdir() if path.is_dir()]
+    for folder in folders:
+        assert sorted(path.name for path in folder.iterdir()) == sorted(
+            f"{stem}.wav" for stem in sepeval.STEM_NAMES), folder
+    return {folder.name for folder in folders}
 
 
 class TestRerun:
@@ -233,8 +238,9 @@ class TestRerun:
     @pytest.mark.parametrize("command", ["eval", "oracle"])
     def test_drops_the_outputs_of_a_track_the_scan_now_skips(self, tmp_path, command):
         """A track whose stem no longer scans loses its report (and its
-        oracle estimates) on a rerun over its split; a rerun that names
-        other tracks with --tracks keeps the reports of those left out."""
+        oracle estimates and their folder) on a rerun over its split; a
+        rerun that names other tracks with --tracks keeps the reports of
+        those left out."""
         corpus = _four_track_corpus(tmp_path / "corpus")
         out = tmp_path / "out"
         if command == "eval":
@@ -261,6 +267,7 @@ class TestRerun:
         assert _aggregated_tracks(reports, tmp_path) == {"A1", "C3", "D4"}
         if command == "oracle":
             assert _estimated_tracks(reports) == {"A1", "C3", "D4"}
+            assert not (reports / "B2").exists()
         else:  # an estimates tree is only read
             assert (estimates / "B2" / "bass.wav").is_file()
 

@@ -1,5 +1,6 @@
 """Oracle mask tests: per-bin brute-force references and mask invariants."""
 
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -499,15 +500,22 @@ class TestOracleSeparate:
             oracle_separate(mixture, sources, "IWM", self.CONFIG)
 
     def test_input_validation(self):
+        """The sources are checked against the mixture's layout, each
+        refusal naming the source by index."""
         mixture, sources = _tones()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^at least one source is required$"):
             oracle_separate(mixture, [], "IBM1", self.CONFIG)
         short = AudioSignal(sources[0].samples[:100], 8000)
-        with pytest.raises(ValueError):
-            oracle_separate(mixture, [short], "IBM1", self.CONFIG)
+        with pytest.raises(ValueError, match=re.escape(
+                "source 1 has 100 samples x 1 ch @ 8000 Hz, expected 4000 x 1 @ 8000 Hz")):
+            oracle_separate(mixture, [sources[0], short], "IBM1", self.CONFIG)
         wrong_rate = AudioSignal(sources[0].samples, 16000)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "source 0 has 4000 samples x 1 ch @ 16000 Hz, expected 4000 x 1 @ 8000 Hz")):
             oracle_separate(mixture, [wrong_rate], "IBM1", self.CONFIG)
+        with pytest.raises(ValueError, match=re.escape("expected 4000 x 1 @ 16000 Hz")):
+            oracle_separate(AudioSignal(mixture.samples, 16000), sources, "IBM1",
+                            self.CONFIG)
         empty = AudioSignal(np.zeros((0, 2)), 8000)
         with pytest.raises(ValueError, match="cannot transform an empty signal"):
             oracle_separate(empty, [empty], "IBM1", self.CONFIG)
@@ -756,7 +764,7 @@ def _three_chunks(config):
 
 class TestLayout:
     """Estimates depend on the values of the inputs, not on their layout or
-    on the kind of signal that holds them (see ``audio._layouts``)."""
+    on the kind of signal that holds them (see ``audio._inputs``)."""
 
     @pytest.mark.parametrize("layout", ["F", "strided", "readers", "stacked"])
     def test_input_layout_gives_bitwise_the_same_estimates(self, layout, tmp_path):

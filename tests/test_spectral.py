@@ -99,9 +99,11 @@ class TestAnalysis:
             assert (frames - 1) * config.hop_size < pad + n
             assert frames * config.hop_size >= pad + n - config.window_size + 1
 
-    def test_empty_signal_rejected(self):
-        with pytest.raises(ValueError):
-            stft(AudioSignal(np.zeros((0, 1)), 8000))
+    def test_empty_signal_rejected(self, tmp_path):
+        save_wav(tmp_path / "empty.wav", AudioSignal(np.zeros((0, 2)), 8000))
+        for empty in (AudioSignal(np.zeros((0, 1)), 8000), WavReader(tmp_path / "empty.wav")):
+            with pytest.raises(ValueError, match="^cannot transform an empty signal$"):
+                stft(empty)
 
     def test_bad_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -360,7 +362,7 @@ class TestChunkedFraming:
 
 class TestLayout:
     """Results depend on the values of the samples, not on their layout or
-    on the kind of signal that holds them (see ``audio._layouts``)."""
+    on the kind of signal that holds them (see ``audio._inputs``)."""
 
     @pytest.mark.parametrize("layout", ["F", "strided", "reader"])
     def test_input_layout_gives_bitwise_the_same_bins(self, layout, tmp_path):
