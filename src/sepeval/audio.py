@@ -18,9 +18,12 @@ An array is one, and so are a :class:`WavReader` and a
 :class:`SourceSum`, the float64 sum of sources by which the stems and
 estimates are summed everywhere.  :func:`_inputs` is the one step by
 which ``bss_eval``, ``oracle_separate`` and ``stft`` check their signal
-arguments (kind, count and layout) and take their sources, and
+arguments (kind, count and layout) and take their sources,
 :func:`_frames` the one framing of a source, for the STFT frames of
-``spectral`` and the overlap-save segments and blocks of ``bsseval``.
+``spectral`` and the overlap-save segments and blocks of ``bsseval``,
+and :func:`_ranges` the one rule that cuts a span into stepped ranges:
+chunks of blocks and of frames, scoring windows, hop phases and read
+blocks.
 
 :func:`_replace` is the one way an output file reaches disk: WAVs,
 reports, CSVs and the manifest are each written whole or not at all.
@@ -352,6 +355,13 @@ def _frames(source, offset: int, count: int, width: int, hop: int):
     for channel in samples.T:
         span[lo - offset:lo - offset + len(channel)] = channel
         yield sliding_window_view(span, width)[::hop]
+
+
+def _ranges(length: int, step: int, width: int | None = None) -> list:
+    """The [start, stop) ranges of ``width`` items (default ``step``), one
+    starting every ``step`` from 0 up to ``length``, each clipped at
+    ``length``."""
+    return [(a, min(a + (width or step), length)) for a in range(0, length, step)]
 
 
 class SourceSum:

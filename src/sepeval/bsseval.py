@@ -86,7 +86,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv, dpotrf
 
-from .audio import AudioSignal, SourceSum, _frames, _inputs
+from .audio import AudioSignal, SourceSum, _frames, _inputs, _ranges
 
 __all__ = [
     "ProjectionFilters",
@@ -238,8 +238,7 @@ class _Blocks:
         many blocks as hold the segment spectra of ``channels`` channels in
         ``_CHUNK_CELLS`` complex cells, and at least one."""
         size = max(1, _CHUNK_CELLS // ((self.fft_size // 2 + 1) * channels))
-        num_blocks = -(-length // self.length)
-        return [(k, min(k + size, num_blocks)) for k in range(0, num_blocks, size)]
+        return _ranges(-(-length // self.length), size)
 
     def _spectra(self, sources: list, first: int, stop: int, history: int):
         """Per channel of the (N, I) ``sources`` (see :func:`_sources`), in
@@ -376,9 +375,11 @@ class _Projector:
 
     A reference that is silent over the span gets zero taps and no
     unknowns; a group is silent exactly when its summed samples are all
-    zero.  So when only one reference of a frame is audible its joint
-    system is that reference's solo system, factorized once, and their
-    taps are bitwise equal.  When every reference is silent
+    zero.  A group's samples are scanned each time a system key is formed
+    (:meth:`_system`), a block at a time, and the scan stops at the first
+    audible block, so nothing is cached.  So when only one reference of a
+    frame is audible its joint system is that reference's solo system,
+    factorized once, and their taps are bitwise equal.  When every reference is silent
     (``degenerate``) the loading is zero too, nothing is factorized and
     every tap is zero.  Each system is factorized once, by :func:`_levinson`
     from its loaded lags (a factor that holds only the spectra of its final
@@ -413,7 +414,6 @@ class _Projector:
         energies = np.diagonal(self._lags[0]).reshape(num_refs, channels)
         self._audible = {j for j, energy in enumerate(energies) if np.any(energy)}
         self.degenerate = not self._audible
-        self._groups = {}   # group -> audible
         self._solvers = {}
 
     def _frame(self, target) -> tuple:
@@ -424,16 +424,13 @@ class _Projector:
         return tuple(range(self.num_refs))
 
     def _is_audible(self, ref) -> bool:
-        """Whether reference or group ``ref`` has a nonzero sample in the span."""
+        """Whether reference or group ``ref`` has a nonzero sample in the span:
+        a group's summed samples are read a block at a time, up to the first
+        block with one."""
         if not isinstance(ref, tuple):
             return ref in self._audible
-        if ref not in self._groups:
-            total = SourceSum(self.references[j] for j in ref)
-            step = self.blocks.length
-            self._groups[ref] = any(
-                np.any(total[a:a + step]) for a in range(0, len(total), step)
-            )
-        return self._groups[ref]
+        total = SourceSum(self.references[j] for j in ref)
+        return any(np.any(total[a:b]) for a, b in _ranges(len(total), self.blocks.length))
 
     def _system(self, frame: tuple, refs: tuple):
         """Key of the system over the audible ones of ``refs`` in ``frame``,
@@ -509,14 +506,15 @@ class _Projector:
         are fitted; a group's taps sit on each of its members.  Their solo
         systems are factorized in one stack.
         """
-        self._factor([self._solo(target) for target in solo])
+        solos = [self._solo(target) for target in solo]
+        self._factor(solos)
         D = self._rhs[index]
         taps = np.zeros((self.num_refs, self.channels, D.shape[2], self.filter_len))
         joint = self._joint(next(iter(solo), 0))
         if joint is not None:
             for ref, ref_taps in zip(joint[1], self._taps(D, joint)):
                 taps[list(_members(ref))] = ref_taps
-        return taps, [self._taps(D, self._solo(target)) for target in solo]
+        return taps, [self._taps(D, key) for key in solos]
 
 
 def _two_sided(lags: np.ndarray) -> np.ndarray:
@@ -994,10 +992,7 @@ def _windows(num_samples: int, window: int, hop: int | None,
         raise ValueError(
             f"window of {window} samples exceeds signal length {num_samples}"
         )
-    return [
-        (start, min(start + window, num_samples))
-        for start in range(0, num_samples, hop)
-    ]
+    return _ranges(num_samples, hop, window)
 
 
 def metrics_from_decomposition(

@@ -147,7 +147,8 @@ def run_campaign(
     """Evaluate many tracks, in parallel, deterministically ordered.
 
     ``workers`` tracks are scored at a time, one of them on the calling
-    thread (see :func:`_map_threads`).
+    thread (see :func:`_map_threads`).  With no track, ValueError is
+    raised once the outputs below are removed.
     ``estimates_root/<track name>/<target>.wav`` supplies the estimates.
     With ``separate`` set, each track's job first removes the track's
     earlier estimates there, one file per target, and the folder they
@@ -195,6 +196,8 @@ def run_campaign(
 
     for name in skipped:
         clear(name)
+    if not tracks:
+        raise ValueError("no track to score")
 
     def one(track: TrackRef):
         folder = estimates_root / track.name

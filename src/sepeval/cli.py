@@ -11,11 +11,13 @@ failed.  ``oracle`` and ``eval`` write their output directory through
 ``run_campaign``: a rerun removes ``summary.csv`` and each track's old
 report (and ``oracle``'s old estimates and their emptied folder) first,
 those of a track the corpus scan now skips too, unless ``--tracks``
-names the tracks.  So after a run that ends, a selected track has a
-report exactly when ``summary.csv`` covers it; an interrupted run
-leaves the finished tracks' outputs and no ``summary.csv``.  Flags
-beat ``SEPEVAL_*`` environment variables, which beat built-in defaults; a
-malformed variable is a usage error of the subcommands that read it.
+names the tracks; when the scan skips every selected folder, the rerun
+removes these and then fails.  So after a run that ends, a selected
+track has a report exactly when ``summary.csv`` covers it; an
+interrupted run leaves the finished tracks' outputs and no
+``summary.csv``.  Flags beat ``SEPEVAL_*`` environment variables, which
+beat built-in defaults; a malformed variable is a usage error of the
+subcommands that read it.
 Progress and warnings go to stderr; machine-readable output goes to
 files.  Exit codes: 0 success, 1 fatal error, 2 usage error.
 """
@@ -113,7 +115,8 @@ def _select_tracks(corpus, split: str, names) -> tuple:
     """The selected tracks, which must share one sample rate and hold each
     name once: reports and estimate folders are keyed by track name; and
     the names of the folders of ``split`` the scan skipped, none when
-    ``names`` are given."""
+    ``names`` are given.  An empty selection fails unless some were
+    skipped."""
     tracks = corpus.tracks if split == "both" else corpus.split(split)
     skipped = [] if names else [name for folder_split, name in corpus.skipped
                                 if split in ("both", folder_split)]
@@ -123,7 +126,7 @@ def _select_tracks(corpus, split: str, names) -> tuple:
         missing = wanted - {t.name for t in tracks}
         if missing:
             raise FileNotFoundError(f"tracks not found: {sorted(missing)}")
-    if not tracks:
+    if not tracks and not skipped:
         raise FileNotFoundError(f"no tracks selected (split={split})")
     try:
         _check_names(tracks)
@@ -167,8 +170,15 @@ def _score(args, parser, estimates: Path, method: str, output: Path, workers,
     tracks and score ``estimates/<track>/`` for each, written first by
     ``separate`` if given, into reports and summary.csv under ``output``,
     with the outputs of the tracks the scan skipped removed (see
-    :func:`run_campaign`)."""
-    tracks, skipped = _select_tracks(scan_corpus(args.corpus), args.split, args.tracks)
+    :func:`run_campaign`), also when it skipped every selected folder."""
+    try:
+        corpus = scan_corpus(args.corpus)
+    except ValueError as error:  # no usable track: the skipped still lose their outputs
+        corpus = error.corpus
+    tracks, skipped = _select_tracks(corpus, args.split, args.tracks)
+    if not tracks:  # every selected folder was skipped: their outputs go, then it raises
+        run_campaign(tracks, estimates, method, output_dir=output, separate=separate,
+                     skipped=skipped)
     config = _eval_config(args, parser, tracks)
     _progress(f"evaluating {method} on {len(tracks)} tracks ({config.mode} mode)")
     scores = run_campaign(tracks, estimates, method, config, workers=workers,

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import (AudioSignal, SourceSum, WavFormatError, WavReader, check_layout,
-                    load_wav, wav_info)
+from .audio import (AudioSignal, SourceSum, WavFormatError, WavReader, _ranges,
+                    check_layout, load_wav, wav_info)
 from .reports import _write_json
 
 __all__ = [
@@ -130,7 +130,9 @@ def scan_corpus(root) -> Corpus:
     missing stems, hold a stem whose header cannot be read or parsed, or
     whose stems disagree with the mixture in length, channels or sample
     rate are skipped with a warning naming the problem, and listed in
-    :attr:`Corpus.skipped`.
+    :attr:`Corpus.skipped`.  A root with no usable track raises
+    ValueError, whose ``corpus`` is the scan's corpus of no track, so
+    that a rerun can still remove the outputs of the folders skipped.
     """
     root = Path(root)
     if not root.is_dir():
@@ -150,9 +152,12 @@ def scan_corpus(root) -> Corpus:
                     RuntimeWarning,
                     stacklevel=2,
                 )
+    corpus = Corpus(root, tracks, skipped)
     if not tracks:
-        raise ValueError(f"no usable tracks found under {root}")
-    return Corpus(root, tracks, skipped)
+        error = ValueError(f"no usable tracks found under {root}")
+        error.corpus = corpus
+        raise error
+    return corpus
 
 
 def load_track(ref: TrackRef):
@@ -197,10 +202,8 @@ def validate_mixture(ref: TrackRef, tolerance: float = 1e-2) -> MixtureReport:
     mixture = open_stem(ref, "mixture")
     total = SourceSum(open_stem(ref, stem) for stem in ACCOMPANIMENT_STEMS + ("vocals",))
     deviation = 0.0
-    for start in range(0, len(mixture), _CHECK_BLOCK):
-        block = slice(start, start + _CHECK_BLOCK)
-        deviation = max(deviation,
-                        float(np.max(np.abs(mixture[block] - total[block]))))
+    for a, b in _ranges(len(mixture), _CHECK_BLOCK):
+        deviation = max(deviation, float(np.max(np.abs(mixture[a:b] - total[a:b]))))
     return MixtureReport(ref.name, deviation, tolerance, deviation <= tolerance)
 
 

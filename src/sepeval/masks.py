@@ -328,7 +328,7 @@ def estimate_mwf_model(sources: SourceImages) -> SpatialModel:
     images = [image.bins.T for image in sources.images]
     channels, num_frames, num_bins = images[0].shape
     # A spectrogram of no frames is one empty chunk, all of its sources silent.
-    chunks = list(_chunks(num_frames, num_bins, channels)) or [(0, 0)]
+    chunks = _chunks(num_frames, num_bins, channels) or [(0, 0)]
     cov, cov_inv, degenerate = _spatial_covariances(
         [bins[:, start:stop] for bins in images] for start, stop in chunks
     )
@@ -562,7 +562,7 @@ def oracle_separate(
         raise ValueError("cannot transform an empty signal")
     _, num_frames = _frame_layout(length, config)
     outputs = [_OverlapAdd(config, num_frames, channels) for _ in true_sources]
-    chunks = list(_chunks(num_frames, config.num_bins, channels))
+    chunks = _chunks(num_frames, config.num_bins, channels)
     win = config.taper()
 
     def analyse(source, start, stop):

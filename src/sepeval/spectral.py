@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, rfft
 
-from .audio import AudioSignal, _frames, _inputs
+from .audio import AudioSignal, _frames, _inputs, _ranges
 
 __all__ = ["StftConfig", "Spectrogram", "stft", "istft"]
 
@@ -142,15 +142,13 @@ def _frame_layout(num_samples: int, config: StftConfig):
     return pad_front, num_frames
 
 
-def _chunks(num_frames: int, num_bins: int, channels: int):
+def _chunks(num_frames: int, num_bins: int, channels: int) -> list:
     """Frame ranges [start, stop) of at most ``_CHUNK_CELLS`` complex cells.
 
     One chunk of bins is channels x frames x bins cells; at 4096/1024 and
     two channels that is 15 frames, about 1 MB of spectra.
     """
-    step = max(1, _CHUNK_CELLS // (num_bins * channels))
-    for start in range(0, num_frames, step):
-        yield start, min(start + step, num_frames)
+    return _ranges(num_frames, max(1, _CHUNK_CELLS // (num_bins * channels)))
 
 
 def _analyse(source, config: StftConfig, win: np.ndarray,
@@ -208,11 +206,9 @@ def _overlap_profile(config: StftConfig) -> np.ndarray:
     phase sums to ~0, so synthesis would divide by it.
     """
     win_sq = config.taper() ** 2
-    hop = config.hop_size
-    profile = np.zeros(hop)
-    for offset in reversed(range(0, config.window_size, hop)):
-        seg = win_sq[offset:offset + hop]
-        profile[:len(seg)] += seg
+    profile = np.zeros(config.hop_size)
+    for start, stop in reversed(_ranges(config.window_size, config.hop_size)):
+        profile[:stop - start] += win_sq[start:stop]
     if profile.min() <= 1e-6 * max(profile.max(), 1.0):
         raise ValueError(
             f"window '{config.window}' does not overlap-add at "

@@ -37,7 +37,7 @@ from sepeval import (
     write_significance_json,
 )
 from sepeval import audio
-from sepeval.audio import SourceSum, _frames
+from sepeval.audio import SourceSum, _frames, _ranges
 
 
 def _wav_bytes(audio_format, channels, rate, bits, payload):
@@ -508,6 +508,24 @@ class TestFrames:
             for k in range(count):
                 start = front + offset + k * hop
                 np.testing.assert_array_equal(frames[k], padded[start:start + width, channel])
+
+
+class TestRanges:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(length=st.integers(0, 200), step=st.integers(1, 50),
+           width=st.one_of(st.none(), st.integers(1, 80)))
+    def test_ranges_start_every_step_and_clip_at_the_length(self, length, step, width):
+        """One range starts every ``step`` below ``length``, each ``width``
+        long (default ``step``) unless clipped at ``length``; at the
+        default width they tile [0, length) in order."""
+        ranges = _ranges(length, step, width)
+        assert [start for start, _ in ranges] == list(range(0, length, step))
+        wide = step if width is None else width
+        for start, stop in ranges:
+            assert stop == min(start + wide, length) and start < stop
+        if width is None:
+            covered = [i for start, stop in ranges for i in range(start, stop)]
+            assert covered == list(range(length))
 
 
 _SCORE = TrackScore("Able", "m", {"vocals": [FrameScores(1.0, 2.0, 3.0, 4.0, 0, 100)]},

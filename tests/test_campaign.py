@@ -624,6 +624,23 @@ class TestRunCampaign:
             assert left == {"Gone": able, "Noted": sorted(able + ["notes.txt"]),
                             "Linked": able}
 
+    @pytest.mark.parametrize("separating", [False, True])
+    def test_no_track_raises_after_the_outputs_are_removed(self, tmp_path, separating):
+        """With no track to score, the run removes summary.csv and the
+        outputs of the skipped names, then raises ValueError."""
+        corpus, root = self._setup(tmp_path)
+        out = tmp_path / "reports"
+        run_campaign(corpus.tracks, root, "m", CONFIG, workers=1, output_dir=out)
+        separate = ((lambda track, folder: pytest.fail("a track was separated"))
+                    if separating else None)
+        with pytest.raises(ValueError, match="no track to score"):
+            run_campaign([], root, "m", CONFIG, output_dir=out, separate=separate,
+                         skipped=["Able"])
+        assert sorted(path.name for path in out.iterdir()) == ["Baker.json"]
+        assert (root / "Able").exists() is not separating
+        with pytest.raises(ValueError, match="no track to score"):
+            run_campaign([], root, "m")
+
     def test_duplicate_names_are_refused_before_reading(self, tmp_path, monkeypatch):
         """``train/X`` and ``test/X`` would share ``estimates/X`` and one
         report: the run raises, naming X, before any track is read."""

@@ -235,6 +235,20 @@ class TestRerun:
         assert _aggregated_tracks(out / "IRM2", tmp_path) == {"A1", "C3", "D4"}
         assert _estimated_tracks(out / "IRM2") == {"A1", "C3", "D4"}
 
+    @staticmethod
+    def _command(command, corpus, tmp_path):
+        """The argv of ``command`` over ``corpus``, its reports directory,
+        and for ``eval`` the estimates tree, a copy of the corpus's stems."""
+        out = tmp_path / "out"
+        if command == "oracle":
+            return (["oracle", "--corpus", corpus, "--method", "IRM2",
+                     "--output", out] + FAST), out / "IRM2", None
+        estimates = tmp_path / "estimates"
+        for folder in (corpus / "test").iterdir():
+            shutil.copytree(folder, estimates / folder.name)
+        return (["eval", "--corpus", corpus, "--estimates", estimates,
+                 "--output", out, "--workers", "1"] + SCORING), out, estimates
+
     @pytest.mark.parametrize("command", ["eval", "oracle"])
     def test_drops_the_outputs_of_a_track_the_scan_now_skips(self, tmp_path, command):
         """A track whose stem no longer scans loses its report (and its
@@ -242,18 +256,7 @@ class TestRerun:
         rerun that names other tracks with --tracks keeps the reports of
         those left out."""
         corpus = _four_track_corpus(tmp_path / "corpus")
-        out = tmp_path / "out"
-        if command == "eval":
-            estimates = tmp_path / "estimates"
-            for name in FOUR_TRACKS:
-                shutil.copytree(corpus / "test" / name, estimates / name)
-            argv = ["eval", "--corpus", corpus, "--estimates", estimates,
-                    "--output", out, "--workers", "1"] + SCORING
-            reports = out
-        else:
-            argv = ["oracle", "--corpus", corpus, "--method", "IRM2",
-                    "--output", out] + FAST
-            reports = out / "IRM2"
+        argv, reports, estimates = self._command(command, corpus, tmp_path)
         assert _run(argv) == 0
         (corpus / "test" / "B2" / "bass.wav").write_bytes(b"junk")
         with pytest.warns(RuntimeWarning, match="skipping test/B2"):
@@ -269,6 +272,30 @@ class TestRerun:
             assert _estimated_tracks(reports) == {"A1", "C3", "D4"}
             assert not (reports / "B2").exists()
         else:  # an estimates tree is only read
+            assert (estimates / "B2" / "bass.wav").is_file()
+
+    @pytest.mark.parametrize("command", ["eval", "oracle"])
+    def test_a_rerun_that_scans_no_track_leaves_no_outputs(self, tmp_path, capsys,
+                                                          command):
+        """When the scan now skips every track, the rerun fails, naming each
+        skipped folder, and leaves no summary.csv and no report, oracle
+        estimates or estimate folder of any track."""
+        corpus = tmp_path / "corpus"
+        rng = np.random.default_rng(94)
+        for name in ("A1", "B2"):
+            write_track(corpus / "test" / name, rng, num_samples=FIXTURE_RATE)
+        argv, reports, estimates = self._command(command, corpus, tmp_path)
+        assert _run(argv) == 0
+        assert _summary_tracks(reports / "summary.csv") == {"A1", "B2"}
+        for name in ("A1", "B2"):
+            (corpus / "test" / name / "bass.wav").write_bytes(b"junk")
+        with pytest.warns(RuntimeWarning, match="skipping test/") as caught:
+            assert _run(argv) == 1
+        assert sorted(str(w.message).split(":")[0] for w in caught) == [
+            "skipping test/A1", "skipping test/B2"]
+        assert "no track to score" in capsys.readouterr().err
+        assert list(reports.iterdir()) == []
+        if command == "eval":  # an estimates tree is only read
             assert (estimates / "B2" / "bass.wav").is_file()
 
 

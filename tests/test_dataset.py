@@ -83,9 +83,16 @@ class TestScan:
             scan_corpus(tmp_path / "nowhere")
 
     def test_corpus_without_tracks_raises(self, tmp_path):
+        """The error holds the scan's corpus: no track, the folders skipped."""
         (tmp_path / "train").mkdir()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no usable tracks"):
             scan_corpus(tmp_path)
+        (tmp_path / "test" / "junk").mkdir(parents=True)
+        with pytest.warns(RuntimeWarning, match="skipping test/junk"):
+            with pytest.raises(ValueError, match="no usable tracks") as excinfo:
+                scan_corpus(tmp_path)
+        assert excinfo.value.corpus.tracks == []
+        assert excinfo.value.corpus.skipped == [("test", "junk")]
 
     def test_find_by_name_and_split(self, corpus_root):
         corpus = scan_corpus(corpus_root)
